@@ -124,10 +124,15 @@ def _pair_filename(arxiv_id: str, src_v: int, tgt_v: int) -> str:
 def _align_pair(src: DocVersion, tgt: DocVersion, cfg: RunConfig):
     thresholds = Thresholds(cfg.tau1, cfg.tau2, cfg.tau3, cfg.tau4)
     paras = align_paragraphs(src, tgt, thresholds)
-    metric = make_metric(cfg.sentence_metric, src, tgt)
+    back = paras.reversed()
+    if cfg.sentence_metric == "jaccard":
+        # read scores from the matrix paragraph alignment already built
+        fwd_metric, bwd_metric = paras.scores, back.scores
+    else:
+        fwd_metric = bwd_metric = make_metric(cfg.sentence_metric, src, tgt)
     thr = cfg.effective_sentence_threshold()
-    fwd = align_sentences_directional(paras, src, tgt, metric, thr)
-    bwd = align_sentences_directional(paras.reversed(), tgt, src, metric, thr)
+    fwd = align_sentences_directional(paras, src, tgt, fwd_metric, thr)
+    bwd = align_sentences_directional(back, tgt, src, bwd_metric, thr)
     return merge_bidirectional(fwd, bwd)
 
 
@@ -573,7 +578,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("revkit: internal error", file=sys.stderr)
         traceback.print_exc()
         return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,50 +1,19 @@
-"""Pairwise Jaccard kernels for the alignment hot path.
+"""Pairwise Jaccard kernel for the alignment hot path.
 
 Paragraph alignment needs the Jaccard score of every sentence pair across
 two document versions, which dominates runtime on full-length documents.
-Sentences are encoded once as sorted unique vocabulary-id arrays and the
-pairwise matrix is filled either by a numba-compiled two-pointer kernel
-or by a pure-numpy incidence-matrix product.  Set REVKIT_BACKEND=numpy
-(or =numba) to force the choice; the default is numba when importable.
-Both paths produce identical matrices.
+Sentences are encoded once as sorted unique vocabulary-id arrays.  An
+inverted index over the target side (its sentence rows grouped by token
+id) turns each source sentence's intersection counts into one
+``np.bincount`` over the postings of its tokens; ``inter / union`` then
+gives the matrix.  Only the nonzero intersections are ever touched, so
+memory stays at the size of the n x m result.
 """
 from __future__ import annotations
 
-import logging
-import os
 from typing import Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
-
-try:
-    import numba as nb
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    nb = None
-    HAS_NUMBA = False
-
-BACKENDS = ("numba", "numpy")
-
-_njit_kwargs = {"nogil": True, "fastmath": False, "cache": False}
-
-
-def active_backend() -> str:
-    """Backend chosen by REVKIT_BACKEND, falling back to numpy when numba
-    is requested but unavailable."""
-    forced = os.environ.get("REVKIT_BACKEND", "").strip().lower()
-    if forced and forced not in BACKENDS:
-        raise ValueError(f"REVKIT_BACKEND must be one of {BACKENDS}, got {forced!r}")
-    if forced == "numpy":
-        return "numpy"
-    if forced == "numba" and not HAS_NUMBA:
-        log.warning("REVKIT_BACKEND=numba but numba is not importable; using numpy")
-        return "numpy"
-    if forced == "numba":
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 def encode_sets(
@@ -62,66 +31,9 @@ def encode_sets(
     return flat, offsets
 
 
-def _jaccard_fill_py(ids_a, offs_a, ids_b, offs_b, out):  # pragma: no cover - numba source
-    n = offs_a.shape[0] - 1
-    m = offs_b.shape[0] - 1
-    for i in range(n):
-        a0 = offs_a[i]
-        a1 = offs_a[i + 1]
-        for j in range(m):
-            b0 = offs_b[j]
-            b1 = offs_b[j + 1]
-            p = a0
-            q = b0
-            inter = 0
-            while p < a1 and q < b1:
-                x = ids_a[p]
-                y = ids_b[q]
-                if x == y:
-                    inter += 1
-                    p += 1
-                    q += 1
-                elif x < y:
-                    p += 1
-                else:
-                    q += 1
-            union = (a1 - a0) + (b1 - b0) - inter
-            if union == 0:
-                out[i, j] = 1.0
-            else:
-                out[i, j] = inter / union
-
-
-if HAS_NUMBA:
-    _jaccard_fill_numba = nb.njit(**_njit_kwargs)(_jaccard_fill_py)
-else:  # pragma: no cover
-    _jaccard_fill_numba = None
-
-
-def _jaccard_fill_numpy(ids_a, offs_a, ids_b, offs_b, out) -> None:
-    n = offs_a.shape[0] - 1
-    m = offs_b.shape[0] - 1
-    vocab_size = 0
-    if ids_a.size:
-        vocab_size = int(ids_a.max()) + 1
-    if ids_b.size:
-        vocab_size = max(vocab_size, int(ids_b.max()) + 1)
-    A = np.zeros((n, vocab_size), dtype=np.float64)
-    B = np.zeros((m, vocab_size), dtype=np.float64)
-    A[np.repeat(np.arange(n), np.diff(offs_a)), ids_a] = 1.0
-    B[np.repeat(np.arange(m), np.diff(offs_b)), ids_b] = 1.0
-    inter = A @ B.T
-    sizes_a = np.diff(offs_a).astype(np.float64)
-    sizes_b = np.diff(offs_b).astype(np.float64)
-    union = sizes_a[:, None] + sizes_b[None, :] - inter
-    np.divide(inter, union, out=out, where=union > 0)
-    out[union == 0] = 1.0
-
-
 def jaccard_matrix(
     sets_a: Sequence[frozenset[str]],
     sets_b: Sequence[frozenset[str]],
-    backend: str | None = None,
 ) -> np.ndarray:
     """Jaccard similarity of every set pair, as a len(a) x len(b) matrix.
 
@@ -130,12 +42,17 @@ def jaccard_matrix(
     vocab: dict[str, int] = {}
     ids_a, offs_a = encode_sets(sets_a, vocab)
     ids_b, offs_b = encode_sets(sets_b, vocab)
-    out = np.zeros((len(sets_a), len(sets_b)), dtype=np.float64)
-    chosen = backend or active_backend()
-    if chosen not in BACKENDS:
-        raise ValueError(f"unknown backend {chosen!r}")
-    if chosen == "numba" and _jaccard_fill_numba is not None:
-        _jaccard_fill_numba(ids_a, offs_a, ids_b, offs_b, out)
-    else:
-        _jaccard_fill_numpy(ids_a, offs_a, ids_b, offs_b, out)
+    n, m = len(sets_a), len(sets_b)
+    sizes_b = np.diff(offs_b)
+    # postings[starts[t]:starts[t + 1]] lists the target rows holding token t
+    postings = np.repeat(np.arange(m, dtype=np.int64), sizes_b)[np.argsort(ids_b, kind="stable")]
+    starts = [0, *np.cumsum(np.bincount(ids_b, minlength=len(vocab))).tolist()]
+    toks, offs = ids_a.tolist(), offs_a.tolist()
+    inter = np.empty((n, m), dtype=np.float64)
+    for i in range(n):
+        hits = [postings[starts[t]:starts[t + 1]] for t in toks[offs[i]:offs[i + 1]]]
+        inter[i] = np.bincount(np.concatenate(hits), minlength=m) if hits else 0.0
+    union = np.diff(offs_a)[:, None] + sizes_b[None, :] - inter
+    out = np.ones((n, m), dtype=np.float64)
+    np.divide(inter, union, out=out, where=union > 0)
     return out

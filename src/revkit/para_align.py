@@ -6,6 +6,13 @@ The two passes deliberately cross directions: each argmaxes one of the
 two similarity matrices but applies its thresholds to the other.  That
 asymmetry is part of the published behaviour of this procedure and must
 not be "fixed".
+
+The sentence x sentence Jaccard matrix is computed once per version
+pair.  Segment reductions turn it into the tensor: ``np.maximum.reduceat``
+over paragraph boundaries gives each sentence's best match per paragraph,
+and each block mean is one contiguous 1-D reduction, so it rounds exactly
+as a per-block ``np.mean`` would.  The same matrix then serves sentence
+alignment as a score lookup.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DocVersion, Paragraph
+from .corpus import DocVersion, Paragraph, Sentence, SentenceId
 from .kernels import jaccard_matrix
 
 
@@ -38,6 +45,26 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
+class SentenceScores:
+    """Jaccard score lookup over one version pair's alignable sentences.
+
+    Calling it with a source and a target sentence reads their cell of
+    the sentence x sentence matrix, which equals ``similarity.jaccard``
+    exactly: both divide the same two integers once.
+    """
+
+    matrix: np.ndarray
+    rows: dict[SentenceId, int]
+    cols: dict[SentenceId, int]
+
+    def __call__(self, a: Sentence, b: Sentence) -> float:
+        return self.matrix.item(self.rows[a.id], self.cols[b.id])
+
+    def transposed(self) -> "SentenceScores":
+        return SentenceScores(self.matrix.T, self.cols, self.rows)
+
+
+@dataclass(frozen=True)
 class ParaSimTensor:
     """Paragraph similarity in both directions over the non-skipped
     paragraphs of two versions.
@@ -53,6 +80,7 @@ class ParaSimTensor:
     sim2: np.ndarray
     src_paragraphs: tuple[int, ...]
     tgt_paragraphs: tuple[int, ...]
+    scores: SentenceScores
 
     @property
     def k(self) -> int:
@@ -65,27 +93,37 @@ class ParaSimTensor:
 
 @dataclass(frozen=True)
 class ParaAlignment:
-    """Aligned paragraph pairs, in original paragraph indices."""
+    """Aligned paragraph pairs, in original paragraph indices.
+
+    scores, when set, is the Jaccard lookup over the same version pair,
+    oriented like the pairs; it takes no part in equality.
+    """
 
     pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    scores: SentenceScores | None = field(default=None, compare=False, repr=False)
 
     def reversed(self) -> "ParaAlignment":
-        return ParaAlignment(frozenset((j, i) for i, j in self.pairs))
+        scores = self.scores.transposed() if self.scores is not None else None
+        return ParaAlignment(frozenset((j, i) for i, j in self.pairs), scores)
 
 
-def _sentence_sets(paragraphs: tuple[Paragraph, ...]):
+def _sentence_rows(paragraphs: tuple[Paragraph, ...]):
+    """Token sets of the non-skipped sentences, their SentenceId -> row
+    map, and each paragraph's [start, end) row range."""
     sets: list[frozenset[str]] = []
+    rows: dict[SentenceId, int] = {}
     bounds: list[tuple[int, int]] = []
     for p in paragraphs:
         start = len(sets)
         for s in p.sentences:
             if not s.skipped:
+                rows[s.id] = len(sets)
                 sets.append(s.lower_token_set())
         bounds.append((start, len(sets)))
-    return sets, bounds
+    return sets, rows, bounds
 
 
-def compute_sim_tensor(src: DocVersion, tgt: DocVersion, backend: str | None = None) -> ParaSimTensor:
+def compute_sim_tensor(src: DocVersion, tgt: DocVersion) -> ParaSimTensor:
     """Build both similarity matrices over the non-skipped paragraphs.
 
     Skipped sentences take part in neither the average nor the max; a
@@ -98,24 +136,33 @@ def compute_sim_tensor(src: DocVersion, tgt: DocVersion, backend: str | None = N
     k, l = len(sp), len(tp)
     sim1 = np.zeros((k, l), dtype=np.float64)
     sim2 = np.zeros((k, l), dtype=np.float64)
-    src_sets, src_bounds = _sentence_sets(sp)
-    tgt_sets, tgt_bounds = _sentence_sets(tp)
+    src_sets, src_rows, src_bounds = _sentence_rows(sp)
+    tgt_sets, tgt_rows, tgt_bounds = _sentence_rows(tp)
+    matrix = jaccard_matrix(src_sets, tgt_sets)
     if src_sets and tgt_sets:
-        matrix = jaccard_matrix(src_sets, tgt_sets, backend=backend)
-        for i, (r0, r1) in enumerate(src_bounds):
-            if r0 == r1:
-                continue
-            for j, (c0, c1) in enumerate(tgt_bounds):
-                if c0 == c1:
-                    continue
-                block = matrix[r0:r1, c0:c1]
-                sim1[i, j] = block.max(axis=1).mean()
-                sim2[i, j] = block.max(axis=0).mean()
+        # reduceat mishandles empty segments, so reduce over non-empty
+        # paragraphs only; all-skipped paragraphs keep their zero row/column
+        si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]
+        tj = [j for j, (c0, c1) in enumerate(tgt_bounds) if c0 < c1]
+        # rowmax[j', r]: best score of source sentence r in target paragraph tj[j']
+        rowmax = np.ascontiguousarray(
+            np.maximum.reduceat(matrix, [tgt_bounds[j][0] for j in tj], axis=1).T
+        )
+        # colmax[i', c]: best score of target sentence c in source paragraph si[i']
+        colmax = np.maximum.reduceat(matrix, [src_bounds[i][0] for i in si], axis=0)
+        # each mean runs over one contiguous row segment, in np.mean's 1-D order
+        for i in si:
+            r0, r1 = src_bounds[i]
+            sim1[i, tj] = rowmax[:, r0:r1].mean(axis=1)
+        for j in tj:
+            c0, c1 = tgt_bounds[j]
+            sim2[si, j] = colmax[:, c0:c1].mean(axis=1)
     return ParaSimTensor(
         sim1=sim1,
         sim2=sim2,
         src_paragraphs=tuple(p.index for p in sp),
         tgt_paragraphs=tuple(p.index for p in tp),
+        scores=SentenceScores(matrix, src_rows, tgt_rows),
     )
 
 
@@ -129,7 +176,6 @@ def align_paragraphs(
     src: DocVersion,
     tgt: DocVersion,
     thresholds: Thresholds = Thresholds(),
-    backend: str | None = None,
 ) -> ParaAlignment:
     """Two-pass thresholded-argmax paragraph alignment.
 
@@ -139,12 +185,13 @@ def align_paragraphs(
     the relative positions differ by less than tau2 (pass one) or tau4
     (pass two), or unconditionally when it exceeds tau3.  Argmax ties
     break to the lowest index.  Returned pairs use original paragraph
-    indices; skipped paragraphs never appear.
+    indices; skipped paragraphs never appear.  The result carries the
+    sentence Jaccard lookup so sentence alignment can reuse it.
     """
-    t = compute_sim_tensor(src, tgt, backend=backend)
+    t = compute_sim_tensor(src, tgt)
     k, l = t.k, t.l
     if k == 0 or l == 0:
-        return ParaAlignment()
+        return ParaAlignment(scores=t.scores)
     chosen: set[tuple[int, int]] = set()
     for j in range(l):
         i_max = int(np.argmax(t.sim2[:, j]))
@@ -159,5 +206,5 @@ def align_paragraphs(
         elif t.sim2[i, j_max] > thresholds.tau3:
             chosen.add((i, j_max))
     return ParaAlignment(
-        frozenset((t.src_paragraphs[i], t.tgt_paragraphs[j]) for i, j in chosen)
+        frozenset((t.src_paragraphs[i], t.tgt_paragraphs[j]) for i, j in chosen), t.scores
     )

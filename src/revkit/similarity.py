@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .corpus import DocVersion, Sentence
+from .corpus import DocVersion, Sentence, SentenceId
 
 METRIC_NAMES = ("jaccard", "tfidf", "char3gram", "bleu")
 
@@ -28,13 +28,16 @@ def jaccard(a: Sentence, b: Sentence) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _cosine(va: Mapping[str, float], vb: Mapping[str, float]) -> float:
+def _norm(v: Mapping[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in v.values()))
+
+
+def _cosine(va: Mapping[str, float], vb: Mapping[str, float], na: float, nb: float) -> float:
+    """Cosine of two sparse vectors given their norms."""
     if va == vb:
         # exact 1.0 on identical vectors, immune to sqrt rounding
         return 1.0 if va else 0.0
     dot = sum(w * vb.get(k, 0.0) for k, w in va.items())
-    na = math.sqrt(sum(w * w for w in va.values()))
-    nb = math.sqrt(sum(w * w for w in vb.values()))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -52,7 +55,7 @@ def char_ngram_sim(a: Sentence, b: Sentence, n: int = 3) -> float:
     if not ca and not cb:
         # both strings shorter than n: fall back to string identity
         return 1.0 if ra == rb else 0.0
-    return _cosine(ca, cb)
+    return _cosine(ca, cb, _norm(ca), _norm(cb))
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,38 @@ def build_idf(docs: Iterable[DocVersion]) -> IdfModel:
     return IdfModel({tok: math.log(n / c) for tok, c in df.items()}, n)
 
 
+def _tfidf_vector(s: Sentence, model: IdfModel):
+    """Term counts, tf-idf weights, whether any weight is nonzero, norm."""
+    counts = Counter(s.lower_surfaces())
+    weights = {tok: cnt * model.lookup(tok) for tok, cnt in counts.items()}
+    return counts, weights, any(weights.values()), _norm(weights)
+
+
+def _tfidf_cosine(va, vb) -> float:
+    counts_a, weights_a, nonzero_a, norm_a = va
+    counts_b, weights_b, nonzero_b, norm_b = vb
+    if not nonzero_a and not nonzero_b:
+        # every token occurs in every sentence: compare raw counts instead
+        return 1.0 if counts_a == counts_b else 0.0
+    return _cosine(weights_a, weights_b, norm_a, norm_b)
+
+
 def tfidf_sim(a: Sentence, b: Sentence, model: IdfModel) -> float:
     """Cosine similarity of tf-idf vectors (raw term counts times idf)."""
-    ta = Counter(a.lower_surfaces())
-    tb = Counter(b.lower_surfaces())
-    va = {tok: cnt * model.lookup(tok) for tok, cnt in ta.items()}
-    vb = {tok: cnt * model.lookup(tok) for tok, cnt in tb.items()}
-    if not any(va.values()) and not any(vb.values()):
-        # every token occurs in every sentence: compare raw counts instead
-        return 1.0 if ta == tb else 0.0
-    return _cosine(va, vb)
+    return _tfidf_cosine(_tfidf_vector(a, model), _tfidf_vector(b, model))
+
+
+def _cached_tfidf(model: IdfModel) -> SentenceMetric:
+    """tfidf_sim with each sentence's vector built once per metric."""
+    cache: dict[SentenceId, tuple] = {}
+
+    def vector(s: Sentence):
+        got = cache.get(s.id)
+        if got is None or got[0] is not s:
+            got = cache[s.id] = (s, _tfidf_vector(s, model))
+        return got[1]
+
+    return lambda a, b: _tfidf_cosine(vector(a), vector(b))
 
 
 def _bleu_directional(hyp: tuple[str, ...], ref: tuple[str, ...]) -> float:
@@ -141,6 +166,5 @@ def make_metric(name: str, src: DocVersion | None = None, tgt: DocVersion | None
     if name == "tfidf":
         if src is None or tgt is None:
             raise ValueError("tfidf metric needs the two document versions to fit idf")
-        model = build_idf([src, tgt])
-        return lambda a, b: tfidf_sim(a, b, model)
+        return _cached_tfidf(build_idf([src, tgt]))
     raise ValueError(f"unknown metric {name!r} (choose from {', '.join(METRIC_NAMES)})")

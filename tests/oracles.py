@@ -8,7 +8,9 @@ words, so disagreements point at real defects rather than at ordering.
 """
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from itertools import product
 
 from revkit.corpus import DocVersion, Sentence, SentenceId
@@ -48,14 +50,17 @@ def _para_sent_sets(p) -> list[frozenset]:
     return [s.lower_token_set() for s in p.sentences if not s.skipped]
 
 
-def oracle_align_paragraphs(src: DocVersion, tgt: DocVersion, t) -> frozenset[tuple[int, int]]:
-    sp = [p for p in src.paragraphs if not p.skipped]
-    tp = [p for p in tgt.paragraphs if not p.skipped]
-    k, l = len(sp), len(tp)
-    if k == 0 or l == 0:
-        return frozenset()
-    s_sets = [_para_sent_sets(p) for p in sp]
-    t_sets = [_para_sent_sets(p) for p in tp]
+def oracle_sim_tensor(src: DocVersion, tgt: DocVersion) -> tuple[list, list]:
+    """sim1/sim2 over the non-skipped paragraphs, one block at a time:
+    the best score per sentence, then a plain sum/len mean.
+
+    sum() adds left to right, as np.mean does below eight terms (it sums
+    pairwise from there on), so exact comparisons hold for paragraphs of
+    fewer than eight sentences; random_doc_pair never builds larger ones.
+    """
+    s_sets = [_para_sent_sets(p) for p in src.paragraphs if not p.skipped]
+    t_sets = [_para_sent_sets(p) for p in tgt.paragraphs if not p.skipped]
+    k, l = len(s_sets), len(t_sets)
     sim1 = [[0.0] * l for _ in range(k)]
     sim2 = [[0.0] * l for _ in range(k)]
     for i in range(k):
@@ -66,6 +71,16 @@ def oracle_align_paragraphs(src: DocVersion, tgt: DocVersion, t) -> frozenset[tu
             best_per_tgt = [max(_jac(a, b) for a in s_sets[i]) for b in t_sets[j]]
             sim1[i][j] = sum(best_per_src) / len(best_per_src)
             sim2[i][j] = sum(best_per_tgt) / len(best_per_tgt)
+    return sim1, sim2
+
+
+def oracle_align_paragraphs(src: DocVersion, tgt: DocVersion, t) -> frozenset[tuple[int, int]]:
+    sp = [p for p in src.paragraphs if not p.skipped]
+    tp = [p for p in tgt.paragraphs if not p.skipped]
+    k, l = len(sp), len(tp)
+    if k == 0 or l == 0:
+        return frozenset()
+    sim1, sim2 = oracle_sim_tensor(src, tgt)
 
     def d(i: int, j: int) -> float:
         return abs(i / k - j / l)
@@ -91,6 +106,26 @@ def oracle_align_paragraphs(src: DocVersion, tgt: DocVersion, t) -> frozenset[tu
         elif sim2[i][j_max] > t.tau3:
             chosen.add((i, j_max))
     return frozenset((sp[i].index, tp[j].index) for i, j in chosen)
+
+
+# ---------------------------------------------------------------------------
+# tf-idf cosine, recomputed from scratch for every pair
+
+def oracle_tfidf(a: Sentence, b: Sentence, model) -> float:
+    ta = Counter(a.lower_surfaces())
+    tb = Counter(b.lower_surfaces())
+    va = {tok: cnt * model.lookup(tok) for tok, cnt in ta.items()}
+    vb = {tok: cnt * model.lookup(tok) for tok, cnt in tb.items()}
+    if not any(va.values()) and not any(vb.values()):
+        return 1.0 if ta == tb else 0.0
+    if va == vb:
+        return 1.0 if va else 0.0
+    dot = sum(w * vb.get(k, 0.0) for k, w in va.items())
+    na = math.sqrt(sum(w * w for w in va.values()))
+    nb = math.sqrt(sum(w * w for w in vb.values()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -493,17 +494,18 @@ def test_eval_intention_missing_prediction(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # process-level behavior
 
-def revkit_binary():
+def revkit_binary() -> list[str]:
+    """The installed console script, or the module entry point when the
+    package is only importable (not installed)."""
     path = shutil.which("revkit")
-    assert path, "console script not installed"
-    return path
+    return [path] if path else [sys.executable, "-m", "revkit"]
 
 
 def test_console_script_logging(ws, tmp_path):
     out = tmp_path / "out"
     env = dict(os.environ, REVKIT_LOG="INFO")
     res = subprocess.run(
-        [revkit_binary(), "align", "--corpus", ws.corpus, "--out", str(out)],
+        [*revkit_binary(), "align", "--corpus", ws.corpus, "--out", str(out)],
         capture_output=True, text=True, env=env,
     )
     assert res.returncode == 0
@@ -511,7 +513,7 @@ def test_console_script_logging(ws, tmp_path):
 
     env["REVKIT_LOG"] = "NOISY"
     res = subprocess.run(
-        [revkit_binary(), "align", "--corpus", ws.corpus, "--out", str(out)],
+        [*revkit_binary(), "align", "--corpus", ws.corpus, "--out", str(out)],
         capture_output=True, text=True, env=env,
     )
     assert res.returncode == 0

@@ -1,15 +1,8 @@
 import random
 
 import numpy as np
-import pytest
 
-from revkit.kernels import (
-    BACKENDS,
-    HAS_NUMBA,
-    active_backend,
-    encode_sets,
-    jaccard_matrix,
-)
+from revkit.kernels import encode_sets, jaccard_matrix
 
 
 def random_sets(rng, count, vocab_size=20, max_len=8):
@@ -39,50 +32,20 @@ def test_encode_sets_shares_vocab():
     assert ids[2] == vocab["a"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matrix_matches_brute_force(backend):
-    if backend == "numba" and not HAS_NUMBA:
-        pytest.skip("numba unavailable")
+def test_matrix_matches_brute_force():
     rng = random.Random(7)
-    sets_a = random_sets(rng, 13)
-    sets_b = random_sets(rng, 9)
-    got = jaccard_matrix(sets_a, sets_b, backend=backend)
-    assert np.allclose(got, brute_force(sets_a, sets_b))
-
-
-def test_backends_agree():
-    if not HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = random.Random(11)
-    for _ in range(5):
-        sets_a = random_sets(rng, rng.randint(0, 12))
-        sets_b = random_sets(rng, rng.randint(0, 12))
-        a = jaccard_matrix(sets_a, sets_b, backend="numba")
-        b = jaccard_matrix(sets_a, sets_b, backend="numpy")
-        assert np.array_equal(a, b)
+    for _ in range(20):
+        sets_a = random_sets(rng, rng.randint(0, 13))
+        sets_b = random_sets(rng, rng.randint(0, 9))
+        assert np.array_equal(jaccard_matrix(sets_a, sets_b), brute_force(sets_a, sets_b))
 
 
 def test_empty_inputs():
-    assert jaccard_matrix([], [], backend="numpy").shape == (0, 0)
-    assert jaccard_matrix([frozenset({"a"})], [], backend="numpy").shape == (1, 0)
+    assert jaccard_matrix([], []).shape == (0, 0)
+    assert jaccard_matrix([frozenset({"a"})], []).shape == (1, 0)
 
 
 def test_empty_vs_empty_scores_one():
-    got = jaccard_matrix([frozenset()], [frozenset(), frozenset({"a"})], backend="numpy")
+    got = jaccard_matrix([frozenset()], [frozenset(), frozenset({"a"})])
     assert got[0, 0] == 1.0
     assert got[0, 1] == 0.0
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        jaccard_matrix([frozenset()], [frozenset()], backend="fortran")
-
-
-def test_active_backend_env(monkeypatch):
-    monkeypatch.setenv("REVKIT_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("REVKIT_BACKEND", "pure-magic")
-    with pytest.raises(ValueError, match="REVKIT_BACKEND"):
-        active_backend()
-    monkeypatch.delenv("REVKIT_BACKEND")
-    assert active_backend() in BACKENDS

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from revkit.kernels import jaccard_matrix
 from revkit.para_align import (
     ParaAlignment,
     Thresholds,
@@ -11,11 +12,19 @@ from revkit.para_align import (
 )
 
 from helpers import doc
-from oracles import oracle_align_paragraphs, random_doc_pair
+from oracles import (
+    VOCAB,
+    oracle_align_paragraphs,
+    oracle_sim_tensor,
+    random_doc_pair,
+    random_sentence_raw,
+)
 
 P_CAT = "the cat sat on the mat right here now today"
 P_DOG = "a dog ran over the hill quite fast this morning"
 P_DOG2 = "a dog walked over the hill quite fast this morning"
+# ten tokens and no letters: an alignable-length sentence that is skipped
+DIGITS = "11 22 33 44 55 66 77 88 99 00"
 
 
 def test_identical_docs_align_diagonally():
@@ -70,8 +79,7 @@ def test_skipped_paragraph_keeps_original_indices():
 
 
 def test_all_sentences_skipped_paragraph_never_aligns():
-    digits = "11 22 33 44 55 66 77 88 99 00"
-    a = doc([[digits], [P_DOG]], 1)
+    a = doc([[DIGITS], [P_DOG]], 1)
     b = doc([[P_DOG]], 2)
     assert not a.paragraphs[0].skipped          # ten tokens, no markers
     assert a.paragraphs[0].sentences[0].skipped  # no letters
@@ -141,3 +149,59 @@ def test_matches_oracle_on_random_docs():
         k = len(a.alignable_paragraphs())
         l = len(b.alignable_paragraphs())
         assert len(got) <= k + l
+
+
+def assert_tensor_matches_oracle(a, b):
+    t = compute_sim_tensor(a, b)
+    sim1, sim2 = oracle_sim_tensor(a, b)
+    assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
+    assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
+
+
+def test_sim_tensor_matches_oracle_on_random_docs():
+    rng = random.Random(29)
+    for _ in range(200):
+        assert_tensor_matches_oracle(*random_doc_pair(rng))
+
+
+@pytest.mark.parametrize(
+    "src, tgt",
+    [
+        # all-skipped paragraphs: zero rows/columns first, inside and last
+        ([[DIGITS], [P_CAT, P_DOG], [DIGITS]], [[P_DOG], [DIGITS], [P_CAT, P_DOG2]]),
+        ([[P_CAT], [P_DOG, DIGITS]], [[DIGITS, DIGITS], [P_DOG2], [P_CAT]]),
+        # one-sentence paragraphs only
+        ([[P_CAT], [P_DOG], [P_DOG2]], [[P_DOG2], [P_CAT]]),
+        # a version whose last paragraph is skipped
+        ([[P_CAT, P_DOG], ["tiny one"]], [[P_DOG2, P_CAT], [P_DOG], ["tiny one"]]),
+        # every sentence skipped on one side
+        ([[DIGITS], [DIGITS]], [[P_CAT], [P_DOG]]),
+    ],
+)
+def test_sim_tensor_matches_oracle_on_degenerate_paragraphs(src, tgt):
+    assert_tensor_matches_oracle(doc(src, 1), doc(tgt, 2))
+    assert_tensor_matches_oracle(doc(tgt, 1), doc(src, 2))
+
+
+def test_sim_tensor_keeps_block_mean_summation_order():
+    # from 8 terms on np.mean sums pairwise, not left to right; the
+    # segment reductions must still round exactly like a per-block mean
+    rng = random.Random(5)
+    vocab = VOCAB[:12]
+
+    def paras():
+        return [
+            [random_sentence_raw(rng, 4, 8, vocab) for _ in range(rng.randint(1, 12))]
+            for _ in range(6)
+        ]
+
+    for _ in range(10):
+        a, b = doc(paras(), 1), doc(paras(), 2)
+        t = compute_sim_tensor(a, b)
+        rows = [[s.lower_token_set() for s in p.sentences] for p in a.alignable_paragraphs()]
+        cols = [[s.lower_token_set() for s in p.sentences] for p in b.alignable_paragraphs()]
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                block = jaccard_matrix(r, c)
+                assert t.sim1[i, j] == block.max(axis=1).mean()
+                assert t.sim2[i, j] == block.max(axis=0).mean()

@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revkit.cli import _align_pair
+from revkit.config import RunConfig
 from revkit.corpus import SentenceId
 from revkit.para_align import ParaAlignment, align_paragraphs
 from revkit.sent_align import (
@@ -269,3 +273,18 @@ def test_tune_threshold_picks_lowest_best():
     # every grid point up to 2/3 gives a perfect F1 (the merge already
     # kills the zero-score stragglers), so the tie goes to 0.0
     assert got == pytest.approx(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+def test_matrix_scores_match_scalar_jaccard(seed, threshold):
+    src, tgt = random_doc_pair(random.Random(seed))
+    paras = align_paragraphs(src, tgt)
+    for s in src.alignable_sentences():
+        for t in tgt.alignable_sentences():
+            assert paras.scores(s, t) == jaccard(s, t)
+            assert paras.reversed().scores(t, s) == jaccard(t, s)
+    fwd = align_sentences_directional(paras, src, tgt, jaccard, threshold)
+    bwd = align_sentences_directional(paras.reversed(), tgt, src, jaccard, threshold)
+    cfg = RunConfig(sentence_metric="jaccard", sentence_threshold=threshold)
+    assert _align_pair(src, tgt, cfg) == merge_bidirectional(fwd, bwd)

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from revkit.similarity import (
 )
 
 from helpers import doc, sent
+from oracles import oracle_tfidf, random_doc_pair
 
 WORDS = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red"]
 sentences = st.lists(st.sampled_from(WORDS), min_size=0, max_size=8).map(
@@ -215,6 +217,30 @@ def test_make_metric_names():
         s = a.paragraphs[0].sentences[0]
         t = b.paragraphs[0].sentences[0]
         assert metric(s, t) == 1.0  # identical sentence both sides
+
+
+def test_make_metric_tfidf_caches_bit_identically():
+    rng = random.Random(17)
+    for _ in range(15):
+        a, b = random_doc_pair(rng)
+        metric = make_metric("tfidf", a, b)
+        model = build_idf([a, b])
+        for s in a.sentences():
+            for t in b.sentences():
+                assert metric(s, t) == tfidf_sim(s, t, model) == oracle_tfidf(s, t, model)
+                assert metric(t, s) == oracle_tfidf(t, s, model)
+
+
+def test_make_metric_tfidf_cache_tells_same_id_apart():
+    a, b = two_docs()
+    metric = make_metric("tfidf", a, b)
+    model = build_idf([a, b])
+    s1, s2 = sent("the cat sat on the mat"), sent("a dog ran over the hill")
+    assert s1.id == s2.id
+    t = b.paragraphs[0].sentences[1]
+    assert metric(s1, t) == tfidf_sim(s1, t, model)
+    assert metric(s2, t) == tfidf_sim(s2, t, model)
+    assert metric(s1, t) != metric(s2, t)
 
 
 def test_make_metric_tfidf_requires_docs():
