@@ -12,6 +12,7 @@ on the same inputs.  REVKIT_LOG sets the logging level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import multiprocessing
 import os
@@ -40,7 +41,7 @@ from .edits import (
     edits_from_diff,
     edits_with_parse,
 )
-from .errors import AlignmentFormatError, FormatError, RevkitError
+from .errors import AlignmentFormatError, FormatError, RevkitError, open_text
 from .formats import (
     alignment_to_json,
     atomic_write_text,
@@ -72,22 +73,7 @@ def _setup_logging() -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "tau1",
-            "tau2",
-            "tau3",
-            "tau4",
-            "sentence_metric",
-            "sentence_threshold",
-            "max_level",
-            "method",
-            "kept_definition",
-            "bins",
-            "jobs",
-        )
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -116,6 +102,26 @@ def _find_group(groups: dict[str, ArticleGroup], arxiv_id: str | None, where: st
 
 def _pair_filename(arxiv_id: str, src_v: int, tgt_v: int) -> str:
     return f"{arxiv_id.replace('/', '_')}.v{src_v}-v{tgt_v}.json"
+
+
+def _write_outputs(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
+    """Write each (name, text) atomically into out_dir; on any failure,
+    unlink every file this call wrote before re-raising."""
+    os.makedirs(out_dir, exist_ok=True)
+    written: list[str] = []
+    try:
+        for name, text in files:
+            path = os.path.join(out_dir, name)
+            atomic_write_text(path, text)
+            written.append(path)
+            log.info("wrote %s", path)
+    except BaseException:
+        for path in written:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +158,8 @@ def _align_group(payload: tuple[ArticleGroup, RunConfig]) -> list[tuple[str, str
 def cmd_align(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     groups = load_corpus(args.corpus, compat=args.compat)
-    os.makedirs(args.out, exist_ok=True)
-    payloads = [(g, cfg) for g in groups]
-    written: list[str] = []
-    try:
-        for files in _map_jobs(_align_group, payloads, cfg.jobs):
-            for name, text in files:
-                path = os.path.join(args.out, name)
-                atomic_write_text(path, text)
-                written.append(path)
-                log.info("wrote %s", path)
-    except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
+    results = _map_jobs(_align_group, [(g, cfg) for g in groups], cfg.jobs)
+    _write_outputs(args.out, [f for files in results for f in files])
     return 0
 
 
@@ -321,18 +312,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "correlations": correlations,
     }
 
-    os.makedirs(args.out, exist_ok=True)
-    written: list[str] = []
-
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(args.out, name)
-        atomic_write_text(path, text)
-        written.append(path)
-        log.info("wrote %s", path)
-
-    try:
-        emit("summary.json", dump_json(summary))
-        emit(
+    files = [
+        ("summary.json", dump_json(summary)),
+        (
             "update_ratios.csv",
             format_csv(
                 ("arxiv_id", "src_version", "tgt_version", "time_delta", "update_ratio"),
@@ -341,38 +323,31 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     for r in rows
                 ],
             ),
-        )
-        for kind, name in _POSITION_FILES.items():
-            positions = tuple(p for r in rows for p in r["positions"][kind])
-            hist = PositionHistogram(kind, positions).histogram(cfg.bins)
-            emit(name, format_csv(("bin_start", "bin_end", "count"), hist))
-        comp = action_composition_by_ratio(
-            [(r["ratio"], r["counts"]) for r in rows], cfg.bins
-        )
-        emit(
-            "composition.csv",
-            format_csv(
-                ("ratio_bin_start", "ratio_bin_end", "insertion", "deletion", "rephrasing", "total_changes"),
-                [
-                    (
-                        b.ratio_start,
-                        b.ratio_end,
-                        b.fractions[DocOpKind.INSERTION],
-                        b.fractions[DocOpKind.DELETION],
-                        b.fractions[DocOpKind.REPHRASING],
-                        b.total_changes,
-                    )
-                    for b in comp
-                ],
-            ),
-        )
-    except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
+        ),
+    ]
+    for kind, name in _POSITION_FILES.items():
+        positions = tuple(p for r in rows for p in r["positions"][kind])
+        hist = PositionHistogram(kind, positions).histogram(cfg.bins)
+        files.append((name, format_csv(("bin_start", "bin_end", "count"), hist)))
+    comp = action_composition_by_ratio([(r["ratio"], r["counts"]) for r in rows], cfg.bins)
+    files.append((
+        "composition.csv",
+        format_csv(
+            ("ratio_bin_start", "ratio_bin_end", "insertion", "deletion", "rephrasing", "total_changes"),
+            [
+                (
+                    b.ratio_start,
+                    b.ratio_end,
+                    b.fractions[DocOpKind.INSERTION],
+                    b.fractions[DocOpKind.DELETION],
+                    b.fractions[DocOpKind.REPHRASING],
+                    b.total_changes,
+                )
+                for b in comp
+            ],
+        ),
+    ))
+    _write_outputs(args.out, files)
     return 0
 
 
@@ -454,7 +429,7 @@ def _eval_intention_task(args: argparse.Namespace) -> dict:
                         f"{value!r}; fine-schema scoring needs fine labels"
                     )
             gold_labels[(g.revision_id, n)] = value
-    with open(args.pred, encoding="utf-8") as fh:
+    with open_text(args.pred, FormatError) as fh:
         lines = fh.readlines()
     pred_map, errors = ingest_predictions(lines, schema=schema)
     if errors.errors:
@@ -503,8 +478,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+_CONFIG_HELP = "key=value config file; flags override it"
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--jobs", type=int, help="worker processes for per-group work")
 
 
@@ -535,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees-src", help="bracketed trees, one line per aligned pair")
     p.add_argument("--trees-tgt")
     p.add_argument("--max-level", dest="max_level", type=int)
-    _add_config_flags(p)
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.set_defaults(func=cmd_extract_edits)
 
     p = sub.add_parser("stats", help="document-level operation statistics")
@@ -556,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compat", action="store_true")
     p.add_argument("--classes", choices=("fine", "coarse"), default="fine")
     p.add_argument("--out", help="also write the report to this file")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 
     return parser

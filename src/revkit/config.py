@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .doc_ops import KEPT_DEFINITIONS
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .similarity import METRIC_NAMES
 
 # Starting points per metric for the sentence-level threshold.  These are
@@ -112,7 +112,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Defaults, then the config file, then non-None overrides."""
     values: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, ConfigError) as fh:
             values.update(parse_config_text(fh.read(), where=path))
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:

@@ -329,6 +329,19 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise CorpusFormatError(f"{path}: {message}")
 
 
+def _load_json(data: bytes | str) -> Any:
+    """Decode UTF-8 bytes and JSON; either failure raises CorpusFormatError."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as e:
+        raise CorpusFormatError(f"not valid UTF-8: {e}") from None
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, integers too long to convert, nesting too deep
+        raise CorpusFormatError(f"invalid JSON: {e}") from None
+
+
 def parse_corpus(data: bytes | str) -> tuple[ArticleGroup, ...]:
     """Parse corpus JSON (a top-level array of article groups).
 
@@ -336,12 +349,7 @@ def parse_corpus(data: bytes | str) -> tuple[ArticleGroup, ...]:
     increase with it.  Schema violations raise CorpusFormatError naming
     the offending JSON path.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"invalid JSON: {e}") from None
+    obj = _load_json(data)
     _expect(isinstance(obj, list), "$", "expected a top-level array of article groups")
     return tuple(_parse_group(g, f"$[{n}]") for n, g in enumerate(obj))
 
@@ -407,32 +415,26 @@ def serialize_corpus(groups: Iterable[ArticleGroup]) -> str:
 # compatibility reader for the released arXivEdits distribution
 
 def parse_arxivedits_corpus(data: bytes | str) -> tuple[ArticleGroup, ...]:
-    """Best-effort reader mapping the released distribution's field
-    spellings onto the native schema.
+    """Best-effort reader: maps the released distribution's field
+    spellings onto the native schema, then validates like parse_corpus.
 
-    Accepted per group: id under "arxiv_id"/"paper_id"/"doc_id"/"id";
-    subject under "subject"/"primary_category"/"category"; versions as an
-    array or as a mapping keyed by version name.  Per version: the index
-    under "version"/"version_index" (ints or strings like "v2"), the
-    timestamp under "timestamp"/"time"/"created" (missing ones are
-    synthesised to preserve ordering), and paragraphs either as
+    The groups may be wrapped under "groups"/"papers"/"data".  Accepted
+    per group: id under "arxiv_id"/"paper_id"/"doc_id"/"id"; subject
+    under "subject"/"primary_category"/"category"; versions as an array
+    or as a mapping keyed by version name.  Per version: the index under
+    "version"/"version_index" (ints or strings like "v2"), the timestamp
+    under "timestamp"/"time"/"created" (missing or out-of-order ones are
+    repaired to preserve ordering), and paragraphs either as
     {"sentences": [...]} objects or as bare arrays of sentence strings.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"invalid JSON: {e}") from None
+    obj = _load_json(data)
     if isinstance(obj, dict):
-        for key in ("groups", "papers", "data"):
-            if isinstance(obj.get(key), list):
-                obj = obj[key]
-                break
-        else:
-            obj = [obj]
+        key = next((k for k in ("groups", "papers", "data") if isinstance(obj.get(k), list)), None)
+        obj = [obj] if key is None else obj[key]
     _expect(isinstance(obj, list), "$", "expected an array of article groups")
-    return tuple(_compat_group(g, f"$[{n}]") for n, g in enumerate(obj))
+    return tuple(
+        _parse_group(_normalize_group(g, f"$[{n}]"), f"$[{n}]") for n, g in enumerate(obj)
+    )
 
 
 def _first_key(obj: dict, keys: Iterable[str]) -> Any:
@@ -442,67 +444,70 @@ def _first_key(obj: dict, keys: Iterable[str]) -> Any:
     return None
 
 
-def _compat_version_index(value: Any, path: str) -> int:
-    if isinstance(value, bool):
-        raise CorpusFormatError(f"{path}: expected a version index")
-    if isinstance(value, int):
+def _version_index(value: Any, path: str) -> int:
+    """An int, or a version name like "v2"; _parse_version checks the range."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         text = value.lower().lstrip("v")
-        if text.isdigit():
-            return int(text)
+        if text.isdecimal():
+            try:
+                return int(text)
+            except ValueError:  # more digits than int() converts
+                pass
     raise CorpusFormatError(f"{path}: cannot interpret version index {value!r}")
 
 
-def _compat_group(obj: Any, path: str) -> ArticleGroup:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    arxiv_id = _first_key(obj, ("arxiv_id", "paper_id", "doc_id", "id"))
-    _expect(isinstance(arxiv_id, str) and arxiv_id, path, "no usable article id field")
-    subject = _first_key(obj, ("subject", "primary_category", "category")) or "other"
-    raw_versions = obj.get("versions")
-    if isinstance(raw_versions, dict):
-        raw_versions = [
-            dict(v, version=k) if isinstance(v, dict) and "version" not in v else v
-            for k, v in sorted(raw_versions.items(), key=lambda kv: _compat_version_index(kv[0], path))
-        ]
-    _expect(isinstance(raw_versions, list) and raw_versions, f"{path}.versions",
-            "expected versions")
-    parsed = []
-    last_ts: int | None = None
-    for n, v in enumerate(sorted(
-        (v for v in raw_versions),
-        key=lambda v: _compat_version_index(
-            _first_key(v, ("version", "version_index")) if isinstance(v, dict) else None,
-            f"{path}.versions",
-        ),
-    )):
-        vpath = f"{path}.versions[{n}]"
-        _expect(isinstance(v, dict), vpath, "expected an object")
-        index = _compat_version_index(_first_key(v, ("version", "version_index")), vpath)
+def _normalize_group(obj: Any, path: str) -> Any:
+    """Released-shape group in, native-shape group out.  Only the
+    spellings are mapped; _parse_group validates the result."""
+    if not isinstance(obj, dict):
+        return obj
+    subject = _first_key(obj, ("subject", "primary_category", "category"))
+    versions = obj.get("versions")
+    if isinstance(versions, dict):
+        # every key must name a version; entries without their own take it
+        named = []
+        for key, v in versions.items():
+            index = _version_index(key, f"{path}.versions.{key}")
+            named.append(v if not isinstance(v, dict) or "version" in v else dict(v, version=index))
+        versions = named
+    if isinstance(versions, list):
+        versions = _normalize_versions(versions, f"{path}.versions")
+    return {
+        "arxiv_id": _first_key(obj, ("arxiv_id", "paper_id", "doc_id", "id")),
+        # str() of a non-string JSON value never names a known subject
+        "subject": subject if isinstance(subject, str) else "other",
+        "versions": versions,
+    }
+
+
+def _normalize_versions(versions: list, path: str) -> list:
+    keyed = []
+    for n, v in enumerate(versions):
+        name = _first_key(v, ("version", "version_index")) if isinstance(v, dict) else None
+        keyed.append((_version_index(name, f"{path}[{n}]"), v))
+    keyed.sort(key=lambda iv: iv[0])
+    out = []
+    last: int | None = None
+    for index, v in keyed:
         ts = _first_key(v, ("timestamp", "time", "created"))
         if not isinstance(ts, int) or isinstance(ts, bool):
-            ts = last_ts + 1 if last_ts is not None else index
-        if last_ts is not None and ts <= last_ts:
-            ts = last_ts + 1
-        last_ts = ts
+            ts = index if last is None else last + 1
+        elif last is not None:
+            ts = max(ts, last + 1)
+        last = ts
         paragraphs = v.get("paragraphs")
-        _expect(isinstance(paragraphs, list), f"{vpath}.paragraphs", "expected an array")
-        raws: list[list[str]] = []
-        for m, p in enumerate(paragraphs):
-            ppath = f"{vpath}.paragraphs[{m}]"
-            if isinstance(p, dict):
-                sentences = p.get("sentences")
-            else:
-                sentences = p
-            _expect(isinstance(sentences, list), ppath, "expected sentences")
-            for i, s in enumerate(sentences):
-                _expect(isinstance(s, str), f"{ppath}[{i}]", "expected a string")
-            raws.append(list(sentences))
-        parsed.append(DocVersion.build(index, ts, raws))
-    return build_group(arxiv_id, str(subject), parsed, where=f"{path}.versions")
+        if isinstance(paragraphs, list):
+            paragraphs = [p if isinstance(p, dict) else {"sentences": p} for p in paragraphs]
+        out.append({"version": index, "timestamp": ts, "paragraphs": paragraphs})
+    return out
 
 
 def load_corpus(path: str, compat: bool = False) -> tuple[ArticleGroup, ...]:
     with open(path, "rb") as fh:
         data = fh.read()
-    return parse_arxivedits_corpus(data) if compat else parse_corpus(data)
+    try:
+        return parse_arxivedits_corpus(data) if compat else parse_corpus(data)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None

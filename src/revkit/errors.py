@@ -2,9 +2,13 @@
 
 Anything raised for malformed input files or inconsistent data derives
 from :class:`RevkitError`; the CLI maps these to exit code 2 and treats
-everything else as an internal error (exit code 1).
+everything else as an internal error (exit code 1).  Text readers open
+their files with :func:`open_text` so undecodable bytes follow that rule.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 
 class RevkitError(Exception):
@@ -34,3 +38,14 @@ class TreeParseError(FormatError):
 
 class ConfigError(RevkitError):
     """Configuration file or flag value is invalid."""
+
+
+@contextmanager
+def open_text(path: str, error: type[RevkitError]) -> Iterator[TextIO]:
+    """Open `path` for reading as UTF-8 text.  Bytes that do not decode
+    raise `error` naming the file, not UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None

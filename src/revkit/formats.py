@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .corpus import SentenceId
 from .edits import Edit, EditKind, SentenceRevision, WordAlignment, edit_sort_key
-from .errors import AlignmentFormatError, FormatError
+from .errors import AlignmentFormatError, FormatError, open_text
 from .intention import CoarseIntention, IntentionLabel
 from .sent_align import SentAlignLabel, SentenceAlignment
 from .trees import ParseTree, parse_tree_read
@@ -135,7 +135,7 @@ def write_alignment(path: str, alignment: SentenceAlignment, arxiv_id: str | Non
 
 
 def read_alignment(path: str) -> tuple[str | None, SentenceAlignment]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, AlignmentFormatError) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -150,7 +150,7 @@ def parse_pharaoh_line(line: str, where: str = "alignment") -> WordAlignment:
     links = set()
     for field in line.split():
         i, sep, j = field.partition("-")
-        if not sep or not i.isdigit() or not j.isdigit():
+        if not sep or not i.isdecimal() or not j.isdecimal():
             raise FormatError(f"{where}: bad link {field!r}, expected i-j")
         links.add((int(i), int(j)))
     return WordAlignment(frozenset(links))
@@ -163,7 +163,7 @@ def format_pharaoh(wa: WordAlignment) -> str:
 def read_pharaoh_file(path: str) -> list[WordAlignment]:
     """One line per sentence pair; an empty line means no links."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, FormatError) as fh:
         for n, line in enumerate(fh, start=1):
             out.append(parse_pharaoh_line(line.strip(), where=f"{path}:{n}"))
     return out
@@ -175,7 +175,7 @@ def read_pharaoh_file(path: str) -> list[WordAlignment]:
 def read_tree_file(path: str) -> list[ParseTree | None]:
     """Blank lines stand for pairs that need no tree (identical pairs)."""
     out: list[ParseTree | None] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, FormatError) as fh:
         for n, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -318,7 +318,7 @@ def write_edit_file(path: str, revisions: Sequence[SentenceRevision]) -> None:
 
 
 def read_edit_file(path: str) -> list[EditFileEntry]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, FormatError) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import revkit
 from revkit.cli import main
 from revkit.corpus import DocVersion, build_group, serialize_corpus
 from revkit.formats import read_alignment, read_edit_file
@@ -492,6 +493,66 @@ def test_eval_intention_missing_prediction(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# malformed input files and removed flags
+
+LATIN1 = "caf\u00e9 1-1\n".encode("latin-1")
+COMPAT = '[{"id": "x", "versions": [{"version": %s, "paragraphs": []}]}]'
+ALIGN = ["align", "--out", "{out}", "--corpus"]
+EXTRACT = ["extract-edits", "--corpus", "{corpus}", "--out", "{out}", "--alignment"]
+SIMPLE = [*EXTRACT, "{v12}", "--method", "simple", "--word-alignments"]
+PARSE = [*EXTRACT, "{v12}", "--method", "parse", "--word-alignments", "{wa}", "--trees-src"]
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        pytest.param((COMPAT % "0").encode(), [*ALIGN, "{bad}", "--compat"], id="compat v0"),
+        pytest.param((COMPAT % '"v\u00b2"').encode(), [*ALIGN, "{bad}", "--compat"],
+                     id="compat superscript"),
+        pytest.param(LATIN1, [*ALIGN, "{bad}"], id="corpus"),
+        pytest.param(LATIN1, [*EXTRACT, "{bad}", "--method", "diff"], id="alignment"),
+        pytest.param(LATIN1, [*SIMPLE, "{bad}"], id="pharaoh"),
+        pytest.param("0\u00b2-0\n0-0\n0-0\n0-0\n".encode(), [*SIMPLE, "{bad}"],
+                     id="pharaoh superscript"),
+        pytest.param(LATIN1, [*PARSE, "{bad}", "--trees-tgt", "{bad}"], id="tree"),
+        pytest.param(LATIN1, ["eval", "--task", "edits", "--pred", "{bad}", "--gold", "{gold}"],
+                     id="edits"),
+        pytest.param(LATIN1, ["eval", "--task", "intention", "--pred", "{bad}", "--gold", "{gold}"],
+                     id="predictions"),
+        pytest.param(LATIN1, [*ALIGN, "{corpus}", "--config", "{bad}"], id="config"),
+    ],
+)
+def test_malformed_input_exits_2_naming_the_file(ws, tmp_path, capsys, content, argv):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(content)
+    names = {
+        "bad": str(bad),
+        "out": str(tmp_path / "out"),
+        "corpus": ws.corpus,
+        "v12": ws.v12,
+        "wa": wa_lines(ws, tmp_path / "wa.txt"),
+        "gold": intention_gold(tmp_path / "gold.json"),
+    }
+    assert main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("revkit: error: ")
+    assert str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract-edits", "--corpus", "c", "--alignment", "a", "--out", "o", "--jobs", "2"],
+        ["eval", "--task", "edits", "--pred", "p", "--gold", "g", "--jobs", "2"],
+        ["eval", "--task", "edits", "--pred", "p", "--gold", "g", "--config", "/nonexistent"],
+    ],
+)
+def test_unused_flags_are_rejected(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # process-level behavior
 
 def revkit_binary() -> list[str]:
@@ -503,7 +564,10 @@ def revkit_binary() -> list[str]:
 
 def test_console_script_logging(ws, tmp_path):
     out = tmp_path / "out"
-    env = dict(os.environ, REVKIT_LOG="INFO")
+    # the child imports the same revkit package as this test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revkit.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, REVKIT_LOG="INFO", PYTHONPATH=pythonpath)
     res = subprocess.run(
         [*revkit_binary(), "align", "--corpus", ws.corpus, "--out", str(out)],
         capture_output=True, text=True, env=env,

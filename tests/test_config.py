@@ -90,6 +90,13 @@ def test_load_config_precedence(tmp_path):
     assert cfg.jobs == 1
 
 
+def test_load_config_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("method = caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=r"run\.cfg: not valid UTF-8"):
+        load_config(str(path), {})
+
+
 def test_load_config_without_file():
     cfg = load_config(None, {"method": "parse"})
     assert cfg.method == "parse"

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revkit.corpus import (
@@ -323,6 +325,122 @@ def test_compat_reader_versions_as_mapping():
 def test_compat_reader_rejects_unusable_version():
     with pytest.raises(CorpusFormatError, match="version index"):
         parse_arxivedits_corpus('[{"id": "z", "versions": [{"version": "vx", "paragraphs": []}]}]')
+
+
+@pytest.mark.parametrize("version", ["0", "-1", '"v0"', '"v\u00b2"'])
+def test_compat_reader_rejects_unusable_version_values(version):
+    # superscript two passes str.isdigit but not int(); indices must be >= 1
+    with pytest.raises(CorpusFormatError, match="version"):
+        parse_arxivedits_corpus(
+            '[{"id": "z", "versions": [{"version": %s, "paragraphs": []}]}]' % version
+        )
+
+
+# ---------------------------------------------------------------------------
+# both readers: one validator, and nothing but CorpusFormatError
+
+_LONG = "the only sentence of this paragraph is long enough to keep"
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False),
+    st.sampled_from(["v1", "V2", "vv3", "v0", "v\u00b2", "x", "", "cs.CL", _LONG]),
+    st.text(max_size=8),
+)
+_paragraphs = st.lists(
+    _scalars
+    | st.lists(_scalars, max_size=3)
+    | st.fixed_dictionaries({}, optional={"sentences": st.lists(_scalars, max_size=3) | _scalars}),
+    max_size=3,
+)
+_version = st.fixed_dictionaries({}, optional={
+    **dict.fromkeys(("version", "version_index", "timestamp", "time", "created"), _scalars),
+    "paragraphs": _paragraphs | _scalars,
+})
+_group = st.fixed_dictionaries({}, optional={
+    **dict.fromkeys(
+        ("arxiv_id", "paper_id", "doc_id", "id", "subject", "primary_category", "category"),
+        _scalars,
+    ),
+    "versions": st.lists(_version | _scalars, max_size=3)
+    | st.dictionaries(st.sampled_from(["v1", "v2", "3", "x"]), _version | _scalars, max_size=3)
+    | _scalars,
+})
+_groups = st.lists(_group | _scalars, max_size=3)
+_corpora = (
+    _groups
+    | _group
+    | st.fixed_dictionaries({}, optional=dict.fromkeys(("groups", "papers", "data"), _groups | _scalars))
+    | _scalars
+)
+
+
+@example(b"[" * 100_000)
+@example(b"[" + b"9" * 5000 + b"]")
+@given(st.binary(max_size=64) | _corpora.map(lambda obj: json.dumps(obj).encode()))
+def test_readers_return_groups_or_raise_corpus_format_error(data):
+    for parse in (parse_corpus, parse_arxivedits_corpus):
+        try:
+            groups = parse(data)
+        except CorpusFormatError:
+            continue
+        assert all(isinstance(g, ArticleGroup) for g in groups)
+
+
+_sentences = st.sampled_from([_LONG, "too short", "[CIT] [MATH] [EQN] [REF]"]) | st.text(max_size=20)
+
+
+@st.composite
+def _native_corpora(draw):
+    groups = []
+    for n in range(draw(st.integers(1, 3))):
+        indices = sorted(draw(st.sets(st.integers(1, 9), min_size=1, max_size=4)))
+        stamps = sorted(draw(st.sets(st.integers(-10, 10**9), min_size=len(indices),
+                                     max_size=len(indices))))
+        versions = []
+        for index, stamp in zip(indices, stamps):
+            raws = draw(st.lists(st.lists(_sentences, max_size=3), max_size=3))
+            versions.append({"version": index, "timestamp": stamp,
+                             "paragraphs": [{"sentences": r} for r in raws]})
+        groups.append({
+            "arxiv_id": f"{2001 + n}.{draw(st.integers(0, 99999)):05d}",
+            "subject": draw(st.sampled_from(["cs.CL", "math.CO", "hep-th", "q-bio", "zz", ""])),
+            "versions": versions,
+        })
+    return groups
+
+
+def _released_spelling(native, draw):
+    """The same corpus in the released distribution's shapes."""
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    groups = []
+    for g in native:
+        versions = []
+        for v in draw(st.permutations(g["versions"])):
+            versions.append((v["version"], {
+                pick("time", "created", "timestamp"): v["timestamp"],
+                "paragraphs": [pick(p["sentences"], p) for p in v["paragraphs"]],
+            }))
+        if draw(st.booleans()):
+            spelled = {f"v{index}": body for index, body in versions}
+        else:
+            spelled = [
+                dict(body, **{pick("version", "version_index"): pick(f"v{index}", index)})
+                for index, body in versions
+            ]
+        groups.append({
+            pick("paper_id", "doc_id", "id"): g["arxiv_id"],
+            pick("primary_category", "category"): g["subject"],
+            "versions": spelled,
+        })
+    return pick(groups, {"papers": groups}, {"data": groups})
+
+
+@given(st.data())
+def test_compat_reader_on_released_spelling_equals_native_reader(data):
+    native = data.draw(_native_corpora())
+    released = _released_spelling(native, data.draw)
+    assert parse_arxivedits_corpus(json.dumps(released)) == parse_corpus(json.dumps(native))
 
 
 def test_sentence_ids_follow_structure():

@@ -157,7 +157,7 @@ def test_pharaoh_empty_line_means_no_links():
     assert format_pharaoh(wa()) == ""
 
 
-@pytest.mark.parametrize("bad", ["x-1", "3_4", "5-", "-2", "1-2-3"])
+@pytest.mark.parametrize("bad", ["x-1", "3_4", "5-", "-2", "1-2-3", "0\u00b2-0"])
 def test_pharaoh_malformed(bad):
     with pytest.raises(FormatError, match="bad link"):
         parse_pharaoh_line(bad)
@@ -194,6 +194,22 @@ def test_read_tree_file_reports_line(tmp_path):
     path.write_text("(S a)\n(S (NP b)\n")
     with pytest.raises(FormatError, match=r"trees\.txt:2"):
         read_tree_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "reader, error",
+    [
+        (read_alignment, AlignmentFormatError),
+        (read_edit_file, FormatError),
+        (read_pharaoh_file, FormatError),
+        (read_tree_file, FormatError),
+    ],
+)
+def test_readers_reject_invalid_utf8(tmp_path, reader, error):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("0-0\ncaf\u00e9 1-1\n".encode("latin-1"))
+    with pytest.raises(error, match=r"latin1\.txt: not valid UTF-8"):
+        reader(str(path))
 
 
 # ---------------------------------------------------------------------------
