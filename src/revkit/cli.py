@@ -22,7 +22,7 @@ from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .config import RunConfig, load_config
-from .corpus import ArticleGroup, DocVersion, load_corpus
+from .corpus import ArticleGroup, DocVersion, RawGroup, load_corpus, read_corpus
 from .doc_ops import (
     DocOpKind,
     PositionHistogram,
@@ -142,8 +142,9 @@ def _align_pair(src: DocVersion, tgt: DocVersion, cfg: RunConfig):
     return merge_bidirectional(fwd, bwd)
 
 
-def _align_group(payload: tuple[ArticleGroup, RunConfig]) -> list[tuple[str, str]]:
-    group, cfg = payload
+def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
+    raw, cfg = payload
+    group = raw.build()
     out = []
     for src, tgt in group.adjacent_pairs():
         try:
@@ -157,7 +158,8 @@ def _align_group(payload: tuple[ArticleGroup, RunConfig]) -> list[tuple[str, str
 
 def cmd_align(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    groups = load_corpus(args.corpus, compat=args.compat)
+    # validate the whole file here; each group is built where it is aligned
+    groups = read_corpus(args.corpus, compat=args.compat)
     results = _map_jobs(_align_group, [(g, cfg) for g in groups], cfg.jobs)
     _write_outputs(args.out, [f for files in results for f in files])
     return 0

@@ -16,9 +16,12 @@ import re
 import string
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterable, Iterator, NamedTuple
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, decode_json
 
 
 class TokenKind(Enum):
@@ -43,6 +46,8 @@ SPECIAL_KINDS = frozenset(
 
 _MARKER_RE = re.compile(r"(\[REF\]|\[CIT\]|\[MATH\]|\[EQN\])")
 _PUNCT = frozenset(string.punctuation)
+_ASCII_LETTERS = str.maketrans("", "", string.ascii_letters)  # str.translate deletes them
+_token_kind = attrgetter("kind")
 
 # Skip-filter cutoffs.
 SKIP_MAX_SENTENCE_CHARS = 1000
@@ -68,7 +73,8 @@ class Token:
 
     @property
     def is_special(self) -> bool:
-        return self.kind in SPECIAL_KINDS
+        # SPECIAL_KINDS is every other kind; identity tests do not hash the member
+        return self.kind is not TokenKind.WORD and self.kind is not TokenKind.PUNCTUATION
 
 
 def tokenize(text: str) -> tuple[Token, ...]:
@@ -78,16 +84,26 @@ def tokenize(text: str) -> tuple[Token, ...]:
     Joining the resulting surfaces with single spaces and re-tokenizing
     reproduces the same token sequence.
     """
+    return tuple(chain.from_iterable(map(_tokenize_chunk, text.split())))
+
+
+# Distinct whitespace chunks kept by _tokenize_chunk.  A chunk's tokens
+# depend on the chunk alone and Token is frozen, so repeated words share
+# one tuple of Token instances.
+_CHUNK_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_CHUNK_CACHE_SIZE)
+def _tokenize_chunk(chunk: str) -> tuple[Token, ...]:
     tokens: list[Token] = []
-    for chunk in text.split():
-        for piece in _MARKER_RE.split(chunk):
-            if not piece:
-                continue
-            kind = SPECIAL_MARKERS.get(piece)
-            if kind is not None:
-                tokens.append(Token(piece, kind))
-            else:
-                tokens.extend(_split_plain(piece))
+    for piece in _MARKER_RE.split(chunk):
+        if not piece:
+            continue
+        kind = SPECIAL_MARKERS.get(piece)
+        if kind is not None:
+            tokens.append(Token(piece, kind))
+        else:
+            tokens.extend(_split_plain(piece))
     return tuple(tokens)
 
 
@@ -141,12 +157,20 @@ class Sentence:
         # whitespace-normalized, case preserved
         return " ".join(self.raw.split())
 
+    @cached_property
+    def special_count(self) -> int:
+        """Number of marker tokens; both skip filters read it."""
+        kinds = list(map(_token_kind, self.tokens))
+        # every kind but these two is special; list.count compares by identity
+        return len(kinds) - kinds.count(TokenKind.WORD) - kinds.count(TokenKind.PUNCTUATION)
+
 
 def _english_fraction(raw: str) -> float:
-    visible = [c for c in raw if not c.isspace()]
+    # str.split() splits exactly at the characters str.isspace() accepts
+    visible = "".join(raw.split())
     if not visible:
         return 0.0
-    letters = sum(1 for c in visible if c.isascii() and c.isalpha())
+    letters = len(visible) - len(visible.translate(_ASCII_LETTERS))
     return letters / len(visible)
 
 
@@ -158,8 +182,7 @@ def sentence_skip_filter(s: Sentence) -> bool:
         return True
     if len(s.tokens) <= SKIP_MAX_SENTENCE_TOKENS:
         return True
-    special = sum(1 for t in s.tokens if t.is_special)
-    if special / len(s.tokens) > SKIP_SENTENCE_SPECIAL_FRACTION:
+    if s.special_count / len(s.tokens) > SKIP_SENTENCE_SPECIAL_FRACTION:
         return True
     if _english_fraction(s.raw) < SKIP_MIN_ENGLISH_FRACTION:
         return True
@@ -192,11 +215,11 @@ class Paragraph:
 
 def paragraph_skip_filter(p: Paragraph) -> bool:
     """True when the paragraph as a whole is excluded from alignment."""
-    toks = list(p.tokens())
-    if len(toks) < SKIP_MIN_PARAGRAPH_TOKENS:
+    tokens = sum(len(s.tokens) for s in p.sentences)
+    if tokens < SKIP_MIN_PARAGRAPH_TOKENS:
         return True
-    special = sum(1 for t in toks if t.is_special)
-    if toks and special / len(toks) > SKIP_PARAGRAPH_SPECIAL_FRACTION:
+    special = sum(s.special_count for s in p.sentences)
+    if special / tokens > SKIP_PARAGRAPH_SPECIAL_FRACTION:
         return True
     return False
 
@@ -310,15 +333,39 @@ def build_group(
     if isinstance(subject, str):
         subject = normalize_subject(subject)
     ordered = sorted(versions, key=lambda v: v.version_index)
+    _check_version_order([(v.version_index, v.timestamp) for v in ordered], where)
+    return ArticleGroup(arxiv_id=arxiv_id, subject=subject, versions=tuple(ordered))
+
+
+def _check_version_order(ordered: Sequence[tuple], where: str) -> None:
+    """`ordered` holds (version_index, timestamp, ...) sorted by index."""
     for a, b in zip(ordered, ordered[1:]):
-        if a.version_index == b.version_index:
-            raise CorpusFormatError(f"{where}: duplicate version_index {a.version_index}")
-        if a.timestamp >= b.timestamp:
+        if a[0] == b[0]:
+            raise CorpusFormatError(f"{where}: duplicate version_index {a[0]}")
+        if a[1] >= b[1]:
             raise CorpusFormatError(
                 f"{where}: timestamps must strictly increase with version_index "
-                f"(version {b.version_index} has {b.timestamp} <= {a.timestamp})"
+                f"(version {b[0]} has {b[1]} <= {a[1]})"
             )
-    return ArticleGroup(arxiv_id=arxiv_id, subject=subject, versions=tuple(ordered))
+
+
+class RawGroup(NamedTuple):
+    """One article group of a corpus file, validated but not yet built:
+    every check of the corpus schema and of version order has passed, so
+    build() cannot fail.  Plain data, cheap to send to a worker process."""
+
+    arxiv_id: str
+    subject: str
+    # (version_index, timestamp, sentence strings per paragraph), by index
+    versions: tuple[tuple[int, int, list[list[str]]], ...]
+
+    def build(self) -> ArticleGroup:
+        """Tokenize, filter and assemble the group."""
+        return ArticleGroup(
+            arxiv_id=self.arxiv_id,
+            subject=normalize_subject(self.subject),
+            versions=tuple(DocVersion.build(*v) for v in self.versions),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +376,6 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise CorpusFormatError(f"{path}: {message}")
 
 
-def _load_json(data: bytes | str) -> Any:
-    """Decode UTF-8 bytes and JSON; either failure raises CorpusFormatError."""
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return json.loads(data)
-    except UnicodeDecodeError as e:
-        raise CorpusFormatError(f"not valid UTF-8: {e}") from None
-    except (ValueError, RecursionError) as e:
-        # JSONDecodeError, integers too long to convert, nesting too deep
-        raise CorpusFormatError(f"invalid JSON: {e}") from None
-
-
 def parse_corpus(data: bytes | str) -> tuple[ArticleGroup, ...]:
     """Parse corpus JSON (a top-level array of article groups).
 
@@ -349,12 +383,24 @@ def parse_corpus(data: bytes | str) -> tuple[ArticleGroup, ...]:
     increase with it.  Schema violations raise CorpusFormatError naming
     the offending JSON path.
     """
-    obj = _load_json(data)
+    return tuple(g.build() for g in _check_corpus(data, compat=False))
+
+
+def _check_corpus(data: bytes | str, compat: bool) -> tuple[RawGroup, ...]:
+    """The validation half of both readers; building is the other."""
+    obj = decode_json(data, CorpusFormatError, "$")
+    if compat and isinstance(obj, dict):
+        key = next((k for k in ("groups", "papers", "data") if isinstance(obj.get(k), list)), None)
+        obj = [obj] if key is None else obj[key]
     _expect(isinstance(obj, list), "$", "expected a top-level array of article groups")
-    return tuple(_parse_group(g, f"$[{n}]") for n, g in enumerate(obj))
+    groups = []
+    for n, g in enumerate(obj):
+        path = f"$[{n}]"
+        groups.append(_check_group(_normalize_group(g, path) if compat else g, path))
+    return tuple(groups)
 
 
-def _parse_group(obj: Any, path: str) -> ArticleGroup:
+def _check_group(obj: Any, path: str) -> RawGroup:
     _expect(isinstance(obj, dict), path, "expected an object")
     _expect(isinstance(obj.get("arxiv_id"), str) and obj["arxiv_id"], f"{path}.arxiv_id",
             "expected a non-empty string")
@@ -362,13 +408,15 @@ def _parse_group(obj: Any, path: str) -> ArticleGroup:
     versions = obj.get("versions")
     _expect(isinstance(versions, list) and versions, f"{path}.versions",
             "expected a non-empty array")
-    parsed = [
-        _parse_version(v, f"{path}.versions[{n}]") for n, v in enumerate(versions)
-    ]
-    return build_group(obj["arxiv_id"], obj["subject"], parsed, where=f"{path}.versions")
+    ordered = sorted(
+        (_check_version(v, f"{path}.versions[{n}]") for n, v in enumerate(versions)),
+        key=lambda v: v[0],
+    )
+    _check_version_order(ordered, f"{path}.versions")
+    return RawGroup(obj["arxiv_id"], obj["subject"], tuple(ordered))
 
 
-def _parse_version(obj: Any, path: str) -> DocVersion:
+def _check_version(obj: Any, path: str) -> tuple[int, int, list[list[str]]]:
     _expect(isinstance(obj, dict), path, "expected an object")
     version = obj.get("version")
     _expect(isinstance(version, int) and not isinstance(version, bool) and version >= 1,
@@ -387,7 +435,7 @@ def _parse_version(obj: Any, path: str) -> DocVersion:
         for m, s in enumerate(sentences):
             _expect(isinstance(s, str), f"{ppath}.sentences[{m}]", "expected a string")
         raws.append(list(sentences))
-    return DocVersion.build(version, timestamp, raws)
+    return version, timestamp, raws
 
 
 def serialize_corpus(groups: Iterable[ArticleGroup]) -> str:
@@ -427,14 +475,7 @@ def parse_arxivedits_corpus(data: bytes | str) -> tuple[ArticleGroup, ...]:
     repaired to preserve ordering), and paragraphs either as
     {"sentences": [...]} objects or as bare arrays of sentence strings.
     """
-    obj = _load_json(data)
-    if isinstance(obj, dict):
-        key = next((k for k in ("groups", "papers", "data") if isinstance(obj.get(k), list)), None)
-        obj = [obj] if key is None else obj[key]
-    _expect(isinstance(obj, list), "$", "expected an array of article groups")
-    return tuple(
-        _parse_group(_normalize_group(g, f"$[{n}]"), f"$[{n}]") for n, g in enumerate(obj)
-    )
+    return tuple(g.build() for g in _check_corpus(data, compat=True))
 
 
 def _first_key(obj: dict, keys: Iterable[str]) -> Any:
@@ -445,7 +486,7 @@ def _first_key(obj: dict, keys: Iterable[str]) -> Any:
 
 
 def _version_index(value: Any, path: str) -> int:
-    """An int, or a version name like "v2"; _parse_version checks the range."""
+    """An int, or a version name like "v2"; _check_version checks the range."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -460,7 +501,7 @@ def _version_index(value: Any, path: str) -> int:
 
 def _normalize_group(obj: Any, path: str) -> Any:
     """Released-shape group in, native-shape group out.  Only the
-    spellings are mapped; _parse_group validates the result."""
+    spellings are mapped; _check_group validates the result."""
     if not isinstance(obj, dict):
         return obj
     subject = _first_key(obj, ("subject", "primary_category", "category"))
@@ -504,10 +545,17 @@ def _normalize_versions(versions: list, path: str) -> list:
     return out
 
 
-def load_corpus(path: str, compat: bool = False) -> tuple[ArticleGroup, ...]:
+def read_corpus(path: str, compat: bool = False) -> tuple[RawGroup, ...]:
+    """Read and validate a corpus file without building any group.
+    Every corpus error names the file; `compat` reads the released
+    distribution's shapes as parse_arxivedits_corpus does."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return parse_arxivedits_corpus(data) if compat else parse_corpus(data)
+        return _check_corpus(data, compat)
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from None
+
+
+def load_corpus(path: str, compat: bool = False) -> tuple[ArticleGroup, ...]:
+    return tuple(g.build() for g in read_corpus(path, compat))

@@ -3,12 +3,14 @@
 Anything raised for malformed input files or inconsistent data derives
 from :class:`RevkitError`; the CLI maps these to exit code 2 and treats
 everything else as an internal error (exit code 1).  Text readers open
-their files with :func:`open_text` so undecodable bytes follow that rule.
+their files with :func:`open_text`, and JSON readers decode with
+:func:`decode_json`, so undecodable bytes follow that rule.
 """
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
-from typing import Iterator, TextIO
+from typing import Any, Iterator, TextIO
 
 
 class RevkitError(Exception):
@@ -49,3 +51,17 @@ def open_text(path: str, error: type[RevkitError]) -> Iterator[TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def decode_json(data: bytes | str, error: type[RevkitError], where: str) -> Any:
+    """Decode UTF-8 bytes (or text) holding one JSON document.  Bytes that
+    are not UTF-8, invalid JSON, integers too long for int() and nesting
+    too deep for the decoder raise `error` naming `where`."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not valid UTF-8 ({exc.reason})") from None
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
+        raise error(f"{where}: invalid JSON ({exc})") from None

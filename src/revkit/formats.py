@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .corpus import SentenceId
 from .edits import Edit, EditKind, SentenceRevision, WordAlignment, edit_sort_key
-from .errors import AlignmentFormatError, FormatError, open_text
+from .errors import AlignmentFormatError, FormatError, decode_json, open_text
 from .intention import CoarseIntention, IntentionLabel
 from .sent_align import SentAlignLabel, SentenceAlignment
 from .trees import ParseTree, parse_tree_read
@@ -135,11 +135,8 @@ def write_alignment(path: str, alignment: SentenceAlignment, arxiv_id: str | Non
 
 
 def read_alignment(path: str) -> tuple[str | None, SentenceAlignment]:
-    with open_text(path, AlignmentFormatError) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlignmentFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
+    with open(path, "rb") as fh:
+        obj = decode_json(fh.read(), AlignmentFormatError, path)
     return alignment_from_json(obj, where=path)
 
 
@@ -150,9 +147,13 @@ def parse_pharaoh_line(line: str, where: str = "alignment") -> WordAlignment:
     links = set()
     for field in line.split():
         i, sep, j = field.partition("-")
-        if not sep or not i.isdecimal() or not j.isdecimal():
-            raise FormatError(f"{where}: bad link {field!r}, expected i-j")
-        links.add((int(i), int(j)))
+        if sep and i.isdecimal() and j.isdecimal():
+            try:
+                links.add((int(i), int(j)))
+                continue
+            except ValueError:  # more digits than int() converts
+                pass
+        raise FormatError(f"{where}: bad link {field!r}, expected i-j")
     return WordAlignment(frozenset(links))
 
 
@@ -318,11 +319,8 @@ def write_edit_file(path: str, revisions: Sequence[SentenceRevision]) -> None:
 
 
 def read_edit_file(path: str) -> list[EditFileEntry]:
-    with open_text(path, FormatError) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc.msg})") from exc
+    with open(path, "rb") as fh:
+        obj = decode_json(fh.read(), FormatError, path)
     if not isinstance(obj, dict) or not isinstance(obj.get("revisions"), list):
         raise FormatError(f"{path}: expected an object with a revisions list")
     entries = [

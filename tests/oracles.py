@@ -10,10 +10,22 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import string
 from collections import Counter
 from itertools import product
+from typing import Iterator
 
-from revkit.corpus import DocVersion, Sentence, SentenceId
+from revkit import corpus
+from revkit.corpus import (
+    SPECIAL_KINDS,
+    SPECIAL_MARKERS,
+    DocVersion,
+    Sentence,
+    SentenceId,
+    Token,
+    TokenKind,
+)
 from revkit.trees import ParseTree
 
 Span = tuple[int, int]
@@ -350,6 +362,79 @@ def oracle_parse(surf_s, surf_t, links, tree_s: ParseTree, tree_t: ParseTree, ma
     ]
     pairs = oracle_closure(maximal + oracle_components(leftover), surf_s, surf_t)
     return oracle_emit(pairs, surf_s, surf_t)
+
+
+# ---------------------------------------------------------------------------
+# tokenizer and skip filters, as first written: one Token per piece, one
+# Python-level test per character and per token
+
+_MARKER_RE = re.compile(r"(\[REF\]|\[CIT\]|\[MATH\]|\[EQN\])")
+_PUNCT = frozenset(string.punctuation)
+
+
+def oracle_tokenize(text: str) -> tuple[Token, ...]:
+    tokens: list[Token] = []
+    for chunk in text.split():
+        for piece in _MARKER_RE.split(chunk):
+            if not piece:
+                continue
+            kind = SPECIAL_MARKERS.get(piece)
+            if kind is not None:
+                tokens.append(Token(piece, kind))
+            else:
+                tokens.extend(_oracle_split_plain(piece))
+    return tuple(tokens)
+
+
+def _oracle_split_plain(piece: str) -> Iterator[Token]:
+    head: list[str] = []
+    tail: list[str] = []
+    while piece and piece[0] in _PUNCT:
+        head.append(piece[0])
+        piece = piece[1:]
+    while piece and piece[-1] in _PUNCT:
+        tail.append(piece[-1])
+        piece = piece[:-1]
+    for ch in head:
+        yield Token(ch, TokenKind.PUNCTUATION)
+    if piece:
+        yield Token(piece, TokenKind.WORD)
+    for ch in reversed(tail):
+        yield Token(ch, TokenKind.PUNCTUATION)
+
+
+def oracle_english_fraction(raw: str) -> float:
+    visible = [c for c in raw if not c.isspace()]
+    if not visible:
+        return 0.0
+    letters = sum(1 for c in visible if c.isascii() and c.isalpha())
+    return letters / len(visible)
+
+
+def oracle_sentence_skip(s: Sentence) -> bool:
+    if len(s.raw) > corpus.SKIP_MAX_SENTENCE_CHARS:
+        return True
+    if len(s.tokens) <= corpus.SKIP_MAX_SENTENCE_TOKENS:
+        return True
+    special = sum(1 for t in s.tokens if t.kind in SPECIAL_KINDS)
+    if special / len(s.tokens) > corpus.SKIP_SENTENCE_SPECIAL_FRACTION:
+        return True
+    if oracle_english_fraction(s.raw) < corpus.SKIP_MIN_ENGLISH_FRACTION:
+        return True
+    stripped = s.raw.rstrip()
+    if stripped.endswith(",") or stripped.endswith(":"):
+        return True
+    return False
+
+
+def oracle_paragraph_skip(sentences) -> bool:
+    toks = [t for s in sentences for t in s.tokens]
+    if len(toks) < corpus.SKIP_MIN_PARAGRAPH_TOKENS:
+        return True
+    special = sum(1 for t in toks if t.kind in SPECIAL_KINDS)
+    if toks and special / len(toks) > corpus.SKIP_PARAGRAPH_SPECIAL_FRACTION:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import revkit
 from revkit.cli import main
-from revkit.corpus import DocVersion, build_group, serialize_corpus
+from revkit.corpus import DocVersion, build_group, load_corpus, serialize_corpus
+from revkit.errors import CorpusFormatError
 from revkit.formats import read_alignment, read_edit_file
 from revkit.sent_align import SentAlignLabel
 
@@ -143,6 +145,53 @@ def test_missing_corpus_path_exits_2(tmp_path, capsys):
     rc = main(["align", "--corpus", missing, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "nowhere.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("broken", [0, 1], ids=["first group", "last group"])
+@pytest.mark.parametrize("fault", ["schema", "timestamp order"])
+def test_align_invalid_group_exits_2_before_writing(ws, tmp_path, capsys, jobs, broken, fault):
+    groups = [json.loads(Path(ws.corpus).read_text())[0] for _ in range(2)]
+    groups[1]["arxiv_id"] = "2001.0002"
+    versions = groups[broken]["versions"]
+    versions[-1]["timestamp"] = "later" if fault == "schema" else versions[0]["timestamp"]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(groups))
+    with pytest.raises(CorpusFormatError) as expected:
+        load_corpus(str(corpus))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("older output")
+
+    assert main(["align", "--corpus", str(corpus), "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"revkit: error: {expected.value}\n"
+    assert os.listdir(out) == ["kept.txt"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_align_compat_corpus_matches_native_spelling(ws, tmp_path, jobs):
+    released = {"papers": [
+        {
+            "paper_id": g["arxiv_id"],
+            "primary_category": g["subject"],
+            "versions": {
+                f"v{v['version']}": {
+                    "created": v["timestamp"],
+                    "paragraphs": [p["sentences"] for p in v["paragraphs"]],
+                }
+                for v in reversed(g["versions"])
+            },
+        }
+        for g in json.loads(Path(ws.corpus).read_text())
+    ]}
+    corpus = tmp_path / "released.json"
+    corpus.write_text(json.dumps(released))
+    out = tmp_path / "out"
+    argv = ["align", "--corpus", str(corpus), "--out", str(out), "--compat", "--jobs", jobs]
+    assert main(argv) == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(ws.align_dir))
+    for name in os.listdir(ws.align_dir):
+        assert (out / name).read_bytes() == (ws.align_dir / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +550,12 @@ ALIGN = ["align", "--out", "{out}", "--corpus"]
 EXTRACT = ["extract-edits", "--corpus", "{corpus}", "--out", "{out}", "--alignment"]
 SIMPLE = [*EXTRACT, "{v12}", "--method", "simple", "--word-alignments"]
 PARSE = [*EXTRACT, "{v12}", "--method", "parse", "--word-alignments", "{wa}", "--trees-src"]
+EVAL_EDITS = ["eval", "--task", "edits", "--pred", "{bad}", "--gold", "{gold}"]
+EVAL_ALIGNMENT = [
+    "eval", "--task", "alignment", "--pred", "{bad}", "--gold", "{v12}", "--corpus", "{corpus}",
+]
+DEEP = b"[" * 100_000
+LONG_INT = b"9" * 5000
 
 
 @pytest.mark.parametrize(
@@ -514,9 +569,16 @@ PARSE = [*EXTRACT, "{v12}", "--method", "parse", "--word-alignments", "{wa}", "-
         pytest.param(LATIN1, [*SIMPLE, "{bad}"], id="pharaoh"),
         pytest.param("0\u00b2-0\n0-0\n0-0\n0-0\n".encode(), [*SIMPLE, "{bad}"],
                      id="pharaoh superscript"),
+        pytest.param(("1" * 5000 + "-0\n0-0\n0-0\n0-0\n").encode(), [*SIMPLE, "{bad}"],
+                     id="pharaoh long index"),
         pytest.param(LATIN1, [*PARSE, "{bad}", "--trees-tgt", "{bad}"], id="tree"),
-        pytest.param(LATIN1, ["eval", "--task", "edits", "--pred", "{bad}", "--gold", "{gold}"],
-                     id="edits"),
+        pytest.param(LATIN1, EVAL_EDITS, id="edits"),
+        pytest.param(DEEP, EVAL_EDITS, id="edits deep nesting"),
+        pytest.param(b'{"revisions": [], "n": ' + LONG_INT + b"}", EVAL_EDITS,
+                     id="edits long integer"),
+        pytest.param(DEEP, EVAL_ALIGNMENT, id="alignment deep nesting"),
+        pytest.param(b'{"src_version": ' + LONG_INT + b"}", EVAL_ALIGNMENT,
+                     id="alignment long integer"),
         pytest.param(LATIN1, ["eval", "--task", "intention", "--pred", "{bad}", "--gold", "{gold}"],
                      id="predictions"),
         pytest.param(LATIN1, [*ALIGN, "{corpus}", "--config", "{bad}"], id="config"),

@@ -1,4 +1,5 @@
 import json
+import string
 
 import pytest
 from hypothesis import example, given
@@ -7,21 +8,32 @@ from hypothesis import strategies as st
 from revkit.corpus import (
     ArticleGroup,
     DocVersion,
+    Paragraph,
     Sentence,
     SentenceId,
     Subject,
     Token,
     TokenKind,
+    _english_fraction,
+    _tokenize_chunk,
     build_group,
     normalize_subject,
+    paragraph_skip_filter,
     parse_arxivedits_corpus,
     parse_corpus,
+    sentence_skip_filter,
     serialize_corpus,
     tokenize,
 )
 from revkit.errors import CorpusFormatError
 
 from helpers import doc, sent
+from oracles import (
+    oracle_english_fraction,
+    oracle_paragraph_skip,
+    oracle_sentence_skip,
+    oracle_tokenize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +150,64 @@ def test_alignable_skipped_sentence_inside_good_paragraph():
     d = doc([["this paragraph is long enough to stay alignable in full", "way short"]])
     assert d.paragraphs[0].skipped is False
     assert [s.id.sentence for s in d.alignable_sentences()] == [0]
+
+
+# ---------------------------------------------------------------------------
+# tokenizer and filters against the first-written versions in oracles.py
+
+_texts = st.lists(
+    st.sampled_from(["the", "Model", "we", "x", "2021", "3.5", "'s", "--", "(e.g.,", "x).", "\"a\"!"])
+    | st.sampled_from(string.ascii_letters + string.digits + string.punctuation)
+    | st.sampled_from(["[REF]", "[CIT]", "[MATH]", "[EQN]", "[REF", "CIT]", "[MAT", "[[EQN]]"])
+    | st.sampled_from(["caf\u00e9", "na\u00efve", "\u03a9mega", "\u00df", "\u65e5\u672c"])
+    | st.sampled_from([" ", " ", " ", "\t", "\n", "\xa0", "\u2028", "\x1c", "\u3000"])
+    | st.characters(),
+    max_size=40,
+).map("".join)
+
+
+@example("(see Fig. 3a).")
+@given(_texts)
+def test_tokenize_matches_oracle_on_cold_and_warm_cache(text):
+    _tokenize_chunk.cache_clear()
+    cold = tokenize(text)
+    warm = tokenize(text)
+    assert cold == warm == oracle_tokenize(text)
+
+
+@example("abcdefg 123")  # exactly 0.7
+@given(_texts)
+def test_english_fraction_matches_oracle(text):
+    assert _english_fraction(text) == oracle_english_fraction(text)
+
+
+def _oracle_sentence(raw: str, n: int = 0) -> Sentence:
+    return Sentence(SentenceId(1, 0, n), raw, oracle_tokenize(raw))
+
+
+@example("[REF] [CIT] [MATH] these words")  # special fraction exactly 0.6
+@example("[REF] [CIT] [MATH] [EQN] words")
+@example("abcdefg 1 2 3")  # letter fraction exactly 0.7
+@example("abcdef 1 2 3 4")
+@example("one two three four ,\xa0")
+@given(_texts)
+def test_sentence_skip_filter_matches_oracle(text):
+    s = Sentence.build(text, SentenceId(1, 0, 0))
+    expected = oracle_sentence_skip(_oracle_sentence(text))
+    assert sentence_skip_filter(s) is expected
+    assert s.skipped is expected
+
+
+@example(["one two three four five", "six seven eight nine ten"])  # exactly 10 tokens
+@example(["one two three four five", "six seven eight nine"])
+@example(["[REF] [CIT] [MATH] four five", "six seven eight nine ten"])  # special exactly 0.3
+@example(["[REF] [CIT] [MATH] [EQN] five", "six seven eight nine ten"])
+@given(st.lists(_texts, max_size=4))
+def test_paragraph_skip_filter_matches_oracle(raws):
+    p = Paragraph.build(raws, 1, 0)
+    expected = oracle_paragraph_skip([_oracle_sentence(r, n) for n, r in enumerate(raws)])
+    assert paragraph_skip_filter(p) is expected
+    assert p.skipped is expected
 
 
 # ---------------------------------------------------------------------------

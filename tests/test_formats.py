@@ -72,9 +72,11 @@ def test_alignment_round_trip(tmp_path):
     assert got.sorted_positive() == sample_alignment().sorted_positive()
     assert all(label is not SentAlignLabel.NOT_ALIGNED for _, _, label in got.pairs)
 
-    first = open(path).read()
+    with open(path) as fh:
+        first = fh.read()
     write_alignment(path, sample_alignment(), arxiv_id="1234.5678")
-    assert open(path).read() == first
+    with open(path) as fh:
+        assert fh.read() == first
 
 
 def test_alignment_reader_accepts_aliases():
@@ -157,7 +159,11 @@ def test_pharaoh_empty_line_means_no_links():
     assert format_pharaoh(wa()) == ""
 
 
-@pytest.mark.parametrize("bad", ["x-1", "3_4", "5-", "-2", "1-2-3", "0\u00b2-0"])
+@pytest.mark.parametrize(
+    "bad",
+    ["x-1", "3_4", "5-", "-2", "1-2-3", "0\u00b2-0",
+     pytest.param("1" * 5000 + "-0", id="5000-digit index")],
+)
 def test_pharaoh_malformed(bad):
     with pytest.raises(FormatError, match="bad link"):
         parse_pharaoh_line(bad)
@@ -278,9 +284,11 @@ def test_edit_file_round_trip(tmp_path):
     assert entries[0].alternatives is None
     assert entries[0].gold_alternatives() == (revisions[0].edits,)
 
-    first = open(path).read()
+    with open(path) as fh:
+        first = fh.read()
     write_edit_file(path, revisions)
-    assert open(path).read() == first
+    with open(path) as fh:
+        assert fh.read() == first
 
 
 def test_edit_file_alternatives(tmp_path):
