@@ -43,6 +43,10 @@ SPECIAL_MARKERS = {
 SPECIAL_KINDS = frozenset(
     {TokenKind.REFERENCE, TokenKind.CITATION, TokenKind.INLINE_MATH, TokenKind.BLOCK_MATH}
 )
+# The kinds that are not special.  Tuple membership and list.count compare
+# members by identity, so neither hashes the Enum member.
+_PLAIN_KINDS = (TokenKind.WORD, TokenKind.PUNCTUATION)
+assert set(_PLAIN_KINDS) == set(TokenKind) - SPECIAL_KINDS
 
 _MARKER_RE = re.compile(r"(\[REF\]|\[CIT\]|\[MATH\]|\[EQN\])")
 _PUNCT = frozenset(string.punctuation)
@@ -73,8 +77,7 @@ class Token:
 
     @property
     def is_special(self) -> bool:
-        # SPECIAL_KINDS is every other kind; identity tests do not hash the member
-        return self.kind is not TokenKind.WORD and self.kind is not TokenKind.PUNCTUATION
+        return self.kind not in _PLAIN_KINDS
 
 
 def tokenize(text: str) -> tuple[Token, ...]:
@@ -89,8 +92,13 @@ def tokenize(text: str) -> tuple[Token, ...]:
 
 # Distinct whitespace chunks kept by _tokenize_chunk.  A chunk's tokens
 # depend on the chunk alone and Token is frozen, so repeated words share
-# one tuple of Token instances.
-_CHUNK_CACHE_SIZE = 1 << 16
+# one tuple of Token instances.  The largest group in the benchmark
+# corpora, with punctuation attached to words as in running text, has
+# 7,432 distinct chunks; this size holds about two such groups, gives the
+# same hit share as 65,536 on every corpus measured, and holds about 5 MB
+# when full.  Kept entries lengthen garbage collection, so a miss costs
+# a little more than no cache at all; the size stays at a few groups.
+_CHUNK_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_CHUNK_CACHE_SIZE)
@@ -161,8 +169,7 @@ class Sentence:
     def special_count(self) -> int:
         """Number of marker tokens; both skip filters read it."""
         kinds = list(map(_token_kind, self.tokens))
-        # every kind but these two is special; list.count compares by identity
-        return len(kinds) - kinds.count(TokenKind.WORD) - kinds.count(TokenKind.PUNCTUATION)
+        return len(kinds) - sum(map(kinds.count, _PLAIN_KINDS))
 
 
 def _english_fraction(raw: str) -> float:
@@ -361,10 +368,8 @@ class RawGroup(NamedTuple):
 
     def build(self) -> ArticleGroup:
         """Tokenize, filter and assemble the group."""
-        return ArticleGroup(
-            arxiv_id=self.arxiv_id,
-            subject=normalize_subject(self.subject),
-            versions=tuple(DocVersion.build(*v) for v in self.versions),
+        return build_group(
+            self.arxiv_id, self.subject, (DocVersion.build(*v) for v in self.versions)
         )
 
 
