@@ -19,7 +19,7 @@ import os
 import sys
 import traceback
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .config import RunConfig, load_config
 from .corpus import ArticleGroup, DocVersion, RawGroup, load_corpus, read_corpus
@@ -56,7 +56,7 @@ from .formats import (
 from .intention import IntentionLabel, coarse_of, ingest_predictions
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
 from .para_align import Thresholds, align_paragraphs
-from .sent_align import align_sentences_directional, merge_bidirectional
+from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
 from .similarity import make_metric
 
 log = logging.getLogger("revkit")
@@ -84,11 +84,14 @@ def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
         return pool.map(fn, items)
 
 
-def _groups_by_id(groups: Iterable[ArticleGroup]) -> dict[str, ArticleGroup]:
+G = TypeVar("G", ArticleGroup, RawGroup)
+
+
+def _groups_by_id(groups: Iterable[G]) -> dict[str, G]:
     return {g.arxiv_id: g for g in groups}
 
 
-def _find_group(groups: dict[str, ArticleGroup], arxiv_id: str | None, where: str) -> ArticleGroup:
+def _find_group(groups: dict[str, G], arxiv_id: str | None, where: str) -> G:
     if arxiv_id is None:
         if len(groups) == 1:
             return next(iter(groups.values()))
@@ -98,6 +101,20 @@ def _find_group(groups: dict[str, ArticleGroup], arxiv_id: str | None, where: st
     if arxiv_id not in groups:
         raise AlignmentFormatError(f"{where}: group {arxiv_id!r} not in the corpus")
     return groups[arxiv_id]
+
+
+def _pair_documents(
+    group: ArticleGroup, alignment: SentenceAlignment, where: str
+) -> tuple[DocVersion, DocVersion]:
+    """The two versions the alignment file `where` names, with every
+    sentence it pairs checked to exist in them."""
+    try:
+        src = group.version(alignment.src_version)
+        tgt = group.version(alignment.tgt_version)
+        alignment.validate_against(src, tgt)
+    except ValueError as exc:
+        raise AlignmentFormatError(f"{where}: {exc}") from exc
+    return src, tgt
 
 
 def _pair_filename(arxiv_id: str, src_v: int, tgt_v: int) -> str:
@@ -170,15 +187,10 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def cmd_extract_edits(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    groups = _groups_by_id(load_corpus(args.corpus, compat=args.compat))
+    groups = _groups_by_id(read_corpus(args.corpus, compat=args.compat))
     arxiv_id, alignment = read_alignment(args.alignment)
-    group = _find_group(groups, arxiv_id, args.alignment)
-    src = group.version(alignment.src_version)
-    tgt = group.version(alignment.tgt_version)
-    try:
-        alignment.validate_against(src, tgt)
-    except ValueError as exc:
-        raise AlignmentFormatError(f"{args.alignment}: {exc}") from exc
+    group = _find_group(groups, arxiv_id, args.alignment).build()
+    src, tgt = _pair_documents(group, alignment, args.alignment)
     pairs = alignment.sorted_positive()
 
     was: list[WordAlignment] | None = None
@@ -255,10 +267,8 @@ def _alignment_paths(raw: Sequence[str]) -> list[str]:
 
 def _stats_for_file(payload) -> dict:
     path, group, alignment, cfg = payload
-    src = group.version(alignment.src_version)
-    tgt = group.version(alignment.tgt_version)
+    src, tgt = _pair_documents(group, alignment, path)
     try:
-        alignment.validate_against(src, tgt)
         ops = doc_operations(src, tgt, alignment)
         ratio = update_ratio(ops, src, cfg.kept_definition)
     except ValueError as exc:
@@ -359,21 +369,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _eval_alignment_task(args: argparse.Namespace) -> dict:
     if args.corpus is None:
         raise RevkitError("task alignment needs --corpus")
-    groups = _groups_by_id(load_corpus(args.corpus, compat=args.compat))
+    groups = _groups_by_id(read_corpus(args.corpus, compat=args.compat))
     aid_pred, pred = read_alignment(args.pred)
     aid_gold, gold = read_alignment(args.gold)
+    if aid_pred and aid_gold and aid_pred != aid_gold:
+        raise AlignmentFormatError(
+            f"{args.pred} is for group {aid_pred!r}, {args.gold} for group {aid_gold!r}"
+        )
+    where = args.gold if aid_gold and not aid_pred else args.pred
+    group = _find_group(groups, aid_pred or aid_gold, where).build()
+    src, tgt = _pair_documents(group, pred, args.pred)
+    _pair_documents(group, gold, args.gold)
     if (pred.src_version, pred.tgt_version) != (gold.src_version, gold.tgt_version):
         raise AlignmentFormatError(
             f"prediction covers v{pred.src_version}->v{pred.tgt_version}, "
             f"gold v{gold.src_version}->v{gold.tgt_version}"
         )
-    group = _find_group(groups, aid_pred or aid_gold, args.pred)
-    src = group.version(pred.src_version)
-    tgt = group.version(pred.tgt_version)
-    try:
-        res = eval_alignment(pred, gold, src, tgt)
-    except ValueError as exc:
-        raise AlignmentFormatError(str(exc)) from exc
+    res = eval_alignment(pred, gold, src, tgt)
     return {
         "task": "alignment",
         "precision": res.precision,

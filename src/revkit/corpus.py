@@ -215,10 +215,6 @@ class Paragraph:
             p = replace(p, skipped=True)
         return p
 
-    def tokens(self) -> Iterator[Token]:
-        for s in self.sentences:
-            yield from s.tokens
-
 
 def paragraph_skip_filter(p: Paragraph) -> bool:
     """True when the paragraph as a whole is excluded from alignment."""

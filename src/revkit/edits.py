@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .corpus import Sentence
 from .myers import DiffRun, myers_diff
@@ -205,8 +205,7 @@ def strip_identical_boundaries(e: Edit, src: Sentence, tgt: Sentence) -> Edit | 
     return Edit((a, b), (c, d), EditKind.SUBSTITUTE, e.intention)
 
 
-@dataclass(frozen=True)
-class _SpanPair:
+class _SpanPair(NamedTuple):
     src: Span
     tgt: Span
 
@@ -249,7 +248,7 @@ def _link_components(links: Iterable[tuple[int, int]]) -> list[_SpanPair]:
         si = [i for i, _ in members]
         tj = [j for _, j in members]
         out.append(_SpanPair((min(si), max(si) + 1), (min(tj), max(tj) + 1)))
-    return sorted(out, key=lambda p: (p.src, p.tgt))
+    return sorted(out)
 
 
 def _overlap(a: Span, b: Span) -> bool:
@@ -302,7 +301,7 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
                 break
             if merged:
                 break
-    return sorted(work, key=lambda p: (p.src, p.tgt))
+    return sorted(work)
 
 
 def _emit_edits(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> set[Edit]:
@@ -358,15 +357,6 @@ def edits_from_alignment_simple(src: Sentence, tgt: Sentence, wa: WordAlignment)
 # ---------------------------------------------------------------------------
 # tree-guided extraction
 
-def _conflict_free(s_span: Span, t_span: Span, links: Sequence[tuple[int, int]]) -> bool:
-    for i, j in links:
-        src_in = s_span[0] <= i < s_span[1]
-        tgt_in = t_span[0] <= j < t_span[1]
-        if src_in != tgt_in:
-            return False
-    return True
-
-
 def _resolve_link(
     i: int,
     j: int,
@@ -409,7 +399,7 @@ def _contains(outer: Span, inner: Span) -> bool:
 def _drop_nested(pairs: list[_SpanPair]) -> list[_SpanPair]:
     """Keep only maximal span pairs; tree spans nest or are disjoint, so
     strict containment on both sides is the only redundancy possible."""
-    unique = sorted(set(pairs), key=lambda p: (p.src, p.tgt))
+    unique = sorted(set(pairs))
     return [
         p
         for p in unique

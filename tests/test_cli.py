@@ -10,7 +10,7 @@ import pytest
 
 import revkit
 from revkit.cli import main
-from revkit.corpus import DocVersion, build_group, load_corpus, serialize_corpus
+from revkit.corpus import DocVersion, RawGroup, build_group, load_corpus, serialize_corpus
 from revkit.errors import CorpusFormatError
 from revkit.formats import read_alignment, read_edit_file
 from revkit.sent_align import SentAlignLabel
@@ -24,23 +24,27 @@ def changed(raw, tag):
     return " ".join(parts)
 
 
-def write_corpus(path):
-    """Three versions: v2 rewrites one sentence of the first paragraph,
-    v3 additionally rewrites both sentences of the second."""
+def write_corpus(path, ids=("2001.0001",)):
+    """One group per id, each of three versions: v2 rewrites one sentence
+    of the first paragraph, v3 additionally rewrites both sentences of
+    the second."""
     f = filler_sentence
     v1 = [[f(0), f(1)], [f(2), f(3)]]
     v2 = [[f(0), changed(f(1), "a")], [f(2), f(3)]]
     v3 = [[f(0), changed(f(1), "a")], [changed(f(2), "b"), changed(f(3), "c")]]
-    group = build_group(
-        "2001.0001",
-        "cs.CL",
-        [
-            DocVersion.build(1, 1000, v1),
-            DocVersion.build(2, 2000, v2),
-            DocVersion.build(3, 4000, v3),
-        ],
-    )
-    path.write_text(serialize_corpus([group]))
+    groups = [
+        build_group(
+            arxiv_id,
+            "cs.CL",
+            [
+                DocVersion.build(1, 1000, v1),
+                DocVersion.build(2, 2000, v2),
+                DocVersion.build(3, 4000, v3),
+            ],
+        )
+        for arxiv_id in ids
+    ]
+    path.write_text(serialize_corpus(groups))
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +445,56 @@ def test_eval_alignment_version_mismatch(ws, capsys):
     assert "prediction covers v1->v2, gold v2->v3" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def two_groups(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two_groups")
+    corpus = root / "corpus.json"
+    write_corpus(corpus, ids=("2001.0001", "2001.0002"))
+    assert main(["align", "--corpus", str(corpus), "--out", str(root / "align")]) == 0
+    return SimpleNamespace(
+        corpus=str(corpus),
+        a12=str(root / "align" / "2001.0001.v1-v2.json"),
+        b12=str(root / "align" / "2001.0002.v1-v2.json"),
+    )
+
+
+def test_eval_alignment_across_groups_exits_2(two_groups, capsys):
+    # both files cover v1->v2 and their indices fit either group
+    rc = main(
+        [
+            "eval", "--task", "alignment", "--pred", two_groups.a12,
+            "--gold", two_groups.b12, "--corpus", two_groups.corpus,
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("revkit: error: ")
+    assert two_groups.a12 in err and two_groups.b12 in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract-edits", "--method", "diff", "--alignment", "{a12}", "--out", "{out}"],
+        ["eval", "--task", "alignment", "--pred", "{a12}", "--gold", "{a12}"],
+    ],
+    ids=["extract-edits", "eval"],
+)
+def test_one_alignment_builds_only_its_group(two_groups, tmp_path, monkeypatch, argv):
+    built = []
+    build = RawGroup.build
+
+    def counted(raw):
+        built.append(raw.arxiv_id)
+        return build(raw)
+
+    monkeypatch.setattr(RawGroup, "build", counted)
+    names = {"a12": two_groups.a12, "out": str(tmp_path / "edits.json")}
+    argv = [arg.format(**names) for arg in argv] + ["--corpus", two_groups.corpus]
+    assert main(argv) == 0
+    assert built == ["2001.0001"]
+
+
 def test_eval_edits_perfect_and_degraded(ws, tmp_path, capsys):
     gold = tmp_path / "gold.json"
     assert extract(ws, gold, "diff") == 0
@@ -554,6 +608,11 @@ EVAL_EDITS = ["eval", "--task", "edits", "--pred", "{bad}", "--gold", "{gold}"]
 EVAL_ALIGNMENT = [
     "eval", "--task", "alignment", "--pred", "{bad}", "--gold", "{v12}", "--corpus", "{corpus}",
 ]
+EVAL_GOLD = ["eval", "--task", "alignment", "--pred", "{v12}", "--gold", "{bad}", "--corpus", "{corpus}"]
+EVAL_BOTH = ["eval", "--task", "alignment", "--pred", "{bad}", "--gold", "{bad}", "--corpus", "{corpus}"]
+STATS = ["stats", "--corpus", "{corpus}", "--out", "{out}", "--alignments"]
+# the corpus group has versions 1-3
+NO_SUCH_VERSIONS = b'{"src_version": 7, "tgt_version": 8, "pairs": []}'
 DEEP = b"[" * 100_000
 LONG_INT = b"9" * 5000
 
@@ -579,6 +638,12 @@ LONG_INT = b"9" * 5000
         pytest.param(DEEP, EVAL_ALIGNMENT, id="alignment deep nesting"),
         pytest.param(b'{"src_version": ' + LONG_INT + b"}", EVAL_ALIGNMENT,
                      id="alignment long integer"),
+        pytest.param(NO_SUCH_VERSIONS, [*EXTRACT, "{bad}", "--method", "diff"],
+                     id="alignment missing versions"),
+        pytest.param(NO_SUCH_VERSIONS, [*STATS, "{bad}"], id="stats missing versions"),
+        pytest.param(NO_SUCH_VERSIONS, EVAL_ALIGNMENT, id="eval pred missing versions"),
+        pytest.param(NO_SUCH_VERSIONS, EVAL_GOLD, id="eval gold missing versions"),
+        pytest.param(NO_SUCH_VERSIONS, EVAL_BOTH, id="eval pred and gold missing versions"),
         pytest.param(LATIN1, ["eval", "--task", "intention", "--pred", "{bad}", "--gold", "{gold}"],
                      id="predictions"),
         pytest.param(LATIN1, [*ALIGN, "{corpus}", "--config", "{bad}"], id="config"),
