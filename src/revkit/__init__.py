@@ -2,100 +2,4 @@
 document-level operation statistics, span-level edit extraction, and the
 matching evaluation tools."""
 
-from .config import RunConfig
-from .corpus import (
-    ArticleGroup,
-    DocVersion,
-    Paragraph,
-    Sentence,
-    SentenceId,
-    Token,
-    TokenKind,
-    load_corpus,
-    tokenize,
-)
-from .doc_ops import (
-    DocOperation,
-    DocOpKind,
-    action_composition_by_ratio,
-    doc_operations,
-    pearson,
-    update_ratio,
-)
-from .edits import (
-    Edit,
-    EditKind,
-    SentenceRevision,
-    WordAlignment,
-    derive_reorder,
-    edits_from_alignment_simple,
-    edits_from_diff,
-    edits_with_parse,
-)
-from .errors import RevkitError
-from .intention import CoarseIntention, IntentionLabel, classify_edit_rule, coarse_of
-from .metrics import (
-    PRF,
-    eval_alignment,
-    eval_classification,
-    eval_edits,
-    eval_edits_corpus,
-)
-from .myers import myers_diff
-from .para_align import ParaAlignment, Thresholds, align_paragraphs
-from .sent_align import SentAlignLabel, SentenceAlignment, align_sentences_directional, merge_bidirectional
-from .similarity import bleu_sim, char_ngram_sim, jaccard, tfidf_sim
-from .trees import ParseTree, parse_tree_read
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArticleGroup",
-    "CoarseIntention",
-    "DocOperation",
-    "DocOpKind",
-    "DocVersion",
-    "Edit",
-    "EditKind",
-    "IntentionLabel",
-    "PRF",
-    "ParaAlignment",
-    "Paragraph",
-    "ParseTree",
-    "RevkitError",
-    "RunConfig",
-    "SentAlignLabel",
-    "Sentence",
-    "SentenceAlignment",
-    "SentenceId",
-    "SentenceRevision",
-    "Thresholds",
-    "Token",
-    "TokenKind",
-    "WordAlignment",
-    "action_composition_by_ratio",
-    "align_paragraphs",
-    "align_sentences_directional",
-    "bleu_sim",
-    "char_ngram_sim",
-    "classify_edit_rule",
-    "coarse_of",
-    "derive_reorder",
-    "doc_operations",
-    "edits_from_alignment_simple",
-    "edits_from_diff",
-    "edits_with_parse",
-    "eval_alignment",
-    "eval_classification",
-    "eval_edits",
-    "eval_edits_corpus",
-    "jaccard",
-    "load_corpus",
-    "merge_bidirectional",
-    "myers_diff",
-    "parse_tree_read",
-    "pearson",
-    "tfidf_sim",
-    "tokenize",
-    "update_ratio",
-]

@@ -400,6 +400,8 @@ def _eval_alignment_task(args: argparse.Namespace) -> dict:
 def _eval_edits_task(args: argparse.Namespace) -> dict:
     preds = {e.revision_id: e for e in read_edit_file(args.pred)}
     golds = read_edit_file(args.gold)
+    if not golds:
+        raise FormatError(f"{args.gold}: no revisions to score")
     gold_ids = {g.revision_id for g in golds}
     stray = sorted(set(preds) - gold_ids)
     if stray:
@@ -443,11 +445,13 @@ def _eval_intention_task(args: argparse.Namespace) -> dict:
                         f"{value!r}; fine-schema scoring needs fine labels"
                     )
             gold_labels[(g.revision_id, n)] = value
+    if not gold_labels:
+        raise FormatError(f"{args.gold}: no edits to score")
     with open_text(args.pred, FormatError) as fh:
         lines = fh.readlines()
     pred_map, errors = ingest_predictions(lines, schema=schema)
-    if errors.errors:
-        raise FormatError(f"{args.pred}: " + "; ".join(errors.errors))
+    if errors:
+        raise FormatError(f"{args.pred}: " + "; ".join(errors))
     stray = sorted(set(pred_map) - set(gold_labels))
     if stray:
         raise FormatError(f"{args.pred}: predictions for unknown edits: {stray[:5]}")

@@ -5,7 +5,7 @@ line flags, later sources winning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .doc_ops import KEPT_DEFINITIONS
 from .errors import ConfigError, open_text
@@ -120,6 +120,3 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -105,7 +105,7 @@ def alignment_from_json(obj, where: str = "alignment") -> tuple[str | None, Sent
     try:
         src_v = int(_pick(obj, ("src_version", "source_version"), where))
         tgt_v = int(_pick(obj, ("tgt_version", "target_version"), where))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise AlignmentFormatError(f"{where}: versions must be integers") from exc
     raw_pairs = _pick(obj, ("pairs", "alignments", "sentence_pairs"), where)
     if not isinstance(raw_pairs, list):
@@ -130,10 +130,6 @@ def alignment_from_json(obj, where: str = "alignment") -> tuple[str | None, Sent
     return arxiv_id, SentenceAlignment(src_v, tgt_v, frozenset(pairs))
 
 
-def write_alignment(path: str, alignment: SentenceAlignment, arxiv_id: str | None = None) -> None:
-    atomic_write_text(path, dump_json(alignment_to_json(alignment, arxiv_id)))
-
-
 def read_alignment(path: str) -> tuple[str | None, SentenceAlignment]:
     with open(path, "rb") as fh:
         obj = decode_json(fh.read(), AlignmentFormatError, path)
@@ -155,10 +151,6 @@ def parse_pharaoh_line(line: str, where: str = "alignment") -> WordAlignment:
                 pass
         raise FormatError(f"{where}: bad link {field!r}, expected i-j")
     return WordAlignment(frozenset(links))
-
-
-def format_pharaoh(wa: WordAlignment) -> str:
-    return " ".join(f"{i}-{j}" for i, j in sorted(wa.links))
 
 
 def read_pharaoh_file(path: str) -> list[WordAlignment]:
@@ -221,13 +213,15 @@ def _span_from_json(value, loc: str) -> tuple[int, int] | None:
 def edit_from_json(obj, loc: str = "edit") -> Edit:
     if not isinstance(obj, dict):
         raise FormatError(f"{loc}: expected an object")
-    kind = _KIND_BY_VALUE.get(obj.get("kind"))
+    raw_kind = obj.get("kind")
+    kind = _KIND_BY_VALUE.get(raw_kind) if isinstance(raw_kind, str) else None
     if kind is None:
-        raise FormatError(f"{loc}: unknown kind {obj.get('kind')!r}")
+        raise FormatError(f"{loc}: unknown kind {raw_kind!r}")
     intention = None
     raw_intention = obj.get("intention")
     if raw_intention is not None:
-        intention = _FINE_BY_VALUE.get(raw_intention) or _COARSE_BY_VALUE.get(raw_intention)
+        if isinstance(raw_intention, str):
+            intention = _FINE_BY_VALUE.get(raw_intention) or _COARSE_BY_VALUE.get(raw_intention)
         if intention is None:
             raise FormatError(f"{loc}: unknown intention {raw_intention!r}")
     try:
@@ -291,6 +285,8 @@ def entry_from_json(obj, loc: str) -> EditFileEntry:
         raw_alts = obj["alternatives"]
         if not isinstance(raw_alts, list) or not raw_alts:
             raise FormatError(f"{loc}: alternatives must be a non-empty list")
+        if not all(isinstance(alt, list) for alt in raw_alts):
+            raise FormatError(f"{loc}: each alternative must be a list of edits")
         alts = tuple(
             tuple(
                 sorted(

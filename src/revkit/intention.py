@@ -7,12 +7,11 @@ levels, so coarse_of is idempotent.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import Sentence, Token
-from .edits import Edit, EditKind, SentenceRevision
+from .edits import Edit, EditKind
+from .errors import FormatError, decode_json
 
 
 class IntentionLabel(Enum):
@@ -136,64 +135,15 @@ def classify_edit_rule(edit: Edit, src: Sentence, tgt: Sentence) -> IntentionLab
     return IntentionLabel.LANG_OTHER
 
 
-def label_revision_rule(rev: SentenceRevision) -> SentenceRevision:
-    """Attach rule-baseline labels to every edit of a revision."""
-    labelled = tuple(
-        Edit(e.src_span, e.tgt_span, e.kind, classify_edit_rule(e, rev.src, rev.tgt))
-        for e in rev.edits
-    )
-    return SentenceRevision(rev.src, rev.tgt, labelled, rev.gold_alternatives)
-
-
-def apply_predictions(
-    revisions: list[SentenceRevision],
-    labels: dict[tuple[str, int], IntentionLabel | CoarseIntention],
-) -> list[SentenceRevision]:
-    """Attach ingested labels to revisions, matching (revision_id, edit
-    index in canonical order).  Every edit needs a label and every label
-    a known edit; violations are reported together."""
-    wanted = {
-        (rev.revision_id, n) for rev in revisions for n in range(len(rev.edits))
-    }
-    missing = sorted(wanted - set(labels))
-    stray = sorted(set(labels) - wanted)
-    problems = []
-    if missing:
-        problems.append(f"missing labels for {missing[:5]}")
-    if stray:
-        problems.append(f"labels for unknown edits {stray[:5]}")
-    if problems:
-        raise ValueError("; ".join(problems))
-    out = []
-    for rev in revisions:
-        labelled = tuple(
-            Edit(e.src_span, e.tgt_span, e.kind, labels[(rev.revision_id, n)])
-            for n, e in enumerate(rev.edits)
-        )
-        out.append(SentenceRevision(rev.src, rev.tgt, labelled, rev.gold_alternatives))
-    return out
-
-
-@dataclass(frozen=True)
-class PredictionErrors:
-    """Problems found while ingesting a prediction file, keyed by line."""
-
-    errors: tuple[str, ...]
-
-    def raise_if_any(self) -> None:
-        if self.errors:
-            raise ValueError("; ".join(self.errors))
-
-
 def ingest_predictions(
     lines: list[str], schema: str = "fine"
-) -> tuple[dict[tuple[str, int], IntentionLabel | CoarseIntention], PredictionErrors]:
+) -> tuple[dict[tuple[str, int], IntentionLabel | CoarseIntention], tuple[str, ...]]:
     """Parse JSONL intention predictions.
 
     Each record carries revision_id, edit_index and label.  The fine
     schema accepts fine labels only; the coarse schema accepts coarse
     labels plus fine ones (folded down).  Malformed lines are collected,
-    not raised.
+    not raised, as messages naming their line.
     """
     if schema not in ("fine", "coarse"):
         raise ValueError(f"unknown schema {schema!r}")
@@ -205,17 +155,25 @@ def ingest_predictions(
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"line {n}: bad JSON ({exc.msg})")
+            rec = decode_json(line, FormatError, f"line {n}: bad JSON")
+        except FormatError as exc:
+            errors.append(str(exc))
+            continue
+        if not isinstance(rec, dict):
+            errors.append(f"line {n}: expected a JSON object")
             continue
         missing = [k for k in ("revision_id", "edit_index", "label") if k not in rec]
         if missing:
             errors.append(f"line {n}: missing {', '.join(missing)}")
             continue
         rid, idx, raw = rec["revision_id"], rec["edit_index"], rec["label"]
-        if not isinstance(rid, str) or not isinstance(idx, int) or isinstance(idx, bool):
-            errors.append(f"line {n}: revision_id must be str and edit_index int")
+        if (
+            not isinstance(rid, str)
+            or not isinstance(raw, str)
+            or not isinstance(idx, int)
+            or isinstance(idx, bool)
+        ):
+            errors.append(f"line {n}: revision_id and label must be str and edit_index int")
             continue
         label: IntentionLabel | CoarseIntention | None
         if schema == "fine":
@@ -237,4 +195,4 @@ def ingest_predictions(
             errors.append(f"line {n}: duplicate prediction for {key}")
             continue
         out[key] = label
-    return out, PredictionErrors(tuple(errors))
+    return out, tuple(errors)

@@ -1,14 +1,12 @@
 """Evaluation: precision/recall/F1 for alignment, edit extraction
-against multi-reference gold, label classification, and descriptive
-statistics over extracted edits."""
+against multi-reference gold, and label classification."""
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import DocVersion
-from .edits import Edit, EditKind, SentenceRevision
+from .edits import Edit
 from .intention import COARSE_LABELS, FINE_LABELS
 from .sent_align import SentenceAlignment
 
@@ -162,46 +160,3 @@ def eval_classification(
     accuracy = sum(1 for p, g in zip(preds, golds) if p == g) / len(golds)
     weighted = sum(support[c] * per_class[c].f1 for c in classes) / len(golds)
     return ClassificationReport(per_class, support, accuracy, weighted)
-
-
-SMALL_REVISION_MAX_EDITS = 5
-
-
-@dataclass(frozen=True)
-class KindStats:
-    count: int
-    fraction: float
-    mean_length: float
-
-
-def _edit_length(e: Edit) -> float:
-    src_len = e.src_span[1] - e.src_span[0] if e.src_span else 0
-    tgt_len = e.tgt_span[1] - e.tgt_span[0] if e.tgt_span else 0
-    if e.kind is EditKind.INSERT:
-        return float(tgt_len)
-    if e.kind is EditKind.SUBSTITUTE:
-        return (src_len + tgt_len) / 2
-    return float(src_len)  # delete and reorder measure the source block
-
-
-def edit_stats(
-    revisions: Sequence[SentenceRevision],
-) -> dict[str, dict[EditKind, KindStats]]:
-    """Edit-kind composition and mean span length, over every revision
-    ("all") and over lightly-edited ones only ("small", at most
-    SMALL_REVISION_MAX_EDITS edits)."""
-    buckets: Mapping[str, list[Edit]] = {"all": [], "small": []}
-    for rev in revisions:
-        buckets["all"].extend(rev.edits)
-        if len(rev.edits) <= SMALL_REVISION_MAX_EDITS:
-            buckets["small"].extend(rev.edits)
-    out: dict[str, dict[EditKind, KindStats]] = {}
-    for name, edits in buckets.items():
-        counts = Counter(e.kind for e in edits)
-        total = len(edits)
-        stats = {}
-        for kind, n in sorted(counts.items(), key=lambda kv: kv[0].value):
-            lengths = [_edit_length(e) for e in edits if e.kind is kind]
-            stats[kind] = KindStats(n, n / total, sum(lengths) / n)
-        out[name] = stats
-    return out

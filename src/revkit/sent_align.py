@@ -2,22 +2,19 @@
 
 A directional pass aligns each source sentence to its best-scoring
 candidate on the other side; running both directions and intersecting
-gives the final symmetric alignment.  A hybrid helper partitions
-candidate pairs into confident matches, confident non-matches, and a
-remainder that needs human review.
+gives the final symmetric alignment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .corpus import DocVersion, Sentence, SentenceId
-from .para_align import ParaAlignment
-from .similarity import SentenceMetric, jaccard
+from .similarity import SentenceMetric
 
-AUTO_ALIGNED_ABOVE = 0.7      # Jaccard above this: auto-accept
-AUTO_NOT_ALIGNED_BELOW = 0.2  # Jaccard below this: auto-reject
+if TYPE_CHECKING:  # pragma: no cover
+    from .para_align import ParaAlignment
 
 
 class SentAlignLabel(Enum):
@@ -45,9 +42,6 @@ class SentenceAlignment:
         return frozenset(
             (s, t) for s, t, label in self.pairs if label is not SentAlignLabel.NOT_ALIGNED
         )
-
-    def labels(self) -> dict[tuple[SentenceId, SentenceId], SentAlignLabel]:
-        return {(s, t): label for s, t, label in self.pairs}
 
     def sorted_positive(self) -> list[tuple[SentenceId, SentenceId, SentAlignLabel]]:
         return sorted(
@@ -148,68 +142,6 @@ def merge_bidirectional(fwd: SentenceAlignment, bwd: SentenceAlignment) -> Sente
         else:
             merged.add((s, t, SentAlignLabel.PARTIAL))
     return SentenceAlignment(fwd.src_version, fwd.tgt_version, frozenset(merged))
-
-
-@dataclass(frozen=True)
-class HybridPartition:
-    """Candidate pairs split by Jaccard confidence."""
-
-    auto_aligned: tuple[tuple[Sentence, Sentence], ...]
-    auto_not_aligned: tuple[tuple[Sentence, Sentence], ...]
-    needs_human: tuple[tuple[Sentence, Sentence], ...]
-
-
-def auto_label_hybrid(candidates: Sequence[tuple[Sentence, Sentence]]) -> HybridPartition:
-    """Route obvious matches and obvious non-matches automatically and
-    leave the middle band for annotation.  Bounds are strict: scores
-    exactly at a cutoff stay in the human band."""
-    auto_yes: list[tuple[Sentence, Sentence]] = []
-    auto_no: list[tuple[Sentence, Sentence]] = []
-    undecided: list[tuple[Sentence, Sentence]] = []
-    for s, t in candidates:
-        score = jaccard(s, t)
-        if score > AUTO_ALIGNED_ABOVE:
-            auto_yes.append((s, t))
-        elif score < AUTO_NOT_ALIGNED_BELOW:
-            auto_no.append((s, t))
-        else:
-            undecided.append((s, t))
-    return HybridPartition(tuple(auto_yes), tuple(auto_no), tuple(undecided))
-
-
-def derive_transitive(a01: SentenceAlignment, a12: SentenceAlignment) -> SentenceAlignment:
-    """Compose two adjacent-version alignments into a two-hop alignment.
-
-    A pair (s, u) appears when some middle sentence links them; it is
-    labeled aligned only if some connecting path is aligned on both hops.
-    """
-    if a01.tgt_version != a12.src_version:
-        raise ValueError(
-            f"cannot chain alignments: {a01.src_version}->{a01.tgt_version} "
-            f"then {a12.src_version}->{a12.tgt_version}"
-        )
-    onward: dict[SentenceId, list[tuple[SentenceId, SentAlignLabel]]] = {}
-    for t, u, label in a12.pairs:
-        if label is SentAlignLabel.NOT_ALIGNED:
-            continue
-        onward.setdefault(t, []).append((u, label))
-    best: dict[tuple[SentenceId, SentenceId], SentAlignLabel] = {}
-    for s, t, first in a01.pairs:
-        if first is SentAlignLabel.NOT_ALIGNED:
-            continue
-        for u, second in onward.get(t, ()):
-            if first is SentAlignLabel.ALIGNED and second is SentAlignLabel.ALIGNED:
-                label = SentAlignLabel.ALIGNED
-            else:
-                label = SentAlignLabel.PARTIAL
-            prev = best.get((s, u))
-            if prev is None or (prev is SentAlignLabel.PARTIAL and label is SentAlignLabel.ALIGNED):
-                best[(s, u)] = label
-    return SentenceAlignment(
-        a01.src_version,
-        a12.tgt_version,
-        frozenset((s, u, label) for (s, u), label in best.items()),
-    )
 
 
 def tune_threshold(

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 
 from .errors import TreeParseError
 
+# Parsing and the tree walks recurse once per level, so deeper nesting is
+# rejected well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 500
+
 
 @dataclass(frozen=True)
 class ParseTree:
@@ -70,23 +74,26 @@ def _lex(text: str):
 
 def parse_tree_read(text: str) -> ParseTree:
     """Parse one bracketed tree; raises TreeParseError with a character
-    offset on unbalanced brackets, missing labels, or trailing content."""
+    offset on unbalanced brackets, missing labels, nesting deeper than
+    MAX_DEPTH, or trailing content."""
     toks = _lex(text)
     if not toks:
         raise TreeParseError("empty input", 0)
-    tree, nxt, _ = _parse_node(toks, 0, 0, len(text))
+    tree, nxt, _ = _parse_node(toks, 0, 0, len(text), 0)
     if nxt != len(toks):
         raise TreeParseError("trailing content after tree", toks[nxt][1])
     return tree
 
 
-def _parse_node(toks, i: int, leaf_start: int, end_pos: int):
+def _parse_node(toks, i: int, leaf_start: int, end_pos: int, depth: int):
     tok, pos = toks[i]
     if tok == ")":
         raise TreeParseError("unexpected ')'", pos)
     if tok != "(":
         # bare leaf
         return ParseTree(tok, (), (leaf_start, leaf_start + 1)), i + 1, leaf_start + 1
+    if depth >= MAX_DEPTH:
+        raise TreeParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
     i += 1
     if i >= len(toks):
         raise TreeParseError("unbalanced brackets: expected a node label", end_pos)
@@ -102,7 +109,7 @@ def _parse_node(toks, i: int, leaf_start: int, end_pos: int):
         if toks[i][0] == ")":
             i += 1
             break
-        child, i, leaf_next = _parse_node(toks, i, leaf_next, end_pos)
+        child, i, leaf_next = _parse_node(toks, i, leaf_next, end_pos, depth + 1)
         children.append(child)
     if not children:
         raise TreeParseError(f"node {label!r} has no children", label_pos)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -7,12 +9,15 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import revkit
 from revkit.cli import main
 from revkit.corpus import DocVersion, RawGroup, build_group, load_corpus, serialize_corpus
 from revkit.errors import CorpusFormatError
 from revkit.formats import read_alignment, read_edit_file
+from revkit.intention import COARSE_LABELS, FINE_LABELS
 from revkit.sent_align import SentAlignLabel
 
 from helpers import filler_sentence
@@ -611,10 +616,12 @@ EVAL_ALIGNMENT = [
 EVAL_GOLD = ["eval", "--task", "alignment", "--pred", "{v12}", "--gold", "{bad}", "--corpus", "{corpus}"]
 EVAL_BOTH = ["eval", "--task", "alignment", "--pred", "{bad}", "--gold", "{bad}", "--corpus", "{corpus}"]
 STATS = ["stats", "--corpus", "{corpus}", "--out", "{out}", "--alignments"]
+INTENTION = ["eval", "--task", "intention", "--pred", "{bad}", "--gold", "{gold}"]
 # the corpus group has versions 1-3
 NO_SUCH_VERSIONS = b'{"src_version": 7, "tgt_version": 8, "pairs": []}'
 DEEP = b"[" * 100_000
 LONG_INT = b"9" * 5000
+DEEP_TREE = b"(X " * 2000 + b"a" + b")" * 2000
 
 
 @pytest.mark.parametrize(
@@ -644,8 +651,12 @@ LONG_INT = b"9" * 5000
         pytest.param(NO_SUCH_VERSIONS, EVAL_ALIGNMENT, id="eval pred missing versions"),
         pytest.param(NO_SUCH_VERSIONS, EVAL_GOLD, id="eval gold missing versions"),
         pytest.param(NO_SUCH_VERSIONS, EVAL_BOTH, id="eval pred and gold missing versions"),
-        pytest.param(LATIN1, ["eval", "--task", "intention", "--pred", "{bad}", "--gold", "{gold}"],
-                     id="predictions"),
+        pytest.param(LATIN1, INTENTION, id="predictions"),
+        pytest.param(b"5\nnull\n", INTENTION, id="predictions not objects"),
+        pytest.param(b'"revision_id edit_index label"\n', INTENTION, id="predictions string"),
+        pytest.param(LONG_INT, INTENTION, id="predictions long integer"),
+        pytest.param(DEEP, INTENTION, id="predictions deep nesting"),
+        pytest.param(DEEP_TREE, [*PARSE, "{bad}", "--trees-tgt", "{bad}"], id="tree deep nesting"),
         pytest.param(LATIN1, [*ALIGN, "{corpus}", "--config", "{bad}"], id="config"),
     ],
 )
@@ -664,6 +675,181 @@ def test_malformed_input_exits_2_naming_the_file(ws, tmp_path, capsys, content, 
     err = capsys.readouterr().err
     assert err.startswith("revkit: error: ")
     assert str(bad) in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed reader input: any bytes, and any JSON built from a reader's keys,
+# exit 0 or 2, never 1
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(0, 3), max_size=3), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+
+
+def _mostly(valid):
+    """`valid` three draws in four, otherwise any JSON value."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else _junk)
+
+
+# the corpus group has versions 1-3, each of two paragraphs of two sentences
+_sentence_ids = _mostly(st.lists(st.integers(0, 1), min_size=2, max_size=2))
+_labels = _mostly(st.sampled_from(["aligned", "partial", "Not_Aligned"]))
+_align_pairs = _mostly(st.fixed_dictionaries(
+    {"src": _sentence_ids, "tgt": _sentence_ids, "label": _labels},
+    optional={
+        **dict.fromkeys(("source", "src_sentence", "target", "tgt_sentence"), _sentence_ids),
+        "type": _labels,
+    },
+))
+_versions = _mostly(st.integers(1, 3))
+_alignment_docs = _mostly(st.fixed_dictionaries(
+    {"src_version": _versions, "tgt_version": _versions, "pairs": st.lists(_align_pairs, max_size=3)},
+    optional={
+        "source_version": _versions,
+        "target_version": _versions,
+        **dict.fromkeys(("alignments", "sentence_pairs"), _mostly(st.lists(_align_pairs, max_size=3))),
+        **dict.fromkeys(("arxiv_id", "paper_id"), _mostly(st.sampled_from(["2001.0001", "9999.9999"]))),
+    },
+))
+_spans = _mostly(st.none() | st.lists(st.integers(0, 7), min_size=2, max_size=2).map(sorted))
+_edits = _mostly(st.fixed_dictionaries(
+    {"kind": _mostly(st.sampled_from(["insert", "delete", "substitute", "reorder"]))},
+    optional={
+        "src": _spans,
+        "tgt": _spans,
+        "intention": _mostly(st.sampled_from(FINE_LABELS + COARSE_LABELS)),
+    },
+))
+_edit_lists = _mostly(st.lists(_edits, max_size=3))
+_revisions = _mostly(st.fixed_dictionaries(
+    {"revision_id": _mostly(st.sampled_from(["r1", "r2"])), "edits": _edit_lists},
+    optional={"src": _sentence_ids, "tgt": _sentence_ids, "alternatives": _mostly(st.lists(_edit_lists, max_size=2))},
+))
+_edit_docs = _mostly(st.fixed_dictionaries({"revisions": _mostly(st.lists(_revisions, max_size=3))}))
+_predictions = _mostly(st.fixed_dictionaries({
+    "revision_id": _mostly(st.just("r1")),
+    "edit_index": _mostly(st.integers(0, 2)),
+    "label": _mostly(st.sampled_from(FINE_LABELS + COARSE_LABELS)),
+}))
+_pharaoh_lines = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=8).map(
+    lambda links: " ".join(f"{i}-{j}" for i, j in links)
+) | st.text("0123456789- ", max_size=10)
+
+
+@st.composite
+def _trees_over(draw, words):
+    """A random bracketing of exactly `words`."""
+    if len(words) == 1 and draw(st.booleans()):
+        return words[0]
+    if len(words) == 1:
+        return f"(T {words[0]})"
+    cut = draw(st.integers(1, len(words) - 1))
+    return f"(N {draw(_trees_over(words[:cut]))} {draw(_trees_over(words[cut:]))})"
+
+
+_tree_lines = _trees_over(filler_sentence(1).split()) | st.text("()Xab \t", max_size=16)
+
+
+def _lines(strategy, min_size=0, max_size=4):
+    return st.lists(strategy, min_size=min_size, max_size=max_size).map(
+        lambda ls: "\n".join(ls).encode()
+    )
+
+
+def _json_bytes(strategy):
+    return strategy.map(lambda obj: json.dumps(obj).encode())
+
+
+@pytest.fixture(scope="module")
+def fuzz(ws):
+    root = ws.root / "fuzz"
+    root.mkdir()
+    trees = root / "trees"
+    trees.write_text("\n(S " + changed(filler_sentence(1), "a") + ")\n\n\n")
+    empty = root / "empty"
+    empty.write_text("")
+    preds = root / "pred.jsonl"
+    preds.write_text(pred_line(0, "Grammar-Typo") + "\n" + pred_line(1, "Update-Content") + "\n")
+    return {
+        "bad": str(root / "bad.in"),
+        "out": str(root / "out.json"),
+        "corpus": ws.corpus,
+        "v12": ws.v12,
+        "wa": wa_lines(ws, root / "wa.txt"),
+        "gold": intention_gold(root / "gold.json"),
+        "preds": str(preds),
+        "empty": str(empty),
+        "trees": str(trees),
+    }
+
+
+def _exits_0_or_2(names, content, *argvs):
+    with open(names["bad"], "wb") as fh:
+        fh.write(content)
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([arg.format(**names) for arg in argv])
+        assert rc in (0, 2), err.getvalue()
+
+
+_FUZZ = settings(max_examples=150, deadline=None)
+
+
+@_FUZZ
+@example(DEEP)
+@example(b'{"src_version": Infinity, "tgt_version": 2, "pairs": []}')
+@given(st.binary(max_size=64) | _json_bytes(_alignment_docs))
+def test_fuzz_alignment_reader(fuzz, content):
+    _exits_0_or_2(fuzz, content, [*EXTRACT, "{bad}", "--method", "diff"], EVAL_ALIGNMENT, EVAL_GOLD)
+
+
+@_FUZZ
+@example(DEEP)
+@example(b'{"revisions": [{"revision_id": "r1", "edits": [{"kind": []}]}]}')
+@example(b'{"revisions": [{"revision_id": "r1", "alternatives": [5]}]}')
+@example(b'{"revisions": []}')
+@given(st.binary(max_size=64) | _json_bytes(_edit_docs))
+def test_fuzz_edit_reader(fuzz, content):
+    _exits_0_or_2(
+        fuzz, content,
+        EVAL_EDITS,
+        ["eval", "--task", "edits", "--pred", "{gold}", "--gold", "{bad}"],
+        ["eval", "--task", "edits", "--pred", "{bad}", "--gold", "{bad}"],
+        ["eval", "--task", "intention", "--pred", "{preds}", "--gold", "{bad}"],
+        ["eval", "--task", "intention", "--pred", "{preds}", "--gold", "{bad}", "--classes", "coarse"],
+        ["eval", "--task", "intention", "--pred", "{empty}", "--gold", "{bad}"],
+    )
+
+
+# four lines: one per aligned pair of the v1-v2 alignment
+@_FUZZ
+@given(st.binary(max_size=64) | _lines(_pharaoh_lines, 4, 4))
+def test_fuzz_pharaoh_reader(fuzz, content):
+    _exits_0_or_2(
+        fuzz, content,
+        [*SIMPLE, "{bad}"],
+        [*EXTRACT, "{v12}", "--method", "parse", "--word-alignments", "{bad}",
+         "--trees-src", "{trees}", "--trees-tgt", "{trees}"],
+    )
+
+
+@_FUZZ
+@example(DEEP_TREE)
+@given(st.binary(max_size=64) | _lines(_tree_lines, 4, 4))
+def test_fuzz_tree_reader(fuzz, content):
+    _exits_0_or_2(fuzz, content, [*PARSE, "{bad}", "--trees-tgt", "{trees}"])
+
+
+@_FUZZ
+@example(b"5\nnull\n")
+@example(b'"revision_id edit_index label"\n')
+@example(LONG_INT)
+@example(DEEP)
+@given(st.binary(max_size=64) | _lines(_predictions.map(json.dumps)))
+def test_fuzz_prediction_reader(fuzz, content):
+    _exits_0_or_2(fuzz, content, INTENTION, [*INTENTION, "--classes", "coarse"])
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from revkit.config import (
     RunConfig,
     load_config,
     parse_config_text,
-    with_overrides,
 )
 from revkit.errors import ConfigError
 
@@ -101,8 +100,3 @@ def test_load_config_without_file():
     cfg = load_config(None, {"method": "parse"})
     assert cfg.method == "parse"
 
-
-def test_with_overrides_skips_none():
-    cfg = with_overrides(RunConfig(), tau1=0.4, method=None)
-    assert cfg.tau1 == 0.4
-    assert cfg.method == "simple"

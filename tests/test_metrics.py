@@ -1,10 +1,9 @@
 import pytest
 
-from revkit.edits import Edit, EditKind, SentenceRevision
+from revkit.edits import Edit, EditKind
 from revkit.intention import IntentionLabel
 from revkit.metrics import (
     PRF,
-    edit_stats,
     eval_alignment,
     eval_classification,
     eval_edits,
@@ -12,7 +11,6 @@ from revkit.metrics import (
 )
 
 from helpers import alignment, dele, doc, filler_sentence, ins, sub
-from oracles import make_sentence
 
 
 def test_prf_from_counts():
@@ -186,59 +184,3 @@ def test_eval_classification_input_errors():
         eval_classification(["A"], ["A", "B"])
     with pytest.raises(ValueError, match="nothing"):
         eval_classification([], [])
-
-
-# ---------------------------------------------------------------------------
-# descriptive edit statistics
-
-def insert_revision(n, width=4):
-    src = make_sentence(filler_sentence(n), version=1)
-    tgt = make_sentence(filler_sentence(70 + n, n=8), version=2)
-    return SentenceRevision(src, tgt, (Edit(None, (0, width), EditKind.INSERT),))
-
-
-def test_edit_stats_all_inserts():
-    got = edit_stats([insert_revision(0), insert_revision(1)])
-    stats = got["all"][EditKind.INSERT]
-    assert stats.count == 2
-    assert stats.fraction == 1.0
-    assert stats.mean_length == 4.0
-    assert got["small"] == got["all"]
-
-
-def test_edit_stats_length_per_kind():
-    src = make_sentence(filler_sentence(0, n=8), version=1)
-    tgt = make_sentence(filler_sentence(80, n=8), version=2)
-    rev = SentenceRevision(src, tgt, (sub(0, 1, 0, 3), dele(5, 7)))
-    got = edit_stats([rev])["all"]
-    # substitutes average the two sides, deletes measure the source
-    assert got[EditKind.SUBSTITUTE].mean_length == 2.0
-    assert got[EditKind.DELETE].mean_length == 2.0
-    assert got[EditKind.SUBSTITUTE].fraction == 0.5
-
-
-def test_edit_stats_reorder_measures_source_block():
-    src = make_sentence("aa bb cc dd", version=1)
-    tgt = make_sentence("cc dd aa bb", version=2)
-    rev = SentenceRevision(
-        src, tgt,
-        (
-            Edit((0, 2), (2, 4), EditKind.REORDER),
-            Edit((2, 4), (0, 2), EditKind.REORDER),
-        ),
-    )
-    got = edit_stats([rev])["all"]
-    assert got[EditKind.REORDER].mean_length == 2.0
-
-
-def test_edit_stats_small_bucket_cutoff():
-    src = make_sentence(filler_sentence(0, n=8), version=1)
-    tgt = make_sentence(filler_sentence(81, n=8), version=2)
-    busy = SentenceRevision(src, tgt, tuple(dele(k, k + 1) for k in range(6)))
-    light = insert_revision(2)
-    got = edit_stats([busy, light])
-    assert got["all"][EditKind.DELETE].count == 6
-    assert got["all"][EditKind.INSERT].count == 1
-    assert EditKind.DELETE not in got["small"]
-    assert got["small"][EditKind.INSERT].count == 1
-    assert got["small"][EditKind.INSERT].fraction == 1.0

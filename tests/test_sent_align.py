@@ -12,14 +12,12 @@ from revkit.sent_align import (
     SentAlignLabel,
     SentenceAlignment,
     align_sentences_directional,
-    auto_label_hybrid,
-    derive_transitive,
     merge_bidirectional,
     tune_threshold,
 )
 from revkit.similarity import char_ngram_sim, jaccard
 
-from helpers import alignment, doc, sent
+from helpers import alignment, doc
 from oracles import random_doc_pair
 
 PARA_A = [
@@ -158,7 +156,7 @@ def test_positive_pairs_and_sorting():
     }))
     assert al.positive_pairs() == {(a2, b2)}
     assert al.sorted_positive() == [(a2, b2, SentAlignLabel.PARTIAL)]
-    assert al.labels()[(a1, b1)] is SentAlignLabel.NOT_ALIGNED
+    assert (a1, b1, SentAlignLabel.NOT_ALIGNED) in al.pairs
 
 
 def test_validate_against_checks_ids():
@@ -169,86 +167,6 @@ def test_validate_against_checks_ids():
         alignment(1, 2, [((0, 9), (0, 0), None)]).validate_against(a, b)
     with pytest.raises(ValueError, match="versions"):
         good.validate_against(b, a)
-
-
-# ---------------------------------------------------------------------------
-# hybrid routing
-
-def test_hybrid_partition_bands():
-    yes = (sent("the red cat sat here today"), sent("the red cat sat here tonight"))
-    no = (sent("the red cat sat here today"), sent("a dog runs fast now there"))
-    mid = (sent("the red cat sat here"), sent("the red cat sat there"))
-    got = auto_label_hybrid([yes, no, mid])
-    assert got.auto_aligned == (yes,)
-    assert got.auto_not_aligned == (no,)
-    assert got.needs_human == (mid,)
-
-
-def test_hybrid_bounds_are_strict():
-    # jaccard exactly 0.7 and exactly 0.2 both go to the human band
-    at_upper = (
-        sent("aa bb cc dd ee ff gg"),
-        sent("aa bb cc dd ee ff gg hh ii jj"),
-    )
-    at_lower = (sent("aa bb"), sent("aa cc dd ee"))
-    assert jaccard(*at_upper) == 0.7
-    assert jaccard(*at_lower) == 0.2
-    got = auto_label_hybrid([at_upper, at_lower])
-    assert got.needs_human == (at_upper, at_lower)
-    assert not got.auto_aligned and not got.auto_not_aligned
-
-
-# ---------------------------------------------------------------------------
-# transitive composition
-
-def test_transitive_chain():
-    a1, b1, c1 = SentenceId(1, 0, 0), SentenceId(2, 0, 0), SentenceId(3, 0, 0)
-    a2, b2 = SentenceId(1, 0, 1), SentenceId(2, 0, 1)
-    a01 = SentenceAlignment(1, 2, frozenset({
-        (a1, b1, SentAlignLabel.ALIGNED),
-        (a2, b2, SentAlignLabel.ALIGNED),  # dead end: b2 goes nowhere
-    }))
-    a12 = SentenceAlignment(2, 3, frozenset({(b1, c1, SentAlignLabel.PARTIAL)}))
-    got = derive_transitive(a01, a12)
-    assert got.src_version == 1 and got.tgt_version == 3
-    assert got.pairs == {(a1, c1, SentAlignLabel.PARTIAL)}
-
-
-def test_transitive_aligned_needs_both_hops_aligned():
-    a1, b1, c1 = SentenceId(1, 0, 0), SentenceId(2, 0, 0), SentenceId(3, 0, 0)
-    both = derive_transitive(
-        SentenceAlignment(1, 2, frozenset({(a1, b1, SentAlignLabel.ALIGNED)})),
-        SentenceAlignment(2, 3, frozenset({(b1, c1, SentAlignLabel.ALIGNED)})),
-    )
-    assert both.pairs == {(a1, c1, SentAlignLabel.ALIGNED)}
-
-
-def test_transitive_best_path_wins():
-    a1 = SentenceId(1, 0, 0)
-    b1, b2 = SentenceId(2, 0, 0), SentenceId(2, 0, 1)
-    c1 = SentenceId(3, 0, 0)
-    a01 = SentenceAlignment(1, 2, frozenset({
-        (a1, b1, SentAlignLabel.PARTIAL),
-        (a1, b2, SentAlignLabel.ALIGNED),
-    }))
-    a12 = SentenceAlignment(2, 3, frozenset({
-        (b1, c1, SentAlignLabel.ALIGNED),
-        (b2, c1, SentAlignLabel.ALIGNED),
-    }))
-    assert derive_transitive(a01, a12).pairs == {(a1, c1, SentAlignLabel.ALIGNED)}
-
-
-def test_transitive_version_mismatch():
-    empty = frozenset()
-    with pytest.raises(ValueError, match="chain"):
-        derive_transitive(SentenceAlignment(1, 2, empty), SentenceAlignment(3, 4, empty))
-
-
-def test_transitive_empty_is_empty():
-    got = derive_transitive(
-        SentenceAlignment(1, 2, frozenset()), SentenceAlignment(2, 3, frozenset())
-    )
-    assert got.pairs == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from revkit.errors import TreeParseError
-from revkit.trees import ParseTree, parse_tree_read
+from revkit.trees import MAX_DEPTH, ParseTree, parse_tree_read
 
 from oracles import random_tree
 
@@ -57,6 +57,12 @@ def test_leaf_paths_run_leaf_to_root():
             assert outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
+def test_nesting_up_to_max_depth_parses_and_walks():
+    t = parse_tree_read("(X " * MAX_DEPTH + "a" + ")" * MAX_DEPTH)
+    assert len(t.leaf_paths()[0]) == MAX_DEPTH + 1
+    assert [leaf.label for leaf in t.leaves()] == ["a"]
+
+
 @pytest.mark.parametrize(
     "text,offset",
     [
@@ -68,6 +74,7 @@ def test_leaf_paths_run_leaf_to_root():
         ("()", 1),               # ')' where the label should be
         ("(S)", 1),              # labelled node with no children
         (")", 0),
+        pytest.param("(X " * 2000 + "a" + ")" * 2000, 1500, id="too deep"),  # 501st '('
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
