@@ -53,7 +53,7 @@ from .formats import (
     read_tree_file,
     write_edit_file,
 )
-from .intention import IntentionLabel, coarse_of, ingest_predictions
+from .intention import ingest_predictions, parse_label
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
 from .para_align import Thresholds, align_paragraphs
 from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
@@ -428,23 +428,20 @@ def _eval_intention_task(args: argparse.Namespace) -> dict:
     schema = args.classes
     golds = read_edit_file(args.gold)
     gold_labels: dict[tuple[str, int], str] = {}
-    fine_values = {l.value for l in IntentionLabel}
     for g in golds:
         for n, e in enumerate(g.edits):
             if e.intention is None:
                 raise FormatError(
                     f"{args.gold}: edit {n} of {g.revision_id} has no intention label"
                 )
-            if schema == "coarse":
-                value = coarse_of(e.intention).value
-            else:
-                value = e.intention.value
-                if value not in fine_values:
-                    raise FormatError(
-                        f"{args.gold}: {g.revision_id} edit {n} carries the coarse label "
-                        f"{value!r}; fine-schema scoring needs fine labels"
-                    )
-            gold_labels[(g.revision_id, n)] = value
+            try:
+                gold_labels[(g.revision_id, n)] = parse_label(e.intention.value, schema).value
+            except ValueError:
+                # edit files hold only known labels, so this is a coarse one
+                raise FormatError(
+                    f"{args.gold}: {g.revision_id} edit {n} carries the coarse label "
+                    f"{e.intention.value!r}; fine-schema scoring needs fine labels"
+                ) from None
     if not gold_labels:
         raise FormatError(f"{args.gold}: no edits to score")
     with open_text(args.pred, FormatError) as fh:
@@ -459,9 +456,7 @@ def _eval_intention_task(args: argparse.Namespace) -> dict:
     if missing:
         raise FormatError(f"{args.pred}: missing predictions for {missing[:5]}")
     keys = sorted(gold_labels)
-    report = eval_classification(
-        [pred_map[k].value for k in keys], [gold_labels[k] for k in keys], schema=schema
-    )
+    report = eval_classification([pred_map[k].value for k in keys], [gold_labels[k] for k in keys])
     return {
         "task": "intention",
         "schema": schema,

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
-from typing import Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .corpus import DocVersion, SentenceId
 from .sent_align import SentenceAlignment
@@ -36,34 +36,20 @@ class DocOperation:
     tgt_ids: tuple[SentenceId, ...]
 
 
-def doc_operations(
-    src: DocVersion, tgt: DocVersion, alignment: SentenceAlignment
-) -> tuple[DocOperation, ...]:
-    """Classify every alignment component into a document operation.
+def link_components(links: Iterable[tuple[Hashable, Hashable]]) -> list[tuple[list, list]]:
+    """Connected components of a bipartite graph given as (left, right)
+    links: per component, its distinct left ends and its distinct right
+    ends, each in first-seen order."""
+    parent: list[int] = []
+    lefts: dict = {}
+    rights: dict = {}
 
-    Alignable sentences absent from the alignment count as singleton
-    components (deletions on the source side, insertions on the target
-    side).
-    """
-    alignment.validate_against(src, tgt)
-    pairs = sorted(alignment.positive_pairs())
-
-    nodes: list[tuple[str, SentenceId]] = []
-    index: dict[tuple[str, SentenceId], int] = {}
-
-    def node(side: str, sid: SentenceId) -> int:
-        key = (side, sid)
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append(key)
-        return index[key]
-
-    for s in src.alignable_sentences():
-        node("s", s.id)
-    for t in tgt.alignable_sentences():
-        node("t", t.id)
-
-    parent = list(range(len(nodes)))
+    def node(ends: dict, key) -> int:
+        n = ends.get(key)
+        if n is None:
+            n = ends[key] = len(parent)
+            parent.append(n)
+        return n
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -71,22 +57,36 @@ def doc_operations(
             x = parent[x]
         return x
 
-    for s_id, t_id in pairs:
-        a, b = node("s", s_id), node("t", t_id)
-        # paired gold sentences may fall outside the alignable set
-        parent.extend(range(len(parent), len(nodes)))
-        ra, rb = find(a), find(b)
+    for a, b in links:
+        ra, rb = find(node(lefts, a)), find(node(rights, b))
         if ra != rb:
             parent[rb] = ra
+    groups: dict[int, tuple[list, list]] = {}
+    for side, ends in enumerate((lefts, rights)):
+        for key, n in ends.items():
+            groups.setdefault(find(n), ([], []))[side].append(key)
+    return list(groups.values())
 
-    groups: dict[int, list[tuple[str, SentenceId]]] = {}
-    for n, key in enumerate(nodes):
-        groups.setdefault(find(n), []).append(key)
 
+def doc_operations(
+    src: DocVersion, tgt: DocVersion, alignment: SentenceAlignment
+) -> tuple[DocOperation, ...]:
+    """Classify every alignment component into a document operation.
+
+    Alignable sentences absent from the alignment count as singleton
+    components (deletions on the source side, insertions on the target
+    side).  A pair may join a sentence outside the alignable set to its
+    component.
+    """
+    alignment.validate_against(src, tgt)
+    components = link_components(alignment.positive_pairs())
+    paired_src = {sid for lefts, _ in components for sid in lefts}
+    paired_tgt = {sid for _, rights in components for sid in rights}
+    components += [([s.id], []) for s in src.alignable_sentences() if s.id not in paired_src]
+    components += [([], [t.id]) for t in tgt.alignable_sentences() if t.id not in paired_tgt]
     ops = []
-    for members in groups.values():
-        src_ids = tuple(sorted(sid for side, sid in members if side == "s"))
-        tgt_ids = tuple(sorted(sid for side, sid in members if side == "t"))
+    for lefts, rights in components:
+        src_ids, tgt_ids = tuple(sorted(lefts)), tuple(sorted(rights))
         ops.append(DocOperation(_classify(src, tgt, src_ids, tgt_ids), src_ids, tgt_ids))
     return tuple(sorted(ops, key=lambda o: (o.src_ids, o.tgt_ids)))
 

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .corpus import Sentence
+from .doc_ops import link_components
 from .myers import DiffRun, myers_diff
 from .trees import ParseTree
 
@@ -80,32 +81,16 @@ def _span_surfaces(s: Sentence, span: Span | None) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SentenceRevision:
-    """An aligned sentence pair with its extracted (or gold) edits.
-
-    Edits are stored in canonical order; gold alternatives, when present,
-    are equally-valid annotations of the same pair.
-    """
+    """An aligned sentence pair with its extracted (or gold) edits,
+    stored in canonical order."""
 
     src: Sentence
     tgt: Sentence
     edits: tuple[Edit, ...]
-    gold_alternatives: tuple[tuple[Edit, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edits", tuple(sorted(self.edits, key=edit_sort_key)))
-        if self.gold_alternatives is not None:
-            if not self.gold_alternatives:
-                raise ValueError("gold_alternatives, when given, must be non-empty")
-            object.__setattr__(
-                self,
-                "gold_alternatives",
-                tuple(tuple(sorted(alt, key=edit_sort_key)) for alt in self.gold_alternatives),
-            )
-        self._validate(self.edits)
-        for alt in self.gold_alternatives or ():
-            self._validate(alt)
-
-    def _validate(self, edits: Sequence[Edit]) -> None:
+        edits = tuple(sorted(self.edits, key=edit_sort_key))
+        object.__setattr__(self, "edits", edits)
         for e in edits:
             if e.src_span is not None and e.src_span[1] > len(self.src.tokens):
                 raise ValueError(f"edit {e} exceeds the source sentence")
@@ -213,42 +198,10 @@ class _SpanPair(NamedTuple):
 def _link_components(links: Iterable[tuple[int, int]]) -> list[_SpanPair]:
     """Connected components of links sharing a source or target token,
     rendered as the envelope of their index ranges."""
-    links = sorted(links)
-    if not links:
-        return []
-    parent = list(range(len(links)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    by_src: dict[int, int] = {}
-    by_tgt: dict[int, int] = {}
-    for n, (i, j) in enumerate(links):
-        if i in by_src:
-            union(by_src[i], n)
-        else:
-            by_src[i] = n
-        if j in by_tgt:
-            union(by_tgt[j], n)
-        else:
-            by_tgt[j] = n
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for n, link in enumerate(links):
-        groups.setdefault(find(n), []).append(link)
-    out = []
-    for members in groups.values():
-        si = [i for i, _ in members]
-        tj = [j for _, j in members]
-        out.append(_SpanPair((min(si), max(si) + 1), (min(tj), max(tj) + 1)))
-    return sorted(out)
+    return sorted(
+        _SpanPair((min(si), max(si) + 1), (min(tj), max(tj) + 1))
+        for si, tj in link_components(links)
+    )
 
 
 def _overlap(a: Span, b: Span) -> bool:

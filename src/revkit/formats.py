@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .corpus import SentenceId
 from .edits import Edit, EditKind, SentenceRevision, WordAlignment, edit_sort_key
 from .errors import AlignmentFormatError, FormatError, decode_json, open_text
-from .intention import CoarseIntention, IntentionLabel
+from .intention import parse_label
 from .sent_align import SentAlignLabel, SentenceAlignment
 from .trees import ParseTree, parse_tree_read
 
@@ -80,10 +80,13 @@ def alignment_to_json(alignment: SentenceAlignment, arxiv_id: str | None = None)
     return obj
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: never a bool, a float or a numeric string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_sentence_id(value, default_version: int, where: str) -> SentenceId:
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise AlignmentFormatError(f"{where}: sentence id must be a list of ints")
     if len(value) == 2:
         return SentenceId(default_version, value[0], value[1])
@@ -102,11 +105,10 @@ def _pick(record: dict, names: Sequence[str], where: str):
 def alignment_from_json(obj, where: str = "alignment") -> tuple[str | None, SentenceAlignment]:
     if not isinstance(obj, dict):
         raise AlignmentFormatError(f"{where}: expected an object")
-    try:
-        src_v = int(_pick(obj, ("src_version", "source_version"), where))
-        tgt_v = int(_pick(obj, ("tgt_version", "target_version"), where))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AlignmentFormatError(f"{where}: versions must be integers") from exc
+    src_v = _pick(obj, ("src_version", "source_version"), where)
+    tgt_v = _pick(obj, ("tgt_version", "target_version"), where)
+    if not (_is_int(src_v) and _is_int(tgt_v)):
+        raise AlignmentFormatError(f"{where}: versions must be integers")
     raw_pairs = _pick(obj, ("pairs", "alignments", "sentence_pairs"), where)
     if not isinstance(raw_pairs, list):
         raise AlignmentFormatError(f"{where}: pairs must be a list")
@@ -185,8 +187,6 @@ def read_tree_file(path: str) -> list[ParseTree | None]:
 # edit files
 
 _KIND_BY_VALUE = {k.value: k for k in EditKind}
-_FINE_BY_VALUE = {l.value: l for l in IntentionLabel}
-_COARSE_BY_VALUE = {l.value: l for l in CoarseIntention}
 
 
 def edit_to_json(e: Edit) -> dict:
@@ -201,11 +201,7 @@ def edit_to_json(e: Edit) -> dict:
 def _span_from_json(value, loc: str) -> tuple[int, int] | None:
     if value is None:
         return None
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value):
         return (value[0], value[1])
     raise FormatError(f"{loc}: span must be null or [start, end]")
 
@@ -220,10 +216,10 @@ def edit_from_json(obj, loc: str = "edit") -> Edit:
     intention = None
     raw_intention = obj.get("intention")
     if raw_intention is not None:
-        if isinstance(raw_intention, str):
-            intention = _FINE_BY_VALUE.get(raw_intention) or _COARSE_BY_VALUE.get(raw_intention)
-        if intention is None:
-            raise FormatError(f"{loc}: unknown intention {raw_intention!r}")
+        try:
+            intention = parse_label(raw_intention)
+        except ValueError:
+            raise FormatError(f"{loc}: unknown intention {raw_intention!r}") from None
     try:
         return Edit(
             _span_from_json(obj.get("src"), loc),
@@ -264,11 +260,7 @@ def revision_to_json(rev: SentenceRevision) -> dict:
 def _id_from_json(value, loc: str) -> SentenceId | None:
     if value is None:
         return None
-    if (
-        isinstance(value, list)
-        and len(value) == 3
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ):
+    if isinstance(value, list) and len(value) == 3 and all(_is_int(x) for x in value):
         return SentenceId(*value)
     raise FormatError(f"{loc}: sentence id must be [version, paragraph, sentence]")
 

@@ -51,6 +51,25 @@ def coarse_of(label: IntentionLabel | CoarseIntention) -> CoarseIntention:
     return _FINE_TO_COARSE[label]
 
 
+# fine entries come last, so a fine label wins on the shared strings
+_LABEL_BY_VALUE = {l.value: l for l in (*CoarseIntention, *IntentionLabel)}
+
+
+def parse_label(raw, schema: str | None = None) -> IntentionLabel | CoarseIntention:
+    """The label spelled raw.  The fine schema takes fine labels only;
+    the coarse schema takes coarse labels and folds fine ones into them;
+    no schema takes either.  Anything else raises ValueError."""
+    if schema not in (None, "fine", "coarse"):
+        raise ValueError(f"unknown schema {schema!r}")
+    label = _LABEL_BY_VALUE.get(raw) if isinstance(raw, str) else None
+    if schema == "fine" and not isinstance(label, IntentionLabel):
+        hint = " (coarse label given)" if label is not None else ""
+        raise ValueError(f"unknown fine label {raw!r}{hint}")
+    if label is None:
+        raise ValueError(f"unknown {schema + ' ' if schema else ''}label {raw!r}")
+    return coarse_of(label) if schema == "coarse" else label
+
+
 def levenshtein(a: str, b: str) -> int:
     """Plain edit distance; case-sensitive."""
     if len(a) < len(b):
@@ -140,15 +159,12 @@ def ingest_predictions(
 ) -> tuple[dict[tuple[str, int], IntentionLabel | CoarseIntention], tuple[str, ...]]:
     """Parse JSONL intention predictions.
 
-    Each record carries revision_id, edit_index and label.  The fine
-    schema accepts fine labels only; the coarse schema accepts coarse
-    labels plus fine ones (folded down).  Malformed lines are collected,
-    not raised, as messages naming their line.
+    Each record carries revision_id, edit_index and a label, read by
+    parse_label under schema ("fine" or "coarse").  Malformed lines are
+    collected, not raised, as messages naming their line.
     """
     if schema not in ("fine", "coarse"):
         raise ValueError(f"unknown schema {schema!r}")
-    fine_by_value = {l.value: l for l in IntentionLabel}
-    coarse_by_value = {l.value: l for l in CoarseIntention}
     out: dict[tuple[str, int], IntentionLabel | CoarseIntention] = {}
     errors: list[str] = []
     for n, line in enumerate(lines, start=1):
@@ -175,21 +191,11 @@ def ingest_predictions(
         ):
             errors.append(f"line {n}: revision_id and label must be str and edit_index int")
             continue
-        label: IntentionLabel | CoarseIntention | None
-        if schema == "fine":
-            label = fine_by_value.get(raw)
-            if label is None:
-                hint = " (coarse label given)" if raw in coarse_by_value else ""
-                errors.append(f"line {n}: unknown fine label {raw!r}{hint}")
-                continue
-        else:
-            if raw in coarse_by_value:
-                label = coarse_by_value[raw]
-            elif raw in fine_by_value:
-                label = coarse_of(fine_by_value[raw])
-            else:
-                errors.append(f"line {n}: unknown label {raw!r}")
-                continue
+        try:
+            label = parse_label(raw, schema)
+        except ValueError as exc:
+            errors.append(f"line {n}: {exc}")
+            continue
         key = (rid, idx)
         if key in out:
             errors.append(f"line {n}: duplicate prediction for {key}")

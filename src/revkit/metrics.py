@@ -7,7 +7,6 @@ from typing import Iterable, Sequence
 
 from .corpus import DocVersion
 from .edits import Edit
-from .intention import COARSE_LABELS, FINE_LABELS
 from .sent_align import SentenceAlignment
 
 
@@ -128,26 +127,13 @@ class ClassificationReport:
     weighted_f1: float
 
 
-_SCHEMAS = {"fine": FINE_LABELS, "coarse": COARSE_LABELS}
-
-
-def eval_classification(
-    preds: Sequence[str], golds: Sequence[str], schema: str | None = None
-) -> ClassificationReport:
+def eval_classification(preds: Sequence[str], golds: Sequence[str]) -> ClassificationReport:
     """Per-class precision/recall/F1 plus accuracy and support-weighted
-    F1.  A schema name restricts the label vocabulary; without one any
-    strings go."""
+    F1 over whatever label strings are given."""
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} predictions, {len(golds)} golds")
     if not golds:
         raise ValueError("nothing to evaluate")
-    if schema is not None:
-        allowed = _SCHEMAS.get(schema)
-        if allowed is None:
-            raise ValueError(f"unknown schema {schema!r}")
-        stray = sorted((set(preds) | set(golds)) - set(allowed))
-        if stray:
-            raise ValueError(f"labels outside the {schema} schema: {stray}")
     classes = sorted(set(preds) | set(golds))
     per_class: dict[str, PRF] = {}
     support: dict[str, int] = {}

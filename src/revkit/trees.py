@@ -7,6 +7,7 @@ token span it covers, with leaves numbered left to right.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import TreeParseError
@@ -54,22 +55,12 @@ class ParseTree:
         return paths
 
 
-def _lex(text: str):
-    toks: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            toks.append((ch, i))
-            i += 1
-        else:
-            start = i
-            while i < len(text) and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            toks.append((text[start:i], start))
-    return toks
+# a bracket, or a run of anything but whitespace and brackets
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _lex(text: str) -> list[tuple[str, int]]:
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
 def parse_tree_read(text: str) -> ParseTree:

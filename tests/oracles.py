@@ -365,6 +365,27 @@ def oracle_parse(surf_s, surf_t, links, tree_s: ParseTree, tree_t: ParseTree, ma
 
 
 # ---------------------------------------------------------------------------
+# tree lexer, as first written: one Python-level test per character
+
+def oracle_lex(text: str) -> list[tuple[str, int]]:
+    toks: list[tuple[str, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            toks.append((ch, i))
+            i += 1
+        else:
+            start = i
+            while i < len(text) and not text[i].isspace() and text[i] not in "()":
+                i += 1
+            toks.append((text[start:i], start))
+    return toks
+
+
+# ---------------------------------------------------------------------------
 # tokenizer and skip filters, as first written: one Token per piece, one
 # Python-level test per character and per token
 

@@ -651,6 +651,8 @@ DEEP_TREE = b"(X " * 2000 + b"a" + b")" * 2000
         pytest.param(NO_SUCH_VERSIONS, EVAL_ALIGNMENT, id="eval pred missing versions"),
         pytest.param(NO_SUCH_VERSIONS, EVAL_GOLD, id="eval gold missing versions"),
         pytest.param(NO_SUCH_VERSIONS, EVAL_BOTH, id="eval pred and gold missing versions"),
+        pytest.param(b'{"src_version": 1.9, "tgt_version": true, "pairs": []}', EVAL_BOTH,
+                     id="eval non-integer versions"),
         pytest.param(LATIN1, INTENTION, id="predictions"),
         pytest.param(b"5\nnull\n", INTENTION, id="predictions not objects"),
         pytest.param(b'"revision_id edit_index label"\n', INTENTION, id="predictions string"),

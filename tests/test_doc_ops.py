@@ -118,6 +118,18 @@ def test_operations_sorted_and_deterministic():
     assert doc_operations(src, tgt, al) == ops
 
 
+def test_pair_joins_skipped_source_sentence_to_its_component():
+    src = doc([[filler_sentence(1), "Too short.", filler_sentence(2)]], 1)
+    tgt = doc([[filler_sentence(1), filler_sentence(3), filler_sentence(2)]], 2)
+    assert [s.id for s in src.alignable_sentences()] == [sid(1, 0, 0), sid(1, 0, 2)]
+    al = alignment(1, 2, [((0, s), (0, s), None) for s in range(3)])
+    ops = doc_operations(src, tgt, al)
+    assert DocOperation(DocOpKind.REPHRASING, (sid(1, 0, 1),), (sid(2, 0, 1),)) in ops
+    assert DocOpKind.INSERTION not in count_operations(ops)
+    assert DocOpKind.DELETION not in count_operations(ops)
+    assert len(ops) == 3
+
+
 def test_components_match_reference_search():
     rng = random.Random(61)
     for _ in range(50):

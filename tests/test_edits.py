@@ -100,18 +100,6 @@ def test_revision_rejects_differing_reorder_surfaces():
         SentenceRevision(src, tgt, (Edit((0, 1), (0, 1), EditKind.REORDER),))
 
 
-def test_revision_gold_alternatives_sorted_and_checked():
-    src = make_sentence("aa bb", version=1)
-    tgt = make_sentence("aa cc", version=2)
-    rev = SentenceRevision(
-        src, tgt, (sub(1, 2, 1, 2),),
-        gold_alternatives=((ins(1, 2), dele(1, 2)), (sub(1, 2, 1, 2),)),
-    )
-    assert rev.gold_alternatives[0] == (dele(1, 2), ins(1, 2))
-    with pytest.raises(ValueError, match="non-empty"):
-        SentenceRevision(src, tgt, (), gold_alternatives=())
-
-
 def test_word_alignment_validates_range():
     with pytest.raises(ValueError, match="out of range"):
         wa((0, 5)).validate(3, 3)

@@ -100,6 +100,10 @@ def test_alignment_reader_accepts_aliases():
     [
         (lambda o: o.pop("src_version"), "missing src_version"),
         (lambda o: o.update(src_version="one"), "versions must be integers"),
+        (lambda o: o.update(src_version="1"), "versions must be integers"),
+        (lambda o: o.update(src_version=1.9), "versions must be integers"),
+        (lambda o: o.update(tgt_version=2.0), "versions must be integers"),
+        (lambda o: o.update(tgt_version=True), "versions must be integers"),
         (lambda o: o.update(pairs={}), "pairs must be a list"),
         (lambda o: o["pairs"].append({"tgt": [0, 0], "label": "aligned"}), "missing src"),
         (

@@ -11,6 +11,7 @@ from revkit.intention import (
     coarse_of,
     ingest_predictions,
     levenshtein,
+    parse_label,
 )
 
 from helpers import dele, ins, sub
@@ -189,6 +190,26 @@ def test_ingest_unknown_label():
     assert got == {}
     assert "unknown fine label 'Fixing-Stuff'" in errs[0]
     assert "coarse label given" not in errs[0]
+
+
+def test_ingest_unknown_coarse_label():
+    got, errs = ingest_predictions([line("r", 0, "Fixing-Stuff")], schema="coarse")
+    assert got == {}
+    assert errs == ("line 1: unknown coarse label 'Fixing-Stuff'",)
+
+
+def test_parse_label_schemas():
+    assert parse_label("Grammar-Typo") is IntentionLabel.GRAMMAR_TYPO
+    assert parse_label("Improve-Language") is CoarseIntention.IMPROVE_LANGUAGE
+    assert parse_label("Grammar-Typo", "coarse") is CoarseIntention.GRAMMAR_TYPO
+    assert parse_label("Language-Style", "coarse") is CoarseIntention.IMPROVE_LANGUAGE
+    assert parse_label("Language-Style", "fine") is IntentionLabel.LANG_STYLE
+    with pytest.raises(ValueError, match=r"^unknown fine label 'Improve-Language' \(coarse"):
+        parse_label("Improve-Language", "fine")
+    with pytest.raises(ValueError, match=r"^unknown label 7$"):
+        parse_label(7)
+    with pytest.raises(ValueError, match="unknown schema"):
+        parse_label("Grammar-Typo", "medium")
 
 
 def test_ingest_duplicate_key():

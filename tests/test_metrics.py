@@ -169,16 +169,6 @@ def test_eval_classification_weighted_f1():
     assert got.weighted_f1 == pytest.approx(0.75)
 
 
-def test_eval_classification_schema_enforced():
-    preds = golds = ["Grammar-Typo", "Language-Style"]
-    report = eval_classification(preds, golds, schema="fine")
-    assert report.accuracy == 1.0
-    with pytest.raises(ValueError, match=r"outside the coarse schema.*Language-Style"):
-        eval_classification(preds, golds, schema="coarse")
-    with pytest.raises(ValueError, match="unknown schema"):
-        eval_classification(preds, golds, schema="medium")
-
-
 def test_eval_classification_input_errors():
     with pytest.raises(ValueError, match="mismatch"):
         eval_classification(["A"], ["A", "B"])

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revkit.errors import TreeParseError
-from revkit.trees import MAX_DEPTH, ParseTree, parse_tree_read
+from revkit.trees import MAX_DEPTH, ParseTree, _lex, parse_tree_read
 
-from oracles import random_tree
+from oracles import oracle_lex, random_tree
 
 
 def test_two_leaf_tree():
@@ -82,6 +84,11 @@ def test_parse_errors_carry_offsets(text, offset):
         parse_tree_read(text)
     assert err.value.pos == offset
     assert f"offset {offset}" in str(err.value)
+
+
+@given(st.text(st.sampled_from("()ab \t\n\xa0\u2028\x1c\u3000")))
+def test_lexer_matches_character_loop(text):
+    assert _lex(text) == oracle_lex(text)
 
 
 def test_single_bare_leaf():
