@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .corpus import Sentence
@@ -204,15 +206,6 @@ def _link_components(links: Iterable[tuple[int, int]]) -> list[_SpanPair]:
     )
 
 
-def _overlap(a: Span, b: Span) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
-def _adjacent_ordered(p: _SpanPair, q: _SpanPair) -> bool:
-    # p immediately before q on both sides
-    return p.src[1] == q.src[0] and p.tgt[1] == q.tgt[0]
-
-
 def _merge(p: _SpanPair, q: _SpanPair) -> _SpanPair:
     return _SpanPair(
         (min(p.src[0], q.src[0]), max(p.src[1], q.src[1])),
@@ -228,32 +221,42 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
     same order, merge only when both already differ from their target
     surfaces; identical (copy) pairs stay separate so that crossing
     copies remain visible to reorder detection.
-    """
 
-    def changed(p: _SpanPair) -> bool:
-        return (
-            _span_surfaces(src, p.src) != _span_surfaces(tgt, p.tgt)
-        )
+    The leftmost eligible pair (x, y) merges first, into position x; the
+    order matters, since adjacency reads the surfaces of merged spans.
+    A merge changes only work[x], so every row before x stays settled
+    except against work[x]: those are re-checked, cascading downwards,
+    before the forward scan resumes at the lowest changed row.
+    """
+    surf_s = src.surfaces()
+    surf_t = tgt.surfaces()
+
+    def eligible(p: _SpanPair, q: _SpanPair) -> bool:
+        (ps0, ps1), (pt0, pt1) = p
+        (qs0, qs1), (qt0, qt1) = q
+        if (ps0 < qs1 and qs0 < ps1) or (pt0 < qt1 and qt0 < pt1):
+            return True
+        if (ps1 == qs0 and pt1 == qt0) or (qs1 == ps0 and qt1 == pt0):
+            return surf_s[ps0:ps1] != surf_t[pt0:pt1] and surf_s[qs0:qs1] != surf_t[qt0:qt1]
+        return False
 
     work = list(pairs)
-    merged = True
-    while merged:
-        merged = False
-        for x in range(len(work)):
-            for y in range(x + 1, len(work)):
-                p, q = work[x], work[y]
-                if _overlap(p.src, q.src) or _overlap(p.tgt, q.tgt):
-                    pass
-                elif (_adjacent_ordered(p, q) or _adjacent_ordered(q, p)) and changed(p) and changed(q):
-                    pass
-                else:
-                    continue
-                work[x] = _merge(p, q)
-                del work[y]
-                merged = True
+    x = 0
+    while x < len(work):
+        p = work[x]
+        (ps0, ps1), (pt0, pt1) = p
+        for y in range(x + 1, len(work)):
+            (qs0, qs1), (qt0, qt1) = q = work[y]
+            # touching on one side or the other is needed for any merge
+            if (qs0 <= ps1 and ps0 <= qs1 or qt0 <= pt1 and pt0 <= qt1) and eligible(p, q):
                 break
-            if merged:
-                break
+        else:
+            x += 1
+            continue
+        work[x] = _merge(p, work.pop(y))
+        while (a := next((a for a in range(x) if eligible(work[a], work[x])), None)) is not None:
+            work[a] = _merge(work[a], work.pop(x))
+            x = a
     return sorted(work)
 
 
@@ -261,12 +264,13 @@ def _emit_edits(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> set[Edi
     edits: set[Edit] = set()
     covered_src = [False] * len(src.tokens)
     covered_tgt = [False] * len(tgt.tokens)
+    surf_s = src.surfaces()
+    surf_t = tgt.surfaces()
     for p in pairs:
-        for i in range(*p.src):
-            covered_src[i] = True
-        for j in range(*p.tgt):
-            covered_tgt[j] = True
-        if _span_surfaces(src, p.src) == _span_surfaces(tgt, p.tgt):
+        (a, b), (c, d) = p
+        covered_src[a:b] = [True] * (b - a)
+        covered_tgt[c:d] = [True] * (d - c)
+        if surf_s[a:b] == surf_t[c:d]:
             continue  # copy, no edit
         stripped = strip_identical_boundaries(
             Edit(p.src, p.tgt, EditKind.SUBSTITUTE), src, tgt
@@ -310,31 +314,42 @@ def edits_from_alignment_simple(src: Sentence, tgt: Sentence, wa: WordAlignment)
 # ---------------------------------------------------------------------------
 # tree-guided extraction
 
+def _partner_ranges(links: Iterable[tuple[int, int]], n_src: int, n_tgt: int) -> tuple[list[int], ...]:
+    """Per source token the lowest and highest target index it links to,
+    and per target token the same over source indices.  An unlinked
+    token reads (other side's length, -1), which trips no span test."""
+    s_lo, s_hi = [n_tgt] * n_src, [-1] * n_src
+    t_lo, t_hi = [n_src] * n_tgt, [-1] * n_tgt
+    for i, j in links:
+        s_lo[i] = min(s_lo[i], j)
+        s_hi[i] = max(s_hi[i], j)
+        t_lo[j] = min(t_lo[j], i)
+        t_hi[j] = max(t_hi[j], i)
+    return s_lo, s_hi, t_lo, t_hi
+
+
 def _resolve_link(
-    i: int,
-    j: int,
-    links: Sequence[tuple[int, int]],
     path_s: list[ParseTree],
     path_t: list[ParseTree],
+    reach: tuple[list[int], ...],
     max_level: int,
 ) -> _SpanPair | None:
     """Ascend from the linked leaves to the lowest ancestor pair whose
     spans close over every link touching them; levels are capped by
-    max_level (and by the root).  Returns None when the budget runs out."""
+    max_level (and by the root).  Returns None when the budget runs out.
+
+    reach holds the partner ranges of every token (_partner_ranges): a
+    span closes over its links exactly when its tokens' partner ranges
+    fall inside the other span."""
+    s_lo, s_hi, t_lo, t_hi = reach
     p = q = 0
     while True:
-        ns = path_s[min(p, len(path_s) - 1)]
-        nt = path_t[min(q, len(path_t) - 1)]
-        grow_t = any(
-            ns.span[0] <= li < ns.span[1] and not (nt.span[0] <= lj < nt.span[1])
-            for li, lj in links
-        )
-        grow_s = any(
-            nt.span[0] <= lj < nt.span[1] and not (ns.span[0] <= li < ns.span[1])
-            for li, lj in links
-        )
+        a, b = ns = path_s[min(p, len(path_s) - 1)].span
+        c, d = nt = path_t[min(q, len(path_t) - 1)].span
+        grow_t = min(s_lo[a:b]) < c or max(s_hi[a:b]) >= d
+        grow_s = min(t_lo[c:d]) < a or max(t_hi[c:d]) >= b
         if not grow_s and not grow_t:
-            return _SpanPair(ns.span, nt.span)
+            return _SpanPair(ns, nt)
         if grow_t:
             if q >= max_level:
                 return None
@@ -345,22 +360,32 @@ def _resolve_link(
             p += 1
 
 
-def _contains(outer: Span, inner: Span) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
-
-
 def _drop_nested(pairs: list[_SpanPair]) -> list[_SpanPair]:
-    """Keep only maximal span pairs; tree spans nest or are disjoint, so
-    strict containment on both sides is the only redundancy possible."""
-    unique = sorted(set(pairs))
-    return [
-        p
-        for p in unique
-        if not any(
-            q != p and _contains(q.src, p.src) and _contains(q.tgt, p.tgt)
-            for q in unique
-        )
-    ]
+    """Keep only maximal span pairs, in sorted order.
+
+    Every pair is a pair of tree-node spans, so the spans of one side
+    nest or are disjoint, and strict containment on both sides is the
+    only redundancy possible.  One sweep in (src start, -src end) order
+    keeps a stack of the src spans holding the current one; a pair is
+    dropped when a pair on that stack, or another pair with the same src
+    span, holds its tgt span.
+    """
+    unique = sorted(set(pairs), key=lambda p: (p.src[0], -p.src[1]))
+    kept: list[_SpanPair] = []
+    # (src span, the tgt spans of it and of every src span holding it)
+    stack: list[tuple[Span, list[Span]]] = []
+    for src, group in groupby(unique, key=attrgetter("src")):
+        tgts = [p.tgt for p in group]
+        while stack and stack[-1][0][1] <= src[0]:
+            stack.pop()  # ends before src starts
+        outer = stack[-1][1] if stack else []
+        for c, d in tgts:
+            if not any(a <= c and d <= b for a, b in outer) and not any(
+                a <= c and d <= b and (a, b) != (c, d) for a, b in tgts
+            ):
+                kept.append(_SpanPair(src, (c, d)))
+        stack.append((src, outer + tgts))
+    return sorted(kept)
 
 
 def edits_with_parse(
@@ -394,20 +419,22 @@ def edits_with_parse(
     links = sorted(wa.links)
     paths_s = tree_src.leaf_paths()
     paths_t = tree_tgt.leaf_paths()
+    reach = _partner_ranges(links, len(src.tokens), len(tgt.tokens))
     resolved: list[_SpanPair] = []
     unresolved: list[tuple[int, int]] = []
     for i, j in links:
-        got = _resolve_link(i, j, links, paths_s[i], paths_t[j], max_level)
+        got = _resolve_link(paths_s[i], paths_t[j], reach, max_level)
         if got is None:
             unresolved.append((i, j))
         else:
             resolved.append(got)
     candidates = _drop_nested(resolved)
-    leftover = [
-        (i, j)
-        for i, j in unresolved
-        if not any(c.src[0] <= i < c.src[1] and c.tgt[0] <= j < c.tgt[1] for c in candidates)
-    ]
+    # a resolved pair holds every link of its source tokens, so a link lies
+    # inside a candidate exactly when its source token does
+    covered = [False] * len(src.tokens)
+    for (a, b), _ in candidates:
+        covered[a:b] = [True] * (b - a)
+    leftover = [(i, j) for i, j in unresolved if not covered[i]]
     pairs = _close_span_pairs(candidates + _link_components(leftover), src, tgt)
     return _emit_edits(pairs, src, tgt)
 
@@ -426,41 +453,40 @@ def derive_reorder(
     Crossing means two links (i, j) and (i', j') with i < i' and j > j'.
     """
     wa.validate(len(src.tokens), len(tgt.tokens))
-    ident = sorted(
-        (i, j) for i, j in wa.links if src.tokens[i].surface == tgt.tokens[j].surface
-    )
+    surf_s = src.surfaces()
+    surf_t = tgt.surfaces()
+    ident = sorted((i, j) for i, j in wa.links if surf_s[i] == surf_t[j])
     ident_set = set(ident)
-    blocks: list[tuple[Span, Span, list[tuple[int, int]]]] = []
-    seen: set[tuple[int, int]] = set()
+    # tokens under some edit's span, per side
+    edited_s = [False] * len(surf_s)
+    edited_t = [False] * len(surf_t)
+    for e in edits:
+        for span, edited in ((e.src_span, edited_s), (e.tgt_span, edited_t)):
+            if span is not None:
+                for k in range(span[0], min(span[1], len(edited))):
+                    edited[k] = True
+    blocks: list[tuple[int, int, int]] = []  # (src start, tgt start, length)
     for i, j in ident:
-        if (i, j) in seen or (i - 1, j - 1) in ident_set:
-            continue
-        length = 0
+        if (i - 1, j - 1) in ident_set:
+            continue  # inside a run that starts earlier
+        length = 1
         while (i + length, j + length) in ident_set:
-            seen.add((i + length, j + length))
             length += 1
-        blocks.append(((i, i + length), (j, j + length), [(i + n, j + n) for n in range(length)]))
+        if not any(edited_s[i:i + length]) and not any(edited_t[j:j + length]):
+            blocks.append((i, j, length))
 
-    def clear_of_edits(block: tuple[Span, Span, list]) -> bool:
-        b_src, b_tgt, _ = block
-        for e in edits:
-            if e.src_span is not None and _overlap(e.src_span, b_src):
-                return False
-            if e.tgt_span is not None and _overlap(e.tgt_span, b_tgt):
-                return False
-        return True
-
-    blocks = [b for b in blocks if clear_of_edits(b)]
-
-    def crosses(a: tuple, b: tuple) -> bool:
+    def crosses(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+        (i, j, n), (i2, j2, n2) = a, b
+        if (i + n <= i2 and j + n <= j2) or (i2 + n2 <= i and j2 + n2 <= j):
+            return False  # one block wholly before the other on both sides
         return any(
-            (i < i2 and j > j2) or (i > i2 and j < j2)
-            for i, j in a[2]
-            for i2, j2 in b[2]
+            (i + x < i2 + y and j + x > j2 + y) or (i + x > i2 + y and j + x < j2 + y)
+            for x in range(n)
+            for y in range(n2)
         )
 
-    out: set[Edit] = set()
-    for b in blocks:
-        if any(crosses(b, other) for other in blocks if other is not b):
-            out.add(Edit(b[0], b[1], EditKind.REORDER))
-    return out
+    return {
+        Edit((i, i + n), (j, j + n), EditKind.REORDER)
+        for i, j, n in blocks
+        if any(crosses((i, j, n), other) for other in blocks if other != (i, j, n))
+    }

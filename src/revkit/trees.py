@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import TreeParseError
 
-# Parsing and the tree walks recurse once per level, so deeper nesting is
-# rejected well inside Python's default recursion limit of 1000.
+# The tree walks recurse once per level, so parsing rejects deeper nesting,
+# well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 500
 
 
@@ -60,6 +60,7 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _lex(text: str) -> list[tuple[str, int]]:
+    """Tokens with their character offsets; only error reports need them."""
     return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
@@ -67,41 +68,48 @@ def parse_tree_read(text: str) -> ParseTree:
     """Parse one bracketed tree; raises TreeParseError with a character
     offset on unbalanced brackets, missing labels, nesting deeper than
     MAX_DEPTH, or trailing content."""
-    toks = _lex(text)
+    toks = _TOKEN.findall(text)
+    n = len(toks)
+
+    def fail(message: str, at: int | None = None) -> TreeParseError:
+        # at is a token index; None stands for the end of the text
+        return TreeParseError(message, len(text) if at is None else _lex(text)[at][1])
+
     if not toks:
         raise TreeParseError("empty input", 0)
-    tree, nxt, _ = _parse_node(toks, 0, 0, len(text), 0)
-    if nxt != len(toks):
-        raise TreeParseError("trailing content after tree", toks[nxt][1])
+    # one frame per open node: label, label token index, first leaf, children
+    stack: list[tuple[str, int, int, list[ParseTree]]] = []
+    i = leaf = 0
+    tree: ParseTree | None = None
+    while tree is None:
+        if i == n:
+            raise fail("unbalanced brackets: expected ')'")
+        tok = toks[i]
+        if tok == "(":
+            if len(stack) >= MAX_DEPTH:
+                raise fail(f"nesting deeper than {MAX_DEPTH} levels", i)
+            if i + 1 == n:
+                raise fail("unbalanced brackets: expected a node label")
+            if toks[i + 1] in ("(", ")"):
+                raise fail("missing node label", i + 1)
+            stack.append((toks[i + 1], i + 1, leaf, []))
+            i += 2
+            continue
+        if tok == ")":
+            if not stack:
+                raise fail("unexpected ')'", i)
+            label, at, first, children = stack.pop()
+            if not children:
+                raise fail(f"node {label!r} has no children", at)
+            node = ParseTree(label, tuple(children), (first, leaf))
+        else:
+            node = ParseTree(tok, (), (leaf, leaf + 1))  # bare leaf
+            leaf += 1
+        i += 1
+        if stack:
+            stack[-1][3].append(node)
+        else:
+            tree = node
+    if i != n:
+        raise fail("trailing content after tree", i)
     return tree
-
-
-def _parse_node(toks, i: int, leaf_start: int, end_pos: int, depth: int):
-    tok, pos = toks[i]
-    if tok == ")":
-        raise TreeParseError("unexpected ')'", pos)
-    if tok != "(":
-        # bare leaf
-        return ParseTree(tok, (), (leaf_start, leaf_start + 1)), i + 1, leaf_start + 1
-    if depth >= MAX_DEPTH:
-        raise TreeParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
-    i += 1
-    if i >= len(toks):
-        raise TreeParseError("unbalanced brackets: expected a node label", end_pos)
-    label, label_pos = toks[i]
-    if label in ("(", ")"):
-        raise TreeParseError("missing node label", label_pos)
-    i += 1
-    children: list[ParseTree] = []
-    leaf_next = leaf_start
-    while True:
-        if i >= len(toks):
-            raise TreeParseError("unbalanced brackets: expected ')'", end_pos)
-        if toks[i][0] == ")":
-            i += 1
-            break
-        child, i, leaf_next = _parse_node(toks, i, leaf_next, end_pos, depth + 1)
-        children.append(child)
-    if not children:
-        raise TreeParseError(f"node {label!r} has no children", label_pos)
-    return ParseTree(label, tuple(children), (leaf_start, leaf_next)), i, leaf_next

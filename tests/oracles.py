@@ -26,7 +26,8 @@ from revkit.corpus import (
     Token,
     TokenKind,
 )
-from revkit.trees import ParseTree
+from revkit.errors import TreeParseError
+from revkit.trees import MAX_DEPTH, ParseTree
 
 Span = tuple[int, int]
 Key = tuple  # (src_span | None, tgt_span | None, kind string)
@@ -332,6 +333,21 @@ def oracle_resolve(link, links, chain_s, chain_t, max_level: int):
     return got
 
 
+def oracle_maximal(pairs) -> list[tuple[Span, Span]]:
+    """The distinct span pairs no other pair holds on both sides, sorted."""
+    unique = sorted(set(pairs))
+    return [
+        c
+        for c in unique
+        if not any(
+            o != c
+            and o[0][0] <= c[0][0] and c[0][1] <= o[0][1]
+            and o[1][0] <= c[1][0] and c[1][1] <= o[1][1]
+            for o in unique
+        )
+    ]
+
+
 def oracle_parse(surf_s, surf_t, links, tree_s: ParseTree, tree_t: ParseTree, max_level: int) -> set[Key]:
     links = sorted(links)
     chains_s = _chains(tree_s)
@@ -344,17 +360,7 @@ def oracle_parse(surf_s, surf_t, links, tree_s: ParseTree, tree_t: ParseTree, ma
             unresolved.append(link)
         else:
             resolved.append(got)
-    unique = sorted(set(resolved))
-    maximal = [
-        c
-        for c in unique
-        if not any(
-            o != c
-            and o[0][0] <= c[0][0] and c[0][1] <= o[0][1]
-            and o[1][0] <= c[1][0] and c[1][1] <= o[1][1]
-            for o in unique
-        )
-    ]
+    maximal = oracle_maximal(resolved)
     leftover = [
         (i, j)
         for i, j in unresolved
@@ -365,7 +371,50 @@ def oracle_parse(surf_s, surf_t, links, tree_s: ParseTree, tree_t: ParseTree, ma
 
 
 # ---------------------------------------------------------------------------
-# tree lexer, as first written: one Python-level test per character
+# reorders, straight from the definition: diagonal runs per diagonal,
+# token-set overlap with edits, and every link pair tested for crossing
+
+def oracle_reorder(surf_s, surf_t, links, edit_keys) -> set[Key]:
+    """Maximal diagonal runs of surface-identical links that share no
+    token with an edit's span, and that cross another such run; a
+    crossing is any link pair (i, j), (i', j') with i < i' and j > j'."""
+    by_diagonal: dict[int, list[int]] = {}
+    for i, j in links:
+        if surf_s[i] == surf_t[j]:
+            by_diagonal.setdefault(j - i, []).append(i)
+    runs: list[list[tuple[int, int]]] = []
+    for diagonal, starts in by_diagonal.items():
+        starts.sort()
+        for n, i in enumerate(starts):
+            if n == 0 or starts[n - 1] != i - 1:
+                runs.append([])  # a gap on the diagonal starts a new run
+            runs[-1].append((i, i + diagonal))
+    src_edited = set()
+    tgt_edited = set()
+    for src_span, tgt_span, _ in edit_keys:
+        if src_span is not None:
+            src_edited.update(range(*src_span))
+        if tgt_span is not None:
+            tgt_edited.update(range(*tgt_span))
+    runs = [
+        run
+        for run in runs
+        if not any(i in src_edited or j in tgt_edited for i, j in run)
+    ]
+    out: set[Key] = set()
+    for run in runs:
+        for other in runs:
+            if other is run:
+                continue
+            if any(i < i2 and j > j2 or i2 < i and j2 > j for i, j in run for i2, j2 in other):
+                (i0, j0), (i1, j1) = run[0], run[-1]
+                out.add(((i0, i1 + 1), (j0, j1 + 1), "reorder"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tree reader, as first written: a character-loop lexer and one Python
+# call per node
 
 def oracle_lex(text: str) -> list[tuple[str, int]]:
     toks: list[tuple[str, int]] = []
@@ -383,6 +432,48 @@ def oracle_lex(text: str) -> list[tuple[str, int]]:
                 i += 1
             toks.append((text[start:i], start))
     return toks
+
+
+def oracle_parse_tree(text: str) -> ParseTree:
+    """Parse one bracketed tree by recursive descent over oracle_lex."""
+    toks = oracle_lex(text)
+    if not toks:
+        raise TreeParseError("empty input", 0)
+    tree, nxt, _ = _oracle_parse_node(toks, 0, 0, len(text), 0)
+    if nxt != len(toks):
+        raise TreeParseError("trailing content after tree", toks[nxt][1])
+    return tree
+
+
+def _oracle_parse_node(toks, i: int, leaf_start: int, end_pos: int, depth: int):
+    tok, pos = toks[i]
+    if tok == ")":
+        raise TreeParseError("unexpected ')'", pos)
+    if tok != "(":
+        # bare leaf
+        return ParseTree(tok, (), (leaf_start, leaf_start + 1)), i + 1, leaf_start + 1
+    if depth >= MAX_DEPTH:
+        raise TreeParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+    i += 1
+    if i >= len(toks):
+        raise TreeParseError("unbalanced brackets: expected a node label", end_pos)
+    label, label_pos = toks[i]
+    if label in ("(", ")"):
+        raise TreeParseError("missing node label", label_pos)
+    i += 1
+    children: list[ParseTree] = []
+    leaf_next = leaf_start
+    while True:
+        if i >= len(toks):
+            raise TreeParseError("unbalanced brackets: expected ')'", end_pos)
+        if toks[i][0] == ")":
+            i += 1
+            break
+        child, i, leaf_next = _oracle_parse_node(toks, i, leaf_next, end_pos, depth + 1)
+        children.append(child)
+    if not children:
+        raise TreeParseError(f"node {label!r} has no children", label_pos)
+    return ParseTree(label, tuple(children), (leaf_start, leaf_next)), i, leaf_next
 
 
 # ---------------------------------------------------------------------------

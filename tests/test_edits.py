@@ -15,6 +15,7 @@ from revkit.edits import (
     edits_with_parse,
     strip_identical_boundaries,
 )
+from revkit.edits import _close_span_pairs, _drop_nested, _link_components, _SpanPair
 from revkit.myers import myers_diff
 from revkit.trees import parse_tree_read
 
@@ -22,7 +23,11 @@ from helpers import dele, ins, keys, sub, wa
 from oracles import (
     generate_gold_revision,
     make_sentence,
+    oracle_closure,
+    oracle_components,
+    oracle_maximal,
     oracle_parse,
+    oracle_reorder,
     oracle_simple,
     random_links,
     random_tree,
@@ -284,6 +289,40 @@ def test_simple_matches_oracle_on_randoms():
         assert got == want
 
 
+def test_closure_merges_leftmost_pair_first():
+    # merge order decides the result here: the leftmost-first order
+    # closes everything into one pair, a right-to-left order into two
+    src = make_sentence(" ".join(["a"] * 7), version=1)
+    tgt = make_sentence(" ".join(["a"] * 7), version=2)
+    links = [(0, 1), (1, 1), (2, 4), (4, 6), (5, 2), (5, 4), (6, 4)]
+    got = _close_span_pairs(_link_components(links), src, tgt)
+    assert got == [((0, 7), (1, 7))]
+    assert oracle_closure(oracle_components(links), src.surfaces(), tgt.surfaces()) == got
+
+
+def _random_span(rng: random.Random, n: int) -> tuple[int, int]:
+    a = rng.randrange(n)
+    return (a, rng.randint(a + 1, n))
+
+
+@pytest.mark.parametrize("words", [["a"], ["a", "b"]], ids=["1-word", "2-words"])
+def test_closure_matches_oracle_on_tiny_vocabularies(words):
+    # with one or two words almost every span pair is a copy or differs
+    # by a single token, so adjacency merges and their order matter
+    rng = random.Random(59 + len(words))
+    for _ in range(1500):
+        src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 7))), version=1)
+        tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 7))), version=2)
+        n, m = len(src.tokens), len(tgt.tokens)
+        if rng.random() < 0.5:
+            pairs = _link_components(random_links(rng, n, m))
+        else:
+            # any list of span pairs in any order, as the tree route builds
+            pairs = [_SpanPair(_random_span(rng, n), _random_span(rng, m)) for _ in range(rng.randint(1, 6))]
+        want = oracle_closure(pairs, src.surfaces(), tgt.surfaces())
+        assert _close_span_pairs(pairs, src, tgt) == want
+
+
 # ---------------------------------------------------------------------------
 # tree-guided route
 
@@ -348,12 +387,37 @@ def test_parse_level_zero_equals_simple_on_randoms():
         )
 
 
-def test_parse_matches_exhaustive_oracle_on_randoms():
+def test_drop_nested_keeps_maximal_pairs_on_randoms():
+    # the sweep needs each side's spans to nest or be disjoint, as the
+    # node spans of one tree do
+    rng = random.Random(67)
+
+    def node_spans(tree):
+        return [tree.span] + [s for c in tree.children for s in node_spans(c)]
+
+    for _ in range(1000):
+        spans_s = node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
+        spans_t = node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
+        pairs = [
+            _SpanPair(rng.choice(spans_s), rng.choice(spans_t))
+            for _ in range(rng.randint(0, 14))
+        ]
+        assert _drop_nested(pairs) == oracle_maximal(pairs)
+
+
+@pytest.mark.parametrize(
+    "words,max_len",
+    [
+        pytest.param(["wa", "wb", "wc", "wd"], 6, id="6-tokens-4-words"),
+        # longer many-to-many chains: a 2-word vocabulary over up to 14 tokens
+        pytest.param(["wa", "wb"], 14, id="14-tokens-2-words"),
+    ],
+)
+def test_parse_matches_exhaustive_oracle_on_randoms(words, max_len):
     rng = random.Random(47)
-    words = ["wa", "wb", "wc", "wd"]
     for _ in range(150):
-        src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 6))), version=1)
-        tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 6))), version=2)
+        src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, max_len))), version=1)
+        tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, max_len))), version=2)
         links = random_links(rng, len(src.tokens), len(tgt.tokens))
         ts = random_tree(rng, list(src.surfaces()))
         tt = random_tree(rng, list(tgt.surfaces()))
@@ -421,6 +485,36 @@ def test_reorder_composes_with_extraction():
         ((1, 2), (0, 1), "reorder"),
     }
     SentenceRevision(src, tgt, tuple(everything))
+
+
+def test_reorder_blocks_sharing_tokens():
+    # (0,0) and (1,1) form one block; (0,1) and (1,0) are blocks of
+    # their own that share tokens with it and cross each other
+    src = make_sentence("aa aa", version=1)
+    tgt = make_sentence("aa aa", version=2)
+    links = wa((0, 0), (1, 1), (0, 1), (1, 0))
+    got = derive_reorder(set(), links, src, tgt)
+    assert keys(got) == {
+        ((0, 1), (1, 2), "reorder"),
+        ((1, 2), (0, 1), "reorder"),
+    }
+    assert keys(got) == oracle_reorder(src.surfaces(), tgt.surfaces(), links.links, set())
+
+
+@pytest.mark.parametrize("words", [["a"], ["a", "b"], ["a", "b", "c"]], ids=["1-word", "2-words", "3-words"])
+def test_reorder_matches_oracle_on_randoms(words):
+    rng = random.Random(61 + len(words))
+    for _ in range(300):
+        src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))), version=1)
+        tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))), version=2)
+        n, m = len(src.tokens), len(tgt.tokens)
+        # dense links: many-to-many, so blocks often share tokens
+        density = rng.choice((0.12, 0.3, 0.5))
+        links = frozenset((i, j) for i in range(n) for j in range(m) if rng.random() < density)
+        alignment = WordAlignment(links)
+        for edits in (set(), edits_from_alignment_simple(src, tgt, alignment)):
+            got = keys(derive_reorder(edits, alignment, src, tgt))
+            assert got == oracle_reorder(src.surfaces(), tgt.surfaces(), links, keys(edits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revkit.errors import TreeParseError
 from revkit.trees import MAX_DEPTH, ParseTree, _lex, parse_tree_read
 
-from oracles import oracle_lex, random_tree
+from oracles import oracle_lex, oracle_parse_tree, random_tree
 
 
 def test_two_leaf_tree():
@@ -89,6 +89,66 @@ def test_parse_errors_carry_offsets(text, offset):
 @given(st.text(st.sampled_from("()ab \t\n\xa0\u2028\x1c\u3000")))
 def test_lexer_matches_character_loop(text):
     assert _lex(text) == oracle_lex(text)
+
+
+_TREE_TEXT = st.text(st.sampled_from("()ab \t\n\xa0\u2028\x1c\u3000"))
+_SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2028", "\u3000"])
+
+
+def _format_tree(node: ParseTree, spaces: list[str]) -> str:
+    if node.is_leaf:
+        return node.label
+    parts = [node.label, *[_format_tree(c, spaces) for c in node.children]]
+    return "(" + spaces[len(parts) % len(spaces)].join(parts) + ")"
+
+
+@st.composite
+def _tree_texts(draw) -> str:
+    shape = draw(st.sampled_from(("chars", "deep", "tree")))
+    if shape == "chars":
+        return draw(_TREE_TEXT)
+    if shape == "deep":
+        # nesting on both sides of MAX_DEPTH, closed too early, exactly or too late
+        depth = draw(st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2))
+        closing = depth + draw(st.integers(-2, 2))
+        return "(X " * depth + draw(_TREE_TEXT) + ")" * max(closing, 0)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    text = _format_tree(
+        random_tree(rng, [f"w{k}" for k in range(rng.randint(1, 9))]),
+        draw(st.lists(_SPACE, min_size=1, max_size=3)),
+    )
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(text) - 1))
+        text = text[:cut] + text[cut + 1:]  # one character dropped
+    return text
+
+
+def _preorder(tree: ParseTree) -> list[tuple]:
+    # iterative, so trees nested MAX_DEPTH deep compare without recursion
+    out, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        out.append((node.label, node.span, len(node.children)))
+        todo.extend(reversed(node.children))
+    return out
+
+
+@given(_tree_texts())
+@example(" ) (S a)")
+@example("\u3000(S\xa0(NP a) (VP b)) (T c)")
+@example("(S ( (NP a)))")
+@example("(S (NP a) ()")
+@example("(X " * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1))
+@settings(max_examples=300)
+def test_parser_matches_recursive_oracle(text):
+    try:
+        want = oracle_parse_tree(text)
+    except TreeParseError as exc:
+        with pytest.raises(TreeParseError) as err:
+            parse_tree_read(text)
+        assert (str(err.value), err.value.pos) == (str(exc), exc.pos)
+    else:
+        assert _preorder(parse_tree_read(text)) == _preorder(want)
 
 
 def test_single_bare_leaf():
