@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from .corpus import Sentence
 from .doc_ops import link_components
 from .myers import DiffRun, myers_diff
-from .trees import ParseTree
+from .trees import Tree
 
 if TYPE_CHECKING:  # pragma: no cover
     from .intention import CoarseIntention, IntentionLabel
@@ -329,35 +329,43 @@ def _partner_ranges(links: Iterable[tuple[int, int]], n_src: int, n_tgt: int) ->
 
 
 def _resolve_link(
-    path_s: list[ParseTree],
-    path_t: list[ParseTree],
+    u: int,
+    v: int,
+    tree_s: Tree,
+    tree_t: Tree,
     reach: tuple[list[int], ...],
     max_level: int,
 ) -> _SpanPair | None:
-    """Ascend from the linked leaves to the lowest ancestor pair whose
-    spans close over every link touching them; levels are capped by
-    max_level (and by the root).  Returns None when the budget runs out.
+    """Ascend from the leaf nodes u and v to the lowest ancestor pair
+    whose spans close over every link touching them; levels are capped
+    by max_level.  Returns None when the budget runs out.  A side at its
+    root spans the whole sentence and so never needs to grow: no climb
+    goes past a root.
 
     reach holds the partner ranges of every token (_partner_ranges): a
     span closes over its links exactly when its tokens' partner ranges
     fall inside the other span."""
     s_lo, s_hi, t_lo, t_hi = reach
+    starts_s, ends_s, up_s = tree_s.starts, tree_s.ends, tree_s.parents
+    starts_t, ends_t, up_t = tree_t.starts, tree_t.ends, tree_t.parents
     p = q = 0
     while True:
-        a, b = ns = path_s[min(p, len(path_s) - 1)].span
-        c, d = nt = path_t[min(q, len(path_t) - 1)].span
+        a, b = starts_s[u], ends_s[u]
+        c, d = starts_t[v], ends_t[v]
         grow_t = min(s_lo[a:b]) < c or max(s_hi[a:b]) >= d
         grow_s = min(t_lo[c:d]) < a or max(t_hi[c:d]) >= b
         if not grow_s and not grow_t:
-            return _SpanPair(ns, nt)
+            return _SpanPair((a, b), (c, d))
         if grow_t:
             if q >= max_level:
                 return None
             q += 1
+            v = up_t[v]
         if grow_s:
             if p >= max_level:
                 return None
             p += 1
+            u = up_s[u]
 
 
 def _drop_nested(pairs: list[_SpanPair]) -> list[_SpanPair]:
@@ -392,8 +400,8 @@ def edits_with_parse(
     src: Sentence,
     tgt: Sentence,
     wa: WordAlignment,
-    tree_src: ParseTree,
-    tree_tgt: ParseTree,
+    tree_src: Tree,
+    tree_tgt: Tree,
     max_level: int = 2,
 ) -> set[Edit]:
     """Tree-guided edit extraction.
@@ -417,13 +425,13 @@ def edits_with_parse(
             f"target tree covers {tree_tgt.leaf_count()} tokens, sentence has {len(tgt.tokens)}"
         )
     links = sorted(wa.links)
-    paths_s = tree_src.leaf_paths()
-    paths_t = tree_tgt.leaf_paths()
+    leaf_s = tree_src.leaf_nodes
+    leaf_t = tree_tgt.leaf_nodes
     reach = _partner_ranges(links, len(src.tokens), len(tgt.tokens))
     resolved: list[_SpanPair] = []
     unresolved: list[tuple[int, int]] = []
     for i, j in links:
-        got = _resolve_link(paths_s[i], paths_t[j], reach, max_level)
+        got = _resolve_link(leaf_s[i], leaf_t[j], tree_src, tree_tgt, reach, max_level)
         if got is None:
             unresolved.append((i, j))
         else:

@@ -21,7 +21,7 @@ from .edits import Edit, EditKind, SentenceRevision, WordAlignment, edit_sort_ke
 from .errors import AlignmentFormatError, FormatError, decode_json, open_text
 from .intention import parse_label
 from .sent_align import SentAlignLabel, SentenceAlignment
-from .trees import ParseTree, parse_tree_read
+from .trees import Tree, parse_tree_read
 
 
 def dump_json(obj) -> str:
@@ -167,9 +167,9 @@ def read_pharaoh_file(path: str) -> list[WordAlignment]:
 # ---------------------------------------------------------------------------
 # tree files, one bracketed tree per line
 
-def read_tree_file(path: str) -> list[ParseTree | None]:
+def read_tree_file(path: str) -> list[Tree | None]:
     """Blank lines stand for pairs that need no tree (identical pairs)."""
-    out: list[ParseTree | None] = []
+    out: list[Tree | None] = []
     with open_text(path, FormatError) as fh:
         for n, line in enumerate(fh, start=1):
             text = line.strip()

@@ -4,55 +4,84 @@ Trees come in the usual parenthesised notation, one tree per line in
 tree files: ``(label child child ...)`` where a child is either another
 bracketed node or a bare leaf token.  Every node carries the half-open
 token span it covers, with leaves numbered left to right.
+
+A parsed tree is a set of per-node lists, not one object per node.
+Nodes are numbered in the order they close, so every node comes after
+its descendants and the root is last; a node's descendants are exactly
+the nodes from its first descendant up to itself.  For node k:
+``starts[k]``/``ends[k]`` is its span, ``parents[k]`` its parent (-1 at
+the root), ``firsts[k]`` its first descendant (k itself for a leaf) and
+``labels[k]`` its label; ``leaf_nodes[i]`` is the node of leaf i.
+``TreeNode`` views over these lists are built only when asked for.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import TreeParseError
 
-# The tree walks recurse once per level, so parsing rejects deeper nesting,
-# well inside Python's default recursion limit of 1000.
+# Nesting is capped by the tree-file input contract (see the README).  Nothing
+# in the package recurses over a tree; the cap keeps the recursive oracle
+# parser in the tests, and any recursive reader of the same files, well
+# inside Python's default recursion limit of 1000.
 MAX_DEPTH = 500
 
 
-@dataclass(frozen=True)
-class ParseTree:
-    label: str
-    children: tuple["ParseTree", ...]
-    span: tuple[int, int]
+class TreeNode:
+    """Read-only view of node ``index`` of a parsed tree."""
+
+    __slots__ = ("tree", "index")
+
+    def __init__(self, tree: "Tree", index: int) -> None:
+        self.tree = tree
+        self.index = index
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    def label(self) -> str:
+        return self.tree.labels[self.index]
 
-    def leaves(self) -> list["ParseTree"]:
-        if self.is_leaf:
-            return [self]
-        out: list[ParseTree] = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+    @property
+    def span(self) -> tuple[int, int]:
+        return self.tree.starts[self.index], self.tree.ends[self.index]
+
+    @property
+    def children(self) -> tuple["TreeNode", ...]:
+        # the last child closes just before its parent, and each earlier
+        # child just before the first descendant of the next one
+        tree, k = self.tree, self.index
+        first = tree.firsts[k]
+        kids = []
+        c = k - 1
+        while c >= first:
+            kids.append(TreeNode(tree, c))
+            c = tree.firsts[c] - 1
+        return tuple(reversed(kids))
 
     def leaf_count(self) -> int:
-        return self.span[1] - self.span[0]
+        return self.tree.ends[self.index] - self.tree.starts[self.index]
 
-    def leaf_paths(self) -> list[list["ParseTree"]]:
-        """Per leaf index, the node chain from the leaf up to the root."""
-        paths: list[list[ParseTree]] = []
 
-        def walk(node: ParseTree, stack: list[ParseTree]) -> None:
-            stack.append(node)
-            if node.is_leaf:
-                paths.append(list(reversed(stack)))
-            else:
-                for c in node.children:
-                    walk(c, stack)
-            stack.pop()
+class Tree(TreeNode):
+    """A parsed tree: the per-node lists, read as its root node."""
 
-        walk(self, [])
-        return paths
+    __slots__ = ("starts", "ends", "parents", "firsts", "labels", "leaf_nodes")
+
+    def __init__(self, starts, ends, parents, firsts, labels, leaf_nodes) -> None:
+        self.starts: list[int] = starts
+        self.ends: list[int] = ends
+        self.parents: list[int] = parents
+        self.firsts: list[int] = firsts
+        self.labels: list[str] = labels
+        self.leaf_nodes: list[int] = leaf_nodes
+
+    # a tree is its own root view, with no reference cycle to itself
+    @property
+    def tree(self) -> "Tree":
+        return self
+
+    @property
+    def index(self) -> int:
+        return len(self.labels) - 1
 
 
 # a bracket, or a run of anything but whitespace and brackets
@@ -64,7 +93,7 @@ def _lex(text: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
-def parse_tree_read(text: str) -> ParseTree:
+def parse_tree_read(text: str) -> Tree:
     """Parse one bracketed tree; raises TreeParseError with a character
     offset on unbalanced brackets, missing labels, nesting deeper than
     MAX_DEPTH, or trailing content."""
@@ -77,11 +106,16 @@ def parse_tree_read(text: str) -> ParseTree:
 
     if not toks:
         raise TreeParseError("empty input", 0)
-    # one frame per open node: label, label token index, first leaf, children
-    stack: list[tuple[str, int, int, list[ParseTree]]] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    parents: list[int] = []
+    firsts: list[int] = []
+    labels: list[str] = []
+    leaf_nodes: list[int] = []
+    # one frame per open node: label, label token index, first leaf, first node
+    stack: list[tuple[str, int, int, int]] = []
     i = leaf = 0
-    tree: ParseTree | None = None
-    while tree is None:
+    while True:
         if i == n:
             raise fail("unbalanced brackets: expected ')'")
         tok = toks[i]
@@ -92,24 +126,34 @@ def parse_tree_read(text: str) -> ParseTree:
                 raise fail("unbalanced brackets: expected a node label")
             if toks[i + 1] in ("(", ")"):
                 raise fail("missing node label", i + 1)
-            stack.append((toks[i + 1], i + 1, leaf, []))
+            stack.append((toks[i + 1], i + 1, leaf, len(labels)))
             i += 2
             continue
+        k = len(labels)
         if tok == ")":
             if not stack:
                 raise fail("unexpected ')'", i)
-            label, at, first, children = stack.pop()
-            if not children:
+            label, at, first_leaf, first = stack.pop()
+            if first == k:
                 raise fail(f"node {label!r} has no children", at)
-            node = ParseTree(label, tuple(children), (first, leaf))
-        else:
-            node = ParseTree(tok, (), (leaf, leaf + 1))  # bare leaf
+            c = k - 1
+            while c >= first:  # children, last to first
+                parents[c] = k
+                c = firsts[c] - 1
+            starts.append(first_leaf)
+            firsts.append(first)
+        else:  # bare leaf
+            label = tok
+            starts.append(leaf)
+            firsts.append(k)
+            leaf_nodes.append(k)
             leaf += 1
+        ends.append(leaf)
+        parents.append(-1)
+        labels.append(label)
         i += 1
-        if stack:
-            stack[-1][3].append(node)
-        else:
-            tree = node
+        if not stack:
+            break
     if i != n:
         raise fail("trailing content after tree", i)
-    return tree
+    return Tree(starts, ends, parents, firsts, labels, leaf_nodes)

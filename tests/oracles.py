@@ -13,6 +13,7 @@ import random
 import re
 import string
 from collections import Counter
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
@@ -27,7 +28,7 @@ from revkit.corpus import (
     TokenKind,
 )
 from revkit.errors import TreeParseError
-from revkit.trees import MAX_DEPTH, ParseTree
+from revkit.trees import MAX_DEPTH
 
 Span = tuple[int, int]
 Key = tuple  # (src_span | None, tgt_span | None, kind string)
@@ -279,12 +280,31 @@ def oracle_simple(surf_s, surf_t, links) -> set[Key]:
 
 
 # ---------------------------------------------------------------------------
+# trees as nested nodes, one object per node
+
+@dataclass(frozen=True)
+class OracleTree:
+    label: str
+    children: tuple["OracleTree", ...]
+    span: tuple[int, int]
+
+
+def format_tree(node: OracleTree, spaces=(" ",)) -> str:
+    """Bracketed text of a tree; a node of k parts joins them with
+    spaces[k % len(spaces)]."""
+    if not node.children:
+        return node.label
+    parts = [node.label, *[format_tree(c, spaces) for c in node.children]]
+    return "(" + spaces[len(parts) % len(spaces)].join(parts) + ")"
+
+
+# ---------------------------------------------------------------------------
 # tree-guided extraction by exhaustive ancestor-pair search
 
-def _chains(tree: ParseTree) -> list[list[ParseTree]]:
-    chains: list[list[ParseTree]] = []
+def _chains(tree: OracleTree) -> list[list[OracleTree]]:
+    chains: list[list[OracleTree]] = []
 
-    def walk(node: ParseTree, above: list[ParseTree]) -> None:
+    def walk(node: OracleTree, above: list[OracleTree]) -> None:
         here = [node] + above
         if not node.children:
             chains.append(here)
@@ -348,7 +368,7 @@ def oracle_maximal(pairs) -> list[tuple[Span, Span]]:
     ]
 
 
-def oracle_parse(surf_s, surf_t, links, tree_s: ParseTree, tree_t: ParseTree, max_level: int) -> set[Key]:
+def oracle_parse(surf_s, surf_t, links, tree_s: OracleTree, tree_t: OracleTree, max_level: int) -> set[Key]:
     links = sorted(links)
     chains_s = _chains(tree_s)
     chains_t = _chains(tree_t)
@@ -434,7 +454,7 @@ def oracle_lex(text: str) -> list[tuple[str, int]]:
     return toks
 
 
-def oracle_parse_tree(text: str) -> ParseTree:
+def oracle_parse_tree(text: str) -> OracleTree:
     """Parse one bracketed tree by recursive descent over oracle_lex."""
     toks = oracle_lex(text)
     if not toks:
@@ -451,7 +471,7 @@ def _oracle_parse_node(toks, i: int, leaf_start: int, end_pos: int, depth: int):
         raise TreeParseError("unexpected ')'", pos)
     if tok != "(":
         # bare leaf
-        return ParseTree(tok, (), (leaf_start, leaf_start + 1)), i + 1, leaf_start + 1
+        return OracleTree(tok, (), (leaf_start, leaf_start + 1)), i + 1, leaf_start + 1
     if depth >= MAX_DEPTH:
         raise TreeParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
     i += 1
@@ -461,7 +481,7 @@ def _oracle_parse_node(toks, i: int, leaf_start: int, end_pos: int, depth: int):
     if label in ("(", ")"):
         raise TreeParseError("missing node label", label_pos)
     i += 1
-    children: list[ParseTree] = []
+    children: list[OracleTree] = []
     leaf_next = leaf_start
     while True:
         if i >= len(toks):
@@ -473,7 +493,7 @@ def _oracle_parse_node(toks, i: int, leaf_start: int, end_pos: int, depth: int):
         children.append(child)
     if not children:
         raise TreeParseError(f"node {label!r} has no children", label_pos)
-    return ParseTree(label, tuple(children), (leaf_start, leaf_next)), i, leaf_next
+    return OracleTree(label, tuple(children), (leaf_start, leaf_next)), i, leaf_next
 
 
 # ---------------------------------------------------------------------------
@@ -622,17 +642,17 @@ def random_doc_pair(rng: random.Random) -> tuple[DocVersion, DocVersion]:
     )
 
 
-def random_tree(rng: random.Random, surfaces, start: int = 0, depth: int = 0) -> ParseTree:
+def random_tree(rng: random.Random, surfaces, start: int = 0, depth: int = 0) -> OracleTree:
     """Random bracketing over the given leaf surfaces."""
     n = len(surfaces)
     if n == 1:
-        return ParseTree(surfaces[0], (), (start, start + 1))
+        return OracleTree(surfaces[0], (), (start, start + 1))
     if depth > 0 and (n <= 2 and rng.random() < 0.3):
         # flat node over bare leaves
         kids = tuple(
-            ParseTree(s, (), (start + k, start + k + 1)) for k, s in enumerate(surfaces)
+            OracleTree(s, (), (start + k, start + k + 1)) for k, s in enumerate(surfaces)
         )
-        return ParseTree(f"N{depth}", kids, (start, start + n))
+        return OracleTree(f"N{depth}", kids, (start, start + n))
     cut_count = rng.randint(1, min(3, n - 1))
     cuts = sorted(rng.sample(range(1, n), cut_count))
     bounds = [0, *cuts, n]
@@ -640,10 +660,10 @@ def random_tree(rng: random.Random, surfaces, start: int = 0, depth: int = 0) ->
     for lo, hi in zip(bounds, bounds[1:]):
         piece = surfaces[lo:hi]
         if len(piece) == 1 and rng.random() < 0.6:
-            kids.append(ParseTree(piece[0], (), (start + lo, start + lo + 1)))
+            kids.append(OracleTree(piece[0], (), (start + lo, start + lo + 1)))
         else:
             kids.append(random_tree(rng, piece, start + lo, depth + 1))
-    return ParseTree(f"N{depth}", tuple(kids), (start, start + n))
+    return OracleTree(f"N{depth}", tuple(kids), (start, start + n))
 
 
 def random_links(rng: random.Random, src_len: int, tgt_len: int) -> frozenset[tuple[int, int]]:

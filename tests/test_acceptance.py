@@ -40,9 +40,11 @@ from revkit.myers import myers_diff, script_cost
 from revkit.para_align import Thresholds, align_paragraphs
 from revkit.sent_align import align_sentences_directional, merge_bidirectional
 from revkit.similarity import make_metric
+from revkit.trees import parse_tree_read
 
 from helpers import alignment, dele, doc, filler_sentence, ins, keys, sub
 from oracles import (
+    format_tree,
     generate_gold_revision,
     lcs_len,
     make_sentence,
@@ -109,8 +111,8 @@ def test_parse_level_zero_degenerates_to_simple():
         src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 10))), version=1)
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 10))), version=2)
         links = WordAlignment(random_links(rng, len(src.tokens), len(tgt.tokens)))
-        ts = random_tree(rng, list(src.surfaces()))
-        tt = random_tree(rng, list(tgt.surfaces()))
+        ts = parse_tree_read(format_tree(random_tree(rng, list(src.surfaces()))))
+        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.surfaces()))))
         assert keys(edits_with_parse(src, tgt, links, ts, tt, max_level=0)) == keys(
             edits_from_alignment_simple(src, tgt, links)
         )
@@ -126,7 +128,8 @@ def test_parse_matches_exhaustive_ancestor_oracle():
         ts = random_tree(rng, list(src.surfaces()))
         tt = random_tree(rng, list(tgt.surfaces()))
         level = rng.randint(1, 3)
-        got = keys(edits_with_parse(src, tgt, WordAlignment(links), ts, tt, max_level=level))
+        read_s, read_t = parse_tree_read(format_tree(ts)), parse_tree_read(format_tree(tt))
+        got = keys(edits_with_parse(src, tgt, WordAlignment(links), read_s, read_t, max_level=level))
         assert got == oracle_parse(src.surfaces(), tgt.surfaces(), links, ts, tt, level)
 
 

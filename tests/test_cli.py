@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from revkit.intention import COARSE_LABELS, FINE_LABELS
 from revkit.sent_align import SentAlignLabel
 
 from helpers import filler_sentence
+from oracles import VOCAB, random_sentence_raw
 
 
 def changed(raw, tag):
@@ -300,6 +302,22 @@ def test_extract_edits_parse_needs_trees_for_changed_pairs(ws, tmp_path, capsys)
     assert "pair 2 needs trees on both sides" in capsys.readouterr().err
 
 
+def test_extract_edits_parse_tree_leaf_count_mismatch(ws, tmp_path, capsys):
+    # pair 2 has six tokens on each side; a bare-leaf tree covers one
+    short = tmp_path / "short.trees"
+    short.write_text("\nword\n\n\n")
+    good = tmp_path / "good.trees"
+    good.write_text("\n(S " + changed(filler_sentence(1), "a") + ")\n\n\n")
+    wa = wa_lines(ws, tmp_path / "wa.txt")
+    rc = extract(
+        ws, tmp_path / "e.json", "parse",
+        ["--word-alignments", wa, "--trees-src", str(short), "--trees-tgt", str(good)],
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pair 2 (" in err and "source tree covers 1 tokens, sentence has 6" in err
+
+
 def test_extract_edits_unknown_group_exits_2(ws, tmp_path, capsys):
     stray = tmp_path / "stray.json"
     obj = {"arxiv_id": "9999.9999", "src_version": 1, "tgt_version": 2, "pairs": []}
@@ -390,6 +408,36 @@ def test_stats_kept_definition_flag(ws, tmp_path):
     assert summary["mean_update_ratio"] == 0.0
     # constant ratios have no variance, so no correlation is reported
     assert summary["correlations"]["overall"] is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_identical_versions_are_all_copies(tmp_path, seed):
+    # metamorphic: a version aligned against an unchanged copy of itself
+    # pairs every kept sentence with itself and revises nothing
+    rng = random.Random(seed)
+    vocab = rng.sample(VOCAB, 30)
+    paras = [
+        [random_sentence_raw(rng, 4, 8, vocab) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(2, 5))
+    ]
+    versions = [DocVersion.build(1, 1000, paras), DocVersion.build(2, 3000, paras)]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(serialize_corpus([build_group("2001.0002", "cs.CL", versions)]))
+    align_dir, out = tmp_path / "align", tmp_path / "stats"
+    assert main(["align", "--corpus", str(corpus), "--out", str(align_dir)]) == 0
+    assert main(["stats", "--corpus", str(corpus), "--alignments", str(align_dir), "--out", str(out)]) == 0
+    _, al = read_alignment(str(align_dir / "2001.0002.v1-v2.json"))
+    assert al.pairs and all(
+        (s.paragraph, s.sentence, label) == (t.paragraph, t.sentence, SentAlignLabel.ALIGNED)
+        for s, t, label in al.pairs
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    counts = summary["operation_counts"]
+    assert counts.pop("copying") == len(al.pairs)
+    assert set(counts.values()) == {0}
+    assert summary["mean_update_ratio"] == 0
+    rows = (out / "update_ratios.csv").read_text().splitlines()[1:]
+    assert rows == ["2001.0002,1,2,2000,0.0"]
 
 
 def test_stats_no_alignments_exit_2(ws, tmp_path, capsys):

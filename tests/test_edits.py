@@ -21,12 +21,14 @@ from revkit.trees import parse_tree_read
 
 from helpers import dele, ins, keys, sub, wa
 from oracles import (
+    format_tree,
     generate_gold_revision,
     make_sentence,
     oracle_closure,
     oracle_components,
     oracle_maximal,
     oracle_parse,
+    oracle_parse_tree,
     oracle_reorder,
     oracle_simple,
     random_links,
@@ -373,6 +375,59 @@ def test_parse_validates_inputs():
         edits_with_parse(src, tgt, links, ts, small)
 
 
+def test_parse_climbs_unary_chain_one_level_per_node():
+    # B and C have the span of their leaf x, yet each costs a level: the
+    # links of x close only at A, three levels up, where (A x y) needs one
+    src = make_sentence("x y", version=1)
+    tgt = make_sentence("p x q", version=2)
+    links = wa((0, 1), (0, 2), (1, 0))
+    chain, flat, tgt_tree = "(A (B (C x)) y)", "(A x y)", "(T p x q)"
+    shallow = {((1, 2), (0, 1), "substitute"), (None, (2, 3), "insert")}
+    wide = {((0, 2), (0, 3), "substitute")}
+    for src_tree, level, want in ((chain, 2, shallow), (chain, 3, wide), (flat, 1, wide)):
+        ts, tt = parse_tree_read(src_tree), parse_tree_read(tgt_tree)
+        assert keys(edits_with_parse(src, tgt, links, ts, tt, max_level=level)) == want
+        assert want == oracle_parse(
+            src.surfaces(), tgt.surfaces(), links.links,
+            oracle_parse_tree(src_tree), oracle_parse_tree(tgt_tree), level,
+        )
+
+
+def test_parse_bare_leaf_trees():
+    src = make_sentence("a", version=1)
+    tgt = make_sentence("b", version=2)
+    ts, tt = parse_tree_read("a"), parse_tree_read("b")
+    for level in (0, 1, 5):
+        assert keys(edits_with_parse(src, tgt, wa((0, 0)), ts, tt, max_level=level)) == keys({sub(0, 1, 0, 1)})
+        assert keys(edits_with_parse(src, tgt, wa(), ts, tt, max_level=level)) == keys({dele(0, 1), ins(0, 1)})
+
+
+def _height(tree) -> int:
+    """Levels from the deepest leaf up to the root."""
+    def hops(k: int) -> int:
+        n = 0
+        while tree.parents[k] >= 0:
+            k, n = tree.parents[k], n + 1
+        return n
+
+    return max(hops(k) for k in tree.leaf_nodes)
+
+
+def test_parse_levels_past_the_root_change_nothing():
+    rng = random.Random(53)
+    words = ["wa", "wb", "wc"]
+    for _ in range(150):
+        src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))), version=1)
+        tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))), version=2)
+        links = WordAlignment(random_links(rng, len(src.tokens), len(tgt.tokens)))
+        ts = parse_tree_read(format_tree(random_tree(rng, list(src.surfaces()))))
+        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.surfaces()))))
+        top = max(_height(ts), _height(tt))
+        want = keys(edits_with_parse(src, tgt, links, ts, tt, max_level=top))
+        for level in (top + 1, top + 5, 10**6):
+            assert keys(edits_with_parse(src, tgt, links, ts, tt, max_level=level)) == want
+
+
 def test_parse_level_zero_equals_simple_on_randoms():
     rng = random.Random(43)
     words = ["wa", "wb", "wc", "wd"]
@@ -380,8 +435,8 @@ def test_parse_level_zero_equals_simple_on_randoms():
         src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))), version=1)
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))), version=2)
         links = WordAlignment(random_links(rng, len(src.tokens), len(tgt.tokens)))
-        ts = random_tree(rng, list(src.surfaces()))
-        tt = random_tree(rng, list(tgt.surfaces()))
+        ts = parse_tree_read(format_tree(random_tree(rng, list(src.surfaces()))))
+        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.surfaces()))))
         assert keys(edits_with_parse(src, tgt, links, ts, tt, max_level=0)) == keys(
             edits_from_alignment_simple(src, tgt, links)
         )
@@ -422,7 +477,8 @@ def test_parse_matches_exhaustive_oracle_on_randoms(words, max_len):
         ts = random_tree(rng, list(src.surfaces()))
         tt = random_tree(rng, list(tgt.surfaces()))
         level = rng.randint(1, 3)
-        got = keys(edits_with_parse(src, tgt, WordAlignment(links), ts, tt, max_level=level))
+        read_s, read_t = parse_tree_read(format_tree(ts)), parse_tree_read(format_tree(tt))
+        got = keys(edits_with_parse(src, tgt, WordAlignment(links), read_s, read_t, max_level=level))
         want = oracle_parse(src.surfaces(), tgt.surfaces(), links, ts, tt, level)
         assert got == want
 

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revkit.errors import TreeParseError
-from revkit.trees import MAX_DEPTH, ParseTree, _lex, parse_tree_read
+from revkit.trees import MAX_DEPTH, TreeNode, _lex, parse_tree_read
 
-from oracles import oracle_lex, oracle_parse_tree, random_tree
+from oracles import OracleTree, format_tree, oracle_lex, oracle_parse_tree, random_tree
 
 
 def test_two_leaf_tree():
@@ -17,21 +17,21 @@ def test_two_leaf_tree():
     assert [c.label for c in t.children] == ["NP", "VP"]
     assert t.children[0].span == (0, 1)
     assert t.children[1].span == (1, 2)
-    assert [leaf.label for leaf in t.leaves()] == ["a", "b"]
+    assert [t.labels[k] for k in t.leaf_nodes] == ["a", "b"]
     assert t.leaf_count() == 2
 
 
 def test_bare_leaf_children():
     t = parse_tree_read("(X a b c)")
     assert t.span == (0, 3)
-    assert all(c.is_leaf for c in t.children)
+    assert all(not c.children and c.leaf_count() == 1 for c in t.children)
 
 
 def test_spans_tile_the_sentence():
     t = parse_tree_read("(S (A (B a) (C b c)) (D (E d) e))")
 
     def check(node):
-        if node.is_leaf:
+        if not node.children:
             assert node.span[1] == node.span[0] + 1
             return
         assert node.children[0].span[0] == node.span[0]
@@ -45,10 +45,18 @@ def test_spans_tile_the_sentence():
     assert t.leaf_count() == 5
 
 
+def _leaf_path(tree, i: int) -> list:
+    """Nodes from leaf i up to the root, climbing by parent index."""
+    path = [tree.leaf_nodes[i]]
+    while tree.parents[path[-1]] >= 0:
+        path.append(tree.parents[path[-1]])
+    return [TreeNode(tree, k) for k in path]
+
+
 def test_leaf_paths_run_leaf_to_root():
     t = parse_tree_read("(S (NP the cat) (VP sat))")
-    paths = t.leaf_paths()
-    assert len(paths) == 3
+    assert len(t.leaf_nodes) == 3
+    paths = [_leaf_path(t, i) for i in range(3)]
     assert [n.label for n in paths[0]] == ["the", "NP", "S"]
     assert [n.label for n in paths[2]] == ["sat", "VP", "S"]
     # every path starts at a width-one span and widens monotonically
@@ -61,8 +69,8 @@ def test_leaf_paths_run_leaf_to_root():
 
 def test_nesting_up_to_max_depth_parses_and_walks():
     t = parse_tree_read("(X " * MAX_DEPTH + "a" + ")" * MAX_DEPTH)
-    assert len(t.leaf_paths()[0]) == MAX_DEPTH + 1
-    assert [leaf.label for leaf in t.leaves()] == ["a"]
+    assert [n.label for n in _leaf_path(t, 0)] == ["a"] + ["X"] * MAX_DEPTH
+    assert len(_preorder(t)) == MAX_DEPTH + 1
 
 
 @pytest.mark.parametrize(
@@ -95,13 +103,6 @@ _TREE_TEXT = st.text(st.sampled_from("()ab \t\n\xa0\u2028\x1c\u3000"))
 _SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2028", "\u3000"])
 
 
-def _format_tree(node: ParseTree, spaces: list[str]) -> str:
-    if node.is_leaf:
-        return node.label
-    parts = [node.label, *[_format_tree(c, spaces) for c in node.children]]
-    return "(" + spaces[len(parts) % len(spaces)].join(parts) + ")"
-
-
 @st.composite
 def _tree_texts(draw) -> str:
     shape = draw(st.sampled_from(("chars", "deep", "tree")))
@@ -113,7 +114,7 @@ def _tree_texts(draw) -> str:
         closing = depth + draw(st.integers(-2, 2))
         return "(X " * depth + draw(_TREE_TEXT) + ")" * max(closing, 0)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    text = _format_tree(
+    text = format_tree(
         random_tree(rng, [f"w{k}" for k in range(rng.randint(1, 9))]),
         draw(st.lists(_SPACE, min_size=1, max_size=3)),
     )
@@ -123,7 +124,8 @@ def _tree_texts(draw) -> str:
     return text
 
 
-def _preorder(tree: ParseTree) -> list[tuple]:
+def _preorder(tree) -> list[tuple]:
+    # a parsed tree's node views and the oracle's nested nodes alike;
     # iterative, so trees nested MAX_DEPTH deep compare without recursion
     out, todo = [], [tree]
     while todo:
@@ -153,7 +155,8 @@ def test_parser_matches_recursive_oracle(text):
 
 def test_single_bare_leaf():
     t = parse_tree_read("word")
-    assert t.is_leaf and t.span == (0, 1)
+    assert t.label == "word" and t.span == (0, 1) and not t.children
+    assert (t.leaf_nodes, t.parents, t.firsts) == ([0], [-1], [0])
 
 
 def test_random_trees_are_well_formed():
@@ -162,19 +165,58 @@ def test_random_trees_are_well_formed():
         n = rng.randint(1, 8)
         t = random_tree(rng, [f"w{i}" for i in range(n)])
         assert t.span == (0, n)
-        assert t.leaf_count() == n
-        assert [leaf.span[0] for leaf in t.leaves()] == list(range(n))
+        leaves = [span for _, span, kids in _preorder(t) if not kids]
+        assert leaves == [(k, k + 1) for k in range(n)]
 
 
 def test_parse_round_trip_through_format():
     text = "(S (NP the cat) (VP (V sat) (PP on (NP the mat))))"
     t = parse_tree_read(text)
     assert t.leaf_count() == 6
+    assert format_tree(t) == text
+    assert _preorder(parse_tree_read(format_tree(t))) == _preorder(t)
 
-    def fmt(node: ParseTree) -> str:
-        if node.is_leaf:
-            return node.label
-        return "(" + " ".join([node.label, *[fmt(c) for c in node.children]]) + ")"
 
-    assert fmt(t) == text
-    assert parse_tree_read(fmt(t)) == t
+def _closing_order(tree: OracleTree) -> list[list]:
+    """[label, span, parent, first descendant] per node, in closing order."""
+    rows: list[list] = []
+
+    def close(node: OracleTree) -> int:
+        first = len(rows)
+        kids = [close(c) for c in node.children]
+        rows.append([node.label, node.span, -1, first])
+        for c in kids:
+            rows[c][2] = len(rows) - 1
+        return len(rows) - 1
+
+    close(tree)
+    return rows
+
+
+def test_node_lists_follow_closing_order():
+    rng = random.Random(29)
+    for _ in range(300):
+        want = random_tree(rng, [f"w{k}" for k in range(rng.randint(1, 12))])
+        t = parse_tree_read(format_tree(want))
+        rows = _closing_order(want)
+        assert [list(r) for r in zip(t.labels, zip(t.starts, t.ends), t.parents, t.firsts)] == rows
+        assert t.leaf_nodes == [k for k, row in enumerate(rows) if row[3] == k]
+
+
+def _walk_children(tree) -> int:
+    # the walk the benchmark's tracer makes to count trees.nodes
+    stack, nodes = [tree], 0
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack.extend(node.children)
+    return nodes
+
+
+def test_children_walk_visits_every_node():
+    rng = random.Random(31)
+    texts = ["a", "(S (NP the cat) (VP sat))", "(A (B (C x)) y)", "(X " * MAX_DEPTH + "a" + ")" * MAX_DEPTH]
+    texts += [format_tree(random_tree(rng, ["w"] * rng.randint(1, 12))) for _ in range(200)]
+    for text in texts:
+        t = parse_tree_read(text)
+        assert _walk_children(t) == text.count("(") + len(t.leaf_nodes) == len(t.labels)
