@@ -4,6 +4,13 @@ Four interchangeable baselines: token Jaccard, character n-gram cosine,
 tf-idf cosine, and a symmetrised sentence-level BLEU.  All of them
 lowercase token surfaces (stored sentences keep their case), are
 symmetric, live in [0, 1], and return exactly 1.0 on identical inputs.
+
+The last three split into a per-sentence feature function and a score
+over two feature values; the scalar functions here call both.  A metric
+from make_metric keeps one cache of features keyed by the raw sentence
+text, so each distinct text is featurised once for as long as that
+metric lives (the caller holds it for one version pair).  The scores are
+the same expressions on the same features either way, bit for bit.
 """
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .corpus import DocVersion, Sentence, SentenceId
+from .corpus import DocVersion, Sentence
 
 METRIC_NAMES = ("jaccard", "tfidf", "char3gram", "bleu")
 
@@ -43,19 +50,28 @@ def _cosine(va: Mapping[str, float], vb: Mapping[str, float], na: float, nb: flo
     return dot / (na * nb)
 
 
+def _char_features(s: Sentence, n: int = 3):
+    """Lowercased raw string, its character n-gram counts, their norm."""
+    r = s.raw.lower()
+    counts = Counter(r[i:i + n] for i in range(len(r) - n + 1))
+    return r, counts, _norm(counts)
+
+
+def _char_cosine(fa, fb) -> float:
+    ra, ca, na = fa
+    rb, cb, nb = fb
+    if not ca and not cb:
+        # both strings shorter than n: fall back to string identity
+        return 1.0 if ra == rb else 0.0
+    return _cosine(ca, cb, na, nb)
+
+
 def char_ngram_sim(a: Sentence, b: Sentence, n: int = 3) -> float:
     """Cosine similarity of character n-gram counts over the lowercased
     raw strings (spaces included)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    ra = a.raw.lower()
-    rb = b.raw.lower()
-    ca = Counter(ra[i:i + n] for i in range(len(ra) - n + 1))
-    cb = Counter(rb[i:i + n] for i in range(len(rb) - n + 1))
-    if not ca and not cb:
-        # both strings shorter than n: fall back to string identity
-        return 1.0 if ra == rb else 0.0
-    return _cosine(ca, cb, _norm(ca), _norm(cb))
+    return _char_cosine(_char_features(a, n), _char_features(b, n))
 
 
 @dataclass(frozen=True)
@@ -106,27 +122,23 @@ def tfidf_sim(a: Sentence, b: Sentence, model: IdfModel) -> float:
     return _tfidf_cosine(_tfidf_vector(a, model), _tfidf_vector(b, model))
 
 
-def _cached_tfidf(model: IdfModel) -> SentenceMetric:
-    """tfidf_sim with each sentence's vector built once per metric."""
-    cache: dict[SentenceId, tuple] = {}
-
-    def vector(s: Sentence):
-        got = cache.get(s.id)
-        if got is None or got[0] is not s:
-            got = cache[s.id] = (s, _tfidf_vector(s, model))
-        return got[1]
-
-    return lambda a, b: _tfidf_cosine(vector(a), vector(b))
+def _bleu_features(s: Sentence):
+    """Token count and the 1- to 4-gram counts of the lowercased tokens."""
+    w = s.lower_surfaces()
+    return len(w), tuple(
+        Counter(w[i:i + n] for i in range(max(len(w) - n + 1, 0))) for n in range(1, 5)
+    )
 
 
-def _bleu_directional(hyp: tuple[str, ...], ref: tuple[str, ...]) -> float:
-    if not hyp or not ref:
-        return 0.0
+def _bleu_directional(hyp, ref) -> float:
+    hyp_len, hyp_grams = hyp
+    ref_len, ref_grams = ref
+    if not hyp_len or not ref_len:
+        return 1.0 if hyp_len == ref_len else 0.0
     log_sum = 0.0
-    for n in range(1, 5):
-        total = max(len(hyp) - n + 1, 0)
-        hgrams = Counter(hyp[i:i + n] for i in range(total))
-        rgrams = Counter(ref[i:i + n] for i in range(max(len(ref) - n + 1, 0)))
+    for n, hgrams, rgrams in zip(range(1, 5), hyp_grams, ref_grams):
+        total = max(hyp_len - n + 1, 0)
+        # a Counter reads 0 for a missing n-gram without storing it
         matched = sum(min(c, rgrams[g]) for g, c in hgrams.items())
         if n == 1:
             if matched == 0:
@@ -136,22 +148,43 @@ def _bleu_directional(hyp: tuple[str, ...], ref: tuple[str, ...]) -> float:
             # add-one smoothing for the higher orders
             p = (matched + 1) / (total + 1)
         log_sum += math.log(p)
-    if len(hyp) > len(ref):
+    if hyp_len > ref_len:
         bp = 1.0
     else:
-        bp = math.exp(1.0 - len(ref) / len(hyp))
+        bp = math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum / 4.0)
+
+
+def _bleu_mean(fa, fb) -> float:
+    return 0.5 * (_bleu_directional(fa, fb) + _bleu_directional(fb, fa))
 
 
 def bleu_sim(a: Sentence, b: Sentence) -> float:
     """Sentence-level BLEU (n <= 4, brevity penalty, add-one smoothing for
-    n >= 2), symmetrised by averaging both directions."""
-    wa = a.lower_surfaces()
-    wb = b.lower_surfaces()
-    return 0.5 * (_bleu_directional(wa, wb) + _bleu_directional(wb, wa))
+    n >= 2), symmetrised by averaging both directions.  Two empty
+    sentences are identical and score 1.0; one empty side scores 0.0."""
+    return _bleu_mean(_bleu_features(a), _bleu_features(b))
 
 
 SentenceMetric = Callable[[Sentence, Sentence], float]
+
+
+def _per_text(features: Callable[[Sentence], object], score: Callable) -> SentenceMetric:
+    """score(features(a), features(b)), with the features of each distinct
+    raw text built once.  Sentence.build derives the tokens from the raw
+    text alone, so sentences with equal text have equal features."""
+    cache: dict[str, object] = {}
+
+    def metric(a: Sentence, b: Sentence) -> float:
+        fa = cache.get(a.raw)
+        if fa is None:
+            fa = cache[a.raw] = features(a)
+        fb = cache.get(b.raw)
+        if fb is None:
+            fb = cache[b.raw] = features(b)
+        return score(fa, fb)
+
+    return metric
 
 
 def make_metric(name: str, src: DocVersion | None = None, tgt: DocVersion | None = None) -> SentenceMetric:
@@ -160,11 +193,12 @@ def make_metric(name: str, src: DocVersion | None = None, tgt: DocVersion | None
     if name == "jaccard":
         return jaccard
     if name == "char3gram":
-        return char_ngram_sim
+        return _per_text(_char_features, _char_cosine)
     if name == "bleu":
-        return bleu_sim
+        return _per_text(_bleu_features, _bleu_mean)
     if name == "tfidf":
         if src is None or tgt is None:
             raise ValueError("tfidf metric needs the two document versions to fit idf")
-        return _cached_tfidf(build_idf([src, tgt]))
+        model = build_idf([src, tgt])
+        return _per_text(lambda s: _tfidf_vector(s, model), _tfidf_cosine)
     raise ValueError(f"unknown metric {name!r} (choose from {', '.join(METRIC_NAMES)})")

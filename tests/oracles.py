@@ -143,6 +143,58 @@ def oracle_tfidf(a: Sentence, b: Sentence, model) -> float:
 
 
 # ---------------------------------------------------------------------------
+# character trigram cosine and sentence BLEU, recomputed from scratch for
+# every pair (the n-gram loops as first written)
+
+def oracle_char_trigram(a: Sentence, b: Sentence) -> float:
+    ra = a.raw.lower()
+    rb = b.raw.lower()
+    ca = Counter(ra[i:i + 3] for i in range(len(ra) - 2))
+    cb = Counter(rb[i:i + 3] for i in range(len(rb) - 2))
+    if not ca and not cb:
+        return 1.0 if ra == rb else 0.0
+    if ca == cb:
+        return 1.0
+    dot = sum(w * cb.get(k, 0.0) for k, w in ca.items())
+    na = math.sqrt(sum(w * w for w in ca.values()))
+    nb = math.sqrt(sum(w * w for w in cb.values()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def _oracle_bleu_one_way(hyp: tuple, ref: tuple) -> float:
+    if not hyp and not ref:
+        return 1.0
+    if not hyp or not ref:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        total = max(len(hyp) - n + 1, 0)
+        hgrams = Counter(hyp[i:i + n] for i in range(total))
+        rgrams = Counter(ref[i:i + n] for i in range(max(len(ref) - n + 1, 0)))
+        matched = sum(min(c, rgrams[g]) for g, c in hgrams.items())
+        if n == 1:
+            if matched == 0:
+                return 0.0
+            p = matched / total
+        else:
+            p = (matched + 1) / (total + 1)
+        log_sum += math.log(p)
+    if len(hyp) > len(ref):
+        bp = 1.0
+    else:
+        bp = math.exp(1.0 - len(ref) / len(hyp))
+    return bp * math.exp(log_sum / 4.0)
+
+
+def oracle_bleu(a: Sentence, b: Sentence) -> float:
+    wa = a.lower_surfaces()
+    wb = b.lower_surfaces()
+    return 0.5 * (_oracle_bleu_one_way(wa, wb) + _oracle_bleu_one_way(wb, wa))
+
+
+# ---------------------------------------------------------------------------
 # link components by breadth-first search
 
 def oracle_components(links) -> list[tuple[Span, Span]]:

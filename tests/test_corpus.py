@@ -6,9 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revkit.corpus import (
+    SPECIAL_KINDS,
     ArticleGroup,
     DocVersion,
     Paragraph,
+    RawGroup,
     Sentence,
     SentenceId,
     Subject,
@@ -208,6 +210,44 @@ def test_paragraph_skip_filter_matches_oracle(raws):
     expected = oracle_paragraph_skip([_oracle_sentence(r, n) for n, r in enumerate(raws)])
     assert paragraph_skip_filter(p) is expected
     assert p.skipped is expected
+
+
+@st.composite
+def _repeating_versions(draw):
+    """Versions drawn from a small pool of texts, so that texts repeat
+    within a paragraph, across paragraphs and across versions."""
+    pool = draw(st.lists(
+        _texts | st.sampled_from([
+            "the model we train here is small",
+            "The Model we train here is small",
+            "[REF] [CIT] [MATH] these words",
+            "one two three four ,",
+            "abcdefg 1 2 3",
+        ]),
+        min_size=1, max_size=6,
+    ))
+    paragraphs = st.lists(st.lists(st.sampled_from(pool), max_size=5), max_size=4)
+    versions = draw(st.lists(paragraphs, min_size=1, max_size=3))
+    return tuple((v, 1000 * v, paras) for v, paras in enumerate(versions, 1))
+
+
+@given(_repeating_versions())
+def test_group_build_matches_sentence_by_sentence_oracle(versions):
+    group = RawGroup("2101.00001", "cs", versions).build()
+    first_tokens: dict[str, tuple] = {}
+    for (index, _, raws), version in zip(versions, group.versions):
+        assert len(version.paragraphs) == len(raws)
+        for p, (para_raws, para) in enumerate(zip(raws, version.paragraphs)):
+            expected = [Sentence(SentenceId(index, p, n), raw, oracle_tokenize(raw))
+                        for n, raw in enumerate(para_raws)]
+            assert len(para.sentences) == len(expected)
+            for s, e in zip(para.sentences, expected):
+                assert (s.id, s.raw, s.tokens) == (e.id, e.raw, e.tokens)
+                assert s.skipped is sentence_skip_filter(e)
+                assert s.special_count == sum(t.kind in SPECIAL_KINDS for t in e.tokens)
+                # equal texts in one group share one tokens tuple
+                assert s.tokens is first_tokens.setdefault(s.raw, s.tokens)
+            assert para.skipped is oracle_paragraph_skip(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from revkit.similarity import (
 )
 
 from helpers import doc, sent
-from oracles import oracle_tfidf, random_doc_pair
+from oracles import oracle_bleu, oracle_char_trigram, oracle_tfidf, random_doc_pair
 
 WORDS = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red"]
 sentences = st.lists(st.sampled_from(WORDS), min_size=0, max_size=8).map(
@@ -188,8 +188,9 @@ def test_bleu_hand_value():
 
 
 def test_bleu_empty_is_zero():
-    assert bleu_sim(sent(""), sent("")) == 0.0
+    # one empty side; two empty sentences are identical and score 1.0
     assert bleu_sim(sent("the cat sat here"), sent("")) == 0.0
+    assert bleu_sim(sent(""), sent("the cat sat here")) == 0.0
 
 
 @given(sentences, sentences)
@@ -219,16 +220,58 @@ def test_make_metric_names():
         assert metric(s, t) == 1.0  # identical sentence both sides
 
 
-def test_make_metric_tfidf_caches_bit_identically():
+def _scalar(name: str, model: IdfModel):
+    """The metric's scalar function, and its from-scratch oracle."""
+    return {
+        "jaccard": (jaccard, jaccard),
+        "tfidf": (lambda a, b: tfidf_sim(a, b, model), lambda a, b: oracle_tfidf(a, b, model)),
+        "char3gram": (char_ngram_sim, oracle_char_trigram),
+        "bleu": (bleu_sim, oracle_bleu),
+    }[name]
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_make_metric_caches_bit_identically(name):
     rng = random.Random(17)
     for _ in range(15):
         a, b = random_doc_pair(rng)
-        metric = make_metric("tfidf", a, b)
-        model = build_idf([a, b])
+        metric = make_metric(name, a, b)
+        scalar, oracle = _scalar(name, build_idf([a, b]))
         for s in a.sentences():
             for t in b.sentences():
-                assert metric(s, t) == tfidf_sim(s, t, model) == oracle_tfidf(s, t, model)
-                assert metric(t, s) == oracle_tfidf(t, s, model)
+                assert metric(s, t) == scalar(s, t) == oracle(s, t)
+                assert metric(t, s) == scalar(t, s) == oracle(t, s)
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_make_metric_cache_keys_on_text(name):
+    a, b = two_docs()
+    metric = make_metric(name, a, b)
+    scalar, _ = _scalar(name, build_idf([a, b]))
+    t = b.paragraphs[0].sentences[1]
+    # the same text under two ids
+    same = [sent("a dog ran over the hill", 1, 0, 0), sent("a dog ran over the hill", 2, 3, 4)]
+    for s in same + same:
+        assert metric(s, t) == metric(t, s) == scalar(s, t)
+    # two texts under one id, in either order of first use
+    s1, s2 = sent("the cat sat on the mat"), sent("another dog walked over the hill")
+    assert s1.id == s2.id
+    for s in (s1, s2, s1, t, s2):
+        assert metric(s, t) == scalar(s, t)
+        assert metric(t, s) == scalar(t, s)
+    assert metric(s1, t) != metric(s2, t)
+
+
+@pytest.mark.parametrize("raw", ["", "word", "the cat sat on the mat"])
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_every_metric_is_exactly_one_on_identical_inputs(name, raw):
+    a, b = two_docs()
+    metric = make_metric(name, a, b)
+    scalar, _ = _scalar(name, build_idf([a, b]))
+    s, twin = sent(raw), sent(raw, 2, 1, 1)
+    for x, y in ((s, s), (s, twin), (twin, s)):
+        assert scalar(x, y) == 1.0
+        assert metric(x, y) == 1.0
 
 
 def test_make_metric_tfidf_cache_tells_same_id_apart():
