@@ -94,7 +94,7 @@ def tokenize(text: str) -> tuple[Token, ...]:
 # depend on the chunk alone and Token is frozen, so repeated words share
 # one tuple of Token instances.  A group build tokenizes each distinct
 # sentence text once, so only distinct texts look chunks up here; on the
-# benchmark corpora 77-84% of those lookups still hit.  The largest group
+# benchmark corpora 76-84% of those lookups still hit.  The largest group
 # there, with punctuation attached to words as in running text, has
 # 7,432 distinct chunks; this size holds about two such groups, gives the
 # same hit share as 65,536 on every corpus measured, and holds about 5 MB

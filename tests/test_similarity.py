@@ -253,7 +253,7 @@ def test_make_metric_cache_keys_on_text(name):
     same = [sent("a dog ran over the hill", 1, 0, 0), sent("a dog ran over the hill", 2, 3, 4)]
     for s in same + same:
         assert metric(s, t) == metric(t, s) == scalar(s, t)
-    # two texts under one id, in either order of first use
+    # two texts under one id, each scored again after the other
     s1, s2 = sent("the cat sat on the mat"), sent("another dog walked over the hill")
     assert s1.id == s2.id
     for s in (s1, s2, s1, t, s2):
