@@ -21,9 +21,10 @@ import traceback
 from collections import Counter
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .config import RunConfig, load_config
+from .config import EDIT_METHODS, RunConfig, load_config
 from .corpus import ArticleGroup, DocVersion, RawGroup, load_corpus, read_corpus
 from .doc_ops import (
+    KEPT_DEFINITIONS,
     DocOpKind,
     PositionHistogram,
     action_composition_by_ratio,
@@ -57,7 +58,7 @@ from .intention import ingest_predictions, parse_label
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
 from .para_align import Thresholds, align_paragraphs
 from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
-from .similarity import make_metric
+from .similarity import METRIC_NAMES, make_metric
 
 log = logging.getLogger("revkit")
 
@@ -482,9 +483,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }[args.task]
     report = task(args)
     text = dump_json(report)
-    sys.stdout.write(text)
     if args.out:
         atomic_write_text(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -509,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--compat", action="store_true", help="read third-party corpus JSON shapes")
-    p.add_argument("--metric", dest="sentence_metric", choices=("jaccard", "tfidf", "char3gram", "bleu"))
+    p.add_argument("--metric", dest="sentence_metric", choices=METRIC_NAMES)
     p.add_argument("--threshold", dest="sentence_threshold", type=float)
     for name in ("tau1", "tau2", "tau3", "tau4"):
         p.add_argument(f"--{name}", type=float)
@@ -521,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alignment", required=True, help="one alignment JSON file")
     p.add_argument("--out", required=True, help="output edit JSON file")
     p.add_argument("--compat", action="store_true")
-    p.add_argument("--method", choices=("diff", "simple", "parse"))
+    p.add_argument("--method", choices=EDIT_METHODS)
     p.add_argument("--word-alignments", help="Pharaoh file, one line per aligned pair")
     p.add_argument("--trees-src", help="bracketed trees, one line per aligned pair")
     p.add_argument("--trees-tgt")
@@ -534,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alignments", required=True, nargs="+", help="alignment files or directories")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--compat", action="store_true")
-    p.add_argument("--kept-definition", dest="kept_definition", choices=("copy_only", "copy_or_rephrase"))
+    p.add_argument("--kept-definition", dest="kept_definition", choices=KEPT_DEFINITIONS)
     p.add_argument("--bins", type=int)
     _add_config_flags(p)
     p.set_defaults(func=cmd_stats)

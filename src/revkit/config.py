@@ -12,8 +12,8 @@ from .errors import ConfigError, open_text
 from .similarity import METRIC_NAMES
 
 # Starting points per metric for the sentence-level threshold.  These are
-# placeholders meant to be re-tuned on a development set (see
-# sent_align.tune_threshold); they are not calibrated constants.
+# placeholders meant to be re-tuned on a development set (see the dev-split
+# sweep in tests/test_acceptance.py); they are not calibrated constants.
 DEFAULT_SENTENCE_THRESHOLDS = {
     "jaccard": 0.3,
     "tfidf": 0.4,

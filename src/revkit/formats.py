@@ -32,7 +32,11 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     half-written file and failures leave the old content in place."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    except OSError as exc:
+        # name the requested file, not the temp file that could not be made
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -8,11 +8,13 @@ asymmetry is part of the published behaviour of this procedure and must
 not be "fixed".
 
 The sentence x sentence Jaccard matrix is computed once per version
-pair.  Segment reductions turn it into the tensor: ``np.maximum.reduceat``
-over paragraph boundaries gives each sentence's best match per paragraph,
-and each block mean is one contiguous 1-D reduction, so it rounds exactly
-as a per-block ``np.mean`` would.  The same matrix then serves sentence
-alignment as a score lookup.
+pair.  Each distinct sentence text of the pair is encoded once, into its
+list of lowercase-token ids over one vocabulary shared by both sides, and
+repeated texts reuse that list.  Segment reductions turn the matrix into
+the tensor: ``np.maximum.reduceat`` over paragraph boundaries gives each
+sentence's best match per paragraph, and each block mean is one
+contiguous 1-D reduction, so it rounds exactly as a per-block ``np.mean``
+would.  The same matrix then serves sentence alignment as a score lookup.
 """
 from __future__ import annotations
 
@@ -107,39 +109,46 @@ class ParaAlignment:
         return ParaAlignment(frozenset((j, i) for i, j in self.pairs), scores)
 
 
-def _sentence_rows(paragraphs: tuple[Paragraph, ...]):
-    """Token sets of the non-skipped sentences, their SentenceId -> row
-    map, and each paragraph's [start, end) row range."""
-    sets: list[frozenset[str]] = []
+def _sentence_rows(
+    paragraphs: tuple[Paragraph, ...], memo: dict[str, list[int]], vocab: dict[str, int]
+):
+    """Token-id lists of the non-skipped sentences, their SentenceId -> row
+    map, and each paragraph's [start, end) row range.  memo holds each
+    distinct raw text's ids over vocab; both grow in place."""
+    ids: list[list[int]] = []
     rows: dict[SentenceId, int] = {}
     bounds: list[tuple[int, int]] = []
     for p in paragraphs:
-        start = len(sets)
+        start = len(ids)
         for s in p.sentences:
             if not s.skipped:
-                rows[s.id] = len(sets)
-                sets.append(s.lower_token_set())
-        bounds.append((start, len(sets)))
-    return sets, rows, bounds
+                rows[s.id] = len(ids)
+                row = memo.get(s.raw)
+                if row is None:
+                    row = memo[s.raw] = [vocab.setdefault(w, len(vocab)) for w in s.lower_token_set()]
+                ids.append(row)
+        bounds.append((start, len(ids)))
+    return ids, rows, bounds
 
 
 def compute_sim_tensor(src: DocVersion, tgt: DocVersion) -> ParaSimTensor:
     """Build both similarity matrices over the non-skipped paragraphs.
 
     Skipped sentences take part in neither the average nor the max; a
-    paragraph whose sentences are all skipped yields a zero row/column.
+    paragraph whose sentences are all skipped yields a zero row/column,
+    and an empty version yields zero-size matrices.
     """
-    if not src.paragraphs or not tgt.paragraphs:
-        raise ValueError("cannot align an empty version")
     sp = src.alignable_paragraphs()
     tp = tgt.alignable_paragraphs()
     k, l = len(sp), len(tp)
     sim1 = np.zeros((k, l), dtype=np.float64)
     sim2 = np.zeros((k, l), dtype=np.float64)
-    src_sets, src_rows, src_bounds = _sentence_rows(sp)
-    tgt_sets, tgt_rows, tgt_bounds = _sentence_rows(tp)
-    matrix = jaccard_matrix(src_sets, tgt_sets)
-    if src_sets and tgt_sets:
+    memo: dict[str, list[int]] = {}
+    vocab: dict[str, int] = {}
+    src_ids, src_rows, src_bounds = _sentence_rows(sp, memo, vocab)
+    tgt_ids, tgt_rows, tgt_bounds = _sentence_rows(tp, memo, vocab)
+    matrix = jaccard_matrix(src_ids, tgt_ids)
+    if src_ids and tgt_ids:
         # reduceat mishandles empty segments, so reduce over non-empty
         # paragraphs only; all-skipped paragraphs keep their zero row/column
         si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]

@@ -142,29 +142,3 @@ def merge_bidirectional(fwd: SentenceAlignment, bwd: SentenceAlignment) -> Sente
         else:
             merged.add((s, t, SentAlignLabel.PARTIAL))
     return SentenceAlignment(fwd.src_version, fwd.tgt_version, frozenset(merged))
-
-
-def tune_threshold(
-    paras: ParaAlignment,
-    src: DocVersion,
-    tgt: DocVersion,
-    metric: SentenceMetric,
-    gold: SentenceAlignment,
-    resolution: float = 0.01,
-) -> float:
-    """Grid-search the alignment threshold against a gold alignment,
-    maximizing F1 at the given resolution (ties go to the lowest value)."""
-    from .metrics import eval_alignment
-
-    steps = int(round(1.0 / resolution))
-    best_thr = 0.0
-    best_f1 = -1.0
-    for n in range(steps + 1):
-        thr = n * resolution
-        pred = align_sentences_directional(paras, src, tgt, metric, thr)
-        back = align_sentences_directional(paras.reversed(), tgt, src, metric, thr)
-        merged = merge_bidirectional(pred, back)
-        f1 = eval_alignment(merged, gold, src, tgt).f1
-        if f1 > best_f1:
-            best_f1, best_thr = f1, thr
-    return best_thr

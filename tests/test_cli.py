@@ -205,6 +205,24 @@ def test_align_compat_corpus_matches_native_spelling(ws, tmp_path, jobs):
         assert (out / name).read_bytes() == (ws.align_dir / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_empty_version_aligns_beside_a_healthy_group(ws, tmp_path, jobs):
+    healthy = json.loads(Path(ws.corpus).read_text())[0]
+    bad = json.loads(json.dumps(healthy))
+    bad["arxiv_id"] = "2001.0002"
+    bad["versions"][1]["paragraphs"] = []
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([healthy, bad]))
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out), "--jobs", jobs]) == 0
+    for name in os.listdir(ws.align_dir):
+        assert (out / name).read_bytes() == (ws.align_dir / name).read_bytes()
+    for pair in ("v1-v2", "v2-v3"):
+        _, got = read_alignment(str(out / f"2001.0002.{pair}.json"))
+        assert got.pairs == frozenset()
+    assert len(os.listdir(out)) == 4
+
+
 # ---------------------------------------------------------------------------
 # extract-edits
 
@@ -583,6 +601,26 @@ def test_eval_edits_out_file(ws, tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(report_path.read_text()) == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["extract-edits", "eval"])
+def test_write_into_missing_directory_names_the_path(ws, tmp_path, capsys, monkeypatch, command):
+    gold = tmp_path / "gold.json"
+    assert extract(ws, gold, "diff") == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    target = os.path.join("missing", "out.json")
+    if command == "eval":
+        rc = main(["eval", "--task", "edits", "--pred", str(gold), "--gold", str(gold), "--out", target])
+    else:
+        rc = extract(ws, target, "diff")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert repr(target) in captured.err
+    assert ".tmp-" not in captured.err
+    # the report goes to stdout only once its file is written
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def intention_gold(path):

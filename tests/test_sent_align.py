@@ -13,7 +13,6 @@ from revkit.sent_align import (
     SentenceAlignment,
     align_sentences_directional,
     merge_bidirectional,
-    tune_threshold,
 )
 from revkit.similarity import char_ngram_sim, jaccard
 
@@ -180,17 +179,6 @@ def test_threshold_monotone_on_random_docs():
         loose = align_sentences_directional(paras, a, b, jaccard, 0.2)
         tight = align_sentences_directional(paras, a, b, jaccard, 0.6)
         assert {(s, t) for s, t, _ in tight.pairs} <= {(s, t) for s, t, _ in loose.pairs}
-
-
-def test_tune_threshold_picks_lowest_best():
-    a, b = two_versions()
-    gold = alignment(
-        1, 2, [((0, 0), (0, 0), SentAlignLabel.PARTIAL), ((0, 1), (0, 1), SentAlignLabel.PARTIAL)]
-    )
-    got = tune_threshold(DIAG, a, b, jaccard, gold)
-    # every grid point up to 2/3 gives a perfect F1 (the merge already
-    # kills the zero-score stragglers), so the tie goes to 0.0
-    assert got == pytest.approx(0.0)
 
 
 @settings(max_examples=60, deadline=None)
