@@ -46,6 +46,7 @@ from .errors import AlignmentFormatError, FormatError, RevkitError, open_text
 from .formats import (
     alignment_to_json,
     atomic_write_text,
+    dump_alignment_json,
     dump_json,
     format_csv,
     read_alignment,
@@ -148,6 +149,9 @@ def _write_outputs(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
 def _align_pair(src: DocVersion, tgt: DocVersion, cfg: RunConfig):
     thresholds = Thresholds(cfg.tau1, cfg.tau2, cfg.tau3, cfg.tau4)
     paras = align_paragraphs(src, tgt, thresholds)
+    if not paras.pairs:
+        # no sentence to score (tfidf could not even fit idf on two empty versions)
+        return SentenceAlignment(src.version_index, tgt.version_index, frozenset())
     back = paras.reversed()
     if cfg.sentence_metric == "jaccard":
         # read scores from the matrix paragraph alignment already built
@@ -163,6 +167,13 @@ def _align_pair(src: DocVersion, tgt: DocVersion, cfg: RunConfig):
 def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
     raw, cfg = payload
     group = raw.build()
+    for v in group.versions:
+        total = sum(len(p.sentences) for p in v.paragraphs)
+        if total and not v.alignable_sentences():
+            log.warning(
+                "group %s version %d: the skip filters dropped all %d sentences",
+                group.arxiv_id, v.version_index, total,
+            )
     out = []
     for src, tgt in group.adjacent_pairs():
         try:
@@ -170,7 +181,7 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
         except ValueError as exc:
             raise RevkitError(f"group {group.arxiv_id}: {exc}") from exc
         name = _pair_filename(group.arxiv_id, src.version_index, tgt.version_index)
-        out.append((name, dump_json(alignment_to_json(merged, group.arxiv_id))))
+        out.append((name, dump_alignment_json(alignment_to_json(merged, group.arxiv_id))))
     return out
 
 
@@ -274,6 +285,11 @@ def _stats_for_file(payload) -> dict:
         ratio = update_ratio(ops, src, cfg.kept_definition)
     except ValueError as exc:
         raise RevkitError(f"{path}: {exc}") from exc
+    if ratio is None:
+        log.warning(
+            "%s: version %d has no alignable sentences; the pair has no update ratio",
+            path, src.version_index,
+        )
     return {
         "arxiv_id": group.arxiv_id,
         "src_version": src.version_index,
@@ -311,17 +327,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
     total: Counter = Counter()
     for r in rows:
         total.update(r["counts"])
+    # pairs whose source has no alignable sentence have no ratio to pool
+    rated = [r for r in rows if r["ratio"] is not None]
     correlations = {
-        "overall": _correlation(rows),
-        "two_version": _correlation([r for r in rows if r["versions_in_group"] == 2]),
-        "multi_version": _correlation([r for r in rows if r["versions_in_group"] > 2]),
+        "overall": _correlation(rated),
+        "two_version": _correlation([r for r in rated if r["versions_in_group"] == 2]),
+        "multi_version": _correlation([r for r in rated if r["versions_in_group"] > 2]),
     }
     summary = {
         "pairs": len(rows),
         "groups": len({r["arxiv_id"] for r in rows}),
         "kept_definition": cfg.kept_definition,
         "operation_counts": {k.value: total.get(k, 0) for k in DocOpKind},
-        "mean_update_ratio": sum(r["ratio"] for r in rows) / len(rows),
+        "mean_update_ratio": sum(r["ratio"] for r in rated) / len(rated) if rated else None,
         "correlations": correlations,
     }
 
@@ -342,7 +360,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         positions = tuple(p for r in rows for p in r["positions"][kind])
         hist = PositionHistogram(kind, positions).histogram(cfg.bins)
         files.append((name, format_csv(("bin_start", "bin_end", "count"), hist)))
-    comp = action_composition_by_ratio([(r["ratio"], r["counts"]) for r in rows], cfg.bins)
+    comp = action_composition_by_ratio([(r["ratio"], r["counts"]) for r in rated], cfg.bins)
     files.append((
         "composition.csv",
         format_csv(

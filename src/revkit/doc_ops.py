@@ -124,8 +124,10 @@ KEPT_DEFINITIONS = ("copy_only", "copy_or_rephrase")
 
 def update_ratio(
     ops: Sequence[DocOperation], src: DocVersion, kept_definition: str = "copy_only"
-) -> float:
-    """Fraction of the source's alignable sentences that did not survive.
+) -> float | None:
+    """Fraction of the source's alignable sentences that did not survive,
+    or None when the source has no alignable sentence (empty, or every
+    sentence skipped).
 
     kept_definition picks what surviving means: exact copies only, or
     copies plus rephrasings.
@@ -134,7 +136,7 @@ def update_ratio(
         raise ValueError(f"unknown kept_definition {kept_definition!r}")
     alignable = {s.id for s in src.alignable_sentences()}
     if not alignable:
-        raise ValueError(f"version {src.version_index} has no alignable sentences")
+        return None
     keep_kinds = {DocOpKind.COPYING}
     if kept_definition == "copy_or_rephrase":
         keep_kinds.add(DocOpKind.REPHRASING)

@@ -5,6 +5,13 @@ Writers are deterministic (sorted keys and rows, two-space indent) so
 reruns produce byte-identical files.  Readers for third-party data are
 tolerant about key spellings; our own writers stick to one canonical
 shape.
+
+The two bulk shapes have writers of their own: `dump_alignment_json`
+for sentence-alignment files and `dump_edit_json` for edit files.  Each
+spells out its shape's indented text with the C string escaper, where
+`json.dumps(..., indent=2)` would fall back to its pure-Python encoder.
+`dump_json` writes the small reports and is the oracle both writers
+must match byte for byte.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence
 
 from .corpus import SentenceId
@@ -26,6 +34,30 @@ from .trees import Tree, parse_tree_read
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _quote_or_null(value: str | None) -> str:
+    return "null" if value is None else _quote(value)
+
+
+def _int_lister(indent: int):
+    """How `dump_json` writes an int list, or None, whose items sit
+    `indent` spaces deep."""
+    pad = " " * indent
+    sep, close = ",\n" + pad, "\n" + pad[2:] + "]"
+
+    def ints(values) -> str:
+        if values is None:
+            return "null"
+        if not values:
+            return "[]"
+        return f"[\n{pad}{sep.join(map(str, values))}{close}"
+
+    return ints
+
+
+_ints8 = _int_lister(8)
+_ints12 = _int_lister(12)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -84,52 +116,76 @@ def alignment_to_json(alignment: SentenceAlignment, arxiv_id: str | None = None)
     return obj
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: never a bool, a float or a numeric string."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def dump_alignment_json(obj: dict) -> str:
+    """`dump_json(obj)` for an object shaped as `alignment_to_json` builds it."""
+    head = f'{{\n  "arxiv_id": {_quote(obj["arxiv_id"])},\n' if "arxiv_id" in obj else "{\n"
+    pairs = ",\n".join([
+        f'    {{\n      "label": {_quote(p["label"])},\n'
+        f'      "src": {_ints8(p["src"])},\n'
+        f'      "tgt": {_ints8(p["tgt"])}\n    }}'
+        for p in obj["pairs"]
+    ])
+    listed = f"[\n{pairs}\n  ]" if pairs else "[]"
+    return (
+        f'{head}  "pairs": {listed},\n'
+        f'  "src_version": {obj["src_version"]},\n'
+        f'  "tgt_version": {obj["tgt_version"]}\n}}\n'
+    )
 
 
-def _as_sentence_id(value, default_version: int, where: str) -> SentenceId:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
-        raise AlignmentFormatError(f"{where}: sentence id must be a list of ints")
-    if len(value) == 2:
+def _as_sentence_id(value, default_version: int) -> SentenceId:
+    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
         return SentenceId(default_version, value[0], value[1])
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError("sentence id must be a list of ints")
     if len(value) == 3:
         return SentenceId(value[0], value[1], value[2])
-    raise AlignmentFormatError(f"{where}: sentence id must have 2 or 3 elements")
+    raise ValueError("sentence id must have 2 or 3 elements")
 
 
-def _pick(record: dict, names: Sequence[str], where: str):
+def _pick(record: dict, names: Sequence[str]):
     for name in names:
         if name in record:
             return record[name]
-    raise AlignmentFormatError(f"{where}: missing {names[0]}")
+    raise ValueError(f"missing {names[0]}")
+
+
+def _aligned_pair(rec, src_v: int, tgt_v: int) -> tuple[SentenceId, SentenceId, SentAlignLabel]:
+    """The pair `rec` spells.  A malformed one raises ValueError, whose
+    message the caller prefixes with the pair's location."""
+    if not isinstance(rec, dict):
+        raise ValueError("expected an object")
+    s = _as_sentence_id(_pick(rec, ("src", "source", "src_sentence")), src_v)
+    t = _as_sentence_id(_pick(rec, ("tgt", "target", "tgt_sentence")), tgt_v)
+    raw_label = _pick(rec, ("label", "type"))
+    label = _LABEL_ALIASES.get(str(raw_label).strip().lower())
+    if label is None:
+        raise ValueError(f"unknown label {raw_label!r}")
+    if s.version != src_v or t.version != tgt_v:
+        raise ValueError("id version disagrees with file header")
+    return s, t, label
 
 
 def alignment_from_json(obj, where: str = "alignment") -> tuple[str | None, SentenceAlignment]:
-    if not isinstance(obj, dict):
-        raise AlignmentFormatError(f"{where}: expected an object")
-    src_v = _pick(obj, ("src_version", "source_version"), where)
-    tgt_v = _pick(obj, ("tgt_version", "target_version"), where)
-    if not (_is_int(src_v) and _is_int(tgt_v)):
-        raise AlignmentFormatError(f"{where}: versions must be integers")
-    raw_pairs = _pick(obj, ("pairs", "alignments", "sentence_pairs"), where)
-    if not isinstance(raw_pairs, list):
-        raise AlignmentFormatError(f"{where}: pairs must be a list")
-    pairs = set()
-    for n, rec in enumerate(raw_pairs):
-        loc = f"{where}.pairs[{n}]"
-        if not isinstance(rec, dict):
-            raise AlignmentFormatError(f"{loc}: expected an object")
-        s = _as_sentence_id(_pick(rec, ("src", "source", "src_sentence"), loc), src_v, loc)
-        t = _as_sentence_id(_pick(rec, ("tgt", "target", "tgt_sentence"), loc), tgt_v, loc)
-        raw_label = _pick(rec, ("label", "type"), loc)
-        label = _LABEL_ALIASES.get(str(raw_label).strip().lower())
-        if label is None:
-            raise AlignmentFormatError(f"{loc}: unknown label {raw_label!r}")
-        if s.version != src_v or t.version != tgt_v:
-            raise AlignmentFormatError(f"{loc}: id version disagrees with file header")
-        pairs.add((s, t, label))
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError("expected an object")
+        src_v = _pick(obj, ("src_version", "source_version"))
+        tgt_v = _pick(obj, ("tgt_version", "target_version"))
+        # a JSON integer: never a bool, a float or a numeric string
+        if type(src_v) is not int or type(tgt_v) is not int:
+            raise ValueError("versions must be integers")
+        raw_pairs = _pick(obj, ("pairs", "alignments", "sentence_pairs"))
+        if not isinstance(raw_pairs, list):
+            raise ValueError("pairs must be a list")
+    except ValueError as exc:
+        raise AlignmentFormatError(f"{where}: {exc}") from None
+    pairs = []
+    try:
+        for rec in raw_pairs:
+            pairs.append(_aligned_pair(rec, src_v, tgt_v))
+    except ValueError as exc:
+        raise AlignmentFormatError(f"{where}.pairs[{len(pairs)}]: {exc}") from None
     arxiv_id = obj.get("arxiv_id") or obj.get("paper_id")
     if arxiv_id is not None and not isinstance(arxiv_id, str):
         raise AlignmentFormatError(f"{where}: arxiv_id must be a string")
@@ -202,37 +258,50 @@ def edit_to_json(e: Edit) -> dict:
     }
 
 
-def _span_from_json(value, loc: str) -> tuple[int, int] | None:
+def _span(value) -> tuple[int, int] | None:
     if value is None:
         return None
-    if isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value):
+    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
         return (value[0], value[1])
-    raise FormatError(f"{loc}: span must be null or [start, end]")
+    raise ValueError("span must be null or [start, end]")
+
+
+def _edit(obj) -> Edit:
+    """The edit `obj` spells.  A malformed one raises ValueError, whose
+    message the caller prefixes with the edit's location."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected an object")
+    raw_kind = obj.get("kind")
+    kind = _KIND_BY_VALUE.get(raw_kind) if type(raw_kind) is str else None
+    if kind is None:
+        raise ValueError(f"unknown kind {raw_kind!r}")
+    intention = obj.get("intention")
+    if intention is not None:
+        try:
+            intention = parse_label(intention)
+        except ValueError:
+            raise ValueError(f"unknown intention {intention!r}") from None
+    return Edit(_span(obj.get("src")), _span(obj.get("tgt")), kind, intention)
 
 
 def edit_from_json(obj, loc: str = "edit") -> Edit:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{loc}: expected an object")
-    raw_kind = obj.get("kind")
-    kind = _KIND_BY_VALUE.get(raw_kind) if isinstance(raw_kind, str) else None
-    if kind is None:
-        raise FormatError(f"{loc}: unknown kind {raw_kind!r}")
-    intention = None
-    raw_intention = obj.get("intention")
-    if raw_intention is not None:
-        try:
-            intention = parse_label(raw_intention)
-        except ValueError:
-            raise FormatError(f"{loc}: unknown intention {raw_intention!r}") from None
     try:
-        return Edit(
-            _span_from_json(obj.get("src"), loc),
-            _span_from_json(obj.get("tgt"), loc),
-            kind,
-            intention,
-        )
+        return _edit(obj)
     except ValueError as exc:
-        raise FormatError(f"{loc}: {exc}") from exc
+        raise FormatError(f"{loc}: {exc}") from None
+
+
+def _sorted_edits(raw_edits: list, loc: str, field: str) -> tuple[Edit, ...]:
+    """The edits of `raw_edits` in canonical order; an error names the
+    failing edit as `{loc}{field}[n]`."""
+    edits = []
+    try:
+        for obj in raw_edits:
+            edits.append(_edit(obj))
+    except ValueError as exc:
+        raise FormatError(f"{loc}{field}[{len(edits)}]: {exc}") from None
+    edits.sort(key=edit_sort_key)
+    return tuple(edits)
 
 
 @dataclass(frozen=True)
@@ -261,11 +330,35 @@ def revision_to_json(rev: SentenceRevision) -> dict:
     }
 
 
+def dump_edit_json(obj: dict) -> str:
+    """`dump_json(obj)` for an object shaped as `write_edit_file` builds it."""
+    revisions = []
+    for rev in obj["revisions"]:
+        edits = ",\n".join([
+            f'        {{\n          "intention": {_quote_or_null(e["intention"])},\n'
+            f'          "kind": {_quote(e["kind"])},\n'
+            f'          "src": {_ints12(e["src"])},\n'
+            f'          "tgt": {_ints12(e["tgt"])}\n        }}'
+            for e in rev["edits"]
+        ])
+        listed = f"[\n{edits}\n      ]" if edits else "[]"
+        revisions.append(
+            f'    {{\n      "edits": {listed},\n'
+            f'      "revision_id": {_quote(rev["revision_id"])},\n'
+            f'      "src": {_ints8(rev["src"])},\n'
+            f'      "tgt": {_ints8(rev["tgt"])}\n    }}'
+        )
+    listed = "[\n" + ",\n".join(revisions) + "\n  ]" if revisions else "[]"
+    return f'{{\n  "revisions": {listed}\n}}\n'
+
+
 def _id_from_json(value, loc: str) -> SentenceId | None:
     if value is None:
         return None
-    if isinstance(value, list) and len(value) == 3 and all(_is_int(x) for x in value):
-        return SentenceId(*value)
+    if isinstance(value, list) and len(value) == 3:
+        v, p, s = value
+        if type(v) is int and type(p) is int and type(s) is int:
+            return SentenceId(v, p, s)
     raise FormatError(f"{loc}: sentence id must be [version, paragraph, sentence]")
 
 
@@ -284,30 +377,18 @@ def entry_from_json(obj, loc: str) -> EditFileEntry:
         if not all(isinstance(alt, list) for alt in raw_alts):
             raise FormatError(f"{loc}: each alternative must be a list of edits")
         alts = tuple(
-            tuple(
-                sorted(
-                    (edit_from_json(e, f"{loc}.alternatives[{a}][{n}]") for n, e in enumerate(alt)),
-                    key=edit_sort_key,
-                )
-            )
-            for a, alt in enumerate(raw_alts)
+            _sorted_edits(alt, loc, f".alternatives[{a}]") for a, alt in enumerate(raw_alts)
         )
         return EditFileEntry(rid, src_id, tgt_id, alts[0], alts)
     raw_edits = obj.get("edits")
     if not isinstance(raw_edits, list):
         raise FormatError(f"{loc}: missing edits list")
-    edits = tuple(
-        sorted(
-            (edit_from_json(e, f"{loc}.edits[{n}]") for n, e in enumerate(raw_edits)),
-            key=edit_sort_key,
-        )
-    )
-    return EditFileEntry(rid, src_id, tgt_id, edits, None)
+    return EditFileEntry(rid, src_id, tgt_id, _sorted_edits(raw_edits, loc, ".edits"), None)
 
 
 def write_edit_file(path: str, revisions: Sequence[SentenceRevision]) -> None:
     obj = {"revisions": [revision_to_json(r) for r in revisions]}
-    atomic_write_text(path, dump_json(obj))
+    atomic_write_text(path, dump_edit_json(obj))
 
 
 def read_edit_file(path: str) -> list[EditFileEntry]:

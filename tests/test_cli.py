@@ -17,7 +17,7 @@ import revkit
 from revkit.cli import main
 from revkit.corpus import DocVersion, RawGroup, build_group, load_corpus, serialize_corpus
 from revkit.errors import CorpusFormatError
-from revkit.formats import read_alignment, read_edit_file
+from revkit.formats import dump_json, read_alignment, read_edit_file
 from revkit.intention import COARSE_LABELS, FINE_LABELS
 from revkit.sent_align import SentAlignLabel
 
@@ -220,6 +220,59 @@ def test_empty_version_aligns_beside_a_healthy_group(ws, tmp_path, jobs):
     for pair in ("v1-v2", "v2-v3"):
         _, got = read_alignment(str(out / f"2001.0002.{pair}.json"))
         assert got.pairs == frozenset()
+    assert len(os.listdir(out)) == 4
+
+
+@pytest.mark.parametrize("metric", ["jaccard", "tfidf", "char3gram", "bleu"])
+def test_two_empty_versions_align_to_no_pairs_under_every_metric(ws, tmp_path, metric):
+    healthy = json.loads(Path(ws.corpus).read_text())[0]
+    bad = json.loads(json.dumps(healthy))
+    bad["arxiv_id"] = "2001.0002"
+    bad["versions"] = bad["versions"][:2]
+    for version in bad["versions"]:
+        version["paragraphs"] = []
+    alone, both = tmp_path / "alone.json", tmp_path / "both.json"
+    alone.write_text(json.dumps([healthy]))
+    both.write_text(json.dumps([healthy, bad]))
+    for corpus in (alone, both):
+        argv = ["align", "--corpus", str(corpus), "--out", str(tmp_path / corpus.stem), "--metric", metric]
+        assert main(argv) == 0
+    _, got = read_alignment(str(tmp_path / "both" / "2001.0002.v1-v2.json"))
+    assert got.pairs == frozenset()
+    for name in os.listdir(tmp_path / "alone"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+# every word carries digits, so the letter-fraction filter drops every sentence
+DIGIT_PARAGRAPHS = [["a12 b34 c56 d78 e90 f11 g22 .", "h33 i44 j55 k66 l77 m88 ."], ["n99 o10 p20 q30 r40 s50 ."]]
+
+
+def test_align_warns_for_each_version_the_skip_filters_empty(ws, tmp_path, capsys, caplog):
+    healthy = json.loads(Path(ws.corpus).read_text())[0]
+    digits = json.loads(json.dumps(healthy))
+    digits["arxiv_id"] = "2001.0002"
+    for version in digits["versions"][:2]:
+        version["paragraphs"] = [{"sentences": p} for p in DIGIT_PARAGRAPHS]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([healthy, digits]))
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="revkit"):
+        assert main(["align", "--corpus", str(corpus), "--out", str(out), "--jobs", "1"]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "group 2001.0002 version 1: the skip filters dropped all 3 sentences",
+        "group 2001.0002 version 2: the skip filters dropped all 3 sentences",
+    ]
+    # the warning goes to the log only: stdout and the outputs are as before
+    assert capsys.readouterr().out == ""
+    for name in os.listdir(ws.align_dir):
+        assert (out / name).read_bytes() == (ws.align_dir / name).read_bytes()
+    for pair in ("v1-v2", "v2-v3"):
+        text = (out / f"2001.0002.{pair}.json").read_text()
+        src_v, tgt_v = int(pair[1]), int(pair[4])
+        assert text == dump_json(
+            {"arxiv_id": "2001.0002", "pairs": [], "src_version": src_v, "tgt_version": tgt_v}
+        )
     assert len(os.listdir(out)) == 4
 
 
@@ -458,6 +511,59 @@ def test_identical_versions_are_all_copies(tmp_path, seed):
     assert rows == ["2001.0002,1,2,2000,0.0"]
 
 
+def test_stats_skips_the_ratio_of_an_all_skipped_source(ws, tmp_path, caplog):
+    healthy = json.loads(Path(ws.corpus).read_text())[0]
+    bad = json.loads(json.dumps(healthy))
+    bad["arxiv_id"] = "2001.0002"
+    bad["versions"][1]["paragraphs"] = [{"sentences": p} for p in DIGIT_PARAGRAPHS]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([healthy, bad]))
+    align_dir, out = tmp_path / "align", tmp_path / "stats"
+    assert main(["align", "--corpus", str(corpus), "--out", str(align_dir)]) == 0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="revkit"):
+        rc = main(["stats", "--corpus", str(corpus), "--alignments", str(align_dir), "--out", str(out)])
+    assert rc == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert str(align_dir / "2001.0002.v2-v3.json") in warnings[0]
+
+    rows = (out / "update_ratios.csv").read_text().splitlines()[1:]
+    # v1 -> v2 loses every source sentence; v2 -> v3 has no ratio
+    assert rows == [
+        "2001.0001,1,2,1000,0.25",
+        "2001.0001,2,3,2000,0.5",
+        "2001.0002,1,2,1000,1.0",
+        "2001.0002,2,3,2000,",
+    ]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pairs"] == 4
+    assert summary["groups"] == 2
+    assert summary["mean_update_ratio"] == pytest.approx((0.25 + 0.5 + 1.0) / 3)
+    # three rated pairs of multi-version groups
+    assert summary["correlations"]["multi_version"] == summary["correlations"]["overall"]
+    assert summary["correlations"]["overall"] is not None
+    comp = (out / "composition.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in comp] == [["0.2", "0.3"], ["0.5", "0.6"], ["0.9", "1.0"]]
+
+
+def test_stats_mean_ratio_is_null_when_no_pair_has_one(ws, tmp_path, caplog):
+    group = json.loads(Path(ws.corpus).read_text())[0]
+    group["versions"] = group["versions"][:2]
+    group["versions"][0]["paragraphs"] = [{"sentences": p} for p in DIGIT_PARAGRAPHS]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([group]))
+    align_dir, out = tmp_path / "align", tmp_path / "stats"
+    assert main(["align", "--corpus", str(corpus), "--out", str(align_dir)]) == 0
+    assert main(["stats", "--corpus", str(corpus), "--alignments", str(align_dir), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pairs"] == 1
+    assert summary["mean_update_ratio"] is None
+    assert summary["operation_counts"]["insertion"] == 4
+    assert (out / "update_ratios.csv").read_text().splitlines()[1:] == ["2001.0001,1,2,1000,"]
+    assert (out / "composition.csv").read_text().splitlines()[1:] == []
+
+
 def test_stats_no_alignments_exit_2(ws, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -601,6 +707,39 @@ def test_eval_edits_out_file(ws, tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(report_path.read_text()) == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "field,value,where,message",
+    [
+        ("src", [0, True], ".edits[1]", "span must be null or"),
+        ("src", [0, 1, 2], ".edits[1]", "span must be null or"),
+        ("src", "0-1", ".edits[1]", "span must be null or"),
+        ("kind", "rewrite", ".edits[1]", "unknown kind 'rewrite'"),
+        ("intention", "Guess", ".edits[1]", "unknown intention 'Guess'"),
+        ("revision src", 7, "", "sentence id must be"),
+        ("revision tgt", [2, 0, False], "", "sentence id must be"),
+    ],
+)
+def test_eval_edits_malformed_edit_exits_2_naming_it(ws, tmp_path, capsys, field, value, where, message):
+    gold = tmp_path / "gold.json"
+    assert extract(ws, gold, "diff") == 0
+    obj = json.loads(gold.read_text())
+    rec = obj["revisions"][1]
+    rec["edits"] = [
+        {"src": [0, 1], "tgt": [0, 1], "kind": "substitute", "intention": None},
+        {"src": [1, 2], "tgt": [1, 2], "kind": "substitute", "intention": None},
+    ]
+    if field.startswith("revision "):
+        rec[field.split()[1]] = value
+    else:
+        rec["edits"][1][field] = value
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["eval", "--task", "edits", "--pred", str(pred), "--gold", str(gold)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"revkit: error: {pred}.revisions[1]{where}: {message}")
 
 
 @pytest.mark.parametrize("command", ["extract-edits", "eval"])

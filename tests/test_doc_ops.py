@@ -232,9 +232,13 @@ def test_update_ratio_errors():
     ops = doc_operations(src, tgt, al)
     with pytest.raises(ValueError, match="kept_definition"):
         update_ratio(ops, src, "whatever")
-    junk = doc([["x 1"]], 1)
-    with pytest.raises(ValueError, match="no alignable"):
-        update_ratio((), junk)
+
+
+@pytest.mark.parametrize("paragraphs", [[], [["x 1"]]], ids=["empty", "all skipped"])
+def test_update_ratio_is_none_without_alignable_sentences(paragraphs):
+    src = doc(paragraphs, 1)
+    assert update_ratio((), src) is None
+    assert update_ratio((), src, "copy_or_rephrase") is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revkit.corpus import SentenceId
-from revkit.edits import Edit, EditKind, SentenceRevision
+from revkit.edits import Edit, EditKind, SentenceRevision, edit_sort_key
 from revkit.errors import AlignmentFormatError, FormatError
 from revkit.formats import (
+    EditFileEntry,
     alignment_from_json,
     alignment_to_json,
     atomic_write_text,
+    dump_alignment_json,
+    dump_edit_json,
     dump_json,
     edit_from_json,
     edit_to_json,
@@ -19,6 +24,7 @@ from revkit.formats import (
     read_edit_file,
     read_pharaoh_file,
     read_tree_file,
+    revision_to_json,
     write_edit_file,
 )
 from revkit.intention import CoarseIntention, IntentionLabel
@@ -150,6 +156,79 @@ def test_read_alignment_bad_json(tmp_path):
 def test_alignment_reader_rejects_non_object():
     with pytest.raises(AlignmentFormatError, match="expected an object"):
         alignment_from_json([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"src": [0, False], "tgt": [0, 1], "label": "aligned"}, "list of ints"),
+        ("pair", "expected an object"),
+        ({"src": [0, 0], "label": "aligned"}, "missing tgt"),
+    ],
+)
+def test_alignment_reader_names_the_failing_pair(bad, message):
+    good = {"src": [0, 0], "tgt": [0, 0], "label": "aligned"}
+    # the repeated pair still counts as an index
+    obj = {"src_version": 1, "tgt_version": 2, "pairs": [good, good, bad]}
+    with pytest.raises(AlignmentFormatError, match=rf"^f\.json\.pairs\[2\]: .*{message}"):
+        alignment_from_json(obj, "f.json")
+
+
+# strings that exercise every escape the writers must reproduce
+_STRINGS = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\U0001f600')),
+    max_size=12,
+)
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**63, max_value=2**80))
+_INT_LISTS = st.lists(_INTS, max_size=3)
+
+_ALIGNMENT_OBJECTS = st.fixed_dictionaries(
+    {
+        "src_version": _INTS,
+        "tgt_version": _INTS,
+        "pairs": st.lists(
+            st.fixed_dictionaries({"src": _INT_LISTS, "tgt": _INT_LISTS, "label": _STRINGS}),
+            max_size=4,
+        ),
+    },
+    optional={"arxiv_id": _STRINGS},
+)
+
+
+@settings(max_examples=200)
+@given(_ALIGNMENT_OBJECTS)
+@example({"src_version": 1, "tgt_version": 2, "pairs": []})
+@example({"src_version": 1, "tgt_version": 2, "pairs": [], "arxiv_id": "caf\u00e9/\"1\"\\\n"})
+@example({"src_version": 2**64, "tgt_version": -1,
+          "pairs": [{"src": [2**63, 0], "tgt": [], "label": "aligned"}]})
+def test_alignment_writer_matches_dump_json(obj):
+    assert dump_alignment_json(obj) == dump_json(obj)
+
+
+_POSITIVE_LABELS = st.sampled_from([SentAlignLabel.ALIGNED, SentAlignLabel.PARTIAL])
+
+
+@st.composite
+def _alignments(draw):
+    src_v, tgt_v = draw(_INTS), draw(_INTS)
+    pairs = draw(
+        st.frozensets(
+            st.tuples(
+                st.builds(SentenceId, st.just(src_v), _INTS, _INTS),
+                st.builds(SentenceId, st.just(tgt_v), _INTS, _INTS),
+                _POSITIVE_LABELS,
+            ),
+            max_size=5,
+        )
+    )
+    return SentenceAlignment(src_v, tgt_v, pairs)
+
+
+@given(_alignments(), st.one_of(st.none(), _STRINGS.filter(bool)))
+def test_written_alignment_reads_back_equal(tmp_path_factory, alignment, arxiv_id):
+    path = str(tmp_path_factory.mktemp("align") / "a.json")
+    atomic_write_text(path, dump_alignment_json(alignment_to_json(alignment, arxiv_id)))
+    assert read_alignment(path) == (arxiv_id, alignment)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +430,84 @@ def test_edit_file_structure_errors(tmp_path, obj, message):
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError, match=message):
         read_edit_file(str(path))
+
+
+_EDIT_OBJECTS = st.fixed_dictionaries(
+    {
+        "src": st.one_of(st.none(), _INT_LISTS),
+        "tgt": st.one_of(st.none(), _INT_LISTS),
+        "kind": st.one_of(st.sampled_from([k.value for k in EditKind]), _STRINGS),
+        "intention": st.one_of(st.none(), st.sampled_from([l.value for l in IntentionLabel]), _STRINGS),
+    }
+)
+_REVISION_OBJECTS = st.fixed_dictionaries(
+    {
+        "revision_id": _STRINGS,
+        "src": st.one_of(st.none(), _INT_LISTS),
+        "tgt": st.one_of(st.none(), _INT_LISTS),
+        "edits": st.lists(_EDIT_OBJECTS, max_size=3),
+    }
+)
+
+
+@settings(max_examples=200)
+@given(st.fixed_dictionaries({"revisions": st.lists(_REVISION_OBJECTS, max_size=3)}))
+@example({"revisions": []})
+@example({"revisions": [{"revision_id": "r\u00e9\"\\\t", "src": [1, 2**64, 0], "tgt": [2, 0, 0],
+                         "edits": []}]})
+@example({"revisions": [{"revision_id": "r", "src": [1, 0, 0], "tgt": [2, 0, 0], "edits": [
+    {"src": None, "tgt": [0, 2**63], "kind": "insert", "intention": None}]}]})
+def test_edit_writer_matches_dump_json(obj):
+    assert dump_edit_json(obj) == dump_json(obj)
+
+
+def test_write_edit_file_matches_dump_json(tmp_path):
+    path = tmp_path / "edits.json"
+    revisions = two_revisions()
+    write_edit_file(str(path), revisions)
+    assert path.read_text() == dump_json({"revisions": [revision_to_json(r) for r in revisions]})
+
+
+_SPANS = st.tuples(st.integers(0, 2**70), st.integers(1, 2**70)).map(lambda ab: (ab[0], ab[0] + ab[1]))
+
+
+@st.composite
+def _edits(draw):
+    kind = draw(st.sampled_from(EditKind))
+    src = None if kind is EditKind.INSERT else draw(_SPANS)
+    tgt = None if kind is EditKind.DELETE else draw(_SPANS)
+    return Edit(src, tgt, kind, draw(st.one_of(st.none(), st.sampled_from(IntentionLabel))))
+
+
+_ENTRIES = st.lists(
+    st.builds(
+        EditFileEntry,
+        _STRINGS.filter(bool),
+        st.builds(SentenceId, _INTS, _INTS, _INTS),
+        st.builds(SentenceId, _INTS, _INTS, _INTS),
+        st.lists(_edits(), max_size=4).map(lambda es: tuple(sorted(es, key=edit_sort_key))),
+    ),
+    max_size=4,
+    unique_by=lambda e: e.revision_id,
+)
+
+
+@given(_ENTRIES)
+def test_written_edit_file_reads_back_equal(tmp_path_factory, entries):
+    obj = {
+        "revisions": [
+            {
+                "revision_id": e.revision_id,
+                "src": list(e.src_id),
+                "tgt": list(e.tgt_id),
+                "edits": [edit_to_json(x) for x in e.edits],
+            }
+            for e in entries
+        ]
+    }
+    path = str(tmp_path_factory.mktemp("edits") / "e.json")
+    atomic_write_text(path, dump_edit_json(obj))
+    assert read_edit_file(path) == entries
 
 
 # ---------------------------------------------------------------------------
