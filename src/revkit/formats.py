@@ -134,7 +134,7 @@ def dump_alignment_json(obj: dict) -> str:
 
 
 def _as_sentence_id(value, default_version: int) -> SentenceId:
-    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+    if isinstance(value, list) and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
         return SentenceId(default_version, value[0], value[1])
     if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ValueError("sentence id must be a list of ints")
@@ -261,7 +261,7 @@ def edit_to_json(e: Edit) -> dict:
 def _span(value) -> tuple[int, int] | None:
     if value is None:
         return None
-    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+    if isinstance(value, list) and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
         return (value[0], value[1])
     raise ValueError("span must be null or [start, end]")
 
@@ -272,7 +272,7 @@ def _edit(obj) -> Edit:
     if not isinstance(obj, dict):
         raise ValueError("expected an object")
     raw_kind = obj.get("kind")
-    kind = _KIND_BY_VALUE.get(raw_kind) if type(raw_kind) is str else None
+    kind = _KIND_BY_VALUE.get(raw_kind) if isinstance(raw_kind, str) else None
     if kind is None:
         raise ValueError(f"unknown kind {raw_kind!r}")
     intention = obj.get("intention")
