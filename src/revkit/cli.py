@@ -26,11 +26,11 @@ from .corpus import ArticleGroup, DocVersion, RawGroup, load_corpus, read_corpus
 from .doc_ops import (
     KEPT_DEFINITIONS,
     DocOpKind,
-    PositionHistogram,
     action_composition_by_ratio,
     count_operations,
     doc_operations,
     pearson,
+    position_histogram,
     relative_positions,
     update_ratio,
 )
@@ -42,7 +42,7 @@ from .edits import (
     edits_from_diff,
     edits_with_parse,
 )
-from .errors import AlignmentFormatError, FormatError, RevkitError, open_text
+from .errors import AlignmentFormatError, CorpusFormatError, FormatError, RevkitError, open_text
 from .formats import (
     alignment_to_json,
     atomic_write_text,
@@ -67,10 +67,10 @@ log = logging.getLogger("revkit")
 def _setup_logging() -> None:
     name = os.environ.get("REVKIT_LOG", "").strip().upper()
     level = getattr(logging, name, None) if name else logging.WARNING
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    if name and getattr(logging, name, None) is None:
+    valid = isinstance(level, int)
+    logging.basicConfig(level=level if valid else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
+    if not valid:
         log.warning("ignoring invalid REVKIT_LOG value %r", name)
 
 
@@ -185,10 +185,24 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
     return out
 
 
+def _check_pair_filenames(groups: Sequence[RawGroup], where: str) -> None:
+    """Ids differing only in '/' against '_' must not write one file."""
+    owner: dict[str, str] = {}
+    for g in groups:
+        for (a, _, _), (b, _, _) in zip(g.versions, g.versions[1:]):
+            name = _pair_filename(g.arxiv_id, a, b)
+            other = owner.setdefault(name, g.arxiv_id)
+            if other != g.arxiv_id:
+                raise CorpusFormatError(
+                    f"{where}: groups {other!r} and {g.arxiv_id!r} would both write {name}"
+                )
+
+
 def cmd_align(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     # validate the whole file here; each group is built where it is aligned
     groups = read_corpus(args.corpus, compat=args.compat)
+    _check_pair_filenames(groups, args.corpus)
     results = _map_jobs(_align_group, [(g, cfg) for g in groups], cfg.jobs)
     _write_outputs(args.out, [f for files in results for f in files])
     return 0
@@ -229,7 +243,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
         s = src.sentence(s_id)
         t = tgt.sentence(t_id)
         try:
-            if s.surfaces() == t.surfaces():
+            if s.tokens == t.tokens:
                 edits = set()  # identical pair: its input line is consumed, no edits
             elif cfg.method == "diff":
                 edits = edits_from_diff(s, t)
@@ -357,8 +371,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         ),
     ]
     for kind, name in _POSITION_FILES.items():
-        positions = tuple(p for r in rows for p in r["positions"][kind])
-        hist = PositionHistogram(kind, positions).histogram(cfg.bins)
+        positions = (p for r in rows for p in r["positions"][kind])
+        hist = position_histogram(positions, cfg.bins)
         files.append((name, format_csv(("bin_start", "bin_end", "count"), hist)))
     comp = action_composition_by_ratio([(r["ratio"], r["counts"]) for r in rated], cfg.bins)
     files.append((

@@ -2,12 +2,15 @@
 
 A corpus is a list of article groups; each group holds the successive
 versions of one document, split into paragraphs with pre-segmented
-sentences.  Inline markers ("[REF]", "[CIT]", "[MATH]", "[EQN]") stand in
-for references, citations and math.  Skip filters mark sentences and
-paragraphs that are too short, too technical or truncated, and everything
-downstream (alignment, operation statistics) ignores skipped material.
+sentences.  A sentence's tokens are plain strings.  Inline markers
+("[REF]", "[CIT]", "[MATH]", "[EQN]") stand in for references, citations
+and math; a token is a marker exactly when it is one of those strings.
+Skip filters mark sentences and paragraphs that are too short, too
+technical or truncated, and everything downstream (alignment, operation
+statistics) ignores skipped material.
 
-All model objects are immutable after construction.
+All model objects are immutable; a Sentence computes its marker count
+on first read and keeps it.
 """
 from __future__ import annotations
 
@@ -18,40 +21,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import attrgetter
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusFormatError, decode_json
 
 
-class TokenKind(Enum):
-    WORD = "word"
-    REFERENCE = "reference"
-    CITATION = "citation"
-    INLINE_MATH = "inline_math"
-    BLOCK_MATH = "block_math"
-    PUNCTUATION = "punctuation"
-
-
-SPECIAL_MARKERS = {
-    "[REF]": TokenKind.REFERENCE,
-    "[CIT]": TokenKind.CITATION,
-    "[MATH]": TokenKind.INLINE_MATH,
-    "[EQN]": TokenKind.BLOCK_MATH,
-}
-
-SPECIAL_KINDS = frozenset(
-    {TokenKind.REFERENCE, TokenKind.CITATION, TokenKind.INLINE_MATH, TokenKind.BLOCK_MATH}
-)
-# The kinds that are not special.  Tuple membership and list.count compare
-# members by identity, so neither hashes the Enum member.
-_PLAIN_KINDS = (TokenKind.WORD, TokenKind.PUNCTUATION)
-assert set(_PLAIN_KINDS) == set(TokenKind) - SPECIAL_KINDS
+# A token is a marker exactly when it is one of these strings.
+SPECIAL_MARKERS = frozenset({"[REF]", "[CIT]", "[MATH]", "[EQN]"})
 
 _MARKER_RE = re.compile(r"(\[REF\]|\[CIT\]|\[MATH\]|\[EQN\])")
 _PUNCT = frozenset(string.punctuation)
 _ASCII_LETTERS = str.maketrans("", "", string.ascii_letters)  # str.translate deletes them
-_token_kind = attrgetter("kind")
 
 # Skip-filter cutoffs.
 SKIP_MAX_SENTENCE_CHARS = 1000
@@ -62,62 +42,42 @@ SKIP_MIN_PARAGRAPH_TOKENS = 10        # skipped when total tokens < this
 SKIP_PARAGRAPH_SPECIAL_FRACTION = 0.3
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    kind: TokenKind = TokenKind.WORD
-
-    def __post_init__(self) -> None:
-        if not self.surface:
-            raise ValueError("token surface must be non-empty")
-        if self.kind in SPECIAL_KINDS and SPECIAL_MARKERS.get(self.surface) is not self.kind:
-            raise ValueError(
-                f"kind {self.kind.value!r} requires its canonical marker surface, got {self.surface!r}"
-            )
-
-    @property
-    def is_special(self) -> bool:
-        return self.kind not in _PLAIN_KINDS
-
-
-def tokenize(text: str) -> tuple[Token, ...]:
+def tokenize(text: str) -> tuple[str, ...]:
     """Split on whitespace, peel leading/trailing punctuation into
     single-character tokens, and keep the bracketed markers atomic.
 
-    Joining the resulting surfaces with single spaces and re-tokenizing
+    Joining the resulting tokens with single spaces and re-tokenizing
     reproduces the same token sequence.
     """
     return tuple(chain.from_iterable(map(_tokenize_chunk, text.split())))
 
 
 # Distinct whitespace chunks kept by _tokenize_chunk.  A chunk's tokens
-# depend on the chunk alone and Token is frozen, so repeated words share
-# one tuple of Token instances.  A group build tokenizes each distinct
-# sentence text once, so only distinct texts look chunks up here; on the
-# benchmark corpora 76-84% of those lookups still hit.  The largest group
-# there, with punctuation attached to words as in running text, has
-# 7,432 distinct chunks; this size holds about two such groups, gives the
-# same hit share as 65,536 on every corpus measured, and holds about 5 MB
-# when full.  Kept entries lengthen garbage collection, so a miss costs
-# a little more than no cache at all; the size stays at a few groups.
+# depend on the chunk alone, so repeated words share one tuple of token
+# strings.  A group build tokenizes each distinct sentence text once, so
+# only distinct texts look chunks up here; on the benchmark corpora
+# 76-84% of those lookups still hit.  The largest group there, with
+# punctuation attached to words as in running text, has 7,432 distinct
+# chunks; this size holds about two such groups, gives the same hit share
+# as 65,536 on every corpus measured, and holds about 2.7 MB when full
+# (tracemalloc, 16,384 words with and without attached punctuation).
+# A miss costs a little more than no cache at all; the size stays at a
+# few groups.
 _CHUNK_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_CHUNK_CACHE_SIZE)
-def _tokenize_chunk(chunk: str) -> tuple[Token, ...]:
-    tokens: list[Token] = []
+def _tokenize_chunk(chunk: str) -> tuple[str, ...]:
+    tokens: list[str] = []
     for piece in _MARKER_RE.split(chunk):
-        if not piece:
-            continue
-        kind = SPECIAL_MARKERS.get(piece)
-        if kind is not None:
-            tokens.append(Token(piece, kind))
-        else:
+        if piece in SPECIAL_MARKERS:
+            tokens.append(piece)
+        elif piece:
             tokens.extend(_split_plain(piece))
     return tuple(tokens)
 
 
-def _split_plain(piece: str) -> Iterator[Token]:
+def _split_plain(piece: str) -> Iterator[str]:
     head: list[str] = []
     tail: list[str] = []
     while piece and piece[0] in _PUNCT:
@@ -126,12 +86,10 @@ def _split_plain(piece: str) -> Iterator[Token]:
     while piece and piece[-1] in _PUNCT:
         tail.append(piece[-1])
         piece = piece[:-1]
-    for ch in head:
-        yield Token(ch, TokenKind.PUNCTUATION)
+    yield from head
     if piece:
-        yield Token(piece, TokenKind.WORD)
-    for ch in reversed(tail):
-        yield Token(ch, TokenKind.PUNCTUATION)
+        yield piece
+    yield from reversed(tail)
 
 
 class SentenceId(NamedTuple):
@@ -144,7 +102,7 @@ class SentenceId(NamedTuple):
 class Sentence:
     id: SentenceId
     raw: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     skipped: bool = False
 
     @classmethod
@@ -161,14 +119,11 @@ class Sentence:
         s.__dict__["special_count"] = self.special_count  # where cached_property keeps it
         return s
 
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
-
-    def lower_surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface.lower() for t in self.tokens)
+    def lower_tokens(self) -> tuple[str, ...]:
+        return tuple(t.lower() for t in self.tokens)
 
     def lower_token_set(self) -> frozenset[str]:
-        return frozenset(t.surface.lower() for t in self.tokens)
+        return frozenset(t.lower() for t in self.tokens)
 
     def normalized_raw(self) -> str:
         # whitespace-normalized, case preserved
@@ -177,8 +132,7 @@ class Sentence:
     @cached_property
     def special_count(self) -> int:
         """Number of marker tokens; both skip filters read it."""
-        kinds = list(map(_token_kind, self.tokens))
-        return len(kinds) - sum(map(kinds.count, _PLAIN_KINDS))
+        return sum(map(SPECIAL_MARKERS.__contains__, self.tokens))
 
 
 def _english_fraction(raw: str) -> float:
@@ -426,9 +380,14 @@ def _check_corpus(data: bytes | str, compat: bool) -> tuple[RawGroup, ...]:
         obj = [obj] if key is None else obj[key]
     _expect(isinstance(obj, list), "$", "expected a top-level array of article groups")
     groups = []
+    seen: set[str] = set()
     for n, g in enumerate(obj):
         path = f"$[{n}]"
-        groups.append(_check_group(_normalize_group(g, path) if compat else g, path))
+        group = _check_group(_normalize_group(g, path) if compat else g, path)
+        _expect(group.arxiv_id not in seen, f"{path}.arxiv_id",
+                f"repeats arxiv_id {group.arxiv_id!r} of an earlier group")
+        seen.add(group.arxiv_id)
+        groups.append(group)
     return tuple(groups)
 
 

@@ -183,21 +183,16 @@ def relative_positions(
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class PositionHistogram:
-    kind: DocOpKind
-    positions: tuple[float, ...]
-
-    def histogram(self, bins: int) -> list[tuple[float, float, int]]:
-        """Fixed-width bins over [0, 1); the last bin also takes 1.0."""
-        if bins < 1:
-            raise ValueError("bins must be positive")
-        counts = [0] * bins
-        for p in self.positions:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"position {p} outside [0, 1]")
-            counts[min(int(p * bins), bins - 1)] += 1
-        return [(i / bins, (i + 1) / bins, counts[i]) for i in range(bins)]
+def position_histogram(positions: Iterable[float], bins: int) -> list[tuple[float, float, int]]:
+    """Fixed-width bins over [0, 1); the last bin also takes 1.0."""
+    if bins < 1:
+        raise ValueError("bins must be positive")
+    counts = [0] * bins
+    for p in positions:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"position {p} outside [0, 1]")
+        counts[min(int(p * bins), bins - 1)] += 1
+    return [(i / bins, (i + 1) / bins, counts[i]) for i in range(bins)]
 
 
 @dataclass(frozen=True)

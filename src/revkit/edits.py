@@ -75,12 +75,6 @@ def edit_sort_key(e: Edit) -> tuple:
     )
 
 
-def _span_surfaces(s: Sentence, span: Span | None) -> tuple[str, ...]:
-    if span is None:
-        return ()
-    return tuple(t.surface for t in s.tokens[span[0]:span[1]])
-
-
 @dataclass(frozen=True)
 class SentenceRevision:
     """An aligned sentence pair with its extracted (or gold) edits,
@@ -98,10 +92,12 @@ class SentenceRevision:
                 raise ValueError(f"edit {e} exceeds the source sentence")
             if e.tgt_span is not None and e.tgt_span[1] > len(self.tgt.tokens):
                 raise ValueError(f"edit {e} exceeds the target sentence")
-            if e.kind is EditKind.SUBSTITUTE and _span_surfaces(self.src, e.src_span) == _span_surfaces(self.tgt, e.tgt_span):
-                raise ValueError(f"substitute {e} has identical surfaces")
-            if e.kind is EditKind.REORDER and _span_surfaces(self.src, e.src_span) != _span_surfaces(self.tgt, e.tgt_span):
-                raise ValueError(f"reorder {e} must have identical surfaces")
+            if e.kind is EditKind.SUBSTITUTE or e.kind is EditKind.REORDER:
+                same = self.src.tokens[slice(*e.src_span)] == self.tgt.tokens[slice(*e.tgt_span)]
+                if e.kind is EditKind.SUBSTITUTE and same:
+                    raise ValueError(f"substitute {e} has identical surfaces")
+                if e.kind is EditKind.REORDER and not same:
+                    raise ValueError(f"reorder {e} must have identical surfaces")
         for side in ("src_span", "tgt_span"):
             spans = sorted(getattr(e, side) for e in edits if getattr(e, side) is not None)
             for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
@@ -160,7 +156,7 @@ def diff_to_edits(script: Sequence[DiffRun]) -> set[Edit]:
 
 def edits_from_diff(src: Sentence, tgt: Sentence) -> set[Edit]:
     """Extract edits by diffing the token surfaces (case-sensitive)."""
-    return diff_to_edits(myers_diff(src.surfaces(), tgt.surfaces()))
+    return diff_to_edits(myers_diff(src.tokens, tgt.tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +173,10 @@ def strip_identical_boundaries(e: Edit, src: Sentence, tgt: Sentence) -> Edit | 
         return e
     a, b = e.src_span
     c, d = e.tgt_span
-    while a < b and c < d and src.tokens[a].surface == tgt.tokens[c].surface:
+    while a < b and c < d and src.tokens[a] == tgt.tokens[c]:
         a += 1
         c += 1
-    while b > a and d > c and src.tokens[b - 1].surface == tgt.tokens[d - 1].surface:
+    while b > a and d > c and src.tokens[b - 1] == tgt.tokens[d - 1]:
         b -= 1
         d -= 1
     if a == b and c == d:
@@ -228,8 +224,8 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
     except against work[x]: those are re-checked, cascading downwards,
     before the forward scan resumes at the lowest changed row.
     """
-    surf_s = src.surfaces()
-    surf_t = tgt.surfaces()
+    surf_s = src.tokens
+    surf_t = tgt.tokens
 
     def eligible(p: _SpanPair, q: _SpanPair) -> bool:
         (ps0, ps1), (pt0, pt1) = p
@@ -264,8 +260,8 @@ def _emit_edits(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> set[Edi
     edits: set[Edit] = set()
     covered_src = [False] * len(src.tokens)
     covered_tgt = [False] * len(tgt.tokens)
-    surf_s = src.surfaces()
-    surf_t = tgt.surfaces()
+    surf_s = src.tokens
+    surf_t = tgt.tokens
     for p in pairs:
         (a, b), (c, d) = p
         covered_src[a:b] = [True] * (b - a)
@@ -461,8 +457,8 @@ def derive_reorder(
     Crossing means two links (i, j) and (i', j') with i < i' and j > j'.
     """
     wa.validate(len(src.tokens), len(tgt.tokens))
-    surf_s = src.surfaces()
-    surf_t = tgt.surfaces()
+    surf_s = src.tokens
+    surf_t = tgt.tokens
     ident = sorted((i, j) for i, j in wa.links if surf_s[i] == surf_t[j])
     ident_set = set(ident)
     # tokens under some edit's span, per side

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .corpus import Sentence, Token
+from .corpus import SPECIAL_MARKERS, Sentence
 from .edits import Edit, EditKind
 from .errors import FormatError, decode_json
 
@@ -100,16 +100,16 @@ LONG_SPAN_TOKENS = 7
 TYPO_MAX_DISTANCE = 2
 
 
-def _is_formatting_token(t: Token) -> bool:
-    return t.is_special or all(not c.isalnum() for c in t.surface)
+def _is_formatting_token(t: str) -> bool:
+    return t in SPECIAL_MARKERS or all(not c.isalnum() for c in t)
 
 
-def _family_words(tokens: tuple[Token, ...]) -> list[str] | None:
+def _family_words(tokens: tuple[str, ...]) -> list[str] | None:
     words = []
     for t in tokens:
         if _is_formatting_token(t):
             continue
-        fam = FORMAT_WORD_FAMILIES.get(t.surface.lower())
+        fam = FORMAT_WORD_FAMILIES.get(t.lower())
         if fam is None:
             return None
         words.append(fam)
@@ -128,13 +128,13 @@ def classify_edit_rule(edit: Edit, src: Sentence, tgt: Sentence) -> IntentionLab
     """
     src_toks = src.tokens[edit.src_span[0]:edit.src_span[1]] if edit.src_span else ()
     tgt_toks = tgt.tokens[edit.tgt_span[0]:edit.tgt_span[1]] if edit.tgt_span else ()
-    touched = tuple(src_toks) + tuple(tgt_toks)
+    touched = src_toks + tgt_toks
 
     if touched and all(_is_formatting_token(t) for t in touched):
         return IntentionLabel.ADJUST_FORMAT
     if edit.kind is EditKind.SUBSTITUTE:
-        fam_src = _family_words(tuple(src_toks))
-        fam_tgt = _family_words(tuple(tgt_toks))
+        fam_src = _family_words(src_toks)
+        fam_tgt = _family_words(tgt_toks)
         if fam_src and fam_tgt and fam_src == fam_tgt:
             return IntentionLabel.ADJUST_FORMAT
 
@@ -147,7 +147,7 @@ def classify_edit_rule(edit: Edit, src: Sentence, tgt: Sentence) -> IntentionLab
         edit.kind is EditKind.SUBSTITUTE
         and len(src_toks) == 1
         and len(tgt_toks) == 1
-        and levenshtein(src_toks[0].surface, tgt_toks[0].surface) <= TYPO_MAX_DISTANCE
+        and levenshtein(src_toks[0], tgt_toks[0]) <= TYPO_MAX_DISTANCE
     ):
         return IntentionLabel.GRAMMAR_TYPO
 

@@ -112,7 +112,7 @@ class ParaAlignment:
 def _sentence_rows(
     paragraphs: tuple[Paragraph, ...], memo: dict[str, list[int]], vocab: dict[str, int]
 ):
-    """Token-id lists of the non-skipped sentences, their SentenceId -> row
+    """Lowercase-token id lists of the non-skipped sentences, their SentenceId -> row
     map, and each paragraph's [start, end) row range.  memo holds each
     distinct raw text's ids over vocab; both grow in place."""
     ids: list[list[int]] = []

@@ -106,7 +106,7 @@ def align_sentences_directional(
                     best, best_score = t, score
             if best is None or best_score < threshold:
                 continue
-            if best_score == 1.0 or s.lower_surfaces() == best.lower_surfaces():
+            if best_score == 1.0 or s.lower_tokens() == best.lower_tokens():
                 label = SentAlignLabel.ALIGNED
             else:
                 label = SentAlignLabel.PARTIAL

@@ -103,7 +103,7 @@ def build_idf(docs: Iterable[DocVersion]) -> IdfModel:
 
 def _tfidf_vector(s: Sentence, model: IdfModel):
     """Term counts, tf-idf weights, whether any weight is nonzero, norm."""
-    counts = Counter(s.lower_surfaces())
+    counts = Counter(s.lower_tokens())
     weights = {tok: cnt * model.lookup(tok) for tok, cnt in counts.items()}
     return counts, weights, any(weights.values()), _norm(weights)
 
@@ -123,8 +123,8 @@ def tfidf_sim(a: Sentence, b: Sentence, model: IdfModel) -> float:
 
 
 def _bleu_features(s: Sentence):
-    """Token count and the 1- to 4-gram counts of the lowercased tokens."""
-    w = s.lower_surfaces()
+    """Number of tokens and the 1- to 4-gram counts of the lowercased tokens."""
+    w = s.lower_tokens()
     return len(w), tuple(
         Counter(w[i:i + n] for i in range(max(len(w) - n + 1, 0))) for n in range(1, 5)
     )

@@ -25,7 +25,7 @@ def sent(raw: str, version: int = 1, para: int = 0, idx: int = 0) -> Sentence:
 def toks(raw: str, version: int = 1, para: int = 0, idx: int = 0) -> Sentence:
     """Sentence from space-separated tokens; surfaces must round-trip."""
     s = sent(raw, version, para, idx)
-    assert s.surfaces() == tuple(raw.split()), raw
+    assert s.tokens == tuple(raw.split()), raw
     return s
 
 

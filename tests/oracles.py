@@ -18,15 +18,7 @@ from itertools import product
 from typing import Iterator
 
 from revkit import corpus
-from revkit.corpus import (
-    SPECIAL_KINDS,
-    SPECIAL_MARKERS,
-    DocVersion,
-    Sentence,
-    SentenceId,
-    Token,
-    TokenKind,
-)
+from revkit.corpus import DocVersion, Sentence, SentenceId
 from revkit.errors import TreeParseError
 from revkit.trees import MAX_DEPTH
 
@@ -126,8 +118,8 @@ def oracle_align_paragraphs(src: DocVersion, tgt: DocVersion, t) -> frozenset[tu
 # tf-idf cosine, recomputed from scratch for every pair
 
 def oracle_tfidf(a: Sentence, b: Sentence, model) -> float:
-    ta = Counter(a.lower_surfaces())
-    tb = Counter(b.lower_surfaces())
+    ta = Counter(a.lower_tokens())
+    tb = Counter(b.lower_tokens())
     va = {tok: cnt * model.lookup(tok) for tok, cnt in ta.items()}
     vb = {tok: cnt * model.lookup(tok) for tok, cnt in tb.items()}
     if not any(va.values()) and not any(vb.values()):
@@ -189,8 +181,8 @@ def _oracle_bleu_one_way(hyp: tuple, ref: tuple) -> float:
 
 
 def oracle_bleu(a: Sentence, b: Sentence) -> float:
-    wa = a.lower_surfaces()
-    wb = b.lower_surfaces()
+    wa = a.lower_tokens()
+    wb = b.lower_tokens()
     return 0.5 * (_oracle_bleu_one_way(wa, wb) + _oracle_bleu_one_way(wb, wa))
 
 
@@ -549,28 +541,28 @@ def _oracle_parse_node(toks, i: int, leaf_start: int, end_pos: int, depth: int):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer and skip filters, as first written: one Token per piece, one
-# Python-level test per character and per token
+# tokenizer and skip filters, as first written: one Python-level test per
+# character and per token, against this module's own marker list
 
+_MARKERS = ["[REF]", "[CIT]", "[MATH]", "[EQN]"]
 _MARKER_RE = re.compile(r"(\[REF\]|\[CIT\]|\[MATH\]|\[EQN\])")
 _PUNCT = frozenset(string.punctuation)
 
 
-def oracle_tokenize(text: str) -> tuple[Token, ...]:
-    tokens: list[Token] = []
+def oracle_tokenize(text: str) -> tuple[str, ...]:
+    tokens: list[str] = []
     for chunk in text.split():
         for piece in _MARKER_RE.split(chunk):
             if not piece:
                 continue
-            kind = SPECIAL_MARKERS.get(piece)
-            if kind is not None:
-                tokens.append(Token(piece, kind))
+            if piece in _MARKERS:
+                tokens.append(piece)
             else:
                 tokens.extend(_oracle_split_plain(piece))
     return tuple(tokens)
 
 
-def _oracle_split_plain(piece: str) -> Iterator[Token]:
+def _oracle_split_plain(piece: str) -> Iterator[str]:
     head: list[str] = []
     tail: list[str] = []
     while piece and piece[0] in _PUNCT:
@@ -580,11 +572,15 @@ def _oracle_split_plain(piece: str) -> Iterator[Token]:
         tail.append(piece[-1])
         piece = piece[:-1]
     for ch in head:
-        yield Token(ch, TokenKind.PUNCTUATION)
+        yield ch
     if piece:
-        yield Token(piece, TokenKind.WORD)
+        yield piece
     for ch in reversed(tail):
-        yield Token(ch, TokenKind.PUNCTUATION)
+        yield ch
+
+
+def oracle_special_count(tokens) -> int:
+    return sum(1 for t in tokens if t in _MARKERS)
 
 
 def oracle_english_fraction(raw: str) -> float:
@@ -600,7 +596,7 @@ def oracle_sentence_skip(s: Sentence) -> bool:
         return True
     if len(s.tokens) <= corpus.SKIP_MAX_SENTENCE_TOKENS:
         return True
-    special = sum(1 for t in s.tokens if t.kind in SPECIAL_KINDS)
+    special = oracle_special_count(s.tokens)
     if special / len(s.tokens) > corpus.SKIP_SENTENCE_SPECIAL_FRACTION:
         return True
     if oracle_english_fraction(s.raw) < corpus.SKIP_MIN_ENGLISH_FRACTION:
@@ -615,7 +611,7 @@ def oracle_paragraph_skip(sentences) -> bool:
     toks = [t for s in sentences for t in s.tokens]
     if len(toks) < corpus.SKIP_MIN_PARAGRAPH_TOKENS:
         return True
-    special = sum(1 for t in toks if t.kind in SPECIAL_KINDS)
+    special = oracle_special_count(toks)
     if toks and special / len(toks) > corpus.SKIP_PARAGRAPH_SPECIAL_FRACTION:
         return True
     return False
@@ -776,6 +772,6 @@ def generate_gold_revision(rng: random.Random):
         copy_run()
     src = make_sentence(" ".join(src_words), version=1)
     tgt = make_sentence(" ".join(tgt_words), version=2)
-    assert src.surfaces() == tuple(src_words)
-    assert tgt.surfaces() == tuple(tgt_words)
+    assert src.tokens == tuple(src_words)
+    assert tgt.tokens == tuple(tgt_words)
     return src, tgt, set(gold), frozenset(links)

@@ -111,8 +111,8 @@ def test_parse_level_zero_degenerates_to_simple():
         src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 10))), version=1)
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 10))), version=2)
         links = WordAlignment(random_links(rng, len(src.tokens), len(tgt.tokens)))
-        ts = parse_tree_read(format_tree(random_tree(rng, list(src.surfaces()))))
-        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.surfaces()))))
+        ts = parse_tree_read(format_tree(random_tree(rng, list(src.tokens))))
+        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.tokens))))
         assert keys(edits_with_parse(src, tgt, links, ts, tt, max_level=0)) == keys(
             edits_from_alignment_simple(src, tgt, links)
         )
@@ -125,12 +125,12 @@ def test_parse_matches_exhaustive_ancestor_oracle():
         src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))), version=1)
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))), version=2)
         links = random_links(rng, len(src.tokens), len(tgt.tokens))
-        ts = random_tree(rng, list(src.surfaces()))
-        tt = random_tree(rng, list(tgt.surfaces()))
+        ts = random_tree(rng, list(src.tokens))
+        tt = random_tree(rng, list(tgt.tokens))
         level = rng.randint(1, 3)
         read_s, read_t = parse_tree_read(format_tree(ts)), parse_tree_read(format_tree(tt))
         got = keys(edits_with_parse(src, tgt, WordAlignment(links), read_s, read_t, max_level=level))
-        assert got == oracle_parse(src.surfaces(), tgt.surfaces(), links, ts, tt, level)
+        assert got == oracle_parse(src.tokens, tgt.tokens, links, ts, tt, level)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from revkit.intention import COARSE_LABELS, FINE_LABELS
 from revkit.sent_align import SentAlignLabel
 
 from helpers import filler_sentence
-from oracles import VOCAB, random_sentence_raw
+from oracles import VOCAB, random_doc_pair, random_sentence_raw
 
 
 def changed(raw, tag):
@@ -128,6 +128,26 @@ def test_align_slash_in_id_becomes_underscore(tmp_path):
     out = tmp_path / "out"
     assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 0
     assert os.listdir(out) == ["math_0101001.v1-v2.json"]
+
+
+def test_align_repeated_arxiv_id_exits_2_before_writing(ws, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, ids=("2001.0001", "2001.0002", "2001.0001"))
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: $[2].arxiv_id: repeats arxiv_id '2001.0001'" in err
+    assert not out.exists()
+
+
+def test_align_ids_sharing_a_file_name_exit_2_before_writing(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, ids=("math/0101001", "math_0101001"))
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'math/0101001' and 'math_0101001' would both write math_0101001.v1-v2.json" in err
+    assert not out.exists()
 
 
 def test_align_threshold_config_and_flag(ws, tmp_path):
@@ -509,6 +529,70 @@ def test_identical_versions_are_all_copies(tmp_path, seed):
     assert summary["mean_update_ratio"] == 0
     rows = (out / "update_ratios.csv").read_text().splitlines()[1:]
     assert rows == ["2001.0002,1,2,2000,0.0"]
+
+
+def _several_groups(seed):
+    """Corpus JSON of four random groups with distinct time deltas, one of
+    them with a third version that reverses the second's paragraphs."""
+    rng = random.Random(seed)
+    groups = []
+    for n in range(4):
+        src, tgt = random_doc_pair(rng)
+        group = json.loads(serialize_corpus([build_group(f"2001.{n:04d}", "cs.CL", [src, tgt])]))[0]
+        group["versions"][1]["timestamp"] = 1000 + 1000 * rng.randint(1, 9)
+        groups.append(group)
+    second = groups[2]["versions"][1]
+    groups[2]["versions"].append(
+        {"version": 3, "timestamp": second["timestamp"] + 500, "paragraphs": second["paragraphs"][::-1]}
+    )
+    return groups
+
+
+def _align_and_stats(root, groups):
+    """Every align and stats output of the corpus, by relative path."""
+    root.mkdir()
+    corpus = root / "corpus.json"
+    corpus.write_text(json.dumps(groups))
+    align_dir, stats_dir = root / "align", root / "stats"
+    assert main(["align", "--corpus", str(corpus), "--out", str(align_dir)]) == 0
+    assert main(["stats", "--corpus", str(corpus), "--alignments", str(align_dir), "--out", str(stats_dir)]) == 0
+    return {
+        f"{d.name}/{f.name}": f.read_bytes() for d in (align_dir, stats_dir) for f in d.iterdir()
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_group_order_changes_no_output(tmp_path, seed):
+    # metamorphic: the order of the groups in the corpus file is not data
+    groups = _several_groups(seed)
+    forward = _align_and_stats(tmp_path / "forward", groups)
+    assert len(forward) == 5 + 6  # five version pairs, six stats files
+    assert _align_and_stats(tmp_path / "reversed", groups[::-1]) == forward
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_renaming_a_group_renames_only_its_outputs(tmp_path, seed):
+    # metamorphic: a new id that keeps the group's sort position changes
+    # its file names, its arxiv_id fields and its update_ratios.csv id
+    # cells, and nothing else
+    old, new = "2001.0002", "2001.0002/b"
+    groups = _several_groups(seed)
+    before = _align_and_stats(tmp_path / "before", groups)
+    groups[2]["arxiv_id"] = new
+    after = _align_and_stats(tmp_path / "after", groups)
+
+    want = {}
+    for name, data in before.items():
+        if name.startswith(f"align/{old}."):
+            name = name.replace(old, "2001.0002_b", 1)
+            assert data.count(b'"arxiv_id": "2001.0002"') == 1
+            data = data.replace(b'"arxiv_id": "2001.0002"', b'"arxiv_id": "2001.0002/b"')
+        elif name == "stats/update_ratios.csv":
+            rows = [line.split(",") for line in data.decode().splitlines(keepends=True)]
+            assert sum(row[0] == old for row in rows) == 2
+            data = "".join(",".join([new if row[0] == old else row[0], *row[1:]]) for row in rows).encode()
+        want[name] = data
+    assert after == want
 
 
 def test_stats_skips_the_ratio_of_an_all_skipped_source(ws, tmp_path, caplog):
@@ -1115,13 +1199,15 @@ def test_console_script_logging(ws, tmp_path):
     assert res.returncode == 0
     assert "wrote" in res.stderr
 
-    env["REVKIT_LOG"] = "NOISY"
-    res = subprocess.run(
-        [*revkit_binary(), "align", "--corpus", ws.corpus, "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
-    assert res.returncode == 0
-    assert "ignoring invalid REVKIT_LOG" in res.stderr
+    # not a name in logging, and a name in logging that is not a level
+    for value in ("NOISY", "BASIC_FORMAT"):
+        env["REVKIT_LOG"] = value
+        res = subprocess.run(
+            [*revkit_binary(), "align", "--corpus", ws.corpus, "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0
+        assert f"ignoring invalid REVKIT_LOG value '{value}'" in res.stderr
 
 
 def test_usage_error_exits_nonzero(capsys):

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revkit.corpus import (
-    SPECIAL_KINDS,
+    SPECIAL_MARKERS,
     ArticleGroup,
     DocVersion,
     Paragraph,
@@ -14,8 +14,6 @@ from revkit.corpus import (
     Sentence,
     SentenceId,
     Subject,
-    Token,
-    TokenKind,
     _english_fraction,
     _tokenize_chunk,
     build_group,
@@ -34,6 +32,7 @@ from oracles import (
     oracle_english_fraction,
     oracle_paragraph_skip,
     oracle_sentence_skip,
+    oracle_special_count,
     oracle_tokenize,
 )
 
@@ -42,55 +41,41 @@ from oracles import (
 # tokenizer
 
 def test_tokenize_simple():
-    assert [t.surface for t in tokenize("Note that .")] == ["Note", "that", "."]
+    assert tokenize("Note that .") == ("Note", "that", ".")
 
 
-def test_tokenize_kinds():
-    kinds = [t.kind for t in tokenize("see [REF] .")]
-    assert kinds == [TokenKind.WORD, TokenKind.REFERENCE, TokenKind.PUNCTUATION]
+def test_each_marker_is_one_counted_token():
+    for marker in ("[REF]", "[CIT]", "[MATH]", "[EQN]"):
+        s = sent(f"see {marker} .")
+        assert s.tokens == ("see", marker, ".")
+        assert s.special_count == 1
 
 
 def test_tokenize_peels_trailing_punctuation():
-    assert [t.surface for t in tokenize("Fig. [REF] , the")] == ["Fig", ".", "[REF]", ",", "the"]
+    assert tokenize("Fig. [REF] , the") == ("Fig", ".", "[REF]", ",", "the")
 
 
 def test_tokenize_marker_inside_chunk():
-    assert [t.surface for t in tokenize("a[MATH]b")] == ["a", "[MATH]", "b"]
+    assert tokenize("a[MATH]b") == ("a", "[MATH]", "b")
 
 
 def test_tokenize_all_markers():
     toks = tokenize("[REF] [CIT] [MATH] [EQN]")
-    assert [t.kind for t in toks] == [
-        TokenKind.REFERENCE,
-        TokenKind.CITATION,
-        TokenKind.INLINE_MATH,
-        TokenKind.BLOCK_MATH,
-    ]
-    assert all(t.is_special for t in toks)
+    assert toks == ("[REF]", "[CIT]", "[MATH]", "[EQN]")
+    assert SPECIAL_MARKERS == frozenset(toks)
+    assert sent("[REF] [CIT] [MATH] [EQN]").special_count == 4
 
 
 def test_tokenize_incomplete_marker_is_plain():
-    surfaces = [t.surface for t in tokenize("[REF")]
-    assert surfaces == ["[", "REF"]
+    assert tokenize("[REF") == ("[", "REF")
+    assert sent("[REF").special_count == 0
 
 
 @given(st.text())
 def test_tokenize_idempotent(text):
     toks = tokenize(text)
-    again = tokenize(" ".join(t.surface for t in toks))
-    assert [(t.surface, t.kind) for t in again] == [(t.surface, t.kind) for t in toks]
-
-
-def test_token_rejects_empty_surface():
-    with pytest.raises(ValueError):
-        Token("", TokenKind.WORD)
-
-
-def test_token_rejects_wrong_marker_surface():
-    with pytest.raises(ValueError):
-        Token("[REF]", TokenKind.CITATION)
-    with pytest.raises(ValueError):
-        Token("word", TokenKind.REFERENCE)
+    assert all(toks)  # no empty token
+    assert tokenize(" ".join(toks)) == toks
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +229,7 @@ def test_group_build_matches_sentence_by_sentence_oracle(versions):
             for s, e in zip(para.sentences, expected):
                 assert (s.id, s.raw, s.tokens) == (e.id, e.raw, e.tokens)
                 assert s.skipped is sentence_skip_filter(e)
-                assert s.special_count == sum(t.kind in SPECIAL_KINDS for t in e.tokens)
+                assert s.special_count == oracle_special_count(e.tokens)
                 # equal texts in one group share one tokens tuple
                 assert s.tokens is first_tokens.setdefault(s.raw, s.tokens)
             assert para.skipped is oracle_paragraph_skip(expected)
@@ -255,8 +240,8 @@ def test_group_build_matches_sentence_by_sentence_oracle(versions):
 
 def test_sentence_surfaces_and_sets():
     s = sent("The cat saw the CAT")
-    assert s.surfaces() == ("The", "cat", "saw", "the", "CAT")
-    assert s.lower_surfaces() == ("the", "cat", "saw", "the", "cat")
+    assert s.tokens == ("The", "cat", "saw", "the", "CAT")
+    assert s.lower_tokens() == ("the", "cat", "saw", "the", "cat")
     assert s.lower_token_set() == frozenset({"the", "cat", "saw"})
 
 

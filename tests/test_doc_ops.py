@@ -7,11 +7,11 @@ from revkit.doc_ops import (
     CompositionBin,
     DocOperation,
     DocOpKind,
-    PositionHistogram,
     action_composition_by_ratio,
     count_operations,
     doc_operations,
     pearson,
+    position_histogram,
     relative_positions,
     update_ratio,
 )
@@ -277,8 +277,7 @@ def test_positions_reject_sideless_kind():
 
 
 def test_histogram_binning():
-    h = PositionHistogram(DocOpKind.DELETION, (0.0, 0.05, 0.5, 1.0))
-    got = h.histogram(10)
+    got = position_histogram((0.0, 0.05, 0.5, 1.0), 10)
     assert got[0] == (0.0, 0.1, 2)
     assert got[5] == (0.5, 0.6, 1)
     assert got[9] == (0.9, 1.0, 1)  # 1.0 folds into the last bin
@@ -287,9 +286,9 @@ def test_histogram_binning():
 
 def test_histogram_errors():
     with pytest.raises(ValueError, match="bins"):
-        PositionHistogram(DocOpKind.DELETION, ()).histogram(0)
+        position_histogram((), 0)
     with pytest.raises(ValueError, match="outside"):
-        PositionHistogram(DocOpKind.DELETION, (1.5,)).histogram(10)
+        position_histogram((1.5,), 10)
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def test_simple_matches_oracle_on_randoms():
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))), version=2)
         links = random_links(rng, len(src.tokens), len(tgt.tokens))
         got = keys(edits_from_alignment_simple(src, tgt, WordAlignment(links)))
-        want = oracle_simple(src.surfaces(), tgt.surfaces(), links)
+        want = oracle_simple(src.tokens, tgt.tokens, links)
         assert got == want
 
 
@@ -299,7 +299,7 @@ def test_closure_merges_leftmost_pair_first():
     links = [(0, 1), (1, 1), (2, 4), (4, 6), (5, 2), (5, 4), (6, 4)]
     got = _close_span_pairs(_link_components(links), src, tgt)
     assert got == [((0, 7), (1, 7))]
-    assert oracle_closure(oracle_components(links), src.surfaces(), tgt.surfaces()) == got
+    assert oracle_closure(oracle_components(links), src.tokens, tgt.tokens) == got
 
 
 def _random_span(rng: random.Random, n: int) -> tuple[int, int]:
@@ -321,7 +321,7 @@ def test_closure_matches_oracle_on_tiny_vocabularies(words):
         else:
             # any list of span pairs in any order, as the tree route builds
             pairs = [_SpanPair(_random_span(rng, n), _random_span(rng, m)) for _ in range(rng.randint(1, 6))]
-        want = oracle_closure(pairs, src.surfaces(), tgt.surfaces())
+        want = oracle_closure(pairs, src.tokens, tgt.tokens)
         assert _close_span_pairs(pairs, src, tgt) == want
 
 
@@ -388,7 +388,7 @@ def test_parse_climbs_unary_chain_one_level_per_node():
         ts, tt = parse_tree_read(src_tree), parse_tree_read(tgt_tree)
         assert keys(edits_with_parse(src, tgt, links, ts, tt, max_level=level)) == want
         assert want == oracle_parse(
-            src.surfaces(), tgt.surfaces(), links.links,
+            src.tokens, tgt.tokens, links.links,
             oracle_parse_tree(src_tree), oracle_parse_tree(tgt_tree), level,
         )
 
@@ -420,8 +420,8 @@ def test_parse_levels_past_the_root_change_nothing():
         src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))), version=1)
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))), version=2)
         links = WordAlignment(random_links(rng, len(src.tokens), len(tgt.tokens)))
-        ts = parse_tree_read(format_tree(random_tree(rng, list(src.surfaces()))))
-        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.surfaces()))))
+        ts = parse_tree_read(format_tree(random_tree(rng, list(src.tokens))))
+        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.tokens))))
         top = max(_height(ts), _height(tt))
         want = keys(edits_with_parse(src, tgt, links, ts, tt, max_level=top))
         for level in (top + 1, top + 5, 10**6):
@@ -435,8 +435,8 @@ def test_parse_level_zero_equals_simple_on_randoms():
         src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))), version=1)
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))), version=2)
         links = WordAlignment(random_links(rng, len(src.tokens), len(tgt.tokens)))
-        ts = parse_tree_read(format_tree(random_tree(rng, list(src.surfaces()))))
-        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.surfaces()))))
+        ts = parse_tree_read(format_tree(random_tree(rng, list(src.tokens))))
+        tt = parse_tree_read(format_tree(random_tree(rng, list(tgt.tokens))))
         assert keys(edits_with_parse(src, tgt, links, ts, tt, max_level=0)) == keys(
             edits_from_alignment_simple(src, tgt, links)
         )
@@ -474,12 +474,12 @@ def test_parse_matches_exhaustive_oracle_on_randoms(words, max_len):
         src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, max_len))), version=1)
         tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, max_len))), version=2)
         links = random_links(rng, len(src.tokens), len(tgt.tokens))
-        ts = random_tree(rng, list(src.surfaces()))
-        tt = random_tree(rng, list(tgt.surfaces()))
+        ts = random_tree(rng, list(src.tokens))
+        tt = random_tree(rng, list(tgt.tokens))
         level = rng.randint(1, 3)
         read_s, read_t = parse_tree_read(format_tree(ts)), parse_tree_read(format_tree(tt))
         got = keys(edits_with_parse(src, tgt, WordAlignment(links), read_s, read_t, max_level=level))
-        want = oracle_parse(src.surfaces(), tgt.surfaces(), links, ts, tt, level)
+        want = oracle_parse(src.tokens, tgt.tokens, links, ts, tt, level)
         assert got == want
 
 
@@ -554,7 +554,7 @@ def test_reorder_blocks_sharing_tokens():
         ((0, 1), (1, 2), "reorder"),
         ((1, 2), (0, 1), "reorder"),
     }
-    assert keys(got) == oracle_reorder(src.surfaces(), tgt.surfaces(), links.links, set())
+    assert keys(got) == oracle_reorder(src.tokens, tgt.tokens, links.links, set())
 
 
 @pytest.mark.parametrize("words", [["a"], ["a", "b"], ["a", "b", "c"]], ids=["1-word", "2-words", "3-words"])
@@ -570,7 +570,7 @@ def test_reorder_matches_oracle_on_randoms(words):
         alignment = WordAlignment(links)
         for edits in (set(), edits_from_alignment_simple(src, tgt, alignment)):
             got = keys(derive_reorder(edits, alignment, src, tgt))
-            assert got == oracle_reorder(src.surfaces(), tgt.surfaces(), links, keys(edits))
+            assert got == oracle_reorder(src.tokens, tgt.tokens, links, keys(edits))
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_tfidf_matches_brute_force():
 
     def vec(s):
         return {
-            tok: cnt * model.lookup(tok) for tok, cnt in Counter(s.lower_surfaces()).items()
+            tok: cnt * model.lookup(tok) for tok, cnt in Counter(s.lower_tokens()).items()
         }
 
     va, vb = vec(s1), vec(s2)
