@@ -39,32 +39,43 @@ class DocOperation:
 def link_components(links: Iterable[tuple[Hashable, Hashable]]) -> list[tuple[list, list]]:
     """Connected components of a bipartite graph given as (left, right)
     links: per component, its distinct left ends and its distinct right
-    ends, each in first-seen order."""
+    ends, each in first-seen order.
+
+    One union-find pass numbers each end when first seen and joins the
+    two ends' roots, the right root under the left one; lookups halve
+    their path.  Components come out in the order their first left end
+    was seen.  Numbering and root search are written inline, since they
+    run once or twice per link.
+    """
     parent: list[int] = []
     lefts: dict = {}
     rights: dict = {}
-
-    def node(ends: dict, key) -> int:
-        n = ends.get(key)
-        if n is None:
-            n = ends[key] = len(parent)
-            parent.append(n)
-        return n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in links:
-        ra, rb = find(node(lefts, a)), find(node(rights, b))
+        ra = lefts.get(a)
+        if ra is None:
+            ra = lefts[a] = len(parent)
+            parent.append(ra)
+        else:
+            while parent[ra] != ra:
+                parent[ra] = parent[parent[ra]]
+                ra = parent[ra]
+        rb = rights.get(b)
+        if rb is None:
+            rb = rights[b] = len(parent)
+            parent.append(rb)
+        else:
+            while parent[rb] != rb:
+                parent[rb] = parent[parent[rb]]
+                rb = parent[rb]
         if ra != rb:
             parent[rb] = ra
     groups: dict[int, tuple[list, list]] = {}
     for side, ends in enumerate((lefts, rights)):
         for key, n in ends.items():
-            groups.setdefault(find(n), ([], []))[side].append(key)
+            while parent[n] != n:
+                parent[n] = parent[parent[n]]
+                n = parent[n]
+            groups.setdefault(n, ([], []))[side].append(key)
     return list(groups.values())
 
 

@@ -10,10 +10,10 @@ unaligned runs as pure insertions/deletions.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .corpus import Sentence
@@ -210,7 +210,7 @@ def _merge(p: _SpanPair, q: _SpanPair) -> _SpanPair:
 
 
 def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> list[_SpanPair]:
-    """Fixpoint closure over span pairs.
+    """Fixpoint closure over span pairs (all spans non-empty).
 
     Pairs overlapping on either side must merge (their edits could not
     otherwise be disjoint).  Pairs exactly adjacent on both sides, in the
@@ -218,42 +218,58 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
     surfaces; identical (copy) pairs stay separate so that crossing
     copies remain visible to reorder detection.
 
-    The leftmost eligible pair (x, y) merges first, into position x; the
-    order matters, since adjacency reads the surfaces of merged spans.
-    A merge changes only work[x], so every row before x stays settled
-    except against work[x]: those are re-checked, cascading downwards,
-    before the forward scan resumes at the lowest changed row.
+    The leftmost eligible pair (x, y) of rows merges first, into row x;
+    the order matters, since adjacency reads the surfaces of merged
+    spans.  Each round finds that pair with _first_eligible, which
+    compares only rows touching on one side, so a list that merges
+    nothing costs one pair of sorts and one comparison per touching
+    pair.  Whether a row differs from its target surface is read once
+    per row and again only after the row merges.
     """
     surf_s = src.tokens
     surf_t = tgt.tokens
-
-    def eligible(p: _SpanPair, q: _SpanPair) -> bool:
-        (ps0, ps1), (pt0, pt1) = p
-        (qs0, qs1), (qt0, qt1) = q
-        if (ps0 < qs1 and qs0 < ps1) or (pt0 < qt1 and qt0 < pt1):
-            return True
-        if (ps1 == qs0 and pt1 == qt0) or (qs1 == ps0 and qt1 == pt0):
-            return surf_s[ps0:ps1] != surf_t[pt0:pt1] and surf_s[qs0:qs1] != surf_t[qt0:qt1]
-        return False
-
     work = list(pairs)
-    x = 0
-    while x < len(work):
-        p = work[x]
-        (ps0, ps1), (pt0, pt1) = p
-        for y in range(x + 1, len(work)):
-            (qs0, qs1), (qt0, qt1) = q = work[y]
-            # touching on one side or the other is needed for any merge
-            if (qs0 <= ps1 and ps0 <= qs1 or qt0 <= pt1 and pt0 <= qt1) and eligible(p, q):
-                break
-        else:
-            x += 1
-            continue
-        work[x] = _merge(p, work.pop(y))
-        while (a := next((a for a in range(x) if eligible(work[a], work[x])), None)) is not None:
-            work[a] = _merge(work[a], work.pop(x))
-            x = a
+    changed = [surf_s[a:b] != surf_t[c:d] for (a, b), (c, d) in work]
+    while (hit := _first_eligible(work, changed)) is not None:
+        x, y = hit
+        (a, b), (c, d) = work[x] = _merge(work[x], work.pop(y))
+        del changed[y]
+        changed[x] = surf_s[a:b] != surf_t[c:d]
     return sorted(work)
+
+
+def _first_eligible(work: list[_SpanPair], changed: list[bool]) -> tuple[int, int] | None:
+    """The lowest row pair (x, y), x < y, that _close_span_pairs must or
+    may merge, or None.
+
+    Every eligible pair touches on the src side or overlaps on the tgt
+    side, so two sweeps find them all.  In src-start order, each row is
+    compared with the following rows that start no later than it ends;
+    in tgt-start order, each row collects the following rows that start
+    before it ends, all of which overlap it.  Rows that touch on neither
+    side are never compared.
+    """
+    hits: list[tuple[int, int]] = []
+    rows = sorted([(s0, s1, t0, t1, k) for k, ((s0, s1), (t0, t1)) in enumerate(work)])
+    n = len(rows)
+    for k, (s0, s1, t0, t1, x) in enumerate(rows):
+        m = k + 1
+        while m < n:
+            ys0, _, yt0, yt1, y = rows[m]
+            if ys0 > s1:
+                break
+            # src overlap, tgt overlap, or adjacency on both sides in order
+            if ys0 < s1 or (yt0 < t1 and t0 < yt1) or (yt0 == t1 and changed[x] and changed[y]):
+                hits.append((x, y) if x < y else (y, x))
+            m += 1
+    rows = sorted([(t0, t1, k) for k, (_, (t0, t1)) in enumerate(work)])
+    for k, (_, t1, x) in enumerate(rows):
+        m = k + 1
+        while m < n and rows[m][0] < t1:
+            y = rows[m][2]
+            hits.append((x, y) if x < y else (y, x))
+            m += 1
+    return min(hits, default=None)
 
 
 def _emit_edits(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> set[Edit]:
@@ -369,26 +385,26 @@ def _drop_nested(pairs: list[_SpanPair]) -> list[_SpanPair]:
 
     Every pair is a pair of tree-node spans, so the spans of one side
     nest or are disjoint, and strict containment on both sides is the
-    only redundancy possible.  One sweep in (src start, -src end) order
-    keeps a stack of the src spans holding the current one; a pair is
-    dropped when a pair on that stack, or another pair with the same src
-    span, holds its tgt span.
+    only redundancy possible.  One sweep visits the distinct pairs in
+    (src start, -src end, tgt start, -tgt end) order, so every pair that
+    holds another comes before it.  The stack holds, innermost last, the
+    kept pairs whose src span holds the current one's; the current pair
+    is dropped when one of their tgt spans holds its own.  A dropped
+    pair is not pushed: whatever it holds, its holder holds too.
     """
-    unique = sorted(set(pairs), key=lambda p: (p.src[0], -p.src[1]))
+    unique = sorted(set(pairs), key=lambda p: (p[0][0], -p[0][1], p[1][0], -p[1][1]))
     kept: list[_SpanPair] = []
-    # (src span, the tgt spans of it and of every src span holding it)
-    stack: list[tuple[Span, list[Span]]] = []
-    for src, group in groupby(unique, key=attrgetter("src")):
-        tgts = [p.tgt for p in group]
-        while stack and stack[-1][0][1] <= src[0]:
-            stack.pop()  # ends before src starts
-        outer = stack[-1][1] if stack else []
-        for c, d in tgts:
-            if not any(a <= c and d <= b for a, b in outer) and not any(
-                a <= c and d <= b and (a, b) != (c, d) for a, b in tgts
-            ):
-                kept.append(_SpanPair(src, (c, d)))
-        stack.append((src, outer + tgts))
+    stack: list[tuple[int, int, int]] = []  # (src end, tgt start, tgt end)
+    for p in unique:
+        (s0, s1), (t0, t1) = p
+        while stack and stack[-1][0] <= s0:
+            stack.pop()  # ends before this src span starts
+        for _, a, b in stack:
+            if a <= t0 and t1 <= b:
+                break
+        else:
+            kept.append(p)
+            stack.append((s1, t0, t1))
     return sorted(kept)
 
 
@@ -446,6 +462,26 @@ def edits_with_parse(
 # ---------------------------------------------------------------------------
 # reorders
 
+def _blocks_cross(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether a link of diagonal block a = (i, j, n), the links
+    (i + x, j + x) for x < n, crosses a link of block b = (i2, j2, n2).
+
+    Links x of a and y of b lie u = i + x - (i2 + y) apart on the src
+    side and u + D on the tgt side, with D = (j - i) - (j2 - i2); they
+    cross when u and u + D have opposite signs.  u takes every value in
+    [i - i2 - n2 + 1, i - i2 + n - 1], so a crossing exists exactly when
+    that range meets the open interval between -D and 0, which holds an
+    integer only when |D| >= 2.
+    """
+    (i, j, n), (i2, j2, n2) = a, b
+    d = (j - i) - (j2 - i2)
+    lo = i - i2 - n2 + 1
+    hi = i - i2 + n - 1
+    if d >= 2:
+        return lo < 0 and hi > -d
+    return d <= -2 and hi > 0 and lo < -d
+
+
 def derive_reorder(
     edits: set[Edit], wa: WordAlignment, src: Sentence, tgt: Sentence
 ) -> set[Edit]:
@@ -455,42 +491,54 @@ def derive_reorder(
     Blocks overlapping an existing edit's spans are ignored, so the
     result can be unioned with edits from either extraction route.
     Crossing means two links (i, j) and (i', j') with i < i' and j > j'.
+
+    One sweep in src-start order settles every pair of blocks.  A block
+    wholly before another on the src side crosses it exactly when its
+    last tgt index passes the other's first, so those pairs are read
+    from a suffix minimum of tgt starts and a prefix maximum of tgt ends
+    (over blocks in src-end order).  Only blocks overlapping on the src
+    side are compared, each pair once, with _blocks_cross.
     """
     wa.validate(len(src.tokens), len(tgt.tokens))
     surf_s = src.tokens
     surf_t = tgt.tokens
-    ident = sorted((i, j) for i, j in wa.links if surf_s[i] == surf_t[j])
-    ident_set = set(ident)
     # tokens under some edit's span, per side
     edited_s = [False] * len(surf_s)
     edited_t = [False] * len(surf_t)
     for e in edits:
         for span, edited in ((e.src_span, edited_s), (e.tgt_span, edited_t)):
             if span is not None:
-                for k in range(span[0], min(span[1], len(edited))):
-                    edited[k] = True
-    blocks: list[tuple[int, int, int]] = []  # (src start, tgt start, length)
-    for i, j in ident:
-        if (i - 1, j - 1) in ident_set:
-            continue  # inside a run that starts earlier
-        length = 1
-        while (i + length, j + length) in ident_set:
-            length += 1
-        if not any(edited_s[i:i + length]) and not any(edited_t[j:j + length]):
-            blocks.append((i, j, length))
-
-    def crosses(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-        (i, j, n), (i2, j2, n2) = a, b
-        if (i + n <= i2 and j + n <= j2) or (i2 + n2 <= i and j2 + n2 <= j):
-            return False  # one block wholly before the other on both sides
-        return any(
-            (i + x < i2 + y and j + x > j2 + y) or (i + x > i2 + y and j + x < j2 + y)
-            for x in range(n)
-            for y in range(n2)
-        )
-
-    return {
-        Edit((i, i + n), (j, j + n), EditKind.REORDER)
-        for i, j, n in blocks
-        if any(crosses((i, j, n), other) for other in blocks if other != (i, j, n))
-    }
+                a, b = span[0], min(span[1], len(edited))
+                edited[a:b] = [True] * (b - a)
+    runs: list[list[int]] = []  # [src start, tgt start, length], per diagonal
+    d0, i0 = 0, -2  # continued by no link
+    for d, i in sorted((j - i, i) for i, j in wa.links if surf_s[i] == surf_t[j]):
+        if d == d0 and i == i0 + 1:
+            runs[-1][2] += 1
+        else:
+            runs.append([i, i + d, 1])
+        d0, i0 = d, i
+    blocks = sorted(
+        (i, j, n) for i, j, n in runs if not any(edited_s[i:i + n]) and not any(edited_t[j:j + n])
+    )
+    starts = [i for i, _, _ in blocks]
+    # first_after[k]: the lowest tgt start among blocks[k:]
+    first_after = list(accumulate((j for _, j, _ in reversed(blocks)), min, initial=len(surf_t)))[::-1]
+    by_end = sorted((i + n, j + n) for i, j, n in blocks)
+    ends = [e for e, _ in by_end]
+    # last_before[k]: the highest tgt end among the k blocks ending first on the src side
+    last_before = list(accumulate((t for _, t in by_end), max, initial=0))
+    moved: set[tuple[int, int, int]] = set()
+    for k, (i, j, n) in enumerate(blocks):
+        if (
+            first_after[bisect_left(starts, i + n, k)] < j + n - 1
+            or last_before[bisect_right(ends, i)] > j + 1
+        ):
+            moved.add((i, j, n))
+        for m in range(k + 1, len(blocks)):
+            if starts[m] >= i + n:
+                break
+            if _blocks_cross((i, j, n), blocks[m]):
+                moved.add((i, j, n))
+                moved.add(blocks[m])
+    return {Edit((i, i + n), (j, j + n), EditKind.REORDER) for i, j, n in moved}

@@ -205,7 +205,7 @@ def parse_pharaoh_line(line: str, where: str = "alignment") -> WordAlignment:
     links = set()
     for field in line.split():
         i, sep, j = field.partition("-")
-        if sep and i.isdecimal() and j.isdecimal():
+        if sep and field.isascii() and i.isdecimal() and j.isdecimal():  # [0-9]+-[0-9]+
             try:
                 links.add((int(i), int(j)))
                 continue

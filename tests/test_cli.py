@@ -409,6 +409,24 @@ def test_extract_edits_parse_tree_leaf_count_mismatch(ws, tmp_path, capsys):
     assert "pair 2 (" in err and "source tree covers 1 tokens, sentence has 6" in err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        pytest.param("٣-١", id="arabic-indic digits"),
+        pytest.param("１-２", id="fullwidth digits"),
+        pytest.param("1-٢", id="one non-ascii side"),
+    ],
+)
+def test_extract_edits_pharaoh_links_take_ascii_digits_only(ws, tmp_path, capsys, field):
+    # str.isdecimal() holds for these, and int() reads them as numbers
+    path = tmp_path / "wa.txt"
+    path.write_text("0-0\n0-0 " + field + "\n0-0\n0-0\n", encoding="utf-8")
+    assert extract(ws, tmp_path / "e.json", "simple", ["--word-alignments", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: bad link {field!r}" in err
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_extract_edits_unknown_group_exits_2(ws, tmp_path, capsys):
     stray = tmp_path / "stray.json"
     obj = {"arxiv_id": "9999.9999", "src_version": 1, "tgt_version": 2, "pairs": []}

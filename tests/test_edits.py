@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from revkit.edits import (
     Edit,
@@ -15,7 +17,7 @@ from revkit.edits import (
     edits_with_parse,
     strip_identical_boundaries,
 )
-from revkit.edits import _close_span_pairs, _drop_nested, _link_components, _SpanPair
+from revkit.edits import _blocks_cross, _close_span_pairs, _drop_nested, _link_components, _SpanPair
 from revkit.myers import myers_diff
 from revkit.trees import parse_tree_read
 
@@ -326,6 +328,140 @@ def test_closure_matches_oracle_on_tiny_vocabularies(words):
 
 
 # ---------------------------------------------------------------------------
+# merge-heavy oracle tests: long sentences over tiny vocabularies with
+# dense links, so the closure merges, cascades and drops nested pairs
+
+WORDS = st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")])
+LONG = {"deadline": None, "suppress_health_check": [HealthCheck.too_slow]}
+
+
+@st.composite
+def long_pairs(draw, lo: int = 60, hi: int = 150):
+    """Two sentences of lo..hi tokens over a one- to three-word vocabulary."""
+    words = draw(WORDS)
+    sides = []
+    for version in (1, 2):
+        n = draw(st.integers(lo, hi))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        sides.append(make_sentence(" ".join(rng.choice(words) for _ in range(n)), version=version))
+    return sides[0], sides[1]
+
+
+@st.composite
+def dense_links(draw, n: int, m: int) -> frozenset:
+    """One to `most` (at most three) links per source token, within
+    `width` of the proportional diagonal: many small components whose
+    envelopes overlap."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(0, 4))
+    most = draw(st.integers(1, 3))
+    links = set()
+    for i in range(n):
+        at = i * m // n
+        for _ in range(rng.randint(1, most)):
+            links.add((i, min(m - 1, max(0, at + rng.randint(-width, width)))))
+    return frozenset(links)
+
+
+@st.composite
+def span_pair_lists(draw):
+    """A sentence pair and 1-40 span pairs in any order, each tgt span
+    near the proportional position of its src span.  Besides free
+    pairs, a pair may copy an earlier pair's src start with another end
+    (a tie), abut an earlier pair on both sides (a merge only when
+    neither is a copy, so merge order shows), or take a src span a few
+    tokens away from an earlier pair's and a tgt span that overlaps or
+    abuts its tgt span (touching on the tgt side only)."""
+    src, tgt = draw(long_pairs())
+    n, m = len(src.tokens), len(tgt.tokens)
+
+    def span(size: int, start: int) -> tuple[int, int]:
+        return (start, draw(st.integers(start + 1, min(size, start + 6))))
+
+    def near(a: int) -> int:
+        return min(m - 1, max(0, a * m // n + draw(st.integers(-4, 4))))
+
+    pairs: list[_SpanPair] = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(("free", "tie", "abut", "tgt-touch")) if pairs else st.just("free"))
+        if kind == "free":
+            a = draw(st.integers(0, n - 1))
+            pairs.append(_SpanPair(span(n, a), span(m, near(a))))
+            continue
+        (s0, s1), (t0, t1) = draw(st.sampled_from(pairs))
+        if kind == "tie":
+            pairs.append(_SpanPair(span(n, s0), span(m, near(s0))))
+            continue
+        if kind == "abut":
+            if s1 < n and t1 < m:
+                pairs.append(_SpanPair(span(n, s1), span(m, t1)))
+            continue
+        if s0 >= 2 and (s1 + 1 >= n or draw(st.booleans())):
+            b = draw(st.integers(max(1, s0 - 8), s0 - 1))
+            far = (draw(st.integers(max(0, b - 6), b - 1)), b)
+        elif s1 + 1 < n:
+            far = span(n, draw(st.integers(s1 + 1, min(n - 1, s1 + 8))))
+        else:
+            continue  # src spans the whole sentence
+        # the tgt span overlaps or abuts the chosen pair's
+        pairs.append(_SpanPair(far, span(m, draw(st.integers(max(0, t0 - 1), min(m - 1, t1))))))
+    return src, tgt, pairs
+
+
+@settings(max_examples=150, **LONG)
+@given(span_pair_lists())
+# rows 1 and 2 merge on their tgt overlap; their src envelope then
+# swallows row 0, which touched neither, and the merge cascades into it
+@example((make_sentence(" ".join(["a"] * 60), version=1), make_sentence(" ".join(["b"] * 60), version=2),
+          [_SpanPair((6, 7), (10, 11)), _SpanPair((4, 5), (0, 2)), _SpanPair((8, 9), (1, 3))]))
+def test_closure_matches_oracle_on_long_merge_heavy_lists(case):
+    src, tgt, pairs = case
+    want = oracle_closure(pairs, src.tokens, tgt.tokens)
+    assert _close_span_pairs(pairs, src, tgt) == want
+
+
+@settings(max_examples=60, **LONG)
+@given(long_pairs(), st.data())
+def test_closure_of_dense_components_matches_oracle(sentences, data):
+    src, tgt = sentences
+    links = data.draw(dense_links(len(src.tokens), len(tgt.tokens)))
+    pairs = _link_components(links)
+    assert _close_span_pairs(pairs, src, tgt) == oracle_closure(pairs, src.tokens, tgt.tokens)
+    got = keys(edits_from_alignment_simple(src, tgt, WordAlignment(links)))
+    assert got == oracle_simple(src.tokens, tgt.tokens, links)
+
+
+def _node_spans(tree) -> list[tuple[int, int]]:
+    return [tree.span] + [s for c in tree.children for s in _node_spans(c)]
+
+
+@settings(max_examples=100, **LONG)
+@given(st.integers(60, 150), st.integers(60, 150), st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_drop_nested_matches_oracle_on_long_trees(n, m, seed, count):
+    # a parent and its first child tie on their start, unary chains
+    # repeat a span, and repeated draws give duplicates
+    rng = random.Random(seed)
+    spans_s = _node_spans(random_tree(rng, ["w"] * n))
+    spans_t = _node_spans(random_tree(rng, ["w"] * m))
+    pairs = [_SpanPair(rng.choice(spans_s), rng.choice(spans_t)) for _ in range(count)]
+    pairs += [_SpanPair(s, t) for s, t in zip(spans_s, spans_t)]
+    assert _drop_nested(pairs) == oracle_maximal(pairs)
+
+
+@settings(max_examples=60, **LONG)
+@given(long_pairs(), st.data(), st.integers(1, 2))
+def test_parse_matches_exhaustive_oracle_on_long_dense_pairs(sentences, data, level):
+    src, tgt = sentences
+    links = data.draw(dense_links(len(src.tokens), len(tgt.tokens)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    ts = random_tree(rng, list(src.tokens))
+    tt = random_tree(rng, list(tgt.tokens))
+    read_s, read_t = parse_tree_read(format_tree(ts)), parse_tree_read(format_tree(tt))
+    got = keys(edits_with_parse(src, tgt, WordAlignment(links), read_s, read_t, max_level=level))
+    assert got == oracle_parse(src.tokens, tgt.tokens, links, ts, tt, level)
+
+
+# ---------------------------------------------------------------------------
 # tree-guided route
 
 SRC_TREE = "(S (D0 the) (N (D1 rates) (P (V corresponding) (T to))) (L limits))"
@@ -446,13 +582,9 @@ def test_drop_nested_keeps_maximal_pairs_on_randoms():
     # the sweep needs each side's spans to nest or be disjoint, as the
     # node spans of one tree do
     rng = random.Random(67)
-
-    def node_spans(tree):
-        return [tree.span] + [s for c in tree.children for s in node_spans(c)]
-
     for _ in range(1000):
-        spans_s = node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
-        spans_t = node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
+        spans_s = _node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
+        spans_t = _node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
         pairs = [
             _SpanPair(rng.choice(spans_s), rng.choice(spans_t))
             for _ in range(rng.randint(0, 14))
@@ -555,6 +687,44 @@ def test_reorder_blocks_sharing_tokens():
         ((1, 2), (0, 1), "reorder"),
     }
     assert keys(got) == oracle_reorder(src.tokens, tgt.tokens, links.links, set())
+
+
+def _crosses_by_links(a, b) -> bool:
+    """Some link of block a crosses some link of block b, by testing
+    every pair of links."""
+    (i, j, n), (i2, j2, n2) = a, b
+    return any(
+        (i + x < i2 + y and j + x > j2 + y) or (i + x > i2 + y and j + x < j2 + y)
+        for x in range(n)
+        for y in range(n2)
+    )
+
+
+@st.composite
+def block_pairs(draw):
+    """Two diagonal blocks over small indices, whose diagonals differ by
+    D = (j - i) - (j2 - i2); D of -2..2 is drawn as often as any other."""
+    i, i2, j2 = (draw(st.integers(0, 12)) for _ in range(3))
+    n, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    d = draw(st.sampled_from((-2, -1, 0, 1, 2)) | st.integers(-14, 14))
+    j = i + (j2 - i2) + d
+    assume(j >= 0)
+    return (i, j, n), (i2, j2, n2)
+
+
+@given(block_pairs())
+@example(((2, 2, 3), (3, 3, 2)))  # overlapping, one diagonal: D = 0
+@example(((2, 3, 3), (3, 3, 2)))  # overlapping, D = 1: no integer strictly between
+@example(((2, 1, 3), (3, 3, 2)))  # overlapping, D = -1
+@example(((2, 4, 3), (3, 3, 2)))  # overlapping, D = 2: the nearest diagonals that cross
+@example(((2, 0, 3), (3, 3, 2)))  # overlapping, D = -2
+@example(((0, 3, 2), (2, 4, 1)))  # wholly before on the src side only
+@example(((3, 0, 2), (2, 4, 1)))  # wholly before on the tgt side only
+@example(((0, 0, 2), (2, 2, 1)))  # wholly before on both sides
+def test_blocks_cross_matches_link_loop(blocks):
+    a, b = blocks
+    assert _blocks_cross(a, b) == _crosses_by_links(a, b)
+    assert _blocks_cross(b, a) == _crosses_by_links(a, b)
 
 
 @pytest.mark.parametrize("words", [["a"], ["a", "b"], ["a", "b", "c"]], ids=["1-word", "2-words", "3-words"])
