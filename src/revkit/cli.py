@@ -57,7 +57,7 @@ from .formats import (
 )
 from .intention import ingest_predictions, parse_label
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
-from .para_align import Thresholds, align_paragraphs
+from .para_align import GroupEncoder, Thresholds, align_paragraphs
 from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
 from .similarity import METRIC_NAMES, make_metric
 
@@ -146,9 +146,11 @@ def _write_outputs(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
 # ---------------------------------------------------------------------------
 # align
 
-def _align_pair(src: DocVersion, tgt: DocVersion, cfg: RunConfig):
+def _align_pair(
+    src: DocVersion, tgt: DocVersion, cfg: RunConfig, encoder: GroupEncoder | None = None
+):
     thresholds = Thresholds(cfg.tau1, cfg.tau2, cfg.tau3, cfg.tau4)
-    paras = align_paragraphs(src, tgt, thresholds)
+    paras = align_paragraphs(src, tgt, thresholds, encoder)
     if not paras.pairs:
         # no sentence to score (tfidf could not even fit idf on two empty versions)
         return SentenceAlignment(src.version_index, tgt.version_index, frozenset())
@@ -175,9 +177,11 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
                 group.arxiv_id, v.version_index, total,
             )
     out = []
+    # one encoding of each distinct text for all of the group's pairs
+    encoder = GroupEncoder(len(group.versions) - 1)
     for src, tgt in group.adjacent_pairs():
         try:
-            merged = _align_pair(src, tgt, cfg)
+            merged = _align_pair(src, tgt, cfg, encoder)
         except ValueError as exc:
             raise RevkitError(f"group {group.arxiv_id}: {exc}") from exc
         name = _pair_filename(group.arxiv_id, src.version_index, tgt.version_index)

@@ -9,18 +9,19 @@ Skip filters mark sentences and paragraphs that are too short, too
 technical or truncated, and everything downstream (alignment, operation
 statistics) ignores skipped material.
 
-All model objects are immutable; a Sentence computes its marker count
-on first read and keeps it.
+All model objects are immutable.  A sentence built from its raw text
+gets its tokens, marker count and skip decision in one pass; a Sentence
+made directly counts its markers on first read and keeps the count.
 """
 from __future__ import annotations
 
 import json
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import chain
+from sys import intern as _intern
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusFormatError, decode_json
@@ -47,22 +48,29 @@ def tokenize(text: str) -> tuple[str, ...]:
     single-character tokens, and keep the bracketed markers atomic.
 
     Joining the resulting tokens with single spaces and re-tokenizing
-    reproduces the same token sequence.
+    reproduces the same token sequence.  A chunk with no ASCII
+    punctuation at either end and no "[" holds no marker and peels
+    nothing, so it is its own token, interned so that repeated words
+    share one string; only the other chunks go through the marker split.
     """
-    return tuple(chain.from_iterable(map(_tokenize_chunk, text.split())))
+    tokens: list[str] = []
+    for chunk in text.split():
+        if chunk[0] in _PUNCT or chunk[-1] in _PUNCT or "[" in chunk:
+            tokens.extend(_tokenize_chunk(chunk))
+        else:
+            tokens.append(_intern(chunk))
+    return tuple(tokens)
 
 
 # Distinct whitespace chunks kept by _tokenize_chunk.  A chunk's tokens
-# depend on the chunk alone, so repeated words share one tuple of token
-# strings.  A group build tokenizes each distinct sentence text once, so
-# only distinct texts look chunks up here; on the benchmark corpora
-# 76-84% of those lookups still hit.  The largest group there, with
-# punctuation attached to words as in running text, has 7,432 distinct
-# chunks; this size holds about two such groups, gives the same hit share
-# as 65,536 on every corpus measured, and holds about 2.7 MB when full
-# (tracemalloc, 16,384 words with and without attached punctuation).
-# A miss costs a little more than no cache at all; the size stays at a
-# few groups.
+# depend on the chunk alone, so repeated chunks share one tuple of token
+# strings.  Only chunks with punctuation at an edge or a "[" come here:
+# on the benchmark corpora, whose punctuation stands apart from words,
+# that is a few chunks (7 on c40 seed 3), hit 99.9% of the time.  Running
+# text with punctuation attached to words sends more: at most 7,432
+# distinct chunks per group on the corpora measured, and 16,384 entries
+# hold about 2.7 MB when full (tracemalloc).  A miss costs a little more
+# than no cache at all; the size stays at a few groups.
 _CHUNK_CACHE_SIZE = 1 << 14
 
 
@@ -107,16 +115,19 @@ class Sentence:
 
     @classmethod
     def build(cls, raw: str, sid: SentenceId) -> "Sentence":
-        s = cls(id=sid, raw=raw, tokens=tokenize(raw))
-        if sentence_skip_filter(s):
-            s = replace(s, skipped=True)
+        """Tokenize, count markers and apply the skip filter in one pass."""
+        tokens = tokenize(raw)
+        # a marker token holds "[", so a text without one has none
+        special = sum(map(SPECIAL_MARKERS.__contains__, tokens)) if "[" in raw else 0
+        s = cls(sid, raw, tokens, sentence_skip_filter(raw, tokens, special))
+        s.__dict__["special_count"] = special  # where cached_property keeps it
         return s
 
     def _with_id(self, sid: SentenceId) -> "Sentence":
         """The same text under another id, sharing this sentence's tokens
         tuple, skip decision and special count."""
         s = Sentence(sid, self.raw, self.tokens, self.skipped)
-        s.__dict__["special_count"] = self.special_count  # where cached_property keeps it
+        s.__dict__["special_count"] = self.special_count
         return s
 
     def lower_tokens(self) -> tuple[str, ...]:
@@ -135,31 +146,29 @@ class Sentence:
         return sum(map(SPECIAL_MARKERS.__contains__, self.tokens))
 
 
-def _english_fraction(raw: str) -> float:
-    # str.split() splits exactly at the characters str.isspace() accepts
-    visible = "".join(raw.split())
+def _english_fraction(raw: str, visible: int) -> float:
+    """Share of ASCII letters among the `visible` non-whitespace
+    characters of raw.  Tokenizing drops exactly the whitespace, so the
+    token lengths of raw add up to `visible`."""
     if not visible:
         return 0.0
-    letters = len(visible) - len(visible.translate(_ASCII_LETTERS))
-    return letters / len(visible)
+    return (len(raw) - len(raw.translate(_ASCII_LETTERS))) / visible
 
 
-def sentence_skip_filter(s: Sentence) -> bool:
-    """True when the sentence must stay out of alignment: over-long raw
-    text, too few tokens, mostly markers, mostly non-letter characters,
-    or a trailing ','/':' that signals a truncated list or equation lead-in."""
-    if len(s.raw) > SKIP_MAX_SENTENCE_CHARS:
+def sentence_skip_filter(raw: str, tokens: Sequence[str], special: int) -> bool:
+    """True when a sentence with this raw text, these tokens and `special`
+    marker tokens must stay out of alignment: over-long raw text, too few
+    tokens, mostly markers, mostly non-letter characters, or a trailing
+    ','/':' that signals a truncated list or equation lead-in."""
+    if len(raw) > SKIP_MAX_SENTENCE_CHARS:
         return True
-    if len(s.tokens) <= SKIP_MAX_SENTENCE_TOKENS:
+    if len(tokens) <= SKIP_MAX_SENTENCE_TOKENS:
         return True
-    if s.special_count / len(s.tokens) > SKIP_SENTENCE_SPECIAL_FRACTION:
+    if special / len(tokens) > SKIP_SENTENCE_SPECIAL_FRACTION:
         return True
-    if _english_fraction(s.raw) < SKIP_MIN_ENGLISH_FRACTION:
+    if _english_fraction(raw, sum(map(len, tokens))) < SKIP_MIN_ENGLISH_FRACTION:
         return True
-    stripped = s.raw.rstrip()
-    if stripped.endswith(",") or stripped.endswith(":"):
-        return True
-    return False
+    return raw.rstrip().endswith((",", ":"))
 
 
 @dataclass(frozen=True)
@@ -172,34 +181,32 @@ class Paragraph:
     def build(
         cls, raws: Iterable[str], version: int, index: int, seen: dict[str, Sentence] | None = None
     ) -> "Paragraph":
-        """`seen` maps each text already built to its first sentence; a
-        repeated text reuses that analysis instead of redoing it."""
+        """Build the sentences and apply the paragraph skip filter in one
+        pass.  `seen` maps each text already built to its first sentence;
+        a repeated text reuses that analysis instead of redoing it."""
         if seen is None:
             seen = {}
         sents = []
+        tokens = special = 0
         for n, raw in enumerate(raws):
             sid = SentenceId(version, index, n)
             first = seen.get(raw)
             if first is None:
-                seen[raw] = first = Sentence.build(raw, sid)
-                sents.append(first)
+                seen[raw] = s = Sentence.build(raw, sid)
             else:
-                sents.append(first._with_id(sid))
-        p = cls(index=index, sentences=tuple(sents))
-        if paragraph_skip_filter(p):
-            p = replace(p, skipped=True)
-        return p
+                s = first._with_id(sid)
+            sents.append(s)
+            tokens += len(s.tokens)
+            special += s.special_count
+        return cls(index, tuple(sents), paragraph_skip_filter(tokens, special))
 
 
-def paragraph_skip_filter(p: Paragraph) -> bool:
-    """True when the paragraph as a whole is excluded from alignment."""
-    tokens = sum(len(s.tokens) for s in p.sentences)
+def paragraph_skip_filter(tokens: int, special: int) -> bool:
+    """True when a paragraph whose sentences hold `tokens` tokens, of
+    which `special` are markers, is excluded from alignment as a whole."""
     if tokens < SKIP_MIN_PARAGRAPH_TOKENS:
         return True
-    special = sum(s.special_count for s in p.sentences)
-    if special / tokens > SKIP_PARAGRAPH_SPECIAL_FRACTION:
-        return True
-    return False
+    return special / tokens > SKIP_PARAGRAPH_SPECIAL_FRACTION
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ asymmetry is part of the published behaviour of this procedure and must
 not be "fixed".
 
 The sentence x sentence Jaccard matrix is computed once per version
-pair.  Each distinct sentence text of the pair is encoded once, into its
-list of lowercase-token ids over one vocabulary shared by both sides, and
-repeated texts reuse that list.  Segment reductions turn the matrix into
+pair.  Each distinct sentence text of a group is encoded once, into its
+list of lowercase-token ids over one vocabulary shared by all the
+group's version pairs, and repeated texts reuse that list (GroupEncoder).  Segment reductions turn the matrix into
 the tensor: ``np.maximum.reduceat`` over paragraph boundaries gives each
 sentence's best match per paragraph, and each block mean is one
 contiguous 1-D reduction, so it rounds exactly as a per-block ``np.mean``
@@ -109,44 +109,88 @@ class ParaAlignment:
         return ParaAlignment(frozenset((j, i) for i, j in self.pairs), scores)
 
 
-def _sentence_rows(
-    paragraphs: tuple[Paragraph, ...], memo: dict[str, list[int]], vocab: dict[str, int]
-):
-    """Lowercase-token id lists of the non-skipped sentences, their SentenceId -> row
-    map, and each paragraph's [start, end) row range.  memo holds each
-    distinct raw text's ids over vocab; both grow in place."""
-    ids: list[list[int]] = []
-    rows: dict[SentenceId, int] = {}
-    bounds: list[tuple[int, int]] = []
-    for p in paragraphs:
-        start = len(ids)
-        for s in p.sentences:
-            if not s.skipped:
-                rows[s.id] = len(ids)
-                row = memo.get(s.raw)
-                if row is None:
-                    row = memo[s.raw] = [vocab.setdefault(w, len(vocab)) for w in s.lower_token_set()]
-                ids.append(row)
-        bounds.append((start, len(ids)))
-    return ids, rows, bounds
+class GroupEncoder:
+    """Lowercase-token id lists of sentence texts over one vocabulary that
+    every version pair of a group shares.
+
+    A group's pairs run (v1, v2), (v2, v3), ...: each pair's source is
+    the previous pair's target.  So after each pair the encoder keeps only
+    the id lists of its target's texts, which the next pair reuses, and
+    after the last of `pairs` pairs it keeps nothing, not even the
+    vocabulary.  Equal raw texts have equal tokens, so a text's list
+    depends on the text alone.
+    """
+
+    def __init__(self, pairs: int = 1) -> None:
+        self.pairs = pairs
+        self.surface: dict[str, int] = {}  # token surface -> id of its lowercase form
+        self.lower: dict[str, int] = {}  # lowercase token -> id
+        self.rows: dict[str, list[int]] = {}  # raw text -> its distinct ids
+
+    def encode_pair(self, sp: tuple[Paragraph, ...], tp: tuple[Paragraph, ...]):
+        """_sentence_rows of the source's and the target's non-skipped
+        paragraphs; then keep the target's id lists, or nothing after
+        the last pair."""
+        src = self._sentence_rows(sp, self.rows)
+        kept: dict[str, list[int]] = {}
+        tgt = self._sentence_rows(tp, kept)
+        self.pairs -= 1
+        if self.pairs > 0:
+            self.rows = kept
+        else:
+            self.surface, self.lower, self.rows = {}, {}, {}
+        return src, tgt
+
+    def _sentence_rows(self, paragraphs: tuple[Paragraph, ...], out: dict[str, list[int]]):
+        """Id lists of the non-skipped sentences, their SentenceId -> row
+        map, and each paragraph's [start, end) row range.  Each text's
+        list is also stored in `out`."""
+        known = self.rows
+        ids: list[list[int]] = []
+        rows: dict[SentenceId, int] = {}
+        bounds: list[tuple[int, int]] = []
+        for p in paragraphs:
+            start = len(ids)
+            for s in p.sentences:
+                if not s.skipped:
+                    rows[s.id] = len(ids)
+                    row = known.get(s.raw)
+                    if row is None:
+                        row = known[s.raw] = self._encode(s.tokens)
+                    out[s.raw] = row
+                    ids.append(row)
+            bounds.append((start, len(ids)))
+        return ids, rows, bounds
+
+    def _encode(self, tokens: tuple[str, ...]) -> list[int]:
+        surface, lower = self.surface, self.lower
+        row = set(map(surface.get, tokens))
+        if None in row:
+            for t in set(tokens).difference(surface):
+                surface[t] = lower.setdefault(t.lower(), len(lower))
+            row = set(map(surface.get, tokens))
+        return list(row)
 
 
-def compute_sim_tensor(src: DocVersion, tgt: DocVersion) -> ParaSimTensor:
+def compute_sim_tensor(
+    src: DocVersion, tgt: DocVersion, encoder: GroupEncoder | None = None
+) -> ParaSimTensor:
     """Build both similarity matrices over the non-skipped paragraphs.
 
     Skipped sentences take part in neither the average nor the max; a
     paragraph whose sentences are all skipped yields a zero row/column,
-    and an empty version yields zero-size matrices.
+    and an empty version yields zero-size matrices.  `encoder` carries
+    the encodings of the group's previous pair; without one the pair is
+    encoded alone.
     """
     sp = src.alignable_paragraphs()
     tp = tgt.alignable_paragraphs()
     k, l = len(sp), len(tp)
     sim1 = np.zeros((k, l), dtype=np.float64)
     sim2 = np.zeros((k, l), dtype=np.float64)
-    memo: dict[str, list[int]] = {}
-    vocab: dict[str, int] = {}
-    src_ids, src_rows, src_bounds = _sentence_rows(sp, memo, vocab)
-    tgt_ids, tgt_rows, tgt_bounds = _sentence_rows(tp, memo, vocab)
+    if encoder is None:
+        encoder = GroupEncoder()
+    (src_ids, src_rows, src_bounds), (tgt_ids, tgt_rows, tgt_bounds) = encoder.encode_pair(sp, tp)
     matrix = jaccard_matrix(src_ids, tgt_ids)
     if src_ids and tgt_ids:
         # reduceat mishandles empty segments, so reduce over non-empty
@@ -185,6 +229,7 @@ def align_paragraphs(
     src: DocVersion,
     tgt: DocVersion,
     thresholds: Thresholds = Thresholds(),
+    encoder: GroupEncoder | None = None,
 ) -> ParaAlignment:
     """Two-pass thresholded-argmax paragraph alignment.
 
@@ -196,8 +241,9 @@ def align_paragraphs(
     break to the lowest index.  Returned pairs use original paragraph
     indices; skipped paragraphs never appear.  The result carries the
     sentence Jaccard lookup so sentence alignment can reuse it.
+    `encoder` is as for compute_sim_tensor.
     """
-    t = compute_sim_tensor(src, tgt)
+    t = compute_sim_tensor(src, tgt, encoder)
     k, l = t.k, t.l
     if k == 0 or l == 0:
         return ParaAlignment(scores=t.scores)

@@ -9,8 +9,9 @@ The last three split into a per-sentence feature function and a score
 over two feature values; the scalar functions here call both.  A metric
 from make_metric keeps one cache of features keyed by the raw sentence
 text, so each distinct text is featurised once for as long as that
-metric lives (the caller holds it for one version pair).  The scores are
-the same expressions on the same features either way, bit for bit.
+metric lives (the caller holds it for one version pair), and a text
+scored against itself is 1.0 without features.  The scores are the same
+expressions on the same features either way, bit for bit.
 """
 from __future__ import annotations
 
@@ -172,10 +173,13 @@ SentenceMetric = Callable[[Sentence, Sentence], float]
 def _per_text(features: Callable[[Sentence], object], score: Callable) -> SentenceMetric:
     """score(features(a), features(b)), with the features of each distinct
     raw text built once.  Sentence.build derives the tokens from the raw
-    text alone, so sentences with equal text have equal features."""
+    text alone, so sentences with equal text have equal features, and
+    equal texts score exactly 1.0 without building any."""
     cache: dict[str, object] = {}
 
     def metric(a: Sentence, b: Sentence) -> float:
+        if a.raw == b.raw:
+            return 1.0
         fa = cache.get(a.raw)
         if fa is None:
             fa = cache[a.raw] = features(a)

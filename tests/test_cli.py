@@ -588,6 +588,61 @@ def test_group_order_changes_no_output(tmp_path, seed):
     assert _align_and_stats(tmp_path / "reversed", groups[::-1]) == forward
 
 
+def _four_versions(seed):
+    """Sentence strings per paragraph of four successive versions.  Each
+    later version rewrites, upper-cases or brings back from two versions
+    earlier some sentences, and swaps two neighbouring paragraphs."""
+    rng = random.Random(seed)
+    versions = [[[s.raw for s in p.sentences] for p in v.paragraphs] for v in random_doc_pair(rng)]
+    for _ in range(2):
+        older = [raw for p in versions[-2] for raw in p]
+        paras = [list(p) for p in versions[-1]]
+        for p in paras:
+            for n in range(len(p)):
+                r = rng.random()
+                if r < 0.2:
+                    p[n] = random_sentence_raw(rng)
+                elif r < 0.3:
+                    p[n] = p[n].upper()  # new surfaces, the same lowercase tokens
+                elif r < 0.4 and older:
+                    p[n] = rng.choice(older)
+        if len(paras) > 1:
+            i = rng.randrange(len(paras) - 1)
+            paras[i], paras[i + 1] = paras[i + 1], paras[i]
+        versions.append(paras)
+    return versions
+
+
+def _align_files(root, versions, first=1):
+    """The alignment files of one group holding `versions`, numbered from `first`."""
+    root.mkdir()
+    corpus = root / "corpus.json"
+    corpus.write_text(json.dumps([{
+        "arxiv_id": "2001.0001",
+        "subject": "cs.CL",
+        "versions": [
+            {"version": k, "timestamp": 1000 * k, "paragraphs": [{"sentences": p} for p in paras]}
+            for k, paras in enumerate(versions, first)
+        ],
+    }]))
+    assert main(["align", "--corpus", str(corpus), "--out", str(root / "align")]) == 0
+    return {f.name: f.read_bytes() for f in (root / "align").iterdir()}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_group_aligns_as_its_version_pairs_do_alone(tmp_path, seed):
+    # metamorphic: a group's pairs share one encoding of each text, and
+    # that sharing changes no byte against aligning each pair alone
+    versions = _four_versions(seed)
+    whole = _align_files(tmp_path / "whole", versions)
+    assert sorted(whole) == [f"2001.0001.v{k}-v{k + 1}.json" for k in (1, 2, 3)]
+    split = {}
+    for k in (1, 2, 3):
+        split.update(_align_files(tmp_path / f"v{k}", versions[k - 1:k + 1], first=k))
+    assert split == whole
+    assert any(b'"aligned"' in data for data in whole.values())
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_renaming_a_group_renames_only_its_outputs(tmp_path, seed):
     # metamorphic: a new id that keeps the group's sort position changes

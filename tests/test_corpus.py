@@ -165,7 +165,9 @@ def test_tokenize_matches_oracle_on_cold_and_warm_cache(text):
 @example("abcdefg 123")  # exactly 0.7
 @given(_texts)
 def test_english_fraction_matches_oracle(text):
-    assert _english_fraction(text) == oracle_english_fraction(text)
+    visible = sum(map(len, tokenize(text)))
+    assert visible == len("".join(text.split()))
+    assert _english_fraction(text, visible) == oracle_english_fraction(text)
 
 
 def _oracle_sentence(raw: str, n: int = 0) -> Sentence:
@@ -181,7 +183,7 @@ def _oracle_sentence(raw: str, n: int = 0) -> Sentence:
 def test_sentence_skip_filter_matches_oracle(text):
     s = Sentence.build(text, SentenceId(1, 0, 0))
     expected = oracle_sentence_skip(_oracle_sentence(text))
-    assert sentence_skip_filter(s) is expected
+    assert sentence_skip_filter(s.raw, s.tokens, s.special_count) is expected
     assert s.skipped is expected
 
 
@@ -193,7 +195,8 @@ def test_sentence_skip_filter_matches_oracle(text):
 def test_paragraph_skip_filter_matches_oracle(raws):
     p = Paragraph.build(raws, 1, 0)
     expected = oracle_paragraph_skip([_oracle_sentence(r, n) for n, r in enumerate(raws)])
-    assert paragraph_skip_filter(p) is expected
+    tokens = sum(len(s.tokens) for s in p.sentences)
+    assert paragraph_skip_filter(tokens, sum(s.special_count for s in p.sentences)) is expected
     assert p.skipped is expected
 
 
@@ -228,10 +231,47 @@ def test_group_build_matches_sentence_by_sentence_oracle(versions):
             assert len(para.sentences) == len(expected)
             for s, e in zip(para.sentences, expected):
                 assert (s.id, s.raw, s.tokens) == (e.id, e.raw, e.tokens)
-                assert s.skipped is sentence_skip_filter(e)
+                assert s.skipped is oracle_sentence_skip(e)
                 assert s.special_count == oracle_special_count(e.tokens)
                 # equal texts in one group share one tokens tuple
                 assert s.tokens is first_tokens.setdefault(s.raw, s.tokens)
+            assert para.skipped is oracle_paragraph_skip(expected)
+
+
+# Chunks shaped for Sentence.build's plain-chunk shortcut: punctuation at
+# either edge or none, "[" inside a word, marker fragments, non-ASCII
+# punctuation, and every whitespace separator str.split() knows,
+# \x1c-\x1f included.
+_edges = st.sampled_from(["", "", "", "(", ")", ".", ",", "\"", "'", "[", "]", "--", ".)", "\u00ab", "\u2014", "\u3002"])
+_cores = st.sampled_from([
+    "word", "Word", "WORD", "x", "2021", "3.5", "e.g", "wo[rd", "a[b]c", "a[REF]b", "[REF]", "[CIT", "REF]",
+    "[MATH]x", "x[EQN]", "[[CIT]]", "caf\u00e9", "\u00bfqu\u00e9", "\u201cquote\u201d", "na\u00efve\u2026",
+]) | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+_separators = st.sampled_from([" ", " ", " ", "  ", "\t", "\n", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "\u2028", "\u3000"])
+_chunky_texts = st.lists(st.tuples(_edges, _cores, _edges, _separators), max_size=12).map(
+    lambda parts: "".join(a + b + c + sep for a, b, c, sep in parts)
+)
+
+
+@example([["(see [REF].", "a[b REF] [CIT \u00abword\u00bb\x1fend ,"]])
+@example([["one two three four ,\x1f", "one two three four ,\x1f", "w[CIT]s and more words here"]])
+@example([["[REF] [CIT] [MATH] [EQN] five", "six seven eight nine ten"]])  # special share 0.4
+@given(st.lists(st.lists(_chunky_texts, max_size=4), min_size=1, max_size=3).flatmap(
+    lambda paras: st.lists(st.sampled_from(paras), min_size=1, max_size=4)
+))
+def test_one_pass_build_matches_oracles(paragraphs):
+    # paragraphs are drawn from a pool, so texts repeat within a version
+    versions = ((1, 1000, paragraphs), (2, 2000, paragraphs[::-1]))
+    group = RawGroup("2101.00001", "cs", versions).build()
+    for (_, _, raws), version in zip(versions, group.versions):
+        for para_raws, para in zip(raws, version.paragraphs):
+            expected = [Sentence(s.id, s.raw, oracle_tokenize(s.raw)) for s in para.sentences]
+            assert [s.raw for s in para.sentences] == para_raws
+            for s, e in zip(para.sentences, expected):
+                assert s.tokens == e.tokens
+                assert sum(map(len, s.tokens)) == len("".join(s.raw.split()))
+                assert s.special_count == oracle_special_count(e.tokens)
+                assert s.skipped is oracle_sentence_skip(e)
             assert para.skipped is oracle_paragraph_skip(expected)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 
-from revkit.kernels import jaccard_matrix
+from revkit.kernels import _DENSE_SHARE, jaccard_matrix
 
 
 def random_sets(rng, count, vocab_size=20, max_len=8):
@@ -93,6 +93,92 @@ def test_empty_vs_empty_scores_one():
     got = jaccard_matrix([[]], [[], [0]])
     assert got[0, 0] == 1.0
     assert got[0, 1] == 0.0
+
+
+# Which tokens the kernel counts by the dense product and which by postings
+# depends on how many target rows hold them: the cases below pin each regime.
+
+def frequent_tokens(sets_b) -> tuple[set, set]:
+    """The target tokens the dense product counts, and the others."""
+    held = {}
+    for b in sets_b:
+        for w in b:
+            held[w] = held.get(w, 0) + 1
+    dense = {w for w, c in held.items() if c * _DENSE_SHARE >= len(sets_b)}
+    return dense, set(held) - dense
+
+
+def sets_over(rng, count, vocab, lo, hi):
+    return [frozenset(rng.sample(vocab, rng.randint(lo, hi))) for _ in range(count)]
+
+
+def with_empty_rows(rng, sets):
+    out = list(sets)
+    for _ in range(rng.randint(1, 3)):
+        out.insert(rng.randint(0, len(out)), frozenset())
+    return out
+
+
+def test_every_token_frequent():
+    rng = random.Random(29)
+    vocab = [f"w{i}" for i in range(6)]
+    for _ in range(20):
+        sets_a = with_empty_rows(rng, sets_over(rng, rng.randint(1, 30), vocab, 1, 6))
+        sets_b = with_empty_rows(rng, sets_over(rng, rng.randint(1, 30), vocab, 3, 6))
+        sets_a.append(frozenset({"only-in-source", "w0"}))
+        dense, sparse = frequent_tokens(sets_b)
+        assert dense and not sparse
+        assert_matches_brute_force(sets_a, sets_b)
+        assert_matches_brute_force(sets_a, sets_b, target_first=True)
+
+
+def test_no_token_frequent():
+    rng = random.Random(31)
+    for _ in range(20):
+        m = rng.randint(4 * _DENSE_SHARE, 80)
+        # each token held by fewer than m / _DENSE_SHARE target rows
+        per_token = (m - 1) // _DENSE_SHARE
+        sets_b = [frozenset({f"t{j // per_token}", f"u{j % (m // per_token)}-{j // per_token}"})
+                  for j in range(m)]
+        sets_b = with_empty_rows(rng, sets_b)
+        pool = sorted(set().union(*sets_b)) + [f"s{i}" for i in range(10)]
+        sets_a = with_empty_rows(rng, sets_over(rng, rng.randint(1, 40), pool, 0, 8))
+        dense, sparse = frequent_tokens(sets_b)
+        assert sparse and not dense
+        assert_matches_brute_force(sets_a, sets_b)
+        assert_matches_brute_force(sets_a, sets_b, target_first=True)
+
+
+def test_frequent_and_rare_tokens_mixed():
+    rng = random.Random(37)
+    common = ["the", "of", ".", ","]
+    rare = [f"r{i}" for i in range(300)]
+    for _ in range(20):
+        def side(count):
+            return [frozenset(rng.sample(common, rng.randint(0, 4)) + rng.sample(rare, rng.randint(0, 10)))
+                    for _ in range(count)]
+        sets_a = with_empty_rows(rng, side(rng.randint(1, 120)))
+        sets_b = with_empty_rows(rng, side(rng.randint(2 * _DENSE_SHARE, 120)))
+        dense, sparse = frequent_tokens(sets_b)
+        assert dense and sparse
+        assert_matches_brute_force(sets_a, sets_b)
+        # source-only tokens above every target id
+        assert_matches_brute_force(sets_a + [frozenset({"src-only", "the"})], sets_b, target_first=True)
+
+
+def test_zero_rows_on_either_side():
+    e, a = frozenset(), frozenset({"a", "b"})
+    for sets in ([], [e], [a, e], [a] * 20):
+        assert jaccard_matrix(*encode(sets, [])).shape == (len(sets), 0)
+        assert jaccard_matrix(*encode([], sets)).shape == (0, len(sets))
+        assert_matches_brute_force(sets, [])
+        assert_matches_brute_force([], sets)
+
+
+def test_all_rows_empty():
+    e = frozenset()
+    assert_matches_brute_force([e] * 3, [e] * 5)
+    assert np.array_equal(jaccard_matrix([[]] * 3, [[]] * 5), np.ones((3, 5)))
 
 
 def test_peak_memory_stays_near_the_result():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from revkit.para_align import (
+    GroupEncoder,
     ParaAlignment,
     Thresholds,
     align_paragraphs,
@@ -184,6 +185,29 @@ def test_sim_tensor_matches_oracle_with_repeated_texts():
             ]
 
         assert_tensor_matches_oracle(doc(paras(), 1), doc(paras(), 2))
+
+
+def test_shared_encoder_matches_oracle_over_a_group():
+    # one encoder for a group's successive pairs: texts repeat across
+    # versions, in case variants too, and come back after a version without them
+    rng = random.Random(37)
+    vocab = VOCAB[:20]
+    for _ in range(40):
+        pool = [random_sentence_raw(rng, 4, 8, vocab) for _ in range(rng.randint(2, 6))]
+        pool.append(rng.choice(pool).upper())
+        versions = [
+            doc([[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(0, 4))], v)
+            for v in range(1, rng.randint(3, 5))
+        ]
+        encoder = GroupEncoder(len(versions) - 1)
+        for a, b in zip(versions, versions[1:]):
+            t = compute_sim_tensor(a, b, encoder)
+            sim1, sim2 = oracle_sim_tensor(a, b)
+            assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
+            assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
+            assert np.array_equal(t.scores.matrix, compute_sim_tensor(a, b).scores.matrix)
+        # after the last pair the encoder holds nothing
+        assert (encoder.surface, encoder.lower, encoder.rows) == ({}, {}, {})
 
 
 @pytest.mark.parametrize(

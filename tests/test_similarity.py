@@ -262,6 +262,26 @@ def test_make_metric_cache_keys_on_text(name):
     assert metric(s1, t) != metric(s2, t)
 
 
+_any_texts = st.lists(
+    st.sampled_from(WORDS + ["The", "CAT", ",", ".", ":", "[REF]", "[MATH]", "3.5", "(e.g.,"])
+    | st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\x1c", "\u3000"])
+    | st.characters(),
+    max_size=30,
+).map("".join)
+
+
+@given(_any_texts, st.lists(_any_texts, max_size=4), st.integers(1, 40))
+def test_feature_metrics_score_every_text_against_itself_at_one(raw, others, doc_count):
+    """The feature path itself, which make_metric's metrics skip for equal
+    texts: a self-score is exactly 1.0 whatever the text."""
+    s = sent(raw)
+    assert char_ngram_sim(s, s) == 1.0
+    assert bleu_sim(s, s) == 1.0
+    fitted = build_idf([doc([[raw, *others]])])
+    for model in (fitted, IdfModel({}, doc_count), IdfModel(fitted.idf, doc_count)):
+        assert tfidf_sim(s, s, model) == 1.0
+
+
 @pytest.mark.parametrize("raw", ["", "word", "the cat sat on the mat"])
 @pytest.mark.parametrize("name", METRIC_NAMES)
 def test_every_metric_is_exactly_one_on_identical_inputs(name, raw):
