@@ -57,9 +57,9 @@ from .formats import (
 )
 from .intention import ingest_predictions, parse_label
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
-from .para_align import GroupEncoder, Thresholds, align_paragraphs
+from .para_align import CandidateCells, GroupEncoder, Thresholds, align_paragraphs
 from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
-from .similarity import METRIC_NAMES, make_metric
+from .similarity import CELL_METRICS, METRIC_NAMES, make_metric
 
 log = logging.getLogger("revkit")
 
@@ -150,19 +150,16 @@ def _align_pair(
     src: DocVersion, tgt: DocVersion, cfg: RunConfig, encoder: GroupEncoder | None = None
 ):
     thresholds = Thresholds(cfg.tau1, cfg.tau2, cfg.tau3, cfg.tau4)
-    paras = align_paragraphs(src, tgt, thresholds, encoder)
-    if not paras.pairs:
-        # no sentence to score (tfidf could not even fit idf on two empty versions)
-        return SentenceAlignment(src.version_index, tgt.version_index, frozenset())
-    back = paras.reversed()
-    if cfg.sentence_metric == "jaccard":
-        # read scores from the matrix paragraph alignment already built
-        fwd_metric, bwd_metric = paras.scores, back.scores
-    else:
-        fwd_metric = bwd_metric = make_metric(cfg.sentence_metric, src, tgt)
+    name = cfg.sentence_metric
+    # jaccard and tfidf are scored in bulk from the pair's encodings; the
+    # paragraph alignment, and its sentence matrix, go once the cells are found
+    cells = CandidateCells(
+        align_paragraphs(src, tgt, thresholds, encoder),
+        make_metric(name) if name in CELL_METRICS else name,
+    )
     thr = cfg.effective_sentence_threshold()
-    fwd = align_sentences_directional(paras, src, tgt, fwd_metric, thr)
-    bwd = align_sentences_directional(back, tgt, src, bwd_metric, thr)
+    fwd = align_sentences_directional(cells, src, tgt, thr)
+    bwd = align_sentences_directional(cells, tgt, src, thr)
     return merge_bidirectional(fwd, bwd)
 
 

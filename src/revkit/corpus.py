@@ -133,9 +133,6 @@ class Sentence:
     def lower_tokens(self) -> tuple[str, ...]:
         return tuple(t.lower() for t in self.tokens)
 
-    def lower_token_set(self) -> frozenset[str]:
-        return frozenset(t.lower() for t in self.tokens)
-
     def normalized_raw(self) -> str:
         # whitespace-normalized, case preserved
         return " ".join(self.raw.split())

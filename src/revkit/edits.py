@@ -498,8 +498,10 @@ def derive_reorder(
     from a suffix minimum of tgt starts and a prefix maximum of tgt ends
     (over blocks in src-end order).  Only blocks overlapping on the src
     side are compared, each pair once, with _blocks_cross.
+
+    wa must fit the two sentences: both extraction routes validate it, and
+    their callers pass the alignment they validated.
     """
-    wa.validate(len(src.tokens), len(tgt.tokens))
     surf_s = src.tokens
     surf_t = tgt.tokens
     # tokens under some edit's span, per side

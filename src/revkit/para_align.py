@@ -1,4 +1,5 @@
-"""Paragraph alignment between two document versions.
+"""Paragraph alignment between two document versions, and the scoring
+of the sentence pairs inside aligned paragraph pairs.
 
 A bidirectional similarity tensor is built from sentence-level Jaccard
 scores, then two threshold-gated argmax passes pick paragraph pairs.
@@ -9,21 +10,30 @@ not be "fixed".
 
 The sentence x sentence Jaccard matrix is computed once per version
 pair.  Each distinct sentence text of a group is encoded once, into its
-list of lowercase-token ids over one vocabulary shared by all the
-group's version pairs, and repeated texts reuse that list (GroupEncoder).  Segment reductions turn the matrix into
-the tensor: ``np.maximum.reduceat`` over paragraph boundaries gives each
-sentence's best match per paragraph, and each block mean is one
+tokens' lowercase ids over one vocabulary shared by all the group's
+version pairs, and repeated texts reuse that encoding (GroupEncoder).  Segment reductions turn the matrix
+into the tensor: ``np.maximum.reduceat`` over paragraph boundaries gives
+each sentence's best match per paragraph, and each block mean is one
 contiguous 1-D reduction, so it rounds exactly as a per-block ``np.mean``
-would.  The same matrix then serves sentence alignment as a score lookup.
+would.
+
+Sentence alignment then scores only the candidate cells, the sentence
+pairs inside aligned paragraph pairs, each once for both directions
+(CandidateCells): jaccard reads the matrix, tfidf comes from
+kernels.tfidf_cosines over the same encodings, and char3gram and bleu
+call their scalar function once per cell.  One per-row argmax picks each
+sentence's best candidate, in either direction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .corpus import DocVersion, Paragraph, Sentence, SentenceId
-from .kernels import jaccard_matrix
+from .corpus import DocVersion, Sentence
+from .kernels import jaccard_matrix, tfidf_cosines
 
 
 @dataclass(frozen=True)
@@ -46,24 +56,39 @@ class Thresholds:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
+class EncodedVersion(NamedTuple):
+    """A version's alignable sentences with their encodings: row r is
+    sentences[r], and texts[r] lists its tokens' lowercase ids in order."""
+
+    doc: DocVersion
+    sentences: list[Sentence]
+    texts: list[tuple[int, ...]]
+    # each alignable paragraph's [start, end) rows, by paragraph index
+    bounds: dict[int, tuple[int, int]]
+    # the vocabulary the ids index: lowercase token -> id
+    vocab: dict[str, int]
+
+    def unencoded_ids(self) -> list[list[int]]:
+        """The distinct ids of every sentence of the version that is not
+        alignable.  Their tokens outside the vocabulary occur in no
+        encoded text, so no score reads them."""
+        vocab = self.vocab
+        return [
+            [vocab[w] for w in {t.lower() for t in s.tokens} if w in vocab]
+            for p in self.doc.paragraphs
+            for s in p.sentences
+            if p.skipped or s.skipped
+        ]
+
+
 @dataclass(frozen=True)
 class SentenceScores:
-    """Jaccard score lookup over one version pair's alignable sentences.
-
-    Calling it with a source and a target sentence reads their cell of
-    the sentence x sentence matrix, which equals ``similarity.jaccard``
-    exactly: both divide the same two integers once.
-    """
+    """The Jaccard matrix over one version pair's alignable sentences and
+    the encodings it was built from: rows follow src, columns tgt."""
 
     matrix: np.ndarray
-    rows: dict[SentenceId, int]
-    cols: dict[SentenceId, int]
-
-    def __call__(self, a: Sentence, b: Sentence) -> float:
-        return self.matrix.item(self.rows[a.id], self.cols[b.id])
-
-    def transposed(self) -> "SentenceScores":
-        return SentenceScores(self.matrix.T, self.cols, self.rows)
+    src: EncodedVersion
+    tgt: EncodedVersion
 
 
 @dataclass(frozen=True)
@@ -97,79 +122,181 @@ class ParaSimTensor:
 class ParaAlignment:
     """Aligned paragraph pairs, in original paragraph indices.
 
-    scores, when set, is the Jaccard lookup over the same version pair,
-    oriented like the pairs; it takes no part in equality.
+    scores, when set, holds the Jaccard matrix and the sentence encodings
+    of the same version pair, oriented like the pairs; it takes no part
+    in equality.
     """
 
     pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     scores: SentenceScores | None = field(default=None, compare=False, repr=False)
 
     def reversed(self) -> "ParaAlignment":
-        scores = self.scores.transposed() if self.scores is not None else None
-        return ParaAlignment(frozenset((j, i) for i, j in self.pairs), scores)
+        """The pairs seen from the other version, without scores."""
+        return ParaAlignment(frozenset((j, i) for i, j in self.pairs))
+
+
+class CandidateCells:
+    """The sentence pairs inside the aligned paragraph pairs of `paras`,
+    each scored once for both directions.
+
+    A cell pairs source row r with target row c of the pair's encodings.
+    `metric` is "jaccard" or "tfidf", scored in bulk, or a symmetric
+    function of two sentences, called once per cell for both directions.
+    The cells are scored on first use.
+    """
+
+    def __init__(self, paras: ParaAlignment, metric: str | Callable[[Sentence, Sentence], float]) -> None:
+        scores = paras.scores
+        if scores is None:
+            raise ValueError("these paragraph pairs carry no sentence encodings")
+        if not callable(metric) and metric not in ("jaccard", "tfidf"):
+            raise ValueError(f"metric {metric!r} is not scored in bulk; pass its function")
+        self.src, self.tgt, self.metric = scores.src, scores.tgt, metric
+        self.rows, self.cols = _cells(paras.pairs, scores.src.bounds, scores.tgt.bounds)
+        # the matrix itself need not outlive paragraph alignment
+        self.jaccard = scores.matrix[self.rows, self.cols] if metric == "jaccard" else None
+
+    @cached_property
+    def _scored(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's score from the source side and from the target side."""
+        src, tgt, rows, cols = self.src, self.tgt, self.rows, self.cols
+        if self.jaccard is not None:
+            return self.jaccard, self.jaccard
+        if not len(rows):
+            # no cell; tfidf could not even fit idf on versions without sentences
+            return np.zeros(0), np.zeros(0)
+        if self.metric == "tfidf":
+            # one document per sentence of both versions, skipped ones included
+            others = src.unencoded_ids() + tgt.unencoded_ids()
+            return tfidf_cosines(src.texts, tgt.texts, rows, cols, others)
+        s, t = src.sentences, tgt.sentences
+        scores = np.array(
+            [self.metric(s[r], t[c]) for r, c in zip(rows.tolist(), cols.tolist())], dtype=np.float64
+        )
+        return scores, scores
+
+    def __iter__(self) -> Iterator[tuple[Sentence, Sentence, float, float]]:
+        """Every cell: its source and target sentence, and its score from
+        each side."""
+        fwd, bwd = self._scored
+        s, t = self.src.sentences, self.tgt.sentences
+        for r, c, f, b in zip(self.rows.tolist(), self.cols.tolist(), fwd.tolist(), bwd.tolist()):
+            yield s[r], t[c], f, b
+
+    def best(self, src_version: int) -> list[tuple[Sentence, Sentence, float, bool]]:
+        """Each sentence of version src_version that has candidates, its
+        first candidate in ascending id order with the highest score, that
+        score, and whether the two hold the same lowercase tokens."""
+        src, tgt = self.src, self.tgt
+        fwd, bwd = self._scored
+        if src_version == src.doc.version_index:
+            rows, cols, scores = self.rows, self.cols, fwd
+        elif src_version == tgt.doc.version_index:
+            order = np.argsort(self.cols, kind="stable")
+            rows, cols, scores = self.cols[order], self.rows[order], bwd[order]
+            src, tgt = tgt, src
+        else:
+            raise ValueError(f"version {src_version} is neither side of these cells")
+        if not len(rows):
+            return []
+        # rows ascend, and each row's candidates follow in ascending id order
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        top = np.maximum.reduceat(scores, starts)
+        n = len(scores)
+        at = np.where(scores == np.repeat(top, np.diff(starts, append=n)), np.arange(n), n)
+        first = np.minimum.reduceat(at, starts)
+        s, t, ts, tt = src.sentences, tgt.sentences, src.texts, tgt.texts
+        return [
+            (s[r], t[c], v, ts[r] == tt[c])
+            for r, c, v in zip(rows[starts].tolist(), cols[first].tolist(), top.tolist())
+        ]
+
+
+def _cells(
+    pairs: frozenset[tuple[int, int]],
+    src_bounds: dict[int, tuple[int, int]],
+    tgt_bounds: dict[int, tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target row of every cell inside the paragraph pairs, by
+    source row, then target row.  A paragraph that is not alignable has
+    no rows."""
+    partners: dict[int, list[int]] = {}
+    for i, j in sorted(pairs):
+        partners.setdefault(i, []).append(j)
+    rows: list[int] = []
+    cols: list[int] = []
+    for i, js in partners.items():
+        targets = [c for j in js for c in range(*tgt_bounds.get(j, (0, 0)))]
+        for r in range(*src_bounds.get(i, (0, 0))):
+            rows += [r] * len(targets)
+            cols += targets
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
 class GroupEncoder:
-    """Lowercase-token id lists of sentence texts over one vocabulary that
-    every version pair of a group shares.
+    """Encodings of sentence texts over one vocabulary that every version
+    pair of a group shares: each text's tokens as their lowercase ids, in
+    order.
 
     A group's pairs run (v1, v2), (v2, v3), ...: each pair's source is
     the previous pair's target.  So after each pair the encoder keeps only
-    the id lists of its target's texts, which the next pair reuses, and
+    the encodings of its target's texts, which the next pair reuses, and
     after the last of `pairs` pairs it keeps nothing, not even the
-    vocabulary.  Equal raw texts have equal tokens, so a text's list
-    depends on the text alone.
+    vocabulary (the pair's EncodedVersions still hold theirs).  Equal raw
+    texts have equal tokens, so a text's encoding depends on the text
+    alone.
     """
 
     def __init__(self, pairs: int = 1) -> None:
         self.pairs = pairs
         self.surface: dict[str, int] = {}  # token surface -> id of its lowercase form
         self.lower: dict[str, int] = {}  # lowercase token -> id
-        self.rows: dict[str, list[int]] = {}  # raw text -> its distinct ids
+        self.rows: dict[str, tuple[int, ...]] = {}  # raw text -> its encoding
 
-    def encode_pair(self, sp: tuple[Paragraph, ...], tp: tuple[Paragraph, ...]):
-        """_sentence_rows of the source's and the target's non-skipped
-        paragraphs; then keep the target's id lists, or nothing after
-        the last pair."""
-        src = self._sentence_rows(sp, self.rows)
-        kept: dict[str, list[int]] = {}
-        tgt = self._sentence_rows(tp, kept)
+    def encode_pair(self, src: DocVersion, tgt: DocVersion) -> tuple[EncodedVersion, EncodedVersion]:
+        """The source's and the target's encodings; then keep the target's
+        texts, or nothing after the last pair."""
+        a = self._encode_version(src, self.rows)
+        kept: dict[str, tuple[int, ...]] = {}
+        b = self._encode_version(tgt, kept)
         self.pairs -= 1
         if self.pairs > 0:
             self.rows = kept
         else:
             self.surface, self.lower, self.rows = {}, {}, {}
-        return src, tgt
+        return a, b
 
-    def _sentence_rows(self, paragraphs: tuple[Paragraph, ...], out: dict[str, list[int]]):
-        """Id lists of the non-skipped sentences, their SentenceId -> row
-        map, and each paragraph's [start, end) row range.  Each text's
-        list is also stored in `out`."""
+    def _encode_version(self, doc: DocVersion, out: dict[str, tuple[int, ...]]) -> EncodedVersion:
+        """Encode the alignable sentences, also storing each text's
+        encoding in `out`."""
         known = self.rows
-        ids: list[list[int]] = []
-        rows: dict[SentenceId, int] = {}
-        bounds: list[tuple[int, int]] = []
-        for p in paragraphs:
-            start = len(ids)
+        sentences: list[Sentence] = []
+        texts: list[tuple[int, ...]] = []
+        bounds: dict[int, tuple[int, int]] = {}
+        for p in doc.paragraphs:
+            if p.skipped:
+                continue
+            start = len(texts)
             for s in p.sentences:
                 if not s.skipped:
-                    rows[s.id] = len(ids)
-                    row = known.get(s.raw)
-                    if row is None:
-                        row = known[s.raw] = self._encode(s.tokens)
-                    out[s.raw] = row
-                    ids.append(row)
-            bounds.append((start, len(ids)))
-        return ids, rows, bounds
+                    text = known.get(s.raw)
+                    if text is None:
+                        text = known[s.raw] = self.encode(s.tokens)
+                    out[s.raw] = text
+                    sentences.append(s)
+                    texts.append(text)
+            bounds[p.index] = (start, len(texts))
+        return EncodedVersion(doc, sentences, texts, bounds, self.lower)
 
-    def _encode(self, tokens: tuple[str, ...]) -> list[int]:
+    def encode(self, tokens: tuple[str, ...]) -> tuple[int, ...]:
+        """The tokens' lowercase ids; new tokens join the vocabulary."""
         surface, lower = self.surface, self.lower
-        row = set(map(surface.get, tokens))
-        if None in row:
+        ids = tuple(map(surface.get, tokens))
+        if None in ids:
             for t in set(tokens).difference(surface):
                 surface[t] = lower.setdefault(t.lower(), len(lower))
-            row = set(map(surface.get, tokens))
-        return list(row)
+            ids = tuple(map(surface.get, tokens))
+        return ids
 
 
 def compute_sim_tensor(
@@ -183,16 +310,15 @@ def compute_sim_tensor(
     the encodings of the group's previous pair; without one the pair is
     encoded alone.
     """
-    sp = src.alignable_paragraphs()
-    tp = tgt.alignable_paragraphs()
-    k, l = len(sp), len(tp)
-    sim1 = np.zeros((k, l), dtype=np.float64)
-    sim2 = np.zeros((k, l), dtype=np.float64)
     if encoder is None:
         encoder = GroupEncoder()
-    (src_ids, src_rows, src_bounds), (tgt_ids, tgt_rows, tgt_bounds) = encoder.encode_pair(sp, tp)
-    matrix = jaccard_matrix(src_ids, tgt_ids)
-    if src_ids and tgt_ids:
+    a, b = encoder.encode_pair(src, tgt)
+    src_bounds, tgt_bounds = list(a.bounds.values()), list(b.bounds.values())
+    k, l = len(src_bounds), len(tgt_bounds)
+    sim1 = np.zeros((k, l), dtype=np.float64)
+    sim2 = np.zeros((k, l), dtype=np.float64)
+    matrix = jaccard_matrix(a.texts, b.texts)
+    if a.texts and b.texts:
         # reduceat mishandles empty segments, so reduce over non-empty
         # paragraphs only; all-skipped paragraphs keep their zero row/column
         si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]
@@ -213,9 +339,9 @@ def compute_sim_tensor(
     return ParaSimTensor(
         sim1=sim1,
         sim2=sim2,
-        src_paragraphs=tuple(p.index for p in sp),
-        tgt_paragraphs=tuple(p.index for p in tp),
-        scores=SentenceScores(matrix, src_rows, tgt_rows),
+        src_paragraphs=tuple(a.bounds),
+        tgt_paragraphs=tuple(b.bounds),
+        scores=SentenceScores(matrix, a, b),
     )
 
 
@@ -240,8 +366,8 @@ def align_paragraphs(
     (pass two), or unconditionally when it exceeds tau3.  Argmax ties
     break to the lowest index.  Returned pairs use original paragraph
     indices; skipped paragraphs never appear.  The result carries the
-    sentence Jaccard lookup so sentence alignment can reuse it.
-    `encoder` is as for compute_sim_tensor.
+    pair's Jaccard matrix and sentence encodings, which sentence alignment
+    scores from.  `encoder` is as for compute_sim_tensor.
     """
     t = compute_sim_tensor(src, tgt, encoder)
     k, l = t.k, t.l

@@ -2,19 +2,20 @@
 
 A directional pass aligns each source sentence to its best-scoring
 candidate on the other side; running both directions and intersecting
-gives the final symmetric alignment.
+gives the final symmetric alignment.  The candidates and their scores
+come from para_align.CandidateCells, which scores each candidate pair
+once for both directions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from .corpus import DocVersion, Sentence, SentenceId
-from .similarity import SentenceMetric
+from .corpus import DocVersion, SentenceId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .para_align import ParaAlignment
+    from .para_align import CandidateCells
 
 
 class SentAlignLabel(Enum):
@@ -60,57 +61,32 @@ class SentenceAlignment:
             tgt.sentence(t)
 
 
-def _alignable_in(doc: DocVersion, para_indices: Iterable[int]) -> list[Sentence]:
-    out: list[Sentence] = []
-    for pi in sorted(set(para_indices)):
-        para = doc.paragraph(pi)
-        if para.skipped:
-            continue
-        out.extend(s for s in para.sentences if not s.skipped)
-    return out
-
-
 def align_sentences_directional(
-    paras: ParaAlignment,
+    cells: CandidateCells,
     src: DocVersion,
     tgt: DocVersion,
-    metric: SentenceMetric,
     threshold: float,
 ) -> SentenceAlignment:
     """Align every source sentence to its best-scoring candidate among
     the sentences of related target paragraphs.
 
-    A pair is kept when the best score reaches the threshold; ties break
-    to the lowest target id.  The label is aligned when the score is 1 or
-    the surfaces match after lowercasing, partially-aligned otherwise.
+    `cells` are the candidate pairs of src and tgt, in either order, with
+    their scores (para_align.CandidateCells).  Each source sentence takes
+    its first candidate with the highest score in ascending target id
+    order, and keeps it unless that score is below the threshold.  The
+    label is aligned when the score is 1 or the surfaces match after
+    lowercasing, partially-aligned otherwise.  Every metric goes through
+    this one path, in both directions.
     """
-    by_src: dict[int, list[int]] = {}
-    for pi, pj in paras.pairs:
-        by_src.setdefault(pi, []).append(pj)
     pairs: set[AlignedPair] = set()
-    for pi in sorted(by_src):
-        src_para = src.paragraph(pi)
-        if src_para.skipped:
+    for s, t, score, same_lowercase in cells.best(src.version_index):
+        if score < threshold:
             continue
-        candidates = _alignable_in(tgt, by_src[pi])
-        if not candidates:
-            continue
-        for s in src_para.sentences:
-            if s.skipped:
-                continue
-            best: Sentence | None = None
-            best_score = -1.0
-            for t in candidates:  # ascending id order, first max wins
-                score = metric(s, t)
-                if score > best_score:
-                    best, best_score = t, score
-            if best is None or best_score < threshold:
-                continue
-            if best_score == 1.0 or s.lower_tokens() == best.lower_tokens():
-                label = SentAlignLabel.ALIGNED
-            else:
-                label = SentAlignLabel.PARTIAL
-            pairs.add((s.id, best.id, label))
+        if score == 1.0 or same_lowercase:
+            label = SentAlignLabel.ALIGNED
+        else:
+            label = SentAlignLabel.PARTIAL
+        pairs.add((s.id, t.id, label))
     return SentenceAlignment(src.version_index, tgt.version_index, frozenset(pairs))
 
 

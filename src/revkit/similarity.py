@@ -1,39 +1,38 @@
 """Sentence-pair similarity metrics.
 
-Four interchangeable baselines: token Jaccard, character n-gram cosine,
-tf-idf cosine, and a symmetrised sentence-level BLEU.  All of them
-lowercase token surfaces (stored sentences keep their case), are
-symmetric, live in [0, 1], and return exactly 1.0 on identical inputs.
+Four interchangeable baselines: token Jaccard, tf-idf cosine, character
+n-gram cosine, and a symmetrised sentence-level BLEU.  All of them
+lowercase token surfaces (stored sentences keep their case), live in
+[0, 1], and return exactly 1.0 on identical inputs.
 
-The last three split into a per-sentence feature function and a score
-over two feature values; the scalar functions here call both.  A metric
-from make_metric keeps one cache of features keyed by the raw sentence
-text, so each distinct text is featurised once for as long as that
-metric lives (the caller holds it for one version pair), and a text
-scored against itself is 1.0 without features.  The scores are the same
-expressions on the same features either way, bit for bit.
+jaccard and tfidf are scored in bulk from each text's lowercase-token
+ids (para_align, kernels).  jaccard is symmetric; tf-idf only up to the
+last bits, as its dot product sums over the first sentence's tokens in
+their order, so each direction is computed on its own.
+
+char3gram and bleu are scored here, one sentence pair at a time, and
+are symmetric bit for bit (char3gram sums integers, exact in float64 in
+any order; bleu averages its two directions, and IEEE addition
+commutes), so one call serves both directions.  Each splits into a
+per-sentence feature function and a score over two feature values; the
+scalar functions here call both.  A metric from make_metric keeps one
+cache of features keyed by the raw sentence text, so each distinct text
+is featurised once for as long as that metric lives (the caller holds it
+for one version pair), and a text scored against itself is 1.0 without
+features.  The scores are the same expressions on the same features
+either way, bit for bit.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from .corpus import DocVersion, Sentence
+from .corpus import Sentence
 
 METRIC_NAMES = ("jaccard", "tfidf", "char3gram", "bleu")
-
-
-def jaccard(a: Sentence, b: Sentence) -> float:
-    """Jaccard overlap of the lowercased token-surface sets."""
-    sa = a.lower_token_set()
-    sb = b.lower_token_set()
-    if not sa and not sb:
-        return 1.0
-    if not sa or not sb:
-        return 0.0
-    return len(sa & sb) / len(sa | sb)
+# the metrics make_metric builds, scored one sentence pair at a time
+CELL_METRICS = ("char3gram", "bleu")
 
 
 def _norm(v: Mapping[str, float]) -> float:
@@ -73,54 +72,6 @@ def char_ngram_sim(a: Sentence, b: Sentence, n: int = 3) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     return _char_cosine(_char_features(a, n), _char_features(b, n))
-
-
-@dataclass(frozen=True)
-class IdfModel:
-    """Inverse document frequencies where every sentence of the fitted
-    versions counts as one document; unknown tokens back off to df = 1."""
-
-    idf: Mapping[str, float]
-    doc_count: int
-
-    def lookup(self, token: str) -> float:
-        got = self.idf.get(token)
-        if got is None:
-            return math.log(self.doc_count)
-        return got
-
-
-def build_idf(docs: Iterable[DocVersion]) -> IdfModel:
-    df: Counter[str] = Counter()
-    n = 0
-    for doc in docs:
-        for s in doc.sentences():
-            n += 1
-            df.update(s.lower_token_set())
-    if n == 0:
-        raise ValueError("cannot fit idf on zero sentences")
-    return IdfModel({tok: math.log(n / c) for tok, c in df.items()}, n)
-
-
-def _tfidf_vector(s: Sentence, model: IdfModel):
-    """Term counts, tf-idf weights, whether any weight is nonzero, norm."""
-    counts = Counter(s.lower_tokens())
-    weights = {tok: cnt * model.lookup(tok) for tok, cnt in counts.items()}
-    return counts, weights, any(weights.values()), _norm(weights)
-
-
-def _tfidf_cosine(va, vb) -> float:
-    counts_a, weights_a, nonzero_a, norm_a = va
-    counts_b, weights_b, nonzero_b, norm_b = vb
-    if not nonzero_a and not nonzero_b:
-        # every token occurs in every sentence: compare raw counts instead
-        return 1.0 if counts_a == counts_b else 0.0
-    return _cosine(weights_a, weights_b, norm_a, norm_b)
-
-
-def tfidf_sim(a: Sentence, b: Sentence, model: IdfModel) -> float:
-    """Cosine similarity of tf-idf vectors (raw term counts times idf)."""
-    return _tfidf_cosine(_tfidf_vector(a, model), _tfidf_vector(b, model))
 
 
 def _bleu_features(s: Sentence):
@@ -191,18 +142,12 @@ def _per_text(features: Callable[[Sentence], object], score: Callable) -> Senten
     return metric
 
 
-def make_metric(name: str, src: DocVersion | None = None, tgt: DocVersion | None = None) -> SentenceMetric:
-    """Resolve a metric by name; tfidf fits its idf model on the two
-    versions being aligned and therefore requires both documents."""
-    if name == "jaccard":
-        return jaccard
+def make_metric(name: str) -> SentenceMetric:
+    """The function of a metric scored one sentence pair at a time."""
     if name == "char3gram":
         return _per_text(_char_features, _char_cosine)
     if name == "bleu":
         return _per_text(_bleu_features, _bleu_mean)
-    if name == "tfidf":
-        if src is None or tgt is None:
-            raise ValueError("tfidf metric needs the two document versions to fit idf")
-        model = build_idf([src, tgt])
-        return _per_text(lambda s: _tfidf_vector(s, model), _tfidf_cosine)
+    if name in METRIC_NAMES:
+        raise ValueError(f"metric {name!r} is scored in bulk, not one sentence pair at a time")
     raise ValueError(f"unknown metric {name!r} (choose from {', '.join(METRIC_NAMES)})")

@@ -7,9 +7,17 @@ for skipped material on purpose.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
+import numpy as np
+
 from revkit.corpus import DocVersion, Sentence, SentenceId
 from revkit.edits import Edit, EditKind, WordAlignment
+from revkit.kernels import jaccard_matrix, tfidf_cosines
+from revkit.para_align import CandidateCells, GroupEncoder, align_paragraphs
 from revkit.sent_align import SentAlignLabel, SentenceAlignment
+from revkit.similarity import CELL_METRICS, make_metric
 
 # 12 distinct filler words, all alphabetic
 FILLER = (
@@ -46,6 +54,54 @@ def filler_sentence(seed: int, n: int = 6) -> str:
     return " ".join(
         f"{FILLER[k % len(FILLER)]}{_letters(seed)}x{_letters(k)}" for k in range(n)
     )
+
+
+def metric_for(name: str):
+    """What CandidateCells takes for the named metric: the name of a metric
+    scored in bulk, or make_metric's function."""
+    return make_metric(name) if name in CELL_METRICS else name
+
+
+def candidates(src: DocVersion, tgt: DocVersion, metric, pairs=None) -> CandidateCells:
+    """The candidate cells of align_paragraphs(src, tgt), or of the given
+    paragraph pairs, or of every pair of alignable paragraphs when pairs
+    is "all"; metric is a name or a function, as metric_for gives."""
+    paras = align_paragraphs(src, tgt)
+    if pairs == "all":
+        pairs = product(
+            [p.index for p in src.alignable_paragraphs()], [p.index for p in tgt.alignable_paragraphs()]
+        )
+    if pairs is not None:
+        paras = replace(paras, pairs=frozenset(pairs))
+    return CandidateCells(paras, metric_for(metric) if isinstance(metric, str) else metric)
+
+
+def cell_scores(name: str, src: DocVersion, tgt: DocVersion, pairs="all") -> dict:
+    """(a.id, b.id) -> the aligner's score of a against b, for every
+    candidate cell in both directions."""
+    out = {}
+    for s, t, forward, backward in candidates(src, tgt, name, pairs):
+        out[s.id, t.id] = forward
+        out[t.id, s.id] = backward
+    return out
+
+
+def pair_score(name: str, x: Sentence, y: Sentence) -> float:
+    """The aligner's score of x against y, for any two sentences, skipped
+    or not: jaccard and tfidf through the kernels on their encodings, tfidf
+    with idf fitted on x and y alone, and the others by make_metric."""
+    if name in CELL_METRICS:
+        return make_metric(name)(x, y)
+    encoder = GroupEncoder()
+    a, b = encoder.encode(x.tokens), encoder.encode(y.tokens)
+    if name == "tfidf":
+        cell = np.zeros(1, dtype=np.int64)
+        return tfidf_cosines([a], [b], cell, cell)[0].item()
+    return jaccard_matrix([a], [b]).item(0, 0)
+
+
+def jaccard(a: Sentence, b: Sentence) -> float:
+    return pair_score("jaccard", a, b)
 
 
 def alignment(

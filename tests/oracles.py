@@ -52,17 +52,27 @@ def _jac(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
+def _lower_set(s: Sentence) -> frozenset:
+    return frozenset(t.lower() for t in s.tokens)
+
+
 def _para_sent_sets(p) -> list[frozenset]:
-    return [s.lower_token_set() for s in p.sentences if not s.skipped]
+    return [_lower_set(s) for s in p.sentences if not s.skipped]
+
+
+def oracle_jaccard(a: Sentence, b: Sentence) -> float:
+    """Jaccard overlap of the lowercased token-surface sets."""
+    return _jac(_lower_set(a), _lower_set(b))
 
 
 def oracle_sim_tensor(src: DocVersion, tgt: DocVersion) -> tuple[list, list]:
     """sim1/sim2 over the non-skipped paragraphs, one block at a time:
     the best score per sentence, then a plain sum/len mean.
 
-    sum() adds left to right, as np.mean does below eight terms (it sums
-    pairwise from there on), so exact comparisons hold for paragraphs of
-    fewer than eight sentences; random_doc_pair never builds larger ones.
+    The sum runs left to right, as np.mean's does below eight terms (it
+    sums pairwise from there on), so exact comparisons hold for paragraphs
+    of fewer than eight sentences; random_doc_pair never builds larger
+    ones.
     """
     s_sets = [_para_sent_sets(p) for p in src.paragraphs if not p.skipped]
     t_sets = [_para_sent_sets(p) for p in tgt.paragraphs if not p.skipped]
@@ -75,8 +85,8 @@ def oracle_sim_tensor(src: DocVersion, tgt: DocVersion) -> tuple[list, list]:
                 continue
             best_per_src = [max(_jac(a, b) for b in t_sets[j]) for a in s_sets[i]]
             best_per_tgt = [max(_jac(a, b) for a in s_sets[i]) for b in t_sets[j]]
-            sim1[i][j] = sum(best_per_src) / len(best_per_src)
-            sim2[i][j] = sum(best_per_tgt) / len(best_per_tgt)
+            sim1[i][j] = _sum_left_to_right(best_per_src) / len(best_per_src)
+            sim2[i][j] = _sum_left_to_right(best_per_tgt) / len(best_per_tgt)
     return sim1, sim2
 
 
@@ -115,7 +125,43 @@ def oracle_align_paragraphs(src: DocVersion, tgt: DocVersion, t) -> frozenset[tu
 
 
 # ---------------------------------------------------------------------------
-# tf-idf cosine, recomputed from scratch for every pair
+# tf-idf cosine, recomputed from scratch for every pair.  Every sum is an
+# explicit left-to-right loop: sum() of floats is compensated from Python
+# 3.12 on, and the package's sums are plain left-to-right ones.
+
+@dataclass(frozen=True)
+class OracleIdf:
+    """Inverse document frequencies where every sentence of the fitted
+    versions counts as one document; unknown tokens back off to df = 1."""
+
+    idf: dict
+    doc_count: int
+
+    def lookup(self, token: str) -> float:
+        got = self.idf.get(token)
+        if got is None:
+            return math.log(self.doc_count)
+        return got
+
+
+def oracle_build_idf(docs) -> OracleIdf:
+    df: Counter = Counter()
+    n = 0
+    for doc in docs:
+        for s in doc.sentences():
+            n += 1
+            df.update(_lower_set(s))
+    if n == 0:
+        raise ValueError("cannot fit idf on zero sentences")
+    return OracleIdf({tok: math.log(n / c) for tok, c in df.items()}, n)
+
+
+def _sum_left_to_right(values) -> float:
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
 
 def oracle_tfidf(a: Sentence, b: Sentence, model) -> float:
     ta = Counter(a.lower_tokens())
@@ -126,9 +172,9 @@ def oracle_tfidf(a: Sentence, b: Sentence, model) -> float:
         return 1.0 if ta == tb else 0.0
     if va == vb:
         return 1.0 if va else 0.0
-    dot = sum(w * vb.get(k, 0.0) for k, w in va.items())
-    na = math.sqrt(sum(w * w for w in va.values()))
-    nb = math.sqrt(sum(w * w for w in vb.values()))
+    dot = _sum_left_to_right(w * vb.get(k, 0.0) for k, w in va.items())
+    na = math.sqrt(_sum_left_to_right(w * w for w in va.values()))
+    nb = math.sqrt(_sum_left_to_right(w * w for w in vb.values()))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -184,6 +230,80 @@ def oracle_bleu(a: Sentence, b: Sentence) -> float:
     wa = a.lower_tokens()
     wb = b.lower_tokens()
     return 0.5 * (_oracle_bleu_one_way(wa, wb) + _oracle_bleu_one_way(wb, wa))
+
+
+def oracle_metric(name: str, src: DocVersion, tgt: DocVersion):
+    """The named metric's oracle function of two sentences; tfidf fits its
+    idf on the two versions."""
+    if name == "tfidf":
+        fitted = []  # fitted on first use: versions without sentences fit nothing
+
+        def tfidf(a: Sentence, b: Sentence) -> float:
+            if not fitted:
+                fitted.append(oracle_build_idf([src, tgt]))
+            return oracle_tfidf(a, b, fitted[0])
+
+        return tfidf
+    return {"jaccard": oracle_jaccard, "char3gram": oracle_char_trigram, "bleu": oracle_bleu}[name]
+
+
+# ---------------------------------------------------------------------------
+# sentence alignment, one metric call per candidate pair and direction
+# (the per-cell loop as first written)
+
+def oracle_align_directional(pairs, src: DocVersion, tgt: DocVersion, metric, threshold: float) -> set:
+    """(source id, target id, label string) for every source sentence whose
+    best candidate, the first maximum over the alignable sentences of
+    its paragraph's partners in ascending id order, reaches threshold."""
+    partners: dict[int, set[int]] = {}
+    for pi, pj in pairs:
+        partners.setdefault(pi, set()).add(pj)
+    out = set()
+    for pi in sorted(partners):
+        para = src.paragraphs[pi]
+        if para.skipped:
+            continue
+        candidates = [
+            t
+            for pj in sorted(partners[pi])
+            if not tgt.paragraphs[pj].skipped
+            for t in tgt.paragraphs[pj].sentences
+            if not t.skipped
+        ]
+        if not candidates:
+            continue
+        for s in para.sentences:
+            if s.skipped:
+                continue
+            best, best_score = None, -1.0
+            for t in candidates:
+                score = metric(s, t)
+                if score > best_score:
+                    best, best_score = t, score
+            if best_score < threshold:
+                continue
+            aligned = best_score == 1.0 or s.lower_tokens() == best.lower_tokens()
+            out.add((s.id, best.id, "aligned" if aligned else "partially-aligned"))
+    return out
+
+
+def oracle_align_pair(src: DocVersion, tgt: DocVersion, name: str, thresholds, threshold: float) -> set:
+    """Paragraph pairs by oracle_align_paragraphs, then both directions of
+    oracle_align_directional, intersected; a pair stays aligned only when
+    both directions say so."""
+    pairs = oracle_align_paragraphs(src, tgt, thresholds)
+    if not pairs:
+        return set()
+    metric = oracle_metric(name, src, tgt)
+    fwd = oracle_align_directional(pairs, src, tgt, metric, threshold)
+    bwd = oracle_align_directional({(j, i) for i, j in pairs}, tgt, src, metric, threshold)
+    back = {(t, s): label for s, t, label in bwd}
+    out = set()
+    for s, t, label in fwd:
+        other = back.get((s, t))
+        if other is not None:
+            out.add((s, t, "aligned" if label == other == "aligned" else "partially-aligned"))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ from revkit.metrics import (
     eval_edits_corpus,
 )
 from revkit.myers import myers_diff, script_cost
-from revkit.para_align import Thresholds, align_paragraphs
+from revkit.para_align import CandidateCells, Thresholds, align_paragraphs
 from revkit.sent_align import align_sentences_directional, merge_bidirectional
-from revkit.similarity import make_metric
 from revkit.trees import parse_tree_read
 
 from helpers import alignment, dele, doc, filler_sentence, ins, keys, sub
@@ -240,18 +239,6 @@ def released():
     )
 
 
-def _memoized(metric):
-    memo: dict = {}
-
-    def call(s, t):
-        key = (s.id, t.id)
-        if key not in memo:
-            memo[key] = metric(s, t)
-        return memo[key]
-
-    return call
-
-
 def _contexts(ns, split_name: str):
     wanted = set(ns.splits[split_name])
     out = []
@@ -261,16 +248,17 @@ def _contexts(ns, split_name: str):
         group = ns.groups[arxiv_id]
         src = group.version(al.src_version)
         tgt = group.version(al.tgt_version)
-        out.append((src, tgt, align_paragraphs(src, tgt), _memoized(make_metric("jaccard")), al))
+        # the cells are scored once, for every threshold tried
+        out.append((src, tgt, CandidateCells(align_paragraphs(src, tgt), "jaccard"), al))
     assert out, f"no gold alignments for the {split_name} split"
     return out
 
 
 def _pooled_f1(contexts, threshold: float) -> float:
     tp = fp = fn = 0
-    for src, tgt, paras, metric, gold in contexts:
-        fwd = align_sentences_directional(paras, src, tgt, metric, threshold)
-        bwd = align_sentences_directional(paras.reversed(), tgt, src, metric, threshold)
+    for src, tgt, cells, gold in contexts:
+        fwd = align_sentences_directional(cells, src, tgt, threshold)
+        bwd = align_sentences_directional(cells, tgt, src, threshold)
         scored = eval_alignment(merge_bidirectional(fwd, bwd), gold, src, tgt)
         tp, fp, fn = tp + scored.tp, fp + scored.fp, fn + scored.fn
     return PRF.from_counts(tp, fp, fn).f1

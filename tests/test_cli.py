@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -15,14 +16,16 @@ from hypothesis import strategies as st
 
 import revkit
 from revkit.cli import main
+from revkit.config import RunConfig
 from revkit.corpus import DocVersion, RawGroup, build_group, load_corpus, serialize_corpus
 from revkit.errors import CorpusFormatError
 from revkit.formats import dump_json, read_alignment, read_edit_file
 from revkit.intention import COARSE_LABELS, FINE_LABELS
+from revkit.para_align import Thresholds
 from revkit.sent_align import SentAlignLabel
 
 from helpers import filler_sentence
-from oracles import VOCAB, random_doc_pair, random_sentence_raw
+from oracles import VOCAB, oracle_align_pair, random_doc_pair, random_sentence_raw
 
 
 def changed(raw, tag):
@@ -409,6 +412,23 @@ def test_extract_edits_parse_tree_leaf_count_mismatch(ws, tmp_path, capsys):
     assert "pair 2 (" in err and "source tree covers 1 tokens, sentence has 6" in err
 
 
+@pytest.mark.parametrize("method", ["simple", "parse"])
+def test_extract_edits_out_of_range_link_exits_2(ws, tmp_path, capsys, method):
+    # pair 2 has six tokens on each side; the alignment is checked once,
+    # by the extraction route, and its error names the pair
+    path = tmp_path / "wa.txt"
+    path.write_text("0-0\n0-0 6-1\n0-0\n0-0\n")
+    tree = "\n(S " + changed(filler_sentence(1), "a") + ")\n\n\n"
+    trees = tmp_path / "t.trees"
+    trees.write_text(tree)
+    extra = ["--trees-src", str(trees), "--trees-tgt", str(trees)] if method == "parse" else []
+    rc = extract(ws, tmp_path / "e.json", method, ["--word-alignments", str(path), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pair 2 (" in err and "link (6, 1) out of range for lengths (6, 6)" in err
+    assert not (tmp_path / "e.json").exists()
+
+
 @pytest.mark.parametrize(
     "field",
     [
@@ -586,6 +606,55 @@ def test_group_order_changes_no_output(tmp_path, seed):
     forward = _align_and_stats(tmp_path / "forward", groups)
     assert len(forward) == 5 + 6  # five version pairs, six stats files
     assert _align_and_stats(tmp_path / "reversed", groups[::-1]) == forward
+
+
+def _oracle_align_files(corpus, name):
+    """What `align --metric name` should write, by file name: each version
+    pair through oracles.oracle_align_pair, in dump_json's layout."""
+    threshold = RunConfig(sentence_metric=name).effective_sentence_threshold()
+    files = {}
+    for group in load_corpus(str(corpus)):
+        for src, tgt in group.adjacent_pairs():
+            pairs = oracle_align_pair(src, tgt, name, Thresholds(), threshold)
+            obj = {
+                "arxiv_id": group.arxiv_id,
+                "src_version": src.version_index,
+                "tgt_version": tgt.version_index,
+                "pairs": [
+                    {"src": [s.paragraph, s.sentence], "tgt": [t.paragraph, t.sentence], "label": label}
+                    for s, t, label in sorted(pairs)
+                ],
+            }
+            name_ = f"{group.arxiv_id.replace('/', '_')}.v{src.version_index}-v{tgt.version_index}.json"
+            files[name_] = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    return files
+
+
+def _perfbench_gen():
+    """The benchmark's input generator, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize("metric", ["jaccard", "tfidf", "char3gram", "bleu"])
+@pytest.mark.parametrize("source", ["random 0", "random 1", "gen c40", "gen long_docs"])
+def test_align_every_metric_writes_what_the_oracle_pipeline_does(tmp_path, metric, source):
+    kind, arg = source.split()
+    if kind == "random":
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(_several_groups(int(arg))))
+    else:
+        corpus = Path(_perfbench_gen().generate(arg, 3, "tiny", str(tmp_path / "gen")).corpus)
+    out = tmp_path / "align"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out), "--metric", metric]) == 0
+    got = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert got == _oracle_align_files(corpus, metric)
+    assert any(b'"pairs": []' not in text for text in got.values())
 
 
 def _four_versions(seed):

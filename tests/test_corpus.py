@@ -282,7 +282,6 @@ def test_sentence_surfaces_and_sets():
     s = sent("The cat saw the CAT")
     assert s.tokens == ("The", "cat", "saw", "the", "CAT")
     assert s.lower_tokens() == ("the", "cat", "saw", "the", "cat")
-    assert s.lower_token_set() == frozenset({"the", "cat", "saw"})
 
 
 def test_normalized_raw_collapses_whitespace():

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 
-from revkit.kernels import _DENSE_SHARE, jaccard_matrix
+from revkit import kernels
+from revkit.kernels import _DENSE_SHARE, jaccard_matrix, tfidf_cosines
 
 
 def random_sets(rng, count, vocab_size=20, max_len=8):
@@ -81,6 +82,17 @@ def test_id_order_within_a_row_does_not_matter():
     rows_a, rows_b = encode(random_sets(rng, 9), random_sets(rng, 7))
     shuffled = [rng.sample(r, len(r)) for r in rows_a]
     assert np.array_equal(jaccard_matrix(shuffled, rows_b), jaccard_matrix(rows_a, rows_b))
+
+
+def test_repeated_ids_within_a_row_count_once():
+    # rows are token sequences: a repeated token is one member of the set
+    rng = random.Random(19)
+    for _ in range(20):
+        rows_a, rows_b = encode(random_sets(rng, 9), random_sets(rng, 7))
+        repeated = [r + rng.choices(r, k=rng.randint(0, 4)) if r else r for r in rows_a]
+        repeated = [rng.sample(r, len(r)) for r in repeated]
+        assert np.array_equal(jaccard_matrix(repeated, rows_b), jaccard_matrix(rows_a, rows_b))
+        assert np.array_equal(jaccard_matrix(rows_b, repeated), jaccard_matrix(rows_b, rows_a))
 
 
 def test_empty_inputs():
@@ -192,3 +204,44 @@ def test_peak_memory_stays_near_the_result():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * out.nbytes, (peak, out.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# tf-idf cosines of candidate cells
+
+def test_bincount_adds_weights_in_input_order():
+    """tfidf_cosines sums each cell's products with np.bincount, which must
+    add them left to right in input order, as the scalar cosine did."""
+    weights = [0.1, 0.2, 0.3]
+    for order in (weights, weights[::-1]):
+        acc = 0.0
+        for w in order:
+            acc += w
+        assert np.bincount([0, 0, 0], weights=order)[0] == acc
+    # the case is one where the order changes the bits
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    rng = random.Random(3)
+    for _ in range(50):
+        bins = [rng.randrange(4) for _ in range(40)]
+        values = [rng.random() * 10 ** rng.randint(-3, 3) for _ in bins]
+        want = [0.0] * 4
+        for b, v in zip(bins, values):
+            want[b] += v
+        assert np.bincount(bins, weights=values, minlength=4).tolist() == want
+
+
+def test_tfidf_cosines_block_size_changes_no_bit(monkeypatch):
+    rng = random.Random(23)
+    vocab_size = 30
+    texts_a = [rng.choices(range(vocab_size), k=rng.randint(1, 12)) for _ in range(20)]
+    texts_b = [rng.choices(range(vocab_size), k=rng.randint(1, 12)) for _ in range(15)]
+    others = [set(rng.choices(range(vocab_size), k=5)) for _ in range(6)]
+    cells = [(r, c) for r in range(20) for c in range(15) if rng.random() < 0.5]
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    cols = np.array([c for _, c in cells], dtype=np.int64)
+    want = tfidf_cosines(texts_a, texts_b, rows, cols, others)
+    assert not np.array_equal(*want)  # some cell's directions differ in the last place
+    for block in (1, 5, 64):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block)
+        got = tfidf_cosines(texts_a, texts_b, rows, cols, others)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

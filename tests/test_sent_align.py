@@ -7,17 +7,23 @@ from hypothesis import strategies as st
 from revkit.cli import _align_pair
 from revkit.config import RunConfig
 from revkit.corpus import SentenceId
-from revkit.para_align import ParaAlignment, align_paragraphs
+from revkit.para_align import CandidateCells, Thresholds, align_paragraphs
 from revkit.sent_align import (
     SentAlignLabel,
     SentenceAlignment,
     align_sentences_directional,
     merge_bidirectional,
 )
-from revkit.similarity import char_ngram_sim, jaccard
+from revkit.similarity import METRIC_NAMES, char_ngram_sim
 
-from helpers import alignment, doc
-from oracles import random_doc_pair
+from helpers import alignment, candidates, doc
+from oracles import (
+    oracle_align_directional,
+    oracle_align_pair,
+    oracle_jaccard,
+    oracle_metric,
+    random_doc_pair,
+)
 
 PARA_A = [
     "the red cat sat here",
@@ -29,11 +35,16 @@ PARA_B = [
     "a dog walks fast now",
     "zz xx cc vv bb",
 ]
-DIAG = ParaAlignment(frozenset({(0, 0)}))
+DIAG = {(0, 0)}
 
 
 def two_versions(a_paras=None, b_paras=None):
     return doc([a_paras or PARA_A], 1), doc([b_paras or PARA_B], 2)
+
+
+def diag(a, b, metric="jaccard"):
+    """The candidate cells of the first paragraphs of a and b."""
+    return candidates(a, b, metric, DIAG)
 
 
 def ids(version, *sent_indices):
@@ -42,7 +53,7 @@ def ids(version, *sent_indices):
 
 def test_directional_toy_alignment():
     a, b = two_versions()
-    got = align_sentences_directional(DIAG, a, b, jaccard, 0.4)
+    got = align_sentences_directional(diag(a, b), a, b, 0.4)
     a1, a2 = ids(1, 0, 1)
     b1, b2 = ids(2, 0, 1)
     assert got.pairs == {
@@ -53,14 +64,14 @@ def test_directional_toy_alignment():
 
 def test_directional_identical_labeled_aligned():
     a, b = two_versions(b_paras=list(PARA_A))
-    got = align_sentences_directional(DIAG, a, b, jaccard, 0.4)
+    got = align_sentences_directional(diag(a, b), a, b, 0.4)
     assert all(label is SentAlignLabel.ALIGNED for _, _, label in got.pairs)
     assert len(got.pairs) == 3
 
 
 def test_directional_threshold_above_one_empty():
     a, b = two_versions()
-    got = align_sentences_directional(DIAG, a, b, jaccard, 1.01)
+    got = align_sentences_directional(diag(a, b), a, b, 1.01)
     assert got.pairs == frozenset()
 
 
@@ -70,7 +81,7 @@ def test_directional_tie_breaks_to_lowest_target():
         a_paras=["the cat sat here", "pp oo ii mm ee ll rr"],
         b_paras=["the cat sat today", "the cat sat tonight", "zz yy xx ww vv uu"],
     )
-    got = align_sentences_directional(DIAG, a, b, jaccard, 0.3)
+    got = align_sentences_directional(diag(a, b), a, b, 0.3)
     assert got.pairs == {(ids(1, 0)[0], ids(2, 0)[0], SentAlignLabel.PARTIAL)}
 
 
@@ -81,7 +92,7 @@ def test_directional_lowercase_surface_match_counts_as_aligned():
         a_paras=["The  Red Cat Sat Here", "mm nn bb vv cc xx"],
         b_paras=["the red cat sat here", "mm nn bb vv cc xx"],
     )
-    got = align_sentences_directional(DIAG, a, b, char_ngram_sim, 0.5)
+    got = align_sentences_directional(diag(a, b, char_ngram_sim), a, b, 0.5)
     labels = {s.sentence: label for s, _, label in got.pairs}
     assert labels[0] is SentAlignLabel.ALIGNED
 
@@ -91,7 +102,7 @@ def test_directional_allows_many_to_one():
         a_paras=["the red cat sat here", "the red cat sat here"],
         b_paras=["the red cat sat here", "jj kk ll jq kw lr"],
     )
-    got = align_sentences_directional(DIAG, a, b, jaccard, 0.4)
+    got = align_sentences_directional(diag(a, b), a, b, 0.4)
     assert len(got.pairs) == 2
     assert {t for _, t, _ in got.pairs} == {SentenceId(2, 0, 0)}
 
@@ -101,7 +112,7 @@ def test_directional_skips_skipped_sentences():
         a_paras=["the red cat sat here", "too short", "a dog runs fast now"],
         b_paras=list(PARA_B),
     )
-    got = align_sentences_directional(DIAG, a, b, jaccard, 0.4)
+    got = align_sentences_directional(diag(a, b), a, b, 0.4)
     assert {s.sentence for s, _, _ in got.pairs} == {0, 2}
 
 
@@ -137,8 +148,9 @@ def test_merge_requires_matching_versions():
 
 def test_merge_of_mirrored_directions_is_identity():
     a, b = two_versions()
-    fwd = align_sentences_directional(DIAG, a, b, jaccard, 0.4)
-    bwd = align_sentences_directional(DIAG.reversed(), b, a, jaccard, 0.4)
+    cells = diag(a, b)
+    fwd = align_sentences_directional(cells, a, b, 0.4)
+    bwd = align_sentences_directional(cells, b, a, 0.4)
     merged = merge_bidirectional(fwd, bwd)
     assert merged.pairs == fwd.pairs  # symmetric toy case
     # idempotent under re-merge with its own mirror
@@ -175,9 +187,9 @@ def test_threshold_monotone_on_random_docs():
     rng = random.Random(19)
     for _ in range(10):
         a, b = random_doc_pair(rng)
-        paras = align_paragraphs(a, b)
-        loose = align_sentences_directional(paras, a, b, jaccard, 0.2)
-        tight = align_sentences_directional(paras, a, b, jaccard, 0.6)
+        cells = CandidateCells(align_paragraphs(a, b), "jaccard")
+        loose = align_sentences_directional(cells, a, b, 0.2)
+        tight = align_sentences_directional(cells, a, b, 0.6)
         assert {(s, t) for s, t, _ in tight.pairs} <= {(s, t) for s, t, _ in loose.pairs}
 
 
@@ -186,11 +198,121 @@ def test_threshold_monotone_on_random_docs():
 def test_matrix_scores_match_scalar_jaccard(seed, threshold):
     src, tgt = random_doc_pair(random.Random(seed))
     paras = align_paragraphs(src, tgt)
-    for s in src.alignable_sentences():
-        for t in tgt.alignable_sentences():
-            assert paras.scores(s, t) == jaccard(s, t)
-            assert paras.reversed().scores(t, s) == jaccard(t, s)
-    fwd = align_sentences_directional(paras, src, tgt, jaccard, threshold)
-    bwd = align_sentences_directional(paras.reversed(), tgt, src, jaccard, threshold)
+    cells = CandidateCells(paras, "jaccard")
+    for s, t, forward, backward in cells:
+        assert forward == backward == oracle_jaccard(s, t) == oracle_jaccard(t, s)
+    fwd = align_sentences_directional(cells, src, tgt, threshold)
+    bwd = align_sentences_directional(cells, tgt, src, threshold)
     cfg = RunConfig(sentence_metric="jaccard", sentence_threshold=threshold)
     assert _align_pair(src, tgt, cfg) == merge_bidirectional(fwd, bwd)
+
+
+# ---------------------------------------------------------------------------
+# the bulk aligner against the per-cell loop it replaced
+
+WORDS = ["ka", "lo", "mi", "nu", "pe", "ru", "si", "to", "vu", "we", "xo", "ya"]
+# skipped sentences: too short, and too short with every core word below
+JUNK = ["x 1", "ka lo :"]
+
+
+@st.composite
+def texts(draw):
+    """A pool of sentence texts with repeats, case-only and word-order-only
+    variants and repeated words.  In "uniform" pools every text holds all
+    of one core word set, so every idf is 0."""
+    if draw(st.booleans()):
+        core = draw(st.lists(st.sampled_from(WORDS), min_size=4, max_size=5, unique=True))
+        pool = []
+        for _ in range(draw(st.integers(1, 4))):
+            words = core + draw(st.lists(st.sampled_from(core), max_size=2))
+            pool.append(" ".join(draw(st.permutations(words))))
+        # skipped for its trailing colon, and a paragraph too short to align
+        junk, short = [" ".join(core) + " :"], " ".join(core)
+    else:
+        pool = [
+            " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=4, max_size=9)))
+            for _ in range(draw(st.integers(1, 6)))
+        ]
+        junk, short = JUNK, "ka one"
+    for raw in list(pool):
+        variant = draw(st.sampled_from(["upper", "title", "shuffle", "spaced", "none"]))
+        words = raw.split()
+        if variant == "upper":
+            pool.append(raw.upper())
+        elif variant == "title":
+            pool.append(raw.title())
+        elif variant == "shuffle":
+            pool.append(" ".join(draw(st.permutations(words))))
+        elif variant == "spaced":
+            pool.append("  ".join(words))
+    return pool, junk, short
+
+
+@st.composite
+def doc_pairs(draw):
+    """Two versions drawn from one text pool, with skipped sentences, skipped
+    (short) paragraphs and empty versions."""
+    pool, junk, short = draw(texts())
+
+    def version(v):
+        paragraphs = []
+        if draw(st.integers(0, 9)) == 0:
+            return doc(paragraphs, v)  # an empty version
+        for _ in range(draw(st.integers(1, 5))):
+            if draw(st.integers(0, 5)) == 0:
+                paragraphs.append([short])  # under 10 tokens
+                continue
+            sentences = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(2, 5)))]
+            if draw(st.integers(0, 4)) == 0:
+                sentences.insert(draw(st.integers(0, len(sentences))), draw(st.sampled_from(junk)))
+            paragraphs.append(sentences)
+        return doc(paragraphs, v)
+
+    return version(1), version(2)
+
+
+def _labels(alignment):
+    return {(s, t, label.value) for s, t, label in alignment.pairs}
+
+
+@settings(max_examples=250, deadline=None)
+@given(doc_pairs(), st.sampled_from(METRIC_NAMES), st.sampled_from(["aligned", "all", "some"]), st.data())
+def test_bulk_aligner_matches_the_per_cell_oracle(versions, name, which, data):
+    src, tgt = versions
+    if which == "aligned":
+        pairs = align_paragraphs(src, tgt).pairs
+    else:
+        every = [
+            (p.index, q.index) for p in src.alignable_paragraphs() for q in tgt.alignable_paragraphs()
+        ]
+        pairs = every if which == "all" else data.draw(st.lists(st.sampled_from(every), unique=True)) if every else []
+    cells = candidates(src, tgt, name, pairs)
+    oracle = oracle_metric(name, src, tgt)
+    scores = []
+    for s, t, forward, backward in cells:
+        assert forward == oracle(s, t)
+        assert backward == oracle(t, s)
+        scores += [forward, backward]
+    thresholds = [0.0, 0.5, 1.0, 1.01] + ([data.draw(st.sampled_from(scores))] if scores else [])
+    for threshold in thresholds:
+        fwd = align_sentences_directional(cells, src, tgt, threshold)
+        bwd = align_sentences_directional(cells, tgt, src, threshold)
+        back = {(j, i) for i, j in pairs}
+        assert _labels(fwd) == oracle_align_directional(pairs, src, tgt, oracle, threshold)
+        assert _labels(bwd) == oracle_align_directional(back, tgt, src, oracle, threshold)
+        assert (fwd.src_version, fwd.tgt_version, bwd.src_version, bwd.tgt_version) == (1, 2, 2, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc_pairs(), st.sampled_from(METRIC_NAMES), st.sampled_from([0.0, 0.35, 0.5, 0.8, 1.0]))
+def test_align_pair_matches_the_oracle_pipeline(versions, name, threshold):
+    src, tgt = versions
+    cfg = RunConfig(sentence_metric=name, sentence_threshold=threshold)
+    got = _align_pair(src, tgt, cfg)
+    assert _labels(got) == oracle_align_pair(src, tgt, name, Thresholds(), threshold)
+
+
+def test_cells_read_from_an_unknown_version_are_refused():
+    a, b = two_versions()
+    with pytest.raises(ValueError, match="neither side"):
+        diag(a, b).best(7)

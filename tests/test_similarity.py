@@ -1,24 +1,25 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revkit.kernels import build_idf, tfidf_cosines
+from revkit.para_align import CandidateCells, GroupEncoder, align_paragraphs
 from revkit.similarity import (
-    IdfModel,
+    CELL_METRICS,
     METRIC_NAMES,
     bleu_sim,
-    build_idf,
     char_ngram_sim,
-    jaccard,
     make_metric,
-    tfidf_sim,
 )
 
-from helpers import doc, sent
-from oracles import oracle_bleu, oracle_char_trigram, oracle_tfidf, random_doc_pair
+from helpers import cell_scores, doc, jaccard, pair_score, sent
+from oracles import oracle_build_idf, oracle_metric, random_doc_pair
 
 WORDS = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red"]
 sentences = st.lists(st.sampled_from(WORDS), min_size=0, max_size=8).map(
@@ -117,23 +118,34 @@ def two_docs():
     return a, b
 
 
+def _encoded(*docs):
+    """Every sentence's encoding over one vocabulary, and that vocabulary."""
+    encoder = GroupEncoder()
+    return [encoder.encode(s.tokens) for d in docs for s in d.sentences()], encoder.lower
+
+
 def test_build_idf_values():
     a, b = two_docs()
-    model = build_idf([a, b])
-    assert model.doc_count == 4
-    assert model.lookup("the") == pytest.approx(0.0)          # in all 4
-    assert model.lookup("cat") == pytest.approx(math.log(2))  # in 2 of 4
-    assert model.lookup("unseen") == pytest.approx(math.log(4))
+    sentences, vocab = _encoded(a, b)
+    distinct = np.array([i for ids in sentences for i in set(ids)])
+    idf = build_idf(len(sentences), distinct, len(vocab) + 1)
+    assert len(sentences) == 4
+    assert idf[vocab["the"]] == 0.0  # in all 4
+    assert idf[vocab["cat"]] == math.log(2)  # in 2 of 4
+    assert idf[len(vocab)] == 0.0  # in none
+    model = oracle_build_idf([a, b])
+    for token, i in vocab.items():
+        assert idf[i] == model.lookup(token)
 
 
 def test_build_idf_requires_sentences():
     with pytest.raises(ValueError):
-        build_idf([doc([], 1)])
+        build_idf(0, np.zeros(0, dtype=np.int64), 3)
 
 
 def test_tfidf_matches_brute_force():
     a, b = two_docs()
-    model = build_idf([a, b])
+    model = oracle_build_idf([a, b])
     s1 = a.paragraphs[0].sentences[1]
     s2 = b.paragraphs[0].sentences[1]
 
@@ -147,25 +159,29 @@ def test_tfidf_matches_brute_force():
     expect = dot / (
         math.sqrt(sum(w * w for w in va.values())) * math.sqrt(sum(w * w for w in vb.values()))
     )
-    assert tfidf_sim(s1, s2, model) == pytest.approx(expect)
+    scores = cell_scores("tfidf", a, b)
+    assert scores[s1.id, s2.id] == pytest.approx(expect)
+    assert scores[s2.id, s1.id] == pytest.approx(expect)
 
 
 def test_tfidf_identical_is_one():
     a, b = two_docs()
-    model = build_idf([a, b])
-    s = a.paragraphs[0].sentences[0]
-    assert tfidf_sim(s, s, model) == 1.0
+    s, t = a.paragraphs[0].sentences[0], b.paragraphs[0].sentences[0]
+    assert s.raw == t.raw
+    scores = cell_scores("tfidf", a, b)
+    assert scores[s.id, t.id] == scores[t.id, s.id] == 1.0
 
 
 def test_tfidf_all_zero_vectors_compare_counts():
-    # every token occurs in every sentence, so all idf weights vanish
+    # every token occurs in every sentence, so all idf weights vanish;
+    # equal counts score 1.0 in any case or order, other counts 0.0
     same = "alpha bravo charlie delta echo foxtrot golf hotel india juliet"
-    a = doc([[same]], 1)
-    b = doc([[same]], 2)
-    model = build_idf([a, b])
-    s1 = a.paragraphs[0].sentences[0]
-    s2 = b.paragraphs[0].sentences[0]
-    assert tfidf_sim(s1, s2, model) == 1.0
+    a = doc([[same, same + " alpha"]], 1)
+    b = doc([[same.upper(), " ".join(reversed(same.split()))]], 2)
+    (s1, s2), (t1, t2) = a.paragraphs[0].sentences, b.paragraphs[0].sentences
+    scores = cell_scores("tfidf", a, b)
+    for s, t, want in ((s1, t1, 1.0), (s1, t2, 1.0), (s2, t1, 0.0), (s2, t2, 0.0)):
+        assert scores[s.id, t.id] == scores[t.id, s.id] == want
 
 
 # ---------------------------------------------------------------------------
@@ -208,58 +224,64 @@ def test_bleu_identical_nonempty_is_one(ws):
 
 
 # ---------------------------------------------------------------------------
-# metric factory
+# metric factory and the aligner's scores
 
 def test_make_metric_names():
     assert set(METRIC_NAMES) == {"jaccard", "tfidf", "char3gram", "bleu"}
     a, b = two_docs()
+    s = a.paragraphs[0].sentences[0]
+    t = b.paragraphs[0].sentences[0]
     for name in METRIC_NAMES:
-        metric = make_metric(name, a, b)
-        s = a.paragraphs[0].sentences[0]
-        t = b.paragraphs[0].sentences[0]
-        assert metric(s, t) == 1.0  # identical sentence both sides
+        assert cell_scores(name, a, b)[s.id, t.id] == 1.0  # identical sentence both sides
+        if name in CELL_METRICS:
+            assert make_metric(name)(s, t) == 1.0
+        else:
+            with pytest.raises(ValueError, match="scored in bulk"):
+                make_metric(name)
 
 
-def _scalar(name: str, model: IdfModel):
-    """The metric's scalar function, and its from-scratch oracle."""
-    return {
-        "jaccard": (jaccard, jaccard),
-        "tfidf": (lambda a, b: tfidf_sim(a, b, model), lambda a, b: oracle_tfidf(a, b, model)),
-        "char3gram": (char_ngram_sim, oracle_char_trigram),
-        "bleu": (bleu_sim, oracle_bleu),
-    }[name]
+_SCALAR = {"char3gram": char_ngram_sim, "bleu": bleu_sim}
 
 
 @pytest.mark.parametrize("name", METRIC_NAMES)
 def test_make_metric_caches_bit_identically(name):
+    """The aligner's score of every sentence pair, in both directions,
+    equals the oracle's and the scalar function's bit for bit."""
     rng = random.Random(17)
     for _ in range(15):
         a, b = random_doc_pair(rng)
-        metric = make_metric(name, a, b)
-        scalar, oracle = _scalar(name, build_idf([a, b]))
-        for s in a.sentences():
-            for t in b.sentences():
-                assert metric(s, t) == scalar(s, t) == oracle(s, t)
-                assert metric(t, s) == scalar(t, s) == oracle(t, s)
+        scores = cell_scores(name, a, b)
+        oracle = oracle_metric(name, a, b)
+        scalar = _SCALAR.get(name, oracle)
+        for s in a.alignable_sentences():
+            for t in b.alignable_sentences():
+                assert scores[s.id, t.id] == scalar(s, t) == oracle(s, t)
+                assert scores[t.id, s.id] == scalar(t, s) == oracle(t, s)
 
 
 @pytest.mark.parametrize("name", METRIC_NAMES)
 def test_make_metric_cache_keys_on_text(name):
     a, b = two_docs()
-    metric = make_metric(name, a, b)
-    scalar, _ = _scalar(name, build_idf([a, b]))
     t = b.paragraphs[0].sentences[1]
-    # the same text under two ids
-    same = [sent("a dog ran over the hill", 1, 0, 0), sent("a dog ran over the hill", 2, 3, 4)]
-    for s in same + same:
-        assert metric(s, t) == metric(t, s) == scalar(s, t)
-    # two texts under one id, each scored again after the other
-    s1, s2 = sent("the cat sat on the mat"), sent("another dog walked over the hill")
-    assert s1.id == s2.id
-    for s in (s1, s2, s1, t, s2):
-        assert metric(s, t) == scalar(s, t)
-        assert metric(t, s) == scalar(t, s)
-    assert metric(s1, t) != metric(s2, t)
+    # the same text under two ids, beside other texts
+    dog, cat = "a dog ran over the hill quite fast this morning", "the cat sat on the mat right here"
+    c = doc([[dog, cat], [cat, dog]], 1)
+    scores = cell_scores(name, c, b)
+    oracle = oracle_metric(name, c, b)
+    (d1, c1), (c2, d2) = (p.sentences for p in c.paragraphs)
+    for x, y in ((d1, d2), (c1, c2)):
+        assert scores[x.id, t.id] == scores[y.id, t.id] == oracle(x, t)
+        assert scores[t.id, x.id] == scores[t.id, y.id] == oracle(t, x)
+    assert scores[d1.id, t.id] != scores[c1.id, t.id]
+    if name in CELL_METRICS:
+        metric, scalar = make_metric(name), _SCALAR[name]
+        # two texts under one id, each scored again after the other
+        s1, s2 = sent("the cat sat on the mat"), sent("another dog walked over the hill")
+        assert s1.id == s2.id
+        for s in (s1, s2, s1, t, s2):
+            assert metric(s, t) == scalar(s, t)
+            assert metric(t, s) == scalar(t, s)
+        assert metric(s1, t) != metric(s2, t)
 
 
 _any_texts = st.lists(
@@ -270,40 +292,53 @@ _any_texts = st.lists(
 ).map("".join)
 
 
-@given(_any_texts, st.lists(_any_texts, max_size=4), st.integers(1, 40))
-def test_feature_metrics_score_every_text_against_itself_at_one(raw, others, doc_count):
-    """The feature path itself, which make_metric's metrics skip for equal
-    texts: a self-score is exactly 1.0 whatever the text."""
+@given(_any_texts, st.lists(_any_texts, max_size=4), st.integers(0, 40))
+def test_feature_metrics_score_every_text_against_itself_at_one(raw, others, empty):
+    """The feature path itself, which the aligner skips for equal texts: a
+    self-score is exactly 1.0 whatever the text, and for tfidf whatever
+    the other documents, which set the idf."""
     s = sent(raw)
     assert char_ngram_sim(s, s) == 1.0
     assert bleu_sim(s, s) == 1.0
-    fitted = build_idf([doc([[raw, *others]])])
-    for model in (fitted, IdfModel({}, doc_count), IdfModel(fitted.idf, doc_count)):
-        assert tfidf_sim(s, s, model) == 1.0
+    sentences, _ = _encoded(doc([[raw, *others]]))
+    text = sentences[0]
+    cell = np.zeros(1, dtype=np.int64)
+    for rest in ([], [set(ids) for ids in sentences[1:]], [()] * empty):
+        # a copy of the text: equal encodings, not one shared object
+        forward, backward = tfidf_cosines([text], [list(text)], cell, cell, rest)
+        assert forward.tolist() == backward.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("raw", ["", "word", "the cat sat on the mat"])
 @pytest.mark.parametrize("name", METRIC_NAMES)
 def test_every_metric_is_exactly_one_on_identical_inputs(name, raw):
-    a, b = two_docs()
-    metric = make_metric(name, a, b)
-    scalar, _ = _scalar(name, build_idf([a, b]))
     s, twin = sent(raw), sent(raw, 2, 1, 1)
+    oracle = oracle_metric(name, doc([[raw]], 1), doc([[raw]], 2))
     for x, y in ((s, s), (s, twin), (twin, s)):
-        assert scalar(x, y) == 1.0
-        assert metric(x, y) == 1.0
+        assert oracle(x, y) == 1.0
+        assert pair_score(name, x, y) == 1.0
 
 
 def test_make_metric_tfidf_cache_tells_same_id_apart():
-    a, b = two_docs()
-    metric = make_metric("tfidf", a, b)
-    model = build_idf([a, b])
-    s1, s2 = sent("the cat sat on the mat"), sent("a dog ran over the hill")
-    assert s1.id == s2.id
-    t = b.paragraphs[0].sentences[1]
-    assert metric(s1, t) == tfidf_sim(s1, t, model)
-    assert metric(s2, t) == tfidf_sim(s2, t, model)
-    assert metric(s1, t) != metric(s2, t)
+    """tfidf's encodings are kept by text, not by place: a group's versions
+    hold different texts at the same places, and with one encoder for
+    the group every pair scores as the oracle does."""
+    texts = [
+        "the cat sat on the mat right here",
+        "a dog ran over the hill quite fast",
+        "another dog walked over the hill slowly",
+    ]
+    versions = [doc([[texts[v % 3], texts[(v + 1) % 3]]], v + 1) for v in range(3)]
+    encoder = GroupEncoder(2)
+    for a, b in zip(versions, versions[1:]):
+        paras = replace(align_paragraphs(a, b, encoder=encoder), pairs=frozenset({(0, 0)}))
+        oracle = oracle_metric("tfidf", a, b)
+        seen = set()
+        for s, t, forward, backward in CandidateCells(paras, "tfidf"):
+            assert forward == oracle(s, t)
+            assert backward == oracle(t, s)
+            seen.add(forward)
+        assert len(seen) > 1
 
 
 def test_make_metric_tfidf_requires_docs():
@@ -314,3 +349,14 @@ def test_make_metric_tfidf_requires_docs():
 def test_make_metric_unknown_name():
     with pytest.raises(ValueError, match="unknown metric"):
         make_metric("cosine")
+
+
+@settings(max_examples=300)
+@given(_any_texts, _any_texts)
+def test_char3gram_and_bleu_are_bit_identical_with_arguments_swapped(x, y):
+    """Both directions of a cell read one char3gram or bleu score."""
+    a, b = sent(x), sent(y, 2)
+    for name in CELL_METRICS:
+        assert make_metric(name)(a, b) == make_metric(name)(b, a)
+    assert char_ngram_sim(a, b) == char_ngram_sim(b, a)
+    assert bleu_sim(a, b) == bleu_sim(b, a)
