@@ -64,13 +64,11 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 # Distinct whitespace chunks kept by _tokenize_chunk.  A chunk's tokens
 # depend on the chunk alone, so repeated chunks share one tuple of token
-# strings.  Only chunks with punctuation at an edge or a "[" come here:
-# on the benchmark corpora, whose punctuation stands apart from words,
-# that is a few chunks (7 on c40 seed 3), hit 99.9% of the time.  Running
-# text with punctuation attached to words sends more: at most 7,432
-# distinct chunks per group on the corpora measured, and 16,384 entries
-# hold about 2.7 MB when full (tracemalloc).  A miss costs a little more
-# than no cache at all; the size stays at a few groups.
+# strings.  Only chunks with punctuation at an edge or a "[" come here, so
+# text whose punctuation stands apart from words sends few, and text with
+# punctuation attached to words sends many.  A miss costs a little more
+# than no cache at all, so the size holds the distinct chunks of a few
+# groups and no more.
 _CHUNK_CACHE_SIZE = 1 << 14
 
 

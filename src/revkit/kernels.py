@@ -1,10 +1,11 @@
-"""Bulk kernels for the alignment hot path: the Jaccard matrix of a
+"""Bulk kernels for the alignment hot path: the Jaccard scores of a
 version pair's sentences, and the tf-idf cosines of its candidate cells.
 
 Paragraph alignment needs the Jaccard score of every sentence pair across
 two document versions.  Each sentence arrives as its token ids over one
-vocabulary shared by both sides, and counts each id once.  A cell's
-intersection count is split by token:
+vocabulary shared by both sides, and counts each id once.  The target
+side can be indexed once (Target) and any number of blocks of source rows
+scored against it.  A cell's intersection count is split by token:
 
 - A token held by at least 1/8 of the target rows is *frequent*.  The
   counts of all frequent tokens come from one float64 matrix product of
@@ -25,11 +26,18 @@ The split is exact.  Intersection and union sizes are integers far below
 2**53, and integer sums are exact in float64 in any order, so the product
 and the postings add up to the same integer either way.  Every cell is
 then one IEEE division of the same two integers, as when it was computed
-in int64, and every matrix is bit-identical whatever the split.
+in int64, and every matrix is bit-identical whatever the split, and
+whatever blocks of source rows it is computed in.  The integer counts
+themselves can be kept, in two bytes a cell: an alignable sentence has at
+most 1,000 characters, so far fewer than 65,535 distinct ids.
 
 Memory stays near the result: the product is written into it, and the
-postings and the union are worked through in blocks of source rows that
-cover at most 2**15 cells and 1/8 of the result.
+postings and the union are worked through in sub-blocks of source rows
+that cover at most 2**15 cells and 1/8 of the result, or 2**14 cells
+where that is more.  Paragraph alignment calls the kernel on blocks of
+about 2**16 cells against one Target, so a version pair costs two bytes a
+sentence pair for its counts plus one fixed-size block, never a float64
+n x m matrix.
 """
 from __future__ import annotations
 
@@ -47,52 +55,88 @@ _BLOCK_CELLS = 1 << 15
 _BLOCK_ENTRIES = 1 << 16
 
 
-def jaccard_matrix(rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequence[int]]) -> np.ndarray:
+class Target:
+    """The target side of jaccard_matrix, indexed once for any number of
+    blocks of source rows: each row's number of distinct ids, the 0/1
+    indicator block of its frequent ids, and the postings of the others."""
+
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        row, ids, self.sizes = _distinct_rows(rows)
+        self.fsizes = self.sizes.astype(np.float64)
+        m = len(rows)
+        # target rows holding each id; no target row holds one above
+        self.held = held = np.bincount(ids)
+        self.dense = dense = held * _DENSE_SHARE >= m
+        self.cols = np.cumsum(dense) - 1  # indicator column of each frequent id
+        # kept in a byte a cell, and widened to float64 for each product only
+        self.ind = np.zeros((m, int(self.cols[-1]) + 1 if len(held) else 0), dtype=np.uint8)
+        on = dense[ids]
+        self.ind[row[on], self.cols[ids[on]]] = 1
+        # postings[starts[t]:starts[t] + held[t]] lists the target rows holding token t
+        self.postings = row[np.argsort(ids, kind="stable")]
+        self.starts = np.cumsum(held) - held
+
+
+def jaccard_matrix(
+    rows_a: Sequence[Sequence[int]],
+    rows_b: Sequence[Sequence[int]] | Target,
+    counts: np.ndarray | None = None,
+    sizes: np.ndarray | None = None,
+) -> np.ndarray:
     """Jaccard similarity of every row pair's id sets, as a len(a) x len(b)
     matrix.
 
-    Each row lists token ids, in any order, repeats allowed.  Empty-vs-empty
-    pairs score 1.0, matching the scalar metric.
+    Each row lists token ids, in any order, repeats allowed; the target
+    side may come indexed.  Empty-vs-empty pairs score 1.0, matching the
+    scalar metric.  When given, `counts` (len(a) x len(b)) receives each
+    cell's intersection count and `sizes` (len(a)) each source row's
+    number of distinct ids.
     """
-    n, m = len(rows_a), len(rows_b)
-    (row_a, ids_a), (row_b, ids_b) = _flat(rows_a), _flat(rows_b)
-    size = 1 + max(ids_a.max(initial=-1), ids_b.max(initial=-1))
-    # each row's distinct ids, by row
-    row_a, ids_a = np.divmod(_sorted_set(row_a * size + ids_a), size)
-    row_b, ids_b = np.divmod(_sorted_set(row_b * size + ids_b), size)
-    sizes_a = np.bincount(row_a, minlength=n)
-    sizes_b = np.bincount(row_b, minlength=m)
-    held = np.bincount(ids_b)  # target rows holding each id; no target row holds one above
-    shared = ids_a < len(held)
+    b = rows_b if isinstance(rows_b, Target) else Target(rows_b)
+    row_a, ids_a, sizes_a = _distinct_rows(rows_a)
+    if sizes is not None:
+        sizes[:] = sizes_a
+    n, m = len(rows_a), len(b.sizes)
+    shared = ids_a < len(b.held)
     row_a, ids_a = row_a[shared], ids_a[shared]
-    dense = held * _DENSE_SHARE >= m
     out = np.empty((n, m), dtype=np.float64)
-    _dense_counts(dense, row_a, ids_a, row_b, ids_b, out)
-    # postings[starts[t]:starts[t] + held[t]] lists the target rows holding token t
-    postings = row_b[np.argsort(ids_b, kind="stable")]
-    starts = np.cumsum(held) - held
-    sparse = ~dense[ids_a]
+    if b.ind.shape[1]:
+        ind_a = np.zeros((n, b.ind.shape[1]), dtype=np.float64)
+        on = b.dense[ids_a]
+        ind_a[row_a[on], b.cols[ids_a[on]]] = 1.0
+        np.matmul(ind_a, b.ind.T.astype(np.float64), out=out)
+        del ind_a
+    else:
+        out.fill(0.0)
+    sparse = ~b.dense[ids_a]
     row_a, ids_a = row_a[sparse], ids_a[sparse]
     per_row = np.searchsorted(row_a, np.arange(n + 1, dtype=np.int64))
-    del row_b, ids_b, sparse
     fsizes_a = sizes_a.astype(np.float64)
-    fsizes_b = sizes_b.astype(np.float64)
-    # a block's temporaries stay under 1/8 of the result, so the peak stays near it
-    step = max(1, min(_BLOCK_CELLS, n * m // 8) // max(m, 1))
+    # a block's temporaries stay under 1/8 of a large result, so the peak stays near it
+    step = max(1, min(_BLOCK_CELLS, max(n * m // 8, _BLOCK_CELLS // 2)) // max(m, 1))
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
         block = out[i0:i1]
         p0, p1 = per_row[i0], per_row[i1]
         if p0 < p1:
-            block += _sparse_counts(
-                row_a[p0:p1] - i0, ids_a[p0:p1], held, starts, postings, i1 - i0, m
-            )
-        union = np.add.outer(fsizes_a[i0:i1], fsizes_b)
+            block += _sparse_counts(row_a[p0:p1] - i0, ids_a[p0:p1], b, i1 - i0, m)
+        if counts is not None:
+            counts[i0:i1] = block
+        union = np.add.outer(fsizes_a[i0:i1], b.fsizes)
         union -= block
         np.maximum(union, 1.0, out=union)  # only empty-vs-empty cells have no union
         np.divide(block, union, out=block)
-    out[np.ix_(sizes_a == 0, sizes_b == 0)] = 1.0
+    out[np.ix_(sizes_a == 0, b.sizes == 0)] = 1.0
     return out
+
+
+def _distinct_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row and the id of each row's distinct ids, by row, then id, and
+    each row's number of them."""
+    row, ids = _flat(rows)
+    size = 1 + int(ids.max(initial=-1))
+    row, ids = np.divmod(_sorted_set(row * size + ids), size)
+    return row, ids, np.bincount(row, minlength=len(rows))
 
 
 def _sorted_set(keys: np.ndarray) -> np.ndarray:
@@ -119,30 +163,13 @@ def _flat(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(rows), dtype=np.int64), lengths), ids
 
 
-def _dense_counts(dense, row_a, ids_a, row_b, ids_b, out) -> None:
-    """Write the intersection counts of the frequent tokens into out."""
-    cols = np.cumsum(dense) - 1  # indicator column of each frequent id
-    k = int(cols[-1]) + 1 if len(cols) else 0
-    if k == 0:
-        out.fill(0.0)
-        return
-    n, m = out.shape
-    ind_a = np.zeros((n, k), dtype=np.float64)
-    on = dense[ids_a]
-    ind_a[row_a[on], cols[ids_a[on]]] = 1.0
-    ind_b = np.zeros((m, k), dtype=np.float64)
-    on = dense[ids_b]
-    ind_b[row_b[on], cols[ids_b[on]]] = 1.0
-    np.matmul(ind_a, ind_b.T, out=out)
-
-
-def _sparse_counts(rows, ids, held, starts, postings, n, m) -> np.ndarray:
-    """n x m intersection counts of the (row, id) pairs' postings."""
-    counts = held[ids]
+def _sparse_counts(rows, ids, b: Target, n, m) -> np.ndarray:
+    """n x m intersection counts of the (row, id) pairs' postings in b."""
+    counts = b.held[ids]
     # the k-th expanded entry of pair p reads postings[starts[id_p] + k]
-    at = np.repeat(starts[ids] - (np.cumsum(counts) - counts), counts)
+    at = np.repeat(b.starts[ids] - (np.cumsum(counts) - counts), counts)
     at += np.arange(len(at), dtype=np.int64)
-    cells = postings[at]
+    cells = b.postings[at]
     del at
     cells += np.repeat(rows * m, counts)
     return np.bincount(cells, minlength=n * m).reshape(n, m)

@@ -8,21 +8,26 @@ two similarity matrices but applies its thresholds to the other.  That
 asymmetry is part of the published behaviour of this procedure and must
 not be "fixed".
 
-The sentence x sentence Jaccard matrix is computed once per version
-pair.  Each distinct sentence text of a group is encoded once, into its
-tokens' lowercase ids over one vocabulary shared by all the group's
-version pairs, and repeated texts reuse that encoding (GroupEncoder).  Segment reductions turn the matrix
-into the tensor: ``np.maximum.reduceat`` over paragraph boundaries gives
-each sentence's best match per paragraph, and each block mean is one
-contiguous 1-D reduction, so it rounds exactly as a per-block ``np.mean``
-would.
+The sentence x sentence Jaccard scores are computed a block of whole
+source paragraphs at a time, against a target side indexed once per
+version pair (kernels.Target), and each block is reduced and dropped
+before the next.  Each distinct sentence text of a group is encoded once,
+into its tokens' lowercase ids over one vocabulary shared by all the
+group's version pairs, and repeated texts reuse that encoding
+(GroupEncoder).  Segment reductions turn each block into its paragraphs'
+part of the tensor: ``np.maximum.reduceat`` over paragraph boundaries
+gives each sentence's best match per paragraph, and each paragraph pair's
+mean is one 1-D reduction over a C-contiguous segment, so it rounds
+exactly as a per-block ``np.mean`` would.  What stays is the integer
+intersection count of every sentence pair, two bytes a pair, with each
+sentence's number of distinct ids (SentenceScores).
 
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
-(CandidateCells): jaccard reads the matrix, tfidf comes from
-kernels.tfidf_cosines over the same encodings, and char3gram and bleu
-call their scalar function once per cell.  One per-row argmax picks each
-sentence's best candidate, in either direction.
+(CandidateCells): jaccard divides the kept counts as the kernel does,
+tfidf comes from kernels.tfidf_cosines over the same encodings, and
+char3gram and bleu call their scalar function once per cell.  One
+per-row argmax picks each sentence's best candidate, in either direction.
 """
 from __future__ import annotations
 
@@ -33,7 +38,10 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .corpus import DocVersion, Sentence
-from .kernels import jaccard_matrix, tfidf_cosines
+from .kernels import Target, jaccard_matrix, tfidf_cosines
+
+# cells per block of source paragraphs whose Jaccard scores exist at once
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,12 +91,25 @@ class EncodedVersion(NamedTuple):
 
 @dataclass(frozen=True)
 class SentenceScores:
-    """The Jaccard matrix over one version pair's alignable sentences and
-    the encodings it was built from: rows follow src, columns tgt."""
+    """What the Jaccard score of any sentence pair of one version pair is
+    made of, two bytes a pair: the number of distinct lowercase ids each
+    pair shares (counts, rows follow src, columns tgt), each sentence's
+    number of distinct ids, and the encodings they were counted from."""
 
-    matrix: np.ndarray
+    counts: np.ndarray
+    src_sizes: np.ndarray
+    tgt_sizes: np.ndarray
     src: EncodedVersion
     tgt: EncodedVersion
+
+    def jaccard(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The Jaccard score of each cell (rows[k], cols[k]), as the kernel
+        divides it: shared / max(union, 1), and 1.0 for two empty sentences."""
+        shared = self.counts[rows, cols]
+        a, b = self.src_sizes[rows], self.tgt_sizes[cols]
+        scores = shared / np.maximum(a + b - shared, 1)
+        scores[(a == 0) & (b == 0)] = 1.0
+        return scores
 
 
 @dataclass(frozen=True)
@@ -122,9 +143,10 @@ class ParaSimTensor:
 class ParaAlignment:
     """Aligned paragraph pairs, in original paragraph indices.
 
-    scores, when set, holds the Jaccard matrix and the sentence encodings
-    of the same version pair, oriented like the pairs; it takes no part
-    in equality.
+    scores, when set, holds what the Jaccard score of each sentence pair
+    of the same version pair is made of (SentenceScores, two bytes a
+    pair) and the sentence encodings, oriented like the pairs; it takes
+    no part in equality.
     """
 
     pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -153,8 +175,8 @@ class CandidateCells:
             raise ValueError(f"metric {metric!r} is not scored in bulk; pass its function")
         self.src, self.tgt, self.metric = scores.src, scores.tgt, metric
         self.rows, self.cols = _cells(paras.pairs, scores.src.bounds, scores.tgt.bounds)
-        # the matrix itself need not outlive paragraph alignment
-        self.jaccard = scores.matrix[self.rows, self.cols] if metric == "jaccard" else None
+        # the counts themselves need not outlive paragraph alignment
+        self.jaccard = scores.jaccard(self.rows, self.cols) if metric == "jaccard" else None
 
     @cached_property
     def _scored(self) -> tuple[np.ndarray, np.ndarray]:
@@ -309,40 +331,89 @@ def compute_sim_tensor(
     and an empty version yields zero-size matrices.  `encoder` carries
     the encodings of the group's previous pair; without one the pair is
     encoded alone.
+
+    The Jaccard scores are computed a block of whole source paragraphs at
+    a time, and each block is reduced and dropped before the next; only
+    the integer counts of every sentence pair are kept, for the scores.
     """
     if encoder is None:
         encoder = GroupEncoder()
     a, b = encoder.encode_pair(src, tgt)
     src_bounds, tgt_bounds = list(a.bounds.values()), list(b.bounds.values())
     k, l = len(src_bounds), len(tgt_bounds)
+    n, m = len(a.texts), len(b.texts)
     sim1 = np.zeros((k, l), dtype=np.float64)
     sim2 = np.zeros((k, l), dtype=np.float64)
-    matrix = jaccard_matrix(a.texts, b.texts)
-    if a.texts and b.texts:
+    target = Target(b.texts)
+    counts = np.empty((n, m), dtype=np.uint16)
+    src_sizes = np.zeros(n, dtype=np.int64)
+    if n:
         # reduceat mishandles empty segments, so reduce over non-empty
         # paragraphs only; all-skipped paragraphs keep their zero row/column
         si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]
         tj = [j for j, (c0, c1) in enumerate(tgt_bounds) if c0 < c1]
-        # rowmax[j', r]: best score of source sentence r in target paragraph tj[j']
-        rowmax = np.ascontiguousarray(
-            np.maximum.reduceat(matrix, [tgt_bounds[j][0] for j in tj], axis=1).T
-        )
-        # colmax[i', c]: best score of target sentence c in source paragraph si[i']
-        colmax = np.maximum.reduceat(matrix, [src_bounds[i][0] for i in si], axis=0)
-        # each mean runs over one contiguous row segment, in np.mean's 1-D order
-        for i in si:
-            r0, r1 = src_bounds[i]
-            sim1[i, tj] = rowmax[:, r0:r1].mean(axis=1)
-        for j in tj:
-            c0, c1 = tgt_bounds[j]
-            sim2[si, j] = colmax[:, c0:c1].mean(axis=1)
+        tgt_starts = [tgt_bounds[j][0] for j in tj]
+        tgt_means = _SegmentMeans([tgt_bounds[j] for j in tj])
+        for block in _paragraph_blocks(si, src_bounds, max(1, _BLOCK_CELLS // max(m, 1))):
+            r0, r1 = src_bounds[block[0]][0], src_bounds[block[-1]][1]
+            scores = jaccard_matrix(a.texts[r0:r1], target, counts=counts[r0:r1], sizes=src_sizes[r0:r1])
+            para_rows = [(src_bounds[i][0] - r0, src_bounds[i][1] - r0) for i in block]
+            # rowmax[j', r]: best score of block row r in target paragraph tj[j']
+            rowmax = np.maximum.reduceat(scores, tgt_starts, axis=1).T
+            # colmax[i', c]: best score of target sentence c in source paragraph block[i']
+            colmax = np.maximum.reduceat(scores, [r for r, _ in para_rows], axis=0)
+            del scores
+            rows = np.array(block)[:, None]
+            sim1[rows, tj] = _SegmentMeans(para_rows).of(rowmax).T
+            sim2[rows, tj] = tgt_means.of(colmax)
     return ParaSimTensor(
         sim1=sim1,
         sim2=sim2,
         src_paragraphs=tuple(a.bounds),
         tgt_paragraphs=tuple(b.bounds),
-        scores=SentenceScores(matrix, a, b),
+        scores=SentenceScores(counts, src_sizes, target.sizes, a, b),
     )
+
+
+def _paragraph_blocks(
+    paragraphs: list[int], bounds: list[tuple[int, int]], rows: int
+) -> Iterator[list[int]]:
+    """Runs of consecutive paragraphs, each of at most `rows` rows, or a
+    single paragraph larger than that."""
+    block: list[int] = []
+    for i in paragraphs:
+        if block and bounds[i][1] - bounds[block[0]][0] > rows:
+            yield block
+            block = []
+        block.append(i)
+    if block:
+        yield block
+
+
+class _SegmentMeans:
+    """The means of contiguous segments of each row of an array.
+
+    Segments of equal length are gathered into one C-contiguous array and
+    averaged by one np.mean along its last axis, so each mean is the same
+    1-D reduction, in np.mean's pairwise order, as the mean of that
+    segment alone."""
+
+    def __init__(self, segments: list[tuple[int, int]]) -> None:
+        by_length: dict[int, list[tuple[int, int]]] = {}
+        for p, (start, end) in enumerate(segments):
+            by_length.setdefault(end - start, []).append((p, start))
+        self.count = len(segments)
+        self.groups = [
+            (np.array([p for p, _ in found]), np.array([s for _, s in found])[:, None] + np.arange(length))
+            for length, found in by_length.items()
+        ]
+
+    def of(self, values: np.ndarray) -> np.ndarray:
+        """means[r, p]: the mean of values[r] over segment p."""
+        means = np.empty((len(values), self.count), dtype=np.float64)
+        for at, columns in self.groups:
+            means[:, at] = np.take(values, columns, axis=1).mean(axis=2)
+        return means
 
 
 def _rel_dist(i: int, k: int, j: int, l: int) -> float:

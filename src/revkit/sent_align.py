@@ -23,6 +23,11 @@ class SentAlignLabel(Enum):
     PARTIAL = "partially-aligned"
     NOT_ALIGNED = "not-aligned"
 
+    # members are singletons compared by identity, so the identity hash
+    # (a C slot) serves; Enum.__hash__ is Python code, run once per pair
+    # that enters a set
+    __hash__ = object.__hash__
+
 
 AlignedPair = tuple[SentenceId, SentenceId, SentAlignLabel]
 

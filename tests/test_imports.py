@@ -1,13 +1,20 @@
 import importlib
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import revkit
+from revkit import cli, para_align
+from revkit.config import RunConfig
+
+from helpers import doc
+from oracles import VOCAB, random_sentence_raw
 
 SRC = Path(revkit.__file__).resolve().parent.parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,12 +33,17 @@ def test_modules_that_build_no_matrix_leave_numpy_unimported(module):
     assert res.returncode == 0, f"importing revkit.{module} imports numpy"
 
 
-def test_benchmark_hooks_resolve():
-    """Every revkit name the benchmark's tracer wraps and its child calls
-    must exist, or `perfbench/run.py --trace 1` breaks."""
+def _perfbench_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_hooks_resolve():
+    """Every revkit name the benchmark's tracer wraps and its child calls
+    must exist, or `perfbench/run.py --trace 1` breaks."""
+    tracer = _perfbench_tracer()
     hooks = [(module, attr) for module, attr, *_ in tracer.TARGETS + tracer.PAIR_TARGETS]
     hooks += [
         ("revkit.cli", "make_metric"),
@@ -45,3 +57,31 @@ def test_benchmark_hooks_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing
+
+
+def test_benchmark_kernel_hook_counts_every_cell_once(monkeypatch):
+    """The tracer wraps revkit.para_align.jaccard_matrix and adds each
+    result's shape[0] * shape[1] to kernels.cells, so a version pair
+    scored in several blocks must still return 2-D arrays whose cells add
+    up to n x m."""
+    tracer = _perfbench_tracer()
+    spans = tracer.Tracer()
+    results = []
+
+    def post(counts, args, matrix, state):
+        results.append(matrix)
+        return tracer._post_cells(counts, args, matrix, state)
+
+    wrapped = spans.wrap(para_align.jaccard_matrix, "kernels.jaccard_matrix", post=post)
+    monkeypatch.setattr(para_align, "jaccard_matrix", wrapped)
+    rng = random.Random(5)
+    src, tgt = (
+        doc([[random_sentence_raw(rng, 6, 12, VOCAB) for _ in range(6)] for _ in range(50)], v)
+        for v in (1, 2)
+    )
+    cli._align_pair(src, tgt, RunConfig())
+    n, m = len(src.alignable_sentences()), len(tgt.alignable_sentences())
+    assert len(results) > 1
+    assert all(isinstance(r, np.ndarray) and r.ndim == 2 and r.shape[1] == m for r in results)
+    _, counts, _ = tracer.summarize(spans.dump())
+    assert counts["kernels.cells"] == n * m

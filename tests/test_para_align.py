@@ -1,9 +1,17 @@
 import random
+import tracemalloc
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revkit import para_align
+from revkit.kernels import jaccard_matrix
 from revkit.para_align import (
+    CandidateCells,
     GroupEncoder,
     ParaAlignment,
     Thresholds,
@@ -17,6 +25,7 @@ from oracles import (
     _jac,
     _para_sent_sets,
     oracle_align_paragraphs,
+    oracle_jaccard,
     oracle_sim_tensor,
     random_doc_pair,
     random_sentence_raw,
@@ -117,7 +126,8 @@ def test_empty_version_aligns_nothing():
     empty, full = doc([], 1), doc([[P_CAT], [P_DOG]], 2)
     for a, b in ((empty, full), (full, empty), (empty, empty)):
         t = compute_sim_tensor(a, b)
-        assert t.sim1.shape == t.sim2.shape == t.scores.matrix.shape == (t.k, t.l)
+        assert t.sim1.shape == t.sim2.shape == t.scores.counts.shape == (t.k, t.l)
+        assert t.scores.src_sizes.shape == (t.k,) and t.scores.tgt_sizes.shape == (t.l,)
         assert align_paragraphs(a, b).pairs == frozenset()
 
 
@@ -205,7 +215,9 @@ def test_shared_encoder_matches_oracle_over_a_group():
             sim1, sim2 = oracle_sim_tensor(a, b)
             assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
             assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
-            assert np.array_equal(t.scores.matrix, compute_sim_tensor(a, b).scores.matrix)
+            alone = compute_sim_tensor(a, b).scores
+            for field in ("counts", "src_sizes", "tgt_sizes"):
+                assert np.array_equal(getattr(t.scores, field), getattr(alone, field))
         # after the last pair the encoder holds nothing
         assert (encoder.surface, encoder.lower, encoder.rows) == ({}, {}, {})
 
@@ -251,3 +263,116 @@ def test_sim_tensor_keeps_block_mean_summation_order():
                 block = np.array([[_jac(x, y) for y in c] for x in r])
                 assert t.sim1[i, j] == block.max(axis=1).mean()
                 assert t.sim2[i, j] == block.max(axis=0).mean()
+
+
+# ---------------------------------------------------------------------------
+# the tensor streamed through blocks of source paragraphs against the whole matrix
+
+def whole_matrix_route(a, b):
+    """sim1, sim2, the Jaccard matrix and the encodings of a version pair,
+    from the whole matrix at once: one reduceat per axis, then each
+    paragraph pair's mean over a slice of the row or column maxima."""
+    ea, eb = GroupEncoder().encode_pair(a, b)
+    matrix = jaccard_matrix(ea.texts, eb.texts)
+    src_bounds, tgt_bounds = list(ea.bounds.values()), list(eb.bounds.values())
+    sim1 = np.zeros((len(src_bounds), len(tgt_bounds)))
+    sim2 = np.zeros_like(sim1)
+    if ea.texts and eb.texts:
+        si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]
+        tj = [j for j, (c0, c1) in enumerate(tgt_bounds) if c0 < c1]
+        rowmax = np.ascontiguousarray(np.maximum.reduceat(matrix, [tgt_bounds[j][0] for j in tj], axis=1).T)
+        colmax = np.maximum.reduceat(matrix, [src_bounds[i][0] for i in si], axis=0)
+        for i in si:
+            sim1[i, tj] = rowmax[:, slice(*src_bounds[i])].mean(axis=1)
+        for j in tj:
+            sim2[si, j] = colmax[:, slice(*tgt_bounds[j])].mean(axis=1)
+    return sim1, sim2, matrix, ea, eb
+
+
+@st.composite
+def streamed_pairs(draw):
+    """Two versions with all-skipped paragraphs, paragraphs of up to 14
+    sentences (np.mean sums pairwise from 8 terms on), empty versions and,
+    at times, no id shared between the two sides."""
+    words = VOCAB[:24]
+    halves = (words[:12], words[12:]) if draw(st.booleans()) else (words, words)
+
+    def version(v, vocab):
+        pool = [" ".join(draw(st.lists(st.sampled_from(vocab), min_size=4, max_size=9))) for _ in range(4)]
+        paragraphs = []
+        for _ in range(draw(st.integers(0, 6))):
+            if draw(st.integers(0, 5)) == 0:
+                paragraphs.append([DIGITS] * draw(st.integers(1, 3)))  # every sentence skipped
+                continue
+            sentences = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 14)))]
+            if draw(st.integers(0, 4)) == 0:
+                sentences.insert(draw(st.integers(0, len(sentences))), DIGITS)
+            paragraphs.append(sentences)
+        return doc(paragraphs, v)
+
+    return version(1, halves[0]), version(2, halves[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(streamed_pairs(), st.data())
+def test_streamed_tensor_matches_the_whole_matrix(versions, data):
+    a, b = versions
+    sim1, sim2, matrix, ea, eb = whole_matrix_route(a, b)
+    n, m = matrix.shape
+    counts = [[len(set(x) & set(y)) for y in eb.texts] for x in ea.texts]
+    sizes_a, sizes_b = [len(set(x)) for x in ea.texts], [len(set(y)) for y in eb.texts]
+    small = all(len(_para_sent_sets(p)) < 8 for v in versions for p in v.alignable_paragraphs())
+    # every paragraph a block of its own, blocks split between paragraphs, the default
+    for budget in (1, data.draw(st.integers(1, max(1, n * m))), para_align._BLOCK_CELLS):
+        calls = []
+
+        def counted(rows_a, target, **outputs):
+            out = jaccard_matrix(rows_a, target, **outputs)
+            calls.append(out.shape)
+            return out
+
+        with mock.patch.object(para_align, "_BLOCK_CELLS", budget), \
+                mock.patch.object(para_align, "jaccard_matrix", counted):
+            t = compute_sim_tensor(a, b)
+        assert np.array_equal(t.sim1, sim1) and np.array_equal(t.sim2, sim2)
+        if small:
+            want1, want2 = oracle_sim_tensor(a, b)
+            assert np.array_equal(t.sim1, np.array(want1).reshape(t.k, t.l))
+            assert np.array_equal(t.sim2, np.array(want2).reshape(t.k, t.l))
+        assert t.scores.counts.dtype == np.uint16
+        assert t.scores.counts.tolist() == counts
+        assert t.scores.src_sizes.tolist() == sizes_a and t.scores.tgt_sizes.tolist() == sizes_b
+        assert sum(r for r, _ in calls) == n and all(c == m for _, c in calls)
+        if budget == 1:
+            assert len(calls) == sum(r0 < r1 for r0, r1 in ea.bounds.values())
+        # every jaccard cell, gathered from the counts, is the matrix's, bit for bit
+        every = product([p.index for p in a.alignable_paragraphs()], [p.index for p in b.alignable_paragraphs()])
+        cells = CandidateCells(ParaAlignment(frozenset(every), t.scores), "jaccard")
+        assert np.array_equal(cells.jaccard, matrix[cells.rows, cells.cols])
+        for s, u, forward, backward in cells:
+            assert forward == backward == oracle_jaccard(s, u)
+
+
+def test_sim_tensor_peak_memory_is_a_fraction_of_the_float_matrix():
+    # about 1,500 alignable sentences a side, in paragraphs of 6 to 14
+    rng = random.Random(43)
+    vocab = VOCAB + [a + b for a in VOCAB for b in VOCAB[:20]]
+
+    def version(v):
+        return doc([[random_sentence_raw(rng, 8, 30, vocab) for _ in range(rng.randint(6, 14))]
+                    for _ in range(150)], v)
+
+    a, b = version(1), version(2)
+    n, m = len(a.alignable_sentences()), len(b.alignable_sentences())
+    assert min(n, m) > 1400
+    tracemalloc.start()
+    try:
+        t = compute_sim_tensor(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.scores.counts.shape == (n, m)
+    # the float64 n x m matrix alone would be n * m * 8 bytes; the peak
+    # holds the counts (a quarter of that), the encodings, one block of
+    # scores and the two k x l tensors
+    assert peak < 0.4 * n * m * 8, (peak, n * m * 8)
