@@ -1,11 +1,11 @@
 """Bulk kernels for the alignment hot path: the Jaccard scores of a
 version pair's sentences, and the tf-idf cosines of its candidate cells.
 
-Paragraph alignment needs the Jaccard score of every sentence pair across
-two document versions.  Each sentence arrives as its token ids over one
-vocabulary shared by both sides, and counts each id once.  The target
-side can be indexed once (Target) and any number of blocks of source rows
-scored against it.  A cell's intersection count is split by token:
+Both read one token layout of each side's sentences, Rows: flat arrays
+of each sentence's distinct token ids over one vocabulary.  Jaccard
+counts each id of a row once.  The target side can be indexed once
+(Target) and any number of blocks of source rows (rows[r0:r1]) scored
+against it.  A cell's intersection count is split by token:
 
 - A token held by at least 1/8 of the target rows is *frequent*.  The
   counts of all frequent tokens come from one float64 matrix product of
@@ -42,8 +42,9 @@ n x m matrix.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import chain
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +53,56 @@ _DENSE_SHARE = 8
 # cells per block of source rows in the postings and division loop
 _BLOCK_CELLS = 1 << 15
 # token entries per block of cells in the tf-idf dot products
-_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 14
+
+
+class Rows:
+    """Rows of token ids (texts), repeats allowed, laid out as one flat
+    array of each row's distinct ids, ascending: row r's are
+    ids[starts[r]:starts[r + 1]], and rows[r0:r1] cuts the layout of those
+    rows from these arrays.  A version's layout lives through two version
+    pairs, so it keeps four bytes an id and derives sizes and row on use.
+    A stable sort, not np.unique, finds the ids: np.unique's first call
+    imports numpy.ma, and a default-kind sort maps in numpy's SIMD sort
+    code, and each adds resident memory to the command."""
+
+    def __init__(self, texts: Sequence[Sequence[int]]) -> None:
+        self.texts = texts
+        keys, size = _keys(texts)
+        keys = np.sort(keys, kind="stable")
+        row, ids = np.divmod(keys[np.diff(keys, prepend=-1) != 0], size)
+        self.ids = ids.astype(np.int32)  # no group's vocabulary comes near 2**31 tokens
+        self.starts = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(texts)))])
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, rows: slice) -> Rows:
+        r0, r1, _ = rows.indices(len(self))
+        block = object.__new__(Rows)
+        block.texts, block.ids = self.texts[r0:r1], self.ids[self.starts[r0]:self.starts[r1]]
+        block.starts = self.starts[r0:r1 + 1] - self.starts[r0]
+        return block
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    @property
+    def row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.sizes)
+
+    @cached_property
+    def tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry's count in its row, and its rank: its place among its
+        row's ids in order of first occurrence.  Only tf-idf reads them."""
+        keys, _ = _keys(self.texts)
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        # the entries in first-occurrence order keep each row's block
+        rank = np.empty(len(starts), dtype=np.int64)
+        rank[np.argsort(order[starts], kind="stable")] = np.arange(len(starts)) - self.starts[self.row]
+        return np.diff(starts, append=len(keys)), rank
 
 
 class Target:
@@ -60,9 +110,9 @@ class Target:
     blocks of source rows: each row's number of distinct ids, the 0/1
     indicator block of its frequent ids, and the postings of the others."""
 
-    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        row, ids, self.sizes = _distinct_rows(rows)
-        self.fsizes = self.sizes.astype(np.float64)
+    def __init__(self, rows: Rows) -> None:
+        row, ids = rows.row, rows.ids
+        self.fsizes = rows.sizes.astype(np.float64)
         m = len(rows)
         # target rows holding each id; no target row holds one above
         self.held = held = np.bincount(ids)
@@ -72,33 +122,24 @@ class Target:
         self.ind = np.zeros((m, int(self.cols[-1]) + 1 if len(held) else 0), dtype=np.uint8)
         on = dense[ids]
         self.ind[row[on], self.cols[ids[on]]] = 1
-        # postings[starts[t]:starts[t] + held[t]] lists the target rows holding token t
-        self.postings = row[np.argsort(ids, kind="stable")]
+        # postings[starts[t]:starts[t] + held[t]] lists the target rows holding token t, four bytes each
+        self.postings = row[np.argsort(ids, kind="stable")].astype(np.int32)
         self.starts = np.cumsum(held) - held
 
 
-def jaccard_matrix(
-    rows_a: Sequence[Sequence[int]],
-    rows_b: Sequence[Sequence[int]] | Target,
-    counts: np.ndarray | None = None,
-    sizes: np.ndarray | None = None,
-) -> np.ndarray:
+def jaccard_matrix(rows_a: Rows, rows_b: Rows | Target, counts: np.ndarray | None = None) -> np.ndarray:
     """Jaccard similarity of every row pair's id sets, as a len(a) x len(b)
     matrix.
 
-    Each row lists token ids, in any order, repeats allowed; the target
-    side may come indexed.  Empty-vs-empty pairs score 1.0, matching the
-    scalar metric.  When given, `counts` (len(a) x len(b)) receives each
-    cell's intersection count and `sizes` (len(a)) each source row's
-    number of distinct ids.
+    The target side may come indexed.  Empty-vs-empty pairs score 1.0,
+    matching the scalar metric.  When given, `counts` (len(a) x len(b))
+    receives each cell's intersection count.
     """
     b = rows_b if isinstance(rows_b, Target) else Target(rows_b)
-    row_a, ids_a, sizes_a = _distinct_rows(rows_a)
-    if sizes is not None:
-        sizes[:] = sizes_a
-    n, m = len(rows_a), len(b.sizes)
-    shared = ids_a < len(b.held)
-    row_a, ids_a = row_a[shared], ids_a[shared]
+    sizes_a = rows_a.sizes
+    n, m = len(rows_a), len(b.fsizes)
+    shared = rows_a.ids < len(b.held)
+    row_a, ids_a = rows_a.row[shared], rows_a.ids[shared]
     out = np.empty((n, m), dtype=np.float64)
     if b.ind.shape[1]:
         ind_a = np.zeros((n, b.ind.shape[1]), dtype=np.float64)
@@ -122,45 +163,21 @@ def jaccard_matrix(
             block += _sparse_counts(row_a[p0:p1] - i0, ids_a[p0:p1], b, i1 - i0, m)
         if counts is not None:
             counts[i0:i1] = block
-        union = np.add.outer(fsizes_a[i0:i1], b.fsizes)
-        union -= block
+        # integer sums, exact in any order; np.add.outer would buffer both operands at once
+        union = np.subtract(b.fsizes, block)
+        union += fsizes_a[i0:i1, None]
         np.maximum(union, 1.0, out=union)  # only empty-vs-empty cells have no union
         np.divide(block, union, out=block)
-    out[np.ix_(sizes_a == 0, b.sizes == 0)] = 1.0
+    out[np.ix_(sizes_a == 0, b.fsizes == 0)] = 1.0
     return out
 
 
-def _distinct_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row and the id of each row's distinct ids, by row, then id, and
-    each row's number of them."""
-    row, ids = _flat(rows)
-    size = 1 + int(ids.max(initial=-1))
-    row, ids = np.divmod(_sorted_set(row * size + ids), size)
-    return row, ids, np.bincount(row, minlength=len(rows))
-
-
-def _sorted_set(keys: np.ndarray) -> np.ndarray:
-    """The distinct non-negative keys, ascending, as np.unique gives them.
-    np.unique's first call imports numpy.ma, and a default-kind sort maps
-    in numpy's SIMD sort code: each adds resident memory to the command."""
-    keys = np.sort(keys, kind="stable")
-    return keys[np.diff(keys, prepend=-1) != 0]
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct non-negative keys ascending, the index of each one's
-    first occurrence in keys, and its count."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    return ordered[starts], order[starts], np.diff(starts, append=len(keys))
-
-
-def _flat(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The row and the id of every entry of the rows, row after row."""
+def _keys(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, int]:
+    """row * size + id of every entry, row after row, and size, above every id."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-    return np.repeat(np.arange(len(rows), dtype=np.int64), lengths), ids
+    size = 1 + int(ids.max(initial=-1))
+    return np.repeat(np.arange(len(rows), dtype=np.int64) * size, lengths) + ids, size
 
 
 def _sparse_counts(rows, ids, b: Target, n, m) -> np.ndarray:
@@ -176,17 +193,13 @@ def _sparse_counts(rows, ids, b: Target, n, m) -> np.ndarray:
 
 
 def tfidf_cosines(
-    texts_a: Sequence[Sequence[int]],
-    texts_b: Sequence[Sequence[int]],
-    rows: np.ndarray,
-    cols: np.ndarray,
-    others: Sequence[Collection[int]] = (),
+    a: Rows, b: Rows, rows: np.ndarray, cols: np.ndarray, others: Rows
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The tf-idf cosine of each cell k, between the texts texts_a[rows[k]]
-    and texts_b[cols[k]], from a to b and from b to a.
+    """The tf-idf cosine of each cell k, between the texts a.texts[rows[k]]
+    and b.texts[cols[k]], from a to b and from b to a.
 
-    A text is its tokens' lowercase ids.  Each text of both lists is one
-    document of build_idf, and so is each id set of `others` (the
+    A text is its tokens' lowercase ids.  Each text of both sides is one
+    document of build_idf, and so is each row of `others` (the
     sentences no cell holds).  Every value is the scalar cosine's, bit
     for bit:
 
@@ -205,16 +218,11 @@ def tfidf_cosines(
 
     Temporaries are sized by the cells' ids and worked through in blocks.
     """
-    (text_a, ids_a), (text_b, ids_b) = _flat(texts_a), _flat(texts_b)
-    other_ids = np.fromiter(chain.from_iterable(others), dtype=np.int64)
-    size = 1 + max(ids_a.max(initial=-1), ids_b.max(initial=-1), other_ids.max(initial=-1))
-    a, b = _Texts(text_a, ids_a, len(texts_a), size), _Texts(text_b, ids_b, len(texts_b), size)
-    n = len(texts_a) + len(texts_b) + len(others)
-    idf = build_idf(n, np.concatenate([a.ids, b.ids, other_ids]), size)
-    a.weigh(idf)
-    b.weigh(idf)
-    den = a.norm[rows] * b.norm[cols]
-    ab, ba, shared, unequal_counts, unequal_weights = _dots(rows, cols, a, b, size)
+    size = 1 + int(max(a.ids.max(initial=-1), b.ids.max(initial=-1), others.ids.max(initial=-1)))
+    idf = build_idf(len(a) + len(b) + len(others), np.concatenate([a.ids, b.ids, others.ids]), size)
+    (w_a, norm_a), (w_b, norm_b) = _weigh(a, idf), _weigh(b, idf)
+    den = norm_a[rows] * norm_b[cols]
+    ab, ba, shared, unequal_counts, unequal_weights = _dots(rows, cols, a, b, w_a, w_b, size)
     zero = den == 0.0
     for dots in (ab, ba):
         np.divide(dots, den, out=dots, where=~zero)
@@ -237,35 +245,21 @@ def build_idf(n: int, ids: np.ndarray, size: int) -> np.ndarray:
     return np.array([math.log(n / c) if c else 0.0 for c in held.tolist()])
 
 
-class _Texts:
-    """A list of texts as flat arrays of their distinct ids, text after
-    text, each text's ids ascending, with their counts; rank gives each
-    entry's place in its text's order of first occurrence."""
-
-    def __init__(self, text: np.ndarray, ids: np.ndarray, n: int, size: int) -> None:
-        keys, first, counts = _distinct(text * size + ids)
-        self.keys = keys
-        self.text, self.ids = np.divmod(keys, size)
-        self.counts = counts
-        self.sizes = np.bincount(self.text, minlength=n)
-        self.start = np.cumsum(self.sizes) - self.sizes
-        # the entries in first-occurrence order keep each text's block
-        self.order = np.argsort(first, kind="stable")
-        self.rank = np.empty_like(self.order)
-        self.rank[self.order] = np.arange(len(keys), dtype=np.int64) - np.repeat(self.start, self.sizes)
-
-    def weigh(self, idf: np.ndarray) -> None:
-        self.w = self.counts * idf[self.ids]
-        w = self.w[self.order]
-        # one left-to-right sum of w*w per text, in its order, then the root
-        self.norm = np.sqrt(np.bincount(self.text[self.order], weights=w * w, minlength=len(self.sizes)))
+def _weigh(texts: Rows, idf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's weight, and each text's norm: one left-to-right sum of
+    w*w over its ids in first-occurrence order, then the root."""
+    counts, rank = texts.tally
+    w = counts * idf[texts.ids]
+    laid = np.empty(len(w))
+    laid[texts.starts[texts.row] + rank] = w * w
+    return w, np.sqrt(np.bincount(texts.row, weights=laid, minlength=len(texts)))
 
 
-def _dots(first: np.ndarray, second: np.ndarray, a: _Texts, b: _Texts, size: int):
+def _dots(first: np.ndarray, second: np.ndarray, a: Rows, b: Rows, w_a: np.ndarray, w_b: np.ndarray, size: int):
     """For each cell k, between a's text first[k] and b's text second[k]:
-    the sum of the products of their weights over the ids they share,
-    left to right in a's order, then in b's; and how many ids they share,
-    with how many of those differ in count and in weight.
+    the sum of the products of their weights w_a and w_b over the ids they
+    share, left to right in a's order, then in b's; and how many ids they
+    share, with how many of those differ in count and in weight.
 
     The shared ids are found once, by looking each cell's ids of a up in
     b.  Their products are then laid out in each text's own order, with
@@ -273,10 +267,12 @@ def _dots(first: np.ndarray, second: np.ndarray, a: _Texts, b: _Texts, size: int
     """
     n = len(first)
     ab, ba, shared, unequal_counts, unequal_weights = (np.zeros(n) for _ in range(5))
+    (counts_a, rank_a), (counts_b, rank_b) = a.tally, b.tally
+    keys_b = b.row * size + b.ids
     size_a, size_b = a.sizes[first], b.sizes[second]
     ends = np.cumsum(size_a + size_b)
     k0 = 0
-    while k0 < n and len(b.keys):
+    while k0 < n and len(keys_b):
         base = ends[k0] - size_a[k0] - size_b[k0]
         k1 = max(k0 + 1, int(np.searchsorted(ends, base + _BLOCK_ENTRIES, side="right")))
         ca, cb = size_a[k0:k1], size_b[k0:k1]
@@ -284,19 +280,19 @@ def _dots(first: np.ndarray, second: np.ndarray, a: _Texts, b: _Texts, size: int
         cell = np.repeat(cells, ca)
         off_a = np.cumsum(ca) - ca
         # every entry of each cell's text of a; ids ascend within a cell
-        at = np.arange(len(cell), dtype=np.int64) + np.repeat(a.start[first[k0:k1]] - off_a, ca)
+        at = np.arange(len(cell), dtype=np.int64) + np.repeat(a.starts[first[k0:k1]] - off_a, ca)
         key = np.repeat(second[k0:k1] * size, ca) + a.ids[at]
-        pos = np.searchsorted(b.keys, key)
-        np.minimum(pos, len(b.keys) - 1, out=pos)
-        hit = np.flatnonzero(b.keys[pos] == key)
+        pos = np.searchsorted(keys_b, key)
+        np.minimum(pos, len(keys_b) - 1, out=pos)
+        hit = np.flatnonzero(keys_b[pos] == key)
         at, pos, cell = at[hit], pos[hit], cell[hit]
-        products = a.w[at] * b.w[pos]
-        for out, counts, offsets, rank in ((ab, ca, off_a, a.rank[at]), (ba, cb, np.cumsum(cb) - cb, b.rank[pos])):
+        products = w_a[at] * w_b[pos]
+        for out, counts, offsets, rank in ((ab, ca, off_a, rank_a[at]), (ba, cb, np.cumsum(cb) - cb, rank_b[pos])):
             laid = np.zeros(int(counts.sum()))
             laid[offsets[cell] + rank] = products
             out[k0:k1] = np.bincount(np.repeat(cells, counts), weights=laid, minlength=k1 - k0)
         shared[k0:k1] = np.bincount(cell, minlength=k1 - k0)
-        unequal_counts[k0:k1] = np.bincount(cell, weights=a.counts[at] != b.counts[pos], minlength=k1 - k0)
-        unequal_weights[k0:k1] = np.bincount(cell, weights=a.w[at] != b.w[pos], minlength=k1 - k0)
+        unequal_counts[k0:k1] = np.bincount(cell, weights=counts_a[at] != counts_b[pos], minlength=k1 - k0)
+        unequal_weights[k0:k1] = np.bincount(cell, weights=w_a[at] != w_b[pos], minlength=k1 - k0)
         k0 = k1
     return ab, ba, shared, unequal_counts, unequal_weights

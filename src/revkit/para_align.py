@@ -8,24 +8,24 @@ two similarity matrices but applies its thresholds to the other.  That
 asymmetry is part of the published behaviour of this procedure and must
 not be "fixed".
 
-The sentence x sentence Jaccard scores are computed a block of whole
-source paragraphs at a time, against a target side indexed once per
-version pair (kernels.Target), and each block is reduced and dropped
-before the next.  Each distinct sentence text of a group is encoded once,
-into its tokens' lowercase ids over one vocabulary shared by all the
-group's version pairs, and repeated texts reuse that encoding
-(GroupEncoder).  Segment reductions turn each block into its paragraphs'
-part of the tensor: ``np.maximum.reduceat`` over paragraph boundaries
-gives each sentence's best match per paragraph, and each paragraph pair's
-mean is one 1-D reduction over a C-contiguous segment, so it rounds
-exactly as a per-block ``np.mean`` would.  What stays is the integer
-intersection count of every sentence pair, two bytes a pair, with each
-sentence's number of distinct ids (SentenceScores).
+Each version of a group is encoded once (GroupEncoder), into its
+sentences' lowercase token ids over one vocabulary that the group's
+version pairs share, and laid out once (kernels.Rows), as the target of
+one pair and the source of the next.  The sentence x sentence Jaccard
+scores are computed a block of whole source paragraphs at a time,
+against a target side indexed once per version pair (kernels.Target),
+and each block is reduced and dropped before the next.  Segment
+reductions turn each block into its paragraphs' part of the tensor:
+``np.maximum.reduceat`` over paragraph boundaries gives each sentence's
+best match per paragraph, and each paragraph pair's mean is one 1-D
+reduction over a C-contiguous segment, so it rounds exactly as a
+per-block ``np.mean`` would.  What stays is the integer intersection
+count of every sentence pair, two bytes a pair (SentenceScores).
 
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
 (CandidateCells): jaccard divides the kept counts as the kernel does,
-tfidf comes from kernels.tfidf_cosines over the same encodings, and
+tfidf comes from kernels.tfidf_cosines over the same layouts, and
 char3gram and bleu call their scalar function once per cell.  One
 per-row argmax picks each sentence's best candidate, in either direction.
 """
@@ -38,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .corpus import DocVersion, Sentence
-from .kernels import Target, jaccard_matrix, tfidf_cosines
+from .kernels import Rows, Target, jaccard_matrix, tfidf_cosines
 
 # cells per block of source paragraphs whose Jaccard scores exist at once
 _BLOCK_CELLS = 1 << 16
@@ -66,11 +66,12 @@ class Thresholds:
 
 class EncodedVersion(NamedTuple):
     """A version's alignable sentences with their encodings: row r is
-    sentences[r], and texts[r] lists its tokens' lowercase ids in order."""
+    sentences[r], and rows.texts[r] lists its tokens' lowercase ids in
+    order."""
 
     doc: DocVersion
     sentences: list[Sentence]
-    texts: list[tuple[int, ...]]
+    rows: Rows
     # each alignable paragraph's [start, end) rows, by paragraph index
     bounds: dict[int, tuple[int, int]]
     # the vocabulary the ids index: lowercase token -> id
@@ -93,12 +94,10 @@ class EncodedVersion(NamedTuple):
 class SentenceScores:
     """What the Jaccard score of any sentence pair of one version pair is
     made of, two bytes a pair: the number of distinct lowercase ids each
-    pair shares (counts, rows follow src, columns tgt), each sentence's
-    number of distinct ids, and the encodings they were counted from."""
+    pair shares (counts, rows follow src, columns tgt), and the encodings
+    they were counted from, which hold each sentence's number of them."""
 
     counts: np.ndarray
-    src_sizes: np.ndarray
-    tgt_sizes: np.ndarray
     src: EncodedVersion
     tgt: EncodedVersion
 
@@ -106,7 +105,7 @@ class SentenceScores:
         """The Jaccard score of each cell (rows[k], cols[k]), as the kernel
         divides it: shared / max(union, 1), and 1.0 for two empty sentences."""
         shared = self.counts[rows, cols]
-        a, b = self.src_sizes[rows], self.tgt_sizes[cols]
+        a, b = self.src.rows.sizes[rows], self.tgt.rows.sizes[cols]
         scores = shared / np.maximum(a + b - shared, 1)
         scores[(a == 0) & (b == 0)] = 1.0
         return scores
@@ -189,8 +188,8 @@ class CandidateCells:
             return np.zeros(0), np.zeros(0)
         if self.metric == "tfidf":
             # one document per sentence of both versions, skipped ones included
-            others = src.unencoded_ids() + tgt.unencoded_ids()
-            return tfidf_cosines(src.texts, tgt.texts, rows, cols, others)
+            others = Rows(src.unencoded_ids() + tgt.unencoded_ids())
+            return tfidf_cosines(src.rows, tgt.rows, rows, cols, others)
         s, t = src.sentences, tgt.sentences
         scores = np.array(
             [self.metric(s[r], t[c]) for r, c in zip(rows.tolist(), cols.tolist())], dtype=np.float64
@@ -227,7 +226,7 @@ class CandidateCells:
         n = len(scores)
         at = np.where(scores == np.repeat(top, np.diff(starts, append=n)), np.arange(n), n)
         first = np.minimum.reduceat(at, starts)
-        s, t, ts, tt = src.sentences, tgt.sentences, src.texts, tgt.texts
+        s, t, ts, tt = src.sentences, tgt.sentences, src.rows.texts, tgt.rows.texts
         return [
             (s[r], t[c], v, ts[r] == tt[c])
             for r, c, v in zip(rows[starts].tolist(), cols[first].tolist(), top.tolist())
@@ -255,43 +254,54 @@ def _cells(
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
+class _Vocabulary(dict):
+    """Token surface -> id of its lowercase form, which `lower` maps to
+    it.  A new surface joins on lookup, so ids follow first occurrence."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lower: dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        found = self[token] = self.lower.setdefault(token.lower(), len(self.lower))
+        return found
+
+
 class GroupEncoder:
     """Encodings of sentence texts over one vocabulary that every version
     pair of a group shares: each text's tokens as their lowercase ids, in
-    order.
+    order, and each version's laid out once as kernels.Rows.
 
-    A group's pairs run (v1, v2), (v2, v3), ...: each pair's source is
-    the previous pair's target.  So after each pair the encoder keeps only
-    the encodings of its target's texts, which the next pair reuses, and
-    after the last of `pairs` pairs it keeps nothing, not even the
-    vocabulary (the pair's EncodedVersions still hold theirs).  Equal raw
-    texts have equal tokens, so a text's encoding depends on the text
-    alone.
+    A group's pairs run (v1, v2), (v2, v3), ..., so the encoder keeps each
+    pair's target and hands it back as the next pair's source when that
+    is the same DocVersion; any other source is encoded afresh.  After the
+    last of `pairs` pairs it keeps nothing, not even the vocabulary (the
+    pair's EncodedVersions still hold theirs).  Equal raw texts have equal
+    tokens, so the target reuses the source's encodings of its texts.
     """
 
     def __init__(self, pairs: int = 1) -> None:
         self.pairs = pairs
-        self.surface: dict[str, int] = {}  # token surface -> id of its lowercase form
-        self.lower: dict[str, int] = {}  # lowercase token -> id
-        self.rows: dict[str, tuple[int, ...]] = {}  # raw text -> its encoding
+        self.surface = _Vocabulary()
+        self.last: EncodedVersion | None = None  # the previous pair's target
 
     def encode_pair(self, src: DocVersion, tgt: DocVersion) -> tuple[EncodedVersion, EncodedVersion]:
-        """The source's and the target's encodings; then keep the target's
-        texts, or nothing after the last pair."""
-        a = self._encode_version(src, self.rows)
-        kept: dict[str, tuple[int, ...]] = {}
-        b = self._encode_version(tgt, kept)
+        """The source's and the target's encodings; then keep the target's,
+        or nothing after the last pair."""
+        a = self.last
+        if a is None or a.doc is not src:
+            a = self._encode_version(src, {})
+        b = self._encode_version(tgt, dict(zip([s.raw for s in a.sentences], a.rows.texts)))
         self.pairs -= 1
         if self.pairs > 0:
-            self.rows = kept
+            self.last = b
         else:
-            self.surface, self.lower, self.rows = {}, {}, {}
+            self.surface, self.last = _Vocabulary(), None
         return a, b
 
-    def _encode_version(self, doc: DocVersion, out: dict[str, tuple[int, ...]]) -> EncodedVersion:
-        """Encode the alignable sentences, also storing each text's
-        encoding in `out`."""
-        known = self.rows
+    def _encode_version(self, doc: DocVersion, known: dict[str, tuple[int, ...]]) -> EncodedVersion:
+        """Encode the alignable sentences and lay them out; `known` maps raw
+        texts to their encodings, and gains the ones encoded here."""
         sentences: list[Sentence] = []
         texts: list[tuple[int, ...]] = []
         bounds: dict[int, tuple[int, int]] = {}
@@ -304,21 +314,14 @@ class GroupEncoder:
                     text = known.get(s.raw)
                     if text is None:
                         text = known[s.raw] = self.encode(s.tokens)
-                    out[s.raw] = text
                     sentences.append(s)
                     texts.append(text)
             bounds[p.index] = (start, len(texts))
-        return EncodedVersion(doc, sentences, texts, bounds, self.lower)
+        return EncodedVersion(doc, sentences, Rows(texts), bounds, self.surface.lower)
 
     def encode(self, tokens: tuple[str, ...]) -> tuple[int, ...]:
         """The tokens' lowercase ids; new tokens join the vocabulary."""
-        surface, lower = self.surface, self.lower
-        ids = tuple(map(surface.get, tokens))
-        if None in ids:
-            for t in set(tokens).difference(surface):
-                surface[t] = lower.setdefault(t.lower(), len(lower))
-            ids = tuple(map(surface.get, tokens))
-        return ids
+        return tuple(map(self.surface.__getitem__, tokens))
 
 
 def compute_sim_tensor(
@@ -329,8 +332,8 @@ def compute_sim_tensor(
     Skipped sentences take part in neither the average nor the max; a
     paragraph whose sentences are all skipped yields a zero row/column,
     and an empty version yields zero-size matrices.  `encoder` carries
-    the encodings of the group's previous pair; without one the pair is
-    encoded alone.
+    the group's vocabulary and its previous pair's target; without one
+    the pair is encoded alone.
 
     The Jaccard scores are computed a block of whole source paragraphs at
     a time, and each block is reduced and dropped before the next; only
@@ -341,12 +344,10 @@ def compute_sim_tensor(
     a, b = encoder.encode_pair(src, tgt)
     src_bounds, tgt_bounds = list(a.bounds.values()), list(b.bounds.values())
     k, l = len(src_bounds), len(tgt_bounds)
-    n, m = len(a.texts), len(b.texts)
-    sim1 = np.zeros((k, l), dtype=np.float64)
-    sim2 = np.zeros((k, l), dtype=np.float64)
-    target = Target(b.texts)
+    n, m = len(a.rows), len(b.rows)
+    sim1, sim2 = np.zeros((k, l)), np.zeros((k, l))
+    target = Target(b.rows)
     counts = np.empty((n, m), dtype=np.uint16)
-    src_sizes = np.zeros(n, dtype=np.int64)
     if n:
         # reduceat mishandles empty segments, so reduce over non-empty
         # paragraphs only; all-skipped paragraphs keep their zero row/column
@@ -356,7 +357,7 @@ def compute_sim_tensor(
         tgt_means = _SegmentMeans([tgt_bounds[j] for j in tj])
         for block in _paragraph_blocks(si, src_bounds, max(1, _BLOCK_CELLS // max(m, 1))):
             r0, r1 = src_bounds[block[0]][0], src_bounds[block[-1]][1]
-            scores = jaccard_matrix(a.texts[r0:r1], target, counts=counts[r0:r1], sizes=src_sizes[r0:r1])
+            scores = jaccard_matrix(a.rows[r0:r1], target, counts=counts[r0:r1])
             para_rows = [(src_bounds[i][0] - r0, src_bounds[i][1] - r0) for i in block]
             # rowmax[j', r]: best score of block row r in target paragraph tj[j']
             rowmax = np.maximum.reduceat(scores, tgt_starts, axis=1).T
@@ -366,13 +367,7 @@ def compute_sim_tensor(
             rows = np.array(block)[:, None]
             sim1[rows, tj] = _SegmentMeans(para_rows).of(rowmax).T
             sim2[rows, tj] = tgt_means.of(colmax)
-    return ParaSimTensor(
-        sim1=sim1,
-        sim2=sim2,
-        src_paragraphs=tuple(a.bounds),
-        tgt_paragraphs=tuple(b.bounds),
-        scores=SentenceScores(counts, src_sizes, target.sizes, a, b),
-    )
+    return ParaSimTensor(sim1, sim2, tuple(a.bounds), tuple(b.bounds), SentenceScores(counts, a, b))
 
 
 def _paragraph_blocks(

@@ -14,7 +14,7 @@ import numpy as np
 
 from revkit.corpus import DocVersion, Sentence, SentenceId
 from revkit.edits import Edit, EditKind, WordAlignment
-from revkit.kernels import jaccard_matrix, tfidf_cosines
+from revkit.kernels import Rows, jaccard_matrix, tfidf_cosines
 from revkit.para_align import CandidateCells, GroupEncoder, align_paragraphs
 from revkit.sent_align import SentAlignLabel, SentenceAlignment
 from revkit.similarity import CELL_METRICS, make_metric
@@ -96,8 +96,8 @@ def pair_score(name: str, x: Sentence, y: Sentence) -> float:
     a, b = encoder.encode(x.tokens), encoder.encode(y.tokens)
     if name == "tfidf":
         cell = np.zeros(1, dtype=np.int64)
-        return tfidf_cosines([a], [b], cell, cell)[0].item()
-    return jaccard_matrix([a], [b]).item(0, 0)
+        return tfidf_cosines(Rows([a]), Rows([b]), cell, cell, Rows([]))[0].item()
+    return jaccard_matrix(Rows([a]), Rows([b])).item(0, 0)
 
 
 def jaccard(a: Sentence, b: Sentence) -> float:

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import revkit
 from revkit import cli, para_align
 from revkit.config import RunConfig
+from revkit.corpus import build_group, serialize_corpus
 
 from helpers import doc
 from oracles import VOCAB, random_sentence_raw
@@ -85,3 +87,21 @@ def test_benchmark_kernel_hook_counts_every_cell_once(monkeypatch):
     assert all(isinstance(r, np.ndarray) and r.ndim == 2 and r.shape[1] == m for r in results)
     _, counts, _ = tracer.summarize(spans.dump())
     assert counts["kernels.cells"] == n * m
+
+
+@pytest.mark.parametrize("metric", ["jaccard", "tfidf"])
+def test_align_leaves_numpy_ma_unimported(tmp_path, metric):
+    """np.unique's first call imports numpy.ma, which adds resident memory
+    to the command, so the kernels lay out their rows by a stable sort."""
+    rng = random.Random(11)
+    paragraphs = [[random_sentence_raw(rng, 6, 12, VOCAB) for _ in range(4)] for _ in range(5)]
+    versions = [doc(paragraphs[: 3 + v], v) for v in (1, 2)]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(serialize_corpus([build_group("2001.0001", "cs.CL", versions)]))
+    out = tmp_path / "out"
+    argv = ["align", "--corpus", str(corpus), "--out", str(out), "--metric", metric]
+    code = f"import sys; from revkit import cli; sys.exit(cli.main({argv!r}) or 3 * ('numpy.ma' in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert res.returncode == 0, "align failed" if res.returncode != 3 else "align imported numpy.ma"
+    (written,) = out.iterdir()
+    assert json.loads(written.read_text())["pairs"]

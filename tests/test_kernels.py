@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 
 from revkit import kernels
-from revkit.kernels import _DENSE_SHARE, jaccard_matrix, tfidf_cosines
+from revkit.kernels import _DENSE_SHARE, Rows, jaccard_matrix, tfidf_cosines
 
 
 def random_sets(rng, count, vocab_size=20, max_len=8):
@@ -36,7 +36,7 @@ def assert_matches_brute_force(sets_a, sets_b, target_first=False):
         rows_b, rows_a = encode(sets_b, sets_a)
     else:
         rows_a, rows_b = encode(sets_a, sets_b)
-    assert np.array_equal(jaccard_matrix(rows_a, rows_b), brute_force(sets_a, sets_b))
+    assert np.array_equal(jaccard_matrix(Rows(rows_a), Rows(rows_b)), brute_force(sets_a, sets_b))
 
 
 def test_matrix_matches_brute_force():
@@ -54,7 +54,7 @@ def test_source_ids_missing_from_target():
         # target first: they all lie above every target id
         assert_matches_brute_force(sets_a, sets_b)
         assert_matches_brute_force(sets_a, sets_b, target_first=True)
-    got = jaccard_matrix([[0, 7, 99]], [[0], [3, 7]])
+    got = jaccard_matrix(Rows([[0, 7, 99]]), Rows([[0], [3, 7]]))
     assert np.array_equal(got, [[1 / 3, 1 / 4]])
 
 
@@ -73,7 +73,7 @@ def test_repeated_rows():
         # a text that repeats, within a side or across both, is the same list
         pick_a = [rng.randrange(4) for _ in range(rng.randint(1, 9))]
         pick_b = [rng.randrange(4) for _ in range(rng.randint(1, 9))]
-        got = jaccard_matrix([rows[k] for k in pick_a], [rows[k] for k in pick_b])
+        got = jaccard_matrix(Rows([rows[k] for k in pick_a]), Rows([rows[k] for k in pick_b]))
         assert np.array_equal(got, brute_force([pool[k] for k in pick_a], [pool[k] for k in pick_b]))
 
 
@@ -81,7 +81,7 @@ def test_id_order_within_a_row_does_not_matter():
     rng = random.Random(17)
     rows_a, rows_b = encode(random_sets(rng, 9), random_sets(rng, 7))
     shuffled = [rng.sample(r, len(r)) for r in rows_a]
-    assert np.array_equal(jaccard_matrix(shuffled, rows_b), jaccard_matrix(rows_a, rows_b))
+    assert np.array_equal(jaccard_matrix(Rows(shuffled), Rows(rows_b)), jaccard_matrix(Rows(rows_a), Rows(rows_b)))
 
 
 def test_repeated_ids_within_a_row_count_once():
@@ -91,18 +91,18 @@ def test_repeated_ids_within_a_row_count_once():
         rows_a, rows_b = encode(random_sets(rng, 9), random_sets(rng, 7))
         repeated = [r + rng.choices(r, k=rng.randint(0, 4)) if r else r for r in rows_a]
         repeated = [rng.sample(r, len(r)) for r in repeated]
-        assert np.array_equal(jaccard_matrix(repeated, rows_b), jaccard_matrix(rows_a, rows_b))
-        assert np.array_equal(jaccard_matrix(rows_b, repeated), jaccard_matrix(rows_b, rows_a))
+        assert np.array_equal(jaccard_matrix(Rows(repeated), Rows(rows_b)), jaccard_matrix(Rows(rows_a), Rows(rows_b)))
+        assert np.array_equal(jaccard_matrix(Rows(rows_b), Rows(repeated)), jaccard_matrix(Rows(rows_b), Rows(rows_a)))
 
 
 def test_empty_inputs():
-    assert jaccard_matrix([], []).shape == (0, 0)
-    assert jaccard_matrix([[0]], []).shape == (1, 0)
-    assert jaccard_matrix([], [[0]]).shape == (0, 1)
+    assert jaccard_matrix(Rows([]), Rows([])).shape == (0, 0)
+    assert jaccard_matrix(Rows([[0]]), Rows([])).shape == (1, 0)
+    assert jaccard_matrix(Rows([]), Rows([[0]])).shape == (0, 1)
 
 
 def test_empty_vs_empty_scores_one():
-    got = jaccard_matrix([[]], [[], [0]])
+    got = jaccard_matrix(Rows([[]]), Rows([[], [0]]))
     assert got[0, 0] == 1.0
     assert got[0, 1] == 0.0
 
@@ -181,8 +181,8 @@ def test_frequent_and_rare_tokens_mixed():
 def test_zero_rows_on_either_side():
     e, a = frozenset(), frozenset({"a", "b"})
     for sets in ([], [e], [a, e], [a] * 20):
-        assert jaccard_matrix(*encode(sets, [])).shape == (len(sets), 0)
-        assert jaccard_matrix(*encode([], sets)).shape == (0, len(sets))
+        assert jaccard_matrix(*map(Rows, encode(sets, []))).shape == (len(sets), 0)
+        assert jaccard_matrix(*map(Rows, encode([], sets))).shape == (0, len(sets))
         assert_matches_brute_force(sets, [])
         assert_matches_brute_force([], sets)
 
@@ -190,13 +190,13 @@ def test_zero_rows_on_either_side():
 def test_all_rows_empty():
     e = frozenset()
     assert_matches_brute_force([e] * 3, [e] * 5)
-    assert np.array_equal(jaccard_matrix([[]] * 3, [[]] * 5), np.ones((3, 5)))
+    assert np.array_equal(jaccard_matrix(Rows([[]] * 3), Rows([[]] * 5)), np.ones((3, 5)))
 
 
 def test_peak_memory_stays_near_the_result():
     rng = random.Random(23)
-    rows_a, rows_b = encode(random_sets(rng, 400, vocab_size=60, max_len=15),
-                            random_sets(rng, 400, vocab_size=60, max_len=15))
+    rows_a, rows_b = map(Rows, encode(random_sets(rng, 400, vocab_size=60, max_len=15),
+                                      random_sets(rng, 400, vocab_size=60, max_len=15)))
     tracemalloc.start()
     try:
         out = jaccard_matrix(rows_a, rows_b)
@@ -239,9 +239,9 @@ def test_tfidf_cosines_block_size_changes_no_bit(monkeypatch):
     cells = [(r, c) for r in range(20) for c in range(15) if rng.random() < 0.5]
     rows = np.array([r for r, _ in cells], dtype=np.int64)
     cols = np.array([c for _, c in cells], dtype=np.int64)
-    want = tfidf_cosines(texts_a, texts_b, rows, cols, others)
+    want = tfidf_cosines(Rows(texts_a), Rows(texts_b), rows, cols, Rows(others))
     assert not np.array_equal(*want)  # some cell's directions differ in the last place
     for block in (1, 5, 64):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block)
-        got = tfidf_cosines(texts_a, texts_b, rows, cols, others)
+        got = tfidf_cosines(Rows(texts_a), Rows(texts_b), rows, cols, Rows(others))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))

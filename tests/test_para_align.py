@@ -127,7 +127,7 @@ def test_empty_version_aligns_nothing():
     for a, b in ((empty, full), (full, empty), (empty, empty)):
         t = compute_sim_tensor(a, b)
         assert t.sim1.shape == t.sim2.shape == t.scores.counts.shape == (t.k, t.l)
-        assert t.scores.src_sizes.shape == (t.k,) and t.scores.tgt_sizes.shape == (t.l,)
+        assert t.scores.src.rows.sizes.shape == (t.k,) and t.scores.tgt.rows.sizes.shape == (t.l,)
         assert align_paragraphs(a, b).pairs == frozenset()
 
 
@@ -202,6 +202,16 @@ def test_shared_encoder_matches_oracle_over_a_group():
     # versions, in case variants too, and come back after a version without them
     rng = random.Random(37)
     vocab = VOCAB[:20]
+
+    def assert_matches_oracle(t, a, b):
+        sim1, sim2 = oracle_sim_tensor(a, b)
+        assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
+        assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
+        alone = compute_sim_tensor(a, b).scores
+        assert np.array_equal(t.scores.counts, alone.counts)
+        for side in ("src", "tgt"):
+            assert np.array_equal(getattr(t.scores, side).rows.sizes, getattr(alone, side).rows.sizes)
+
     for _ in range(40):
         pool = [random_sentence_raw(rng, 4, 8, vocab) for _ in range(rng.randint(2, 6))]
         pool.append(rng.choice(pool).upper())
@@ -210,16 +220,33 @@ def test_shared_encoder_matches_oracle_over_a_group():
             for v in range(1, rng.randint(3, 5))
         ]
         encoder = GroupEncoder(len(versions) - 1)
+        previous = None
         for a, b in zip(versions, versions[1:]):
             t = compute_sim_tensor(a, b, encoder)
-            sim1, sim2 = oracle_sim_tensor(a, b)
-            assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
-            assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
-            alone = compute_sim_tensor(a, b).scores
-            for field in ("counts", "src_sizes", "tgt_sizes"):
-                assert np.array_equal(getattr(t.scores, field), getattr(alone, field))
+            assert_matches_oracle(t, a, b)
+            # each version is encoded and laid out once: the previous target is this source
+            assert previous is None or t.scores.src is previous
+            previous = t.scores.tgt
         # after the last pair the encoder holds nothing
-        assert (encoder.surface, encoder.lower, encoder.rows) == ({}, {}, {})
+        assert (encoder.surface, encoder.surface.lower, encoder.last) == ({}, {}, None)
+        # a source that is not the previous pair's target is encoded afresh
+        first, second, last = versions[0], versions[1], versions[-1]
+        encoder = GroupEncoder(3)
+        kept = compute_sim_tensor(first, second, encoder).scores.tgt
+        for a, b in ((first, last), (doc([[s.raw for s in p.sentences] for p in first.paragraphs], 1), second)):
+            t = compute_sim_tensor(a, b, encoder)
+            assert t.scores.src is not kept and t.scores.src.doc is a
+            assert_matches_oracle(t, a, b)
+            kept = t.scores.tgt
+
+
+def test_encoder_numbers_new_tokens_in_order_of_first_occurrence():
+    encoder = GroupEncoder()
+    words = ("Zeta", "alpha", "mu", "beta", "omega", "gamma", "delta", "kappa", "zeta", "ALPHA", "lambda")
+    assert encoder.encode(words) == (0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 8)
+    assert encoder.encode(("nu", "mu", "Nu", "beta")) == (9, 2, 9, 3)
+    assert list(encoder.surface.lower) == [w.lower() for w in words[:8]] + ["lambda", "nu"]
+    assert list(encoder.surface.lower.values()) == list(range(10))
 
 
 @pytest.mark.parametrize(
@@ -273,11 +300,11 @@ def whole_matrix_route(a, b):
     from the whole matrix at once: one reduceat per axis, then each
     paragraph pair's mean over a slice of the row or column maxima."""
     ea, eb = GroupEncoder().encode_pair(a, b)
-    matrix = jaccard_matrix(ea.texts, eb.texts)
+    matrix = jaccard_matrix(ea.rows, eb.rows)
     src_bounds, tgt_bounds = list(ea.bounds.values()), list(eb.bounds.values())
     sim1 = np.zeros((len(src_bounds), len(tgt_bounds)))
     sim2 = np.zeros_like(sim1)
-    if ea.texts and eb.texts:
+    if ea.rows.texts and eb.rows.texts:
         si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]
         tj = [j for j, (c0, c1) in enumerate(tgt_bounds) if c0 < c1]
         rowmax = np.ascontiguousarray(np.maximum.reduceat(matrix, [tgt_bounds[j][0] for j in tj], axis=1).T)
@@ -319,8 +346,8 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
     a, b = versions
     sim1, sim2, matrix, ea, eb = whole_matrix_route(a, b)
     n, m = matrix.shape
-    counts = [[len(set(x) & set(y)) for y in eb.texts] for x in ea.texts]
-    sizes_a, sizes_b = [len(set(x)) for x in ea.texts], [len(set(y)) for y in eb.texts]
+    counts = [[len(set(x) & set(y)) for y in eb.rows.texts] for x in ea.rows.texts]
+    sizes_a, sizes_b = [len(set(x)) for x in ea.rows.texts], [len(set(y)) for y in eb.rows.texts]
     small = all(len(_para_sent_sets(p)) < 8 for v in versions for p in v.alignable_paragraphs())
     # every paragraph a block of its own, blocks split between paragraphs, the default
     for budget in (1, data.draw(st.integers(1, max(1, n * m))), para_align._BLOCK_CELLS):
@@ -341,7 +368,7 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
             assert np.array_equal(t.sim2, np.array(want2).reshape(t.k, t.l))
         assert t.scores.counts.dtype == np.uint16
         assert t.scores.counts.tolist() == counts
-        assert t.scores.src_sizes.tolist() == sizes_a and t.scores.tgt_sizes.tolist() == sizes_b
+        assert t.scores.src.rows.sizes.tolist() == sizes_a and t.scores.tgt.rows.sizes.tolist() == sizes_b
         assert sum(r for r, _ in calls) == n and all(c == m for _, c in calls)
         if budget == 1:
             assert len(calls) == sum(r0 < r1 for r0, r1 in ea.bounds.values())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revkit.kernels import build_idf, tfidf_cosines
+from revkit.kernels import Rows, build_idf, tfidf_cosines
 from revkit.para_align import CandidateCells, GroupEncoder, align_paragraphs
 from revkit.similarity import (
     CELL_METRICS,
@@ -121,7 +121,7 @@ def two_docs():
 def _encoded(*docs):
     """Every sentence's encoding over one vocabulary, and that vocabulary."""
     encoder = GroupEncoder()
-    return [encoder.encode(s.tokens) for d in docs for s in d.sentences()], encoder.lower
+    return [encoder.encode(s.tokens) for d in docs for s in d.sentences()], encoder.surface.lower
 
 
 def test_build_idf_values():
@@ -305,7 +305,7 @@ def test_feature_metrics_score_every_text_against_itself_at_one(raw, others, emp
     cell = np.zeros(1, dtype=np.int64)
     for rest in ([], [set(ids) for ids in sentences[1:]], [()] * empty):
         # a copy of the text: equal encodings, not one shared object
-        forward, backward = tfidf_cosines([text], [list(text)], cell, cell, rest)
+        forward, backward = tfidf_cosines(Rows([text]), Rows([list(text)]), cell, cell, Rows(rest))
         assert forward.tolist() == backward.tolist() == [1.0]
 
 
