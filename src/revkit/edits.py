@@ -14,11 +14,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .corpus import Sentence
 from .doc_ops import link_components
-from .myers import DiffRun, myers_diff
+from .myers import myers_diff
 from .trees import Tree
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,38 +125,23 @@ class WordAlignment:
 # ---------------------------------------------------------------------------
 # diff-based extraction
 
-def diff_to_edits(script: Sequence[DiffRun]) -> set[Edit]:
-    """Convert a diff script to edits: each changed region with both a
-    delete and an insert run becomes one substitute; lone runs map to
-    deletes/inserts."""
-    edits: set[Edit] = set()
-    i = 0
-    while i < len(script):
-        if script[i].op == "keep":
-            i += 1
-            continue
-        del_run: DiffRun | None = None
-        ins_run: DiffRun | None = None
-        while i < len(script) and script[i].op != "keep":
-            if script[i].op == "delete":
-                del_run = script[i]
-            else:
-                ins_run = script[i]
-            i += 1
-        if del_run is not None and ins_run is not None:
-            edits.add(Edit((del_run.a_start, del_run.a_end),
-                           (ins_run.b_start, ins_run.b_end), EditKind.SUBSTITUTE))
-        elif del_run is not None:
-            edits.add(Edit((del_run.a_start, del_run.a_end), None, EditKind.DELETE))
-        else:
-            assert ins_run is not None
-            edits.add(Edit(None, (ins_run.b_start, ins_run.b_end), EditKind.INSERT))
-    return edits
+def _region_edit(
+    a: int, b: int, c: int, d: int, intention: "IntentionLabel | CoarseIntention | None" = None
+) -> Edit:
+    """The edit of a changed region, source [a, b) against target [c, d):
+    an insert if the source side is empty, a delete if the target side
+    is, otherwise a substitute."""
+    if a == b:
+        return Edit(None, (c, d), EditKind.INSERT, intention)
+    if c == d:
+        return Edit((a, b), None, EditKind.DELETE, intention)
+    return Edit((a, b), (c, d), EditKind.SUBSTITUTE, intention)
 
 
 def edits_from_diff(src: Sentence, tgt: Sentence) -> set[Edit]:
-    """Extract edits by diffing the token surfaces (case-sensitive)."""
-    return diff_to_edits(myers_diff(src.tokens, tgt.tokens))
+    """Extract edits by diffing the token surfaces (case-sensitive): each
+    changed region of the minimal diff becomes one edit."""
+    return {_region_edit(*region) for region in myers_diff(src.tokens, tgt.tokens)}
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +166,7 @@ def strip_identical_boundaries(e: Edit, src: Sentence, tgt: Sentence) -> Edit | 
         d -= 1
     if a == b and c == d:
         return None
-    if a == b:
-        return Edit(None, (c, d), EditKind.INSERT, e.intention)
-    if c == d:
-        return Edit((a, b), None, EditKind.DELETE, e.intention)
-    return Edit((a, b), (c, d), EditKind.SUBSTITUTE, e.intention)
+    return _region_edit(a, b, c, d, e.intention)
 
 
 class _SpanPair(NamedTuple):

@@ -3,52 +3,22 @@
 The forward pass explores edit depths d = 0, 1, ... and records the
 furthest x reached on each diagonal; backtracking through those
 snapshots recovers a minimal script under unit insert/delete cost, so
-the kept tokens always form a longest common subsequence.  Scripts are
-canonicalised so that within every changed region deletions come before
-insertions, which makes the output deterministic.
+the kept tokens always form a longest common subsequence.  The script
+is reported as its changed regions: each region (a_start, a_end,
+b_start, b_end) is a maximal run of deletions a[a_start:a_end] and
+insertions b[b_start:b_end], and the tokens between regions are kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-
-@dataclass(frozen=True)
-class DiffRun:
-    """One maximal run of the script; keep consumes both sides, delete
-    consumes only [a_start, a_end), insert only [b_start, b_end)."""
-
-    op: str  # "keep" | "delete" | "insert"
-    a_start: int
-    a_end: int
-    b_start: int
-    b_end: int
-
-    def __post_init__(self) -> None:
-        if self.op not in ("keep", "delete", "insert"):
-            raise ValueError(f"bad op {self.op!r}")
+Region = tuple[int, int, int, int]
 
 
-def myers_diff(a: Sequence, b: Sequence) -> list[DiffRun]:
-    """Minimal edit script between two sequences (equality via ==)."""
-    return _runs_from_ops(_shortest_ops(a, b))
-
-
-def script_cost(script: Sequence[DiffRun]) -> int:
-    """Number of inserted plus deleted tokens."""
-    cost = 0
-    for r in script:
-        if r.op == "delete":
-            cost += r.a_end - r.a_start
-        elif r.op == "insert":
-            cost += r.b_end - r.b_start
-    return cost
-
-
-def _shortest_ops(a: Sequence, b: Sequence) -> list[str]:
+def myers_diff(a: Sequence, b: Sequence) -> list[Region]:
+    """Changed regions of a minimal edit script between two sequences
+    (equality via ==), in ascending order."""
     n, m = len(a), len(b)
-    if n == 0 and m == 0:
-        return []
     v = {1: 0}
     trace: list[dict[int, int]] = []
     for d in range(n + m + 1):
@@ -68,13 +38,15 @@ def _shortest_ops(a: Sequence, b: Sequence) -> list[str]:
     raise AssertionError("diff failed to terminate")  # pragma: no cover
 
 
-def _backtrack(trace: list[dict[int, int]], d_final: int, n: int, m: int) -> list[str]:
+def _backtrack(trace: list[dict[int, int]], d_final: int, n: int, m: int) -> list[Region]:
     # Walk from (n, m) back to (0, 0).  trace[d] holds the diagonal
     # frontier as it stood before depth d ran, i.e. the depth d-1 result,
     # which is exactly what the forward pass consulted when choosing the
-    # move at depth d.
-    ops: list[str] = []
-    x, y = n, m
+    # move at depth d.  The region being built spans [x, a_end) of a and
+    # [y, b_end) of b; a kept token closes it.
+    regions: list[Region] = []
+    x = a_end = n
+    y = b_end = m
     for d in range(d_final, 0, -1):
         v = trace[d]
         k = x - y
@@ -84,55 +56,20 @@ def _backtrack(trace: list[dict[int, int]], d_final: int, n: int, m: int) -> lis
             prev_k = k - 1
         prev_x = v.get(prev_k, 0)
         prev_y = prev_x - prev_k
-        while x > prev_x and y > prev_y:
-            ops.append("K")
-            x -= 1
-            y -= 1
+        kept = min(x - prev_x, y - prev_y)
+        if kept > 0:
+            if x != a_end or y != b_end:
+                regions.append((x, a_end, y, b_end))
+            x = a_end = x - kept
+            y = b_end = y - kept
         if prev_k == k + 1:
-            ops.append("I")
             y -= 1
         else:
-            ops.append("D")
             x -= 1
-    while x > 0 and y > 0:
-        ops.append("K")
-        x -= 1
-        y -= 1
-    if x != 0 or y != 0:  # pragma: no cover - backtrack must land at origin
+    if x != a_end or y != b_end:
+        regions.append((x, a_end, y, b_end))
+    # a[:x] and b[:y] remain, all kept, so x and y must be equal
+    if x != y or x < 0:  # pragma: no cover - backtrack must land at origin
         raise AssertionError("diff backtrack did not reach the origin")
-    ops.reverse()
-    return ops
-
-
-def _runs_from_ops(ops: Sequence[str]) -> list[DiffRun]:
-    runs: list[DiffRun] = []
-    a_pos = b_pos = 0
-    i = 0
-    while i < len(ops):
-        if ops[i] == "K":
-            j = i
-            while j < len(ops) and ops[j] == "K":
-                j += 1
-            n = j - i
-            runs.append(DiffRun("keep", a_pos, a_pos + n, b_pos, b_pos + n))
-            a_pos += n
-            b_pos += n
-            i = j
-        else:
-            j = i
-            dels = ins = 0
-            while j < len(ops) and ops[j] != "K":
-                if ops[j] == "D":
-                    dels += 1
-                else:
-                    ins += 1
-                j += 1
-            # deletions reported before insertions within the region
-            if dels:
-                runs.append(DiffRun("delete", a_pos, a_pos + dels, b_pos, b_pos))
-            if ins:
-                runs.append(DiffRun("insert", a_pos + dels, a_pos + dels, b_pos, b_pos + ins))
-            a_pos += dels
-            b_pos += ins
-            i = j
-    return runs
+    regions.reverse()
+    return regions

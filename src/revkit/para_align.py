@@ -151,10 +151,6 @@ class ParaAlignment:
     pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     scores: SentenceScores | None = field(default=None, compare=False, repr=False)
 
-    def reversed(self) -> "ParaAlignment":
-        """The pairs seen from the other version, without scores."""
-        return ParaAlignment(frozenset((j, i) for i, j in self.pairs))
-
 
 class CandidateCells:
     """The sentence pairs inside the aligned paragraph pairs of `paras`,

@@ -138,3 +138,8 @@ def dele(a: int, b: int) -> Edit:
 
 def keys(edits) -> frozenset:
     return frozenset(e.key() for e in edits)
+
+
+def diff_cost(regions) -> int:
+    """Deleted plus inserted tokens of `myers_diff` regions."""
+    return sum((a1 - a0) + (b1 - b0) for a0, a1, b0, b1 in regions)

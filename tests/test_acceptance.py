@@ -36,12 +36,12 @@ from revkit.metrics import (
     eval_edits,
     eval_edits_corpus,
 )
-from revkit.myers import myers_diff, script_cost
+from revkit.myers import myers_diff
 from revkit.para_align import CandidateCells, Thresholds, align_paragraphs
 from revkit.sent_align import align_sentences_directional, merge_bidirectional
 from revkit.trees import parse_tree_read
 
-from helpers import alignment, dele, doc, filler_sentence, ins, keys, sub
+from helpers import alignment, dele, diff_cost, doc, filler_sentence, ins, keys, sub
 from oracles import (
     format_tree,
     generate_gold_revision,
@@ -66,7 +66,7 @@ def test_diff_cost_equals_lcs_bound():
     for _ in range(10_000):
         a = [rng.choice("abc") for _ in range(rng.randint(0, 12))]
         b = [rng.choice("abc") for _ in range(rng.randint(0, 12))]
-        assert script_cost(myers_diff(a, b)) == len(a) + len(b) - 2 * lcs_len(a, b), (a, b)
+        assert diff_cost(myers_diff(a, b)) == len(a) + len(b) - 2 * lcs_len(a, b), (a, b)
     assert time.monotonic() - started < 30.0
 
 

@@ -10,7 +10,6 @@ from revkit.edits import (
     SentenceRevision,
     WordAlignment,
     derive_reorder,
-    diff_to_edits,
     edit_sort_key,
     edits_from_alignment_simple,
     edits_from_diff,
@@ -18,13 +17,13 @@ from revkit.edits import (
     strip_identical_boundaries,
 )
 from revkit.edits import _blocks_cross, _close_span_pairs, _drop_nested, _link_components, _SpanPair
-from revkit.myers import myers_diff
 from revkit.trees import parse_tree_read
 
 from helpers import dele, ins, keys, sub, wa
 from oracles import (
     format_tree,
     generate_gold_revision,
+    lcs_len,
     make_sentence,
     oracle_closure,
     oracle_components,
@@ -147,9 +146,44 @@ def test_diff_pure_delete():
     assert keys(edits_from_diff(src, tgt)) == {((1, 3), None, "delete")}
 
 
-def test_diff_to_edits_keeps_are_silent():
-    script = myers_diff(["a", "b"], ["a", "b"])
-    assert diff_to_edits(script) == set()
+def replay_diff_edits(src, tgt, edits):
+    """Walk both sentences in step, substituting each edit's target span
+    for its source span; the tokens between edits must match.  No edit
+    may follow another without a kept token between them."""
+    s, t = src.tokens, tgt.tokens
+    at_src = {e.src_span[0]: e for e in edits if e.src_span is not None}
+    at_tgt = {e.tgt_span[0]: e for e in edits if e.tgt_span is not None}
+    out, applied, after_edit = [], 0, False
+    i = j = 0
+    while i < len(s) or j < len(t):
+        e = at_src.get(i) or at_tgt.get(j)
+        if e is None:
+            assert i < len(s) and j < len(t) and s[i] == t[j], (i, j)
+            out.append(s[i])
+            i, j, after_edit = i + 1, j + 1, False
+            continue
+        assert not after_edit, f"{e} touches the edit before it"
+        if e.src_span is not None:
+            assert e.src_span[0] == i
+            i = e.src_span[1]
+        if e.tgt_span is not None:
+            assert e.tgt_span[0] == j
+            out.extend(t[e.tgt_span[0]:e.tgt_span[1]])
+            j = e.tgt_span[1]
+        applied, after_edit = applied + 1, True
+    assert applied == len(edits)
+    return out
+
+
+@given(st.lists(st.sampled_from(["aa", "bb", "cc"]), max_size=20),
+       st.lists(st.sampled_from(["aa", "bb", "cc"]), max_size=20))
+def test_diff_edits_replay_to_target_at_lcs_cost(words_s, words_t):
+    src = make_sentence(" ".join(words_s), version=1)
+    tgt = make_sentence(" ".join(words_t), version=2)
+    edits = edits_from_diff(src, tgt)
+    assert replay_diff_edits(src, tgt, edits) == list(tgt.tokens)
+    changed = sum(span[1] - span[0] for e in edits for span in (e.src_span, e.tgt_span) if span is not None)
+    assert changed == len(words_s) + len(words_t) - 2 * lcs_len(words_s, words_t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,72 +1,56 @@
 import random
 
-import pytest
+from revkit.myers import myers_diff
 
-from revkit.myers import DiffRun, myers_diff, script_cost
-
+from helpers import diff_cost
 from oracles import lcs_len
 
 
-def surface(script, a, b):
-    """Replay a script; returns the reconstructed target."""
+def check_regions(regions, a, b):
+    """Regions ascend, are never empty, never touch, and the gaps between
+    them are kept token for token; replaying them rebuilds b."""
     out = []
-    for r in script:
-        if r.op == "keep":
-            assert list(a[r.a_start:r.a_end]) == list(b[r.b_start:r.b_end])
-            out.extend(b[r.b_start:r.b_end])
-        elif r.op == "insert":
-            out.extend(b[r.b_start:r.b_end])
-    return out
-
-
-def check_well_formed(script, a, b):
     pa = pb = 0
-    for r in script:
-        assert r.a_start == pa and r.b_start == pb
-        if r.op == "keep":
-            assert r.a_end - r.a_start == r.b_end - r.b_start > 0
-            pa, pb = r.a_end, r.b_end
-        elif r.op == "delete":
-            assert r.a_end > r.a_start and r.b_end == r.b_start
-            pa = r.a_end
-        else:
-            assert r.b_end > r.b_start and r.a_end == r.a_start
-            pb = r.b_end
-    assert pa == len(a) and pb == len(b)
+    for i, (a0, a1, b0, b1) in enumerate(regions):
+        assert a0 <= a1 and b0 <= b1 and (a0 < a1 or b0 < b1)
+        assert a0 - pa == b0 - pb >= 0
+        # a region after the first keeps at least one token before it, so
+        # no two regions touch and each is maximal
+        assert i == 0 or a0 > pa
+        assert list(a[pa:a0]) == list(b[pb:b0])
+        out.extend(b[pb:b1])
+        pa, pb = a1, b1
+    assert len(a) - pa == len(b) - pb >= 0
+    assert list(a[pa:]) == list(b[pb:])
+    out.extend(b[pb:])
+    assert out == list(b)
 
 
 def test_equal_sequences_single_keep():
-    got = myers_diff(["a", "b", "c"], ["a", "b", "c"])
-    assert got == [DiffRun("keep", 0, 3, 0, 3)]
-    assert script_cost(got) == 0
+    assert myers_diff(["a", "b", "c"], ["a", "b", "c"]) == []
 
 
 def test_empty_to_tokens_single_insert():
     got = myers_diff([], ["x", "y"])
-    assert got == [DiffRun("insert", 0, 0, 0, 2)]
-    assert script_cost(got) == 2
+    assert got == [(0, 0, 0, 2)]
+    assert diff_cost(got) == 2
 
 
 def test_tokens_to_empty_single_delete():
     got = myers_diff(["x", "y"], [])
-    assert got == [DiffRun("delete", 0, 2, 0, 0)]
+    assert got == [(0, 2, 0, 0)]
 
 
 def test_both_empty():
     assert myers_diff([], []) == []
 
 
-def test_replacement_region_orders_delete_first():
+def test_replacement_is_one_region():
     a = ["the", "old", "cat"]
     b = ["the", "new", "cat"]
     got = myers_diff(a, b)
-    assert got == [
-        DiffRun("keep", 0, 1, 0, 1),
-        DiffRun("delete", 1, 2, 1, 1),
-        DiffRun("insert", 2, 2, 1, 2),
-        DiffRun("keep", 2, 3, 2, 3),
-    ]
-    assert script_cost(got) == 2
+    assert got == [(1, 2, 1, 2)]
+    assert diff_cost(got) == 2
 
 
 def test_cost_equals_dp_lcs():
@@ -74,23 +58,7 @@ def test_cost_equals_dp_lcs():
     for _ in range(300):
         a = [rng.choice("xyz") for _ in range(rng.randint(0, 10))]
         b = [rng.choice("xyz") for _ in range(rng.randint(0, 10))]
-        script = myers_diff(a, b)
-        check_well_formed(script, a, b)
-        assert surface(script, a, b) == b
-        assert script_cost(script) == len(a) + len(b) - 2 * lcs_len(a, b)
+        regions = myers_diff(a, b)
+        check_regions(regions, a, b)
+        assert diff_cost(regions) == len(a) + len(b) - 2 * lcs_len(a, b)
 
-
-def test_delete_always_precedes_insert_in_region():
-    rng = random.Random(6)
-    for _ in range(100):
-        a = [rng.choice("pq") for _ in range(rng.randint(0, 8))]
-        b = [rng.choice("pq") for _ in range(rng.randint(0, 8))]
-        script = myers_diff(a, b)
-        for prev, cur in zip(script, script[1:]):
-            # inside one changed region an insert never comes first
-            assert not (prev.op == "insert" and cur.op == "delete")
-
-
-def test_diffrun_rejects_bad_op():
-    with pytest.raises(ValueError):
-        DiffRun("swap", 0, 1, 0, 1)

@@ -144,10 +144,6 @@ def test_thresholds_validated():
         Thresholds(tau4=-0.1)
 
 
-def test_reversed_alignment():
-    assert ParaAlignment(frozenset({(1, 2)})).reversed().pairs == {(2, 1)}
-
-
 def test_deterministic():
     rng = random.Random(3)
     a, b = random_doc_pair(rng)
