@@ -152,7 +152,7 @@ def _align_pair(
     thresholds = Thresholds(cfg.tau1, cfg.tau2, cfg.tau3, cfg.tau4)
     name = cfg.sentence_metric
     # jaccard and tfidf are scored in bulk from the pair's encodings; the
-    # paragraph alignment, and its sentence matrix, go once the cells are found
+    # paragraph alignment goes once the cells are found
     cells = CandidateCells(
         align_paragraphs(src, tgt, thresholds, encoder),
         make_metric(name) if name in CELL_METRICS else name,

@@ -1,5 +1,6 @@
 """Bulk kernels for the alignment hot path: the Jaccard scores of a
-version pair's sentences, and the tf-idf cosines of its candidate cells.
+version pair's sentences, and the Jaccard scores and tf-idf cosines of
+its candidate cells.
 
 Both read one token layout of each side's sentences, Rows: flat arrays
 of each sentence's distinct token ids over one vocabulary.  Jaccard
@@ -27,24 +28,27 @@ The split is exact.  Intersection and union sizes are integers far below
 and the postings add up to the same integer either way.  Every cell is
 then one IEEE division of the same two integers, as when it was computed
 in int64, and every matrix is bit-identical whatever the split, and
-whatever blocks of source rows it is computed in.  The integer counts
-themselves can be kept, in two bytes a cell: an alignable sentence has at
-most 1,000 characters, so far fewer than 65,535 distinct ids.
+whatever blocks of source rows it is computed in.  A candidate cell's
+score (jaccard_cells) is that division again: its intersection count is
+found by the lookup of each source id among the target's (row, id) keys
+that the tf-idf kernel runs too (_shared_ids), so no count outlives the
+matrix.
 
 Memory stays near the result: the product is written into it, and the
 postings and the union are worked through in sub-blocks of source rows
 that cover at most 2**15 cells and 1/8 of the result, or 2**14 cells
 where that is more.  Paragraph alignment calls the kernel on blocks of
-about 2**16 cells against one Target, so a version pair costs two bytes a
-sentence pair for its counts plus one fixed-size block, never a float64
-n x m matrix.
+about 2**16 cells against one Target, so a version pair costs one
+fixed-size block of scores, never an n x m array.  The cell lookups work
+through blocks of 2**14 token entries, so their temporaries stay that
+size whatever the number of cells.
 """
 from __future__ import annotations
 
 import math
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -127,13 +131,12 @@ class Target:
         self.starts = np.cumsum(held) - held
 
 
-def jaccard_matrix(rows_a: Rows, rows_b: Rows | Target, counts: np.ndarray | None = None) -> np.ndarray:
+def jaccard_matrix(rows_a: Rows, rows_b: Rows | Target) -> np.ndarray:
     """Jaccard similarity of every row pair's id sets, as a len(a) x len(b)
     matrix.
 
     The target side may come indexed.  Empty-vs-empty pairs score 1.0,
-    matching the scalar metric.  When given, `counts` (len(a) x len(b))
-    receives each cell's intersection count.
+    matching the scalar metric.
     """
     b = rows_b if isinstance(rows_b, Target) else Target(rows_b)
     sizes_a = rows_a.sizes
@@ -161,8 +164,6 @@ def jaccard_matrix(rows_a: Rows, rows_b: Rows | Target, counts: np.ndarray | Non
         p0, p1 = per_row[i0], per_row[i1]
         if p0 < p1:
             block += _sparse_counts(row_a[p0:p1] - i0, ids_a[p0:p1], b, i1 - i0, m)
-        if counts is not None:
-            counts[i0:i1] = block
         # integer sums, exact in any order; np.add.outer would buffer both operands at once
         union = np.subtract(b.fsizes, block)
         union += fsizes_a[i0:i1, None]
@@ -190,6 +191,19 @@ def _sparse_counts(rows, ids, b: Target, n, m) -> np.ndarray:
     del at
     cells += np.repeat(rows * m, counts)
     return np.bincount(cells, minlength=n * m).reshape(n, m)
+
+
+def jaccard_cells(a: Rows, b: Rows, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The Jaccard score of each cell k, between a's row rows[k] and b's
+    row cols[k], as jaccard_matrix divides it: shared / max(union, 1) over
+    the same integers, and 1.0 for two empty rows."""
+    shared = np.zeros(len(rows), dtype=np.int64)
+    for k0, k1, cell, _, _ in _shared_ids(rows, cols, a, b):
+        shared[k0:k1] = np.bincount(cell, minlength=k1 - k0)
+    size_a, size_b = a.sizes[rows], b.sizes[cols]
+    scores = shared / np.maximum(size_a + size_b - shared, 1)
+    scores[(size_a == 0) & (size_b == 0)] = 1.0
+    return scores
 
 
 def tfidf_cosines(
@@ -222,7 +236,7 @@ def tfidf_cosines(
     idf = build_idf(len(a) + len(b) + len(others), np.concatenate([a.ids, b.ids, others.ids]), size)
     (w_a, norm_a), (w_b, norm_b) = _weigh(a, idf), _weigh(b, idf)
     den = norm_a[rows] * norm_b[cols]
-    ab, ba, shared, unequal_counts, unequal_weights = _dots(rows, cols, a, b, w_a, w_b, size)
+    ab, ba, shared, unequal_counts, unequal_weights = _dots(rows, cols, a, b, w_a, w_b)
     zero = den == 0.0
     for dots in (ab, ba):
         np.divide(dots, den, out=dots, where=~zero)
@@ -255,44 +269,57 @@ def _weigh(texts: Rows, idf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, np.sqrt(np.bincount(texts.row, weights=laid, minlength=len(texts)))
 
 
-def _dots(first: np.ndarray, second: np.ndarray, a: Rows, b: Rows, w_a: np.ndarray, w_b: np.ndarray, size: int):
+def _dots(first: np.ndarray, second: np.ndarray, a: Rows, b: Rows, w_a: np.ndarray, w_b: np.ndarray):
     """For each cell k, between a's text first[k] and b's text second[k]:
     the sum of the products of their weights w_a and w_b over the ids they
     share, left to right in a's order, then in b's; and how many ids they
     share, with how many of those differ in count and in weight.
 
-    The shared ids are found once, by looking each cell's ids of a up in
-    b.  Their products are then laid out in each text's own order, with
-    0.0 where an id is not shared, for one np.bincount per direction.
+    The shared ids come from _shared_ids.  Their products are then laid
+    out in each text's own order, with 0.0 where an id is not shared, for
+    one np.bincount per direction.
     """
     n = len(first)
     ab, ba, shared, unequal_counts, unequal_weights = (np.zeros(n) for _ in range(5))
     (counts_a, rank_a), (counts_b, rank_b) = a.tally, b.tally
-    keys_b = b.row * size + b.ids
     size_a, size_b = a.sizes[first], b.sizes[second]
-    ends = np.cumsum(size_a + size_b)
-    k0 = 0
-    while k0 < n and len(keys_b):
-        base = ends[k0] - size_a[k0] - size_b[k0]
-        k1 = max(k0 + 1, int(np.searchsorted(ends, base + _BLOCK_ENTRIES, side="right")))
-        ca, cb = size_a[k0:k1], size_b[k0:k1]
+    for k0, k1, cell, at, pos in _shared_ids(first, second, a, b):
         cells = np.arange(k1 - k0, dtype=np.int64)
-        cell = np.repeat(cells, ca)
-        off_a = np.cumsum(ca) - ca
-        # every entry of each cell's text of a; ids ascend within a cell
-        at = np.arange(len(cell), dtype=np.int64) + np.repeat(a.starts[first[k0:k1]] - off_a, ca)
-        key = np.repeat(second[k0:k1] * size, ca) + a.ids[at]
-        pos = np.searchsorted(keys_b, key)
-        np.minimum(pos, len(keys_b) - 1, out=pos)
-        hit = np.flatnonzero(keys_b[pos] == key)
-        at, pos, cell = at[hit], pos[hit], cell[hit]
         products = w_a[at] * w_b[pos]
-        for out, counts, offsets, rank in ((ab, ca, off_a, rank_a[at]), (ba, cb, np.cumsum(cb) - cb, rank_b[pos])):
+        for out, counts, rank in ((ab, size_a[k0:k1], rank_a[at]), (ba, size_b[k0:k1], rank_b[pos])):
             laid = np.zeros(int(counts.sum()))
-            laid[offsets[cell] + rank] = products
+            laid[(np.cumsum(counts) - counts)[cell] + rank] = products
             out[k0:k1] = np.bincount(np.repeat(cells, counts), weights=laid, minlength=k1 - k0)
         shared[k0:k1] = np.bincount(cell, minlength=k1 - k0)
         unequal_counts[k0:k1] = np.bincount(cell, weights=counts_a[at] != counts_b[pos], minlength=k1 - k0)
         unequal_weights[k0:k1] = np.bincount(cell, weights=w_a[at] != w_b[pos], minlength=k1 - k0)
-        k0 = k1
     return ab, ba, shared, unequal_counts, unequal_weights
+
+
+def _shared_ids(
+    first: np.ndarray, second: np.ndarray, a: Rows, b: Rows
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The ids shared by each cell k's rows, a's first[k] and b's
+    second[k], found by looking each id of the first up among b's sorted
+    (row, id) keys.  Cells are taken in blocks k0:k1 whose two rows hold
+    about _BLOCK_ENTRIES entries in all, so temporaries stay that small.
+    Yields each block's k0, k1 and, for every shared id by cell, then id:
+    its cell less k0, its entry in a.ids and its entry in b.ids."""
+    size = 1 + int(max(a.ids.max(initial=-1), b.ids.max(initial=-1)))
+    # b's keys, then one above every needle, so no position runs past the end
+    keys_b = np.append(b.row * size + b.ids, len(b) * size)
+    size_a = a.sizes[first]
+    ends = np.cumsum(size_a + b.sizes[second])
+    n, k0 = len(first), 0
+    while k0 < n:
+        base = ends[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(ends, base + _BLOCK_ENTRIES, side="right")))
+        ca = size_a[k0:k1]
+        cell = np.repeat(np.arange(k1 - k0, dtype=np.int64), ca)
+        # every entry of each cell's row of a; ids ascend within a cell
+        at = np.arange(len(cell), dtype=np.int64) + np.repeat(a.starts[first[k0:k1]] - (np.cumsum(ca) - ca), ca)
+        key = np.repeat(second[k0:k1] * size, ca) + a.ids[at]
+        pos = np.searchsorted(keys_b, key)
+        hit = np.flatnonzero(keys_b[pos] == key)
+        yield k0, k1, cell[hit], at[hit], pos[hit]
+        k0 = k1

@@ -19,13 +19,13 @@ reductions turn each block into its paragraphs' part of the tensor:
 ``np.maximum.reduceat`` over paragraph boundaries gives each sentence's
 best match per paragraph, and each paragraph pair's mean is one 1-D
 reduction over a C-contiguous segment, so it rounds exactly as a
-per-block ``np.mean`` would.  What stays is the integer intersection
-count of every sentence pair, two bytes a pair (SentenceScores).
+per-block ``np.mean`` would.  Nothing of size n x m outlives a block:
+what stays is the tensor and the two encodings.
 
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
-(CandidateCells): jaccard divides the kept counts as the kernel does,
-tfidf comes from kernels.tfidf_cosines over the same layouts, and
+(CandidateCells): jaccard and tfidf come in bulk from the same
+layouts (kernels.jaccard_cells, kernels.tfidf_cosines), and
 char3gram and bleu call their scalar function once per cell.  One
 per-row argmax picks each sentence's best candidate, in either direction.
 """
@@ -38,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .corpus import DocVersion, Sentence
-from .kernels import Rows, Target, jaccard_matrix, tfidf_cosines
+from .kernels import Rows, Target, jaccard_cells, jaccard_matrix, tfidf_cosines
 
 # cells per block of source paragraphs whose Jaccard scores exist at once
 _BLOCK_CELLS = 1 << 16
@@ -91,27 +91,6 @@ class EncodedVersion(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SentenceScores:
-    """What the Jaccard score of any sentence pair of one version pair is
-    made of, two bytes a pair: the number of distinct lowercase ids each
-    pair shares (counts, rows follow src, columns tgt), and the encodings
-    they were counted from, which hold each sentence's number of them."""
-
-    counts: np.ndarray
-    src: EncodedVersion
-    tgt: EncodedVersion
-
-    def jaccard(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The Jaccard score of each cell (rows[k], cols[k]), as the kernel
-        divides it: shared / max(union, 1), and 1.0 for two empty sentences."""
-        shared = self.counts[rows, cols]
-        a, b = self.src.rows.sizes[rows], self.tgt.rows.sizes[cols]
-        scores = shared / np.maximum(a + b - shared, 1)
-        scores[(a == 0) & (b == 0)] = 1.0
-        return scores
-
-
-@dataclass(frozen=True)
 class ParaSimTensor:
     """Paragraph similarity in both directions over the non-skipped
     paragraphs of two versions.
@@ -119,37 +98,36 @@ class ParaSimTensor:
     sim1[i][j] averages, over the sentences of source paragraph i, the
     best Jaccard score against any sentence of target paragraph j; sim2
     swaps the roles (average over target paragraph j's sentences, max
-    over source paragraph i's).  Rows/columns follow src_paragraphs and
-    tgt_paragraphs, which map back to original paragraph indices.
+    over source paragraph i's).  src and tgt are the two versions'
+    encodings the scores came from; rows/columns follow the original
+    paragraph indices of their bounds.
     """
 
     sim1: np.ndarray
     sim2: np.ndarray
-    src_paragraphs: tuple[int, ...]
-    tgt_paragraphs: tuple[int, ...]
-    scores: SentenceScores
+    src: EncodedVersion
+    tgt: EncodedVersion
 
     @property
     def k(self) -> int:
-        return len(self.src_paragraphs)
+        return len(self.src.bounds)
 
     @property
     def l(self) -> int:
-        return len(self.tgt_paragraphs)
+        return len(self.tgt.bounds)
 
 
 @dataclass(frozen=True)
 class ParaAlignment:
     """Aligned paragraph pairs, in original paragraph indices.
 
-    scores, when set, holds what the Jaccard score of each sentence pair
-    of the same version pair is made of (SentenceScores, two bytes a
-    pair) and the sentence encodings, oriented like the pairs; it takes
-    no part in equality.
+    encodings, when set, holds the source's and the target's sentence
+    encodings (EncodedVersion), which sentence alignment scores the
+    candidate cells from; it takes no part in equality.
     """
 
     pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    scores: SentenceScores | None = field(default=None, compare=False, repr=False)
+    encodings: tuple[EncodedVersion, EncodedVersion] | None = field(default=None, compare=False, repr=False)
 
 
 class CandidateCells:
@@ -163,25 +141,23 @@ class CandidateCells:
     """
 
     def __init__(self, paras: ParaAlignment, metric: str | Callable[[Sentence, Sentence], float]) -> None:
-        scores = paras.scores
-        if scores is None:
+        if paras.encodings is None:
             raise ValueError("these paragraph pairs carry no sentence encodings")
         if not callable(metric) and metric not in ("jaccard", "tfidf"):
             raise ValueError(f"metric {metric!r} is not scored in bulk; pass its function")
-        self.src, self.tgt, self.metric = scores.src, scores.tgt, metric
-        self.rows, self.cols = _cells(paras.pairs, scores.src.bounds, scores.tgt.bounds)
-        # the counts themselves need not outlive paragraph alignment
-        self.jaccard = scores.jaccard(self.rows, self.cols) if metric == "jaccard" else None
+        (self.src, self.tgt), self.metric = paras.encodings, metric
+        self.rows, self.cols = _cells(paras.pairs, self.src.bounds, self.tgt.bounds)
 
     @cached_property
     def _scored(self) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's score from the source side and from the target side."""
         src, tgt, rows, cols = self.src, self.tgt, self.rows, self.cols
-        if self.jaccard is not None:
-            return self.jaccard, self.jaccard
         if not len(rows):
             # no cell; tfidf could not even fit idf on versions without sentences
             return np.zeros(0), np.zeros(0)
+        if self.metric == "jaccard":
+            scores = jaccard_cells(src.rows, tgt.rows, rows, cols)
+            return scores, scores
         if self.metric == "tfidf":
             # one document per sentence of both versions, skipped ones included
             others = Rows(src.unencoded_ids() + tgt.unencoded_ids())
@@ -333,7 +309,7 @@ def compute_sim_tensor(
 
     The Jaccard scores are computed a block of whole source paragraphs at
     a time, and each block is reduced and dropped before the next; only
-    the integer counts of every sentence pair are kept, for the scores.
+    the tensor and the two encodings are kept.
     """
     if encoder is None:
         encoder = GroupEncoder()
@@ -343,7 +319,6 @@ def compute_sim_tensor(
     n, m = len(a.rows), len(b.rows)
     sim1, sim2 = np.zeros((k, l)), np.zeros((k, l))
     target = Target(b.rows)
-    counts = np.empty((n, m), dtype=np.uint16)
     if n:
         # reduceat mishandles empty segments, so reduce over non-empty
         # paragraphs only; all-skipped paragraphs keep their zero row/column
@@ -353,7 +328,7 @@ def compute_sim_tensor(
         tgt_means = _SegmentMeans([tgt_bounds[j] for j in tj])
         for block in _paragraph_blocks(si, src_bounds, max(1, _BLOCK_CELLS // max(m, 1))):
             r0, r1 = src_bounds[block[0]][0], src_bounds[block[-1]][1]
-            scores = jaccard_matrix(a.rows[r0:r1], target, counts=counts[r0:r1])
+            scores = jaccard_matrix(a.rows[r0:r1], target)
             para_rows = [(src_bounds[i][0] - r0, src_bounds[i][1] - r0) for i in block]
             # rowmax[j', r]: best score of block row r in target paragraph tj[j']
             rowmax = np.maximum.reduceat(scores, tgt_starts, axis=1).T
@@ -363,7 +338,7 @@ def compute_sim_tensor(
             rows = np.array(block)[:, None]
             sim1[rows, tj] = _SegmentMeans(para_rows).of(rowmax).T
             sim2[rows, tj] = tgt_means.of(colmax)
-    return ParaSimTensor(sim1, sim2, tuple(a.bounds), tuple(b.bounds), SentenceScores(counts, a, b))
+    return ParaSimTensor(sim1, sim2, a, b)
 
 
 def _paragraph_blocks(
@@ -428,13 +403,13 @@ def align_paragraphs(
     (pass two), or unconditionally when it exceeds tau3.  Argmax ties
     break to the lowest index.  Returned pairs use original paragraph
     indices; skipped paragraphs never appear.  The result carries the
-    pair's Jaccard matrix and sentence encodings, which sentence alignment
-    scores from.  `encoder` is as for compute_sim_tensor.
+    pair's sentence encodings, which sentence alignment scores from.
+    `encoder` is as for compute_sim_tensor.
     """
     t = compute_sim_tensor(src, tgt, encoder)
     k, l = t.k, t.l
     if k == 0 or l == 0:
-        return ParaAlignment(scores=t.scores)
+        return ParaAlignment(encodings=(t.src, t.tgt))
     chosen: set[tuple[int, int]] = set()
     for j in range(l):
         i_max = int(np.argmax(t.sim2[:, j]))
@@ -448,6 +423,5 @@ def align_paragraphs(
             chosen.add((i, j_max))
         elif t.sim2[i, j_max] > thresholds.tau3:
             chosen.add((i, j_max))
-    return ParaAlignment(
-        frozenset((t.src_paragraphs[i], t.tgt_paragraphs[j]) for i, j in chosen), t.scores
-    )
+    src_paragraphs, tgt_paragraphs = tuple(t.src.bounds), tuple(t.tgt.bounds)
+    return ParaAlignment(frozenset((src_paragraphs[i], tgt_paragraphs[j]) for i, j in chosen), (t.src, t.tgt))

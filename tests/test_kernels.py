@@ -1,10 +1,13 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revkit import kernels
-from revkit.kernels import _DENSE_SHARE, Rows, jaccard_matrix, tfidf_cosines
+from revkit.kernels import _DENSE_SHARE, Rows, jaccard_cells, jaccard_matrix, tfidf_cosines
 
 
 def random_sets(rng, count, vocab_size=20, max_len=8):
@@ -245,3 +248,57 @@ def test_tfidf_cosines_block_size_changes_no_bit(monkeypatch):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block)
         got = tfidf_cosines(Rows(texts_a), Rows(texts_b), rows, cols, Rows(others))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# the shared ids of candidate cells, found by key lookup in blocks
+
+@st.composite
+def cell_lookups(draw):
+    """Two sides of texts over ids 0-11, where ids 0-3 occur only in a and
+    8-11 only in b at times, with empty texts and repeated ids; cells in any
+    order, repeats allowed; and an entry budget of 1 (one cell a block),
+    a few entries, or the default."""
+    only = draw(st.booleans())
+    ids_a, ids_b = (range(0, 8), range(4, 12)) if only else (range(12), range(12))
+
+    def texts(ids):
+        return draw(st.lists(st.lists(st.sampled_from(ids), max_size=7), max_size=6))
+
+    a, b = texts(ids_a), texts(ids_b)
+    cells = draw(st.lists(st.tuples(st.integers(0, len(a) - 1), st.integers(0, len(b) - 1)), max_size=30)) \
+        if a and b else []
+    return a, b, cells, draw(st.sampled_from([1, 2, 7, kernels._BLOCK_ENTRIES]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_lookups())
+def test_shared_ids_match_brute_force(case):
+    texts_a, texts_b, cells, budget = case
+    a, b = Rows(texts_a), Rows(texts_b)
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    cols = np.array([c for _, c in cells], dtype=np.int64)
+    want = [sorted(set(texts_a[r]) & set(texts_b[c])) for r, c in cells]
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+        blocks = list(kernels._shared_ids(rows, cols, a, b))
+        scores = jaccard_cells(a, b, rows, cols)
+    entries = np.concatenate([[0], np.cumsum(a.sizes[rows] + b.sizes[cols])])
+    got = [[] for _ in cells]
+    k = 0
+    for k0, k1, cell, at, pos in blocks:
+        assert k0 == k < k1 <= len(cells)  # blocks are consecutive and never empty
+        # a block is one cell, or as many as the budget holds
+        assert k1 == k0 + 1 or entries[k1] - entries[k0] <= budget
+        assert k1 == len(cells) or entries[k1 + 1] - entries[k0] > budget
+        k = k1
+        assert np.all(np.diff(cell) >= 0) and np.all((0 <= cell) & (cell < k1 - k0))
+        for j, i, p in zip((cell + k0).tolist(), at.tolist(), pos.tolist()):
+            # each entry lies in its cell's rows, and both hold the same id
+            assert a.starts[rows[j]] <= i < a.starts[rows[j] + 1] and b.starts[cols[j]] <= p < b.starts[cols[j] + 1]
+            assert a.ids[i] == b.ids[p]
+            got[j].append(int(a.ids[i]))
+    assert k == len(cells)
+    assert got == want
+    for (r, c), shared, score in zip(cells, want, scores.tolist()):
+        x, y = set(texts_a[r]), set(texts_b[c])
+        assert score == (len(shared) / len(x | y) if x or y else 1.0)

@@ -126,9 +126,13 @@ def test_empty_version_aligns_nothing():
     empty, full = doc([], 1), doc([[P_CAT], [P_DOG]], 2)
     for a, b in ((empty, full), (full, empty), (empty, empty)):
         t = compute_sim_tensor(a, b)
-        assert t.sim1.shape == t.sim2.shape == t.scores.counts.shape == (t.k, t.l)
-        assert t.scores.src.rows.sizes.shape == (t.k,) and t.scores.tgt.rows.sizes.shape == (t.l,)
-        assert align_paragraphs(a, b).pairs == frozenset()
+        assert t.sim1.shape == t.sim2.shape == (t.k, t.l)
+        assert t.src.rows.sizes.shape == (t.k,) and t.tgt.rows.sizes.shape == (t.l,)
+        paras = align_paragraphs(a, b)
+        assert paras.pairs == frozenset()
+        for metric in ("jaccard", "tfidf"):
+            cells = CandidateCells(paras, metric)
+            assert list(cells) == [] and cells.best(a.version_index) == cells.best(b.version_index) == []
 
 
 def test_only_skipped_paragraphs_align_nothing():
@@ -203,10 +207,13 @@ def test_shared_encoder_matches_oracle_over_a_group():
         sim1, sim2 = oracle_sim_tensor(a, b)
         assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
         assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
-        alone = compute_sim_tensor(a, b).scores
-        assert np.array_equal(t.scores.counts, alone.counts)
+        alone = compute_sim_tensor(a, b)
         for side in ("src", "tgt"):
-            assert np.array_equal(getattr(t.scores, side).rows.sizes, getattr(alone, side).rows.sizes)
+            assert np.array_equal(getattr(t, side).rows.sizes, getattr(alone, side).rows.sizes)
+        # every cell's score, from the shared encoder's ids and from the pair's own
+        every = frozenset(product(t.src.bounds, t.tgt.bounds))
+        shared, own = (list(CandidateCells(ParaAlignment(every, (u.src, u.tgt)), "jaccard")) for u in (t, alone))
+        assert shared == own
 
     for _ in range(40):
         pool = [random_sentence_raw(rng, 4, 8, vocab) for _ in range(rng.randint(2, 6))]
@@ -221,19 +228,19 @@ def test_shared_encoder_matches_oracle_over_a_group():
             t = compute_sim_tensor(a, b, encoder)
             assert_matches_oracle(t, a, b)
             # each version is encoded and laid out once: the previous target is this source
-            assert previous is None or t.scores.src is previous
-            previous = t.scores.tgt
+            assert previous is None or t.src is previous
+            previous = t.tgt
         # after the last pair the encoder holds nothing
         assert (encoder.surface, encoder.surface.lower, encoder.last) == ({}, {}, None)
         # a source that is not the previous pair's target is encoded afresh
         first, second, last = versions[0], versions[1], versions[-1]
         encoder = GroupEncoder(3)
-        kept = compute_sim_tensor(first, second, encoder).scores.tgt
+        kept = compute_sim_tensor(first, second, encoder).tgt
         for a, b in ((first, last), (doc([[s.raw for s in p.sentences] for p in first.paragraphs], 1), second)):
             t = compute_sim_tensor(a, b, encoder)
-            assert t.scores.src is not kept and t.scores.src.doc is a
+            assert t.src is not kept and t.src.doc is a
             assert_matches_oracle(t, a, b)
-            kept = t.scores.tgt
+            kept = t.tgt
 
 
 def test_encoder_numbers_new_tokens_in_order_of_first_occurrence():
@@ -362,18 +369,20 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
             want1, want2 = oracle_sim_tensor(a, b)
             assert np.array_equal(t.sim1, np.array(want1).reshape(t.k, t.l))
             assert np.array_equal(t.sim2, np.array(want2).reshape(t.k, t.l))
-        assert t.scores.counts.dtype == np.uint16
-        assert t.scores.counts.tolist() == counts
-        assert t.scores.src.rows.sizes.tolist() == sizes_a and t.scores.tgt.rows.sizes.tolist() == sizes_b
+        assert t.src.rows.sizes.tolist() == sizes_a and t.tgt.rows.sizes.tolist() == sizes_b
         assert sum(r for r, _ in calls) == n and all(c == m for _, c in calls)
         if budget == 1:
             assert len(calls) == sum(r0 < r1 for r0, r1 in ea.bounds.values())
-        # every jaccard cell, gathered from the counts, is the matrix's, bit for bit
+        # every cell's jaccard score, from the looked-up shared ids, is the
+        # matrix's and the brute-force count's, bit for bit
         every = product([p.index for p in a.alignable_paragraphs()], [p.index for p in b.alignable_paragraphs()])
-        cells = CandidateCells(ParaAlignment(frozenset(every), t.scores), "jaccard")
-        assert np.array_equal(cells.jaccard, matrix[cells.rows, cells.cols])
-        for s, u, forward, backward in cells:
-            assert forward == backward == oracle_jaccard(s, u)
+        cells = CandidateCells(ParaAlignment(frozenset(every), (t.src, t.tgt)), "jaccard")
+        forward, backward = cells._scored
+        assert np.array_equal(forward, matrix[cells.rows, cells.cols]) and np.array_equal(backward, forward)
+        for (s, u, score, _), r, c in zip(cells, cells.rows.tolist(), cells.cols.tolist()):
+            shared = counts[r][c]
+            assert score == (shared / max(sizes_a[r] + sizes_b[c] - shared, 1) if sizes_a[r] or sizes_b[c] else 1.0)
+            assert score == oracle_jaccard(s, u)
 
 
 def test_sim_tensor_peak_memory_is_a_fraction_of_the_float_matrix():
@@ -394,8 +403,6 @@ def test_sim_tensor_peak_memory_is_a_fraction_of_the_float_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert t.scores.counts.shape == (n, m)
     # the float64 n x m matrix alone would be n * m * 8 bytes; the peak
-    # holds the counts (a quarter of that), the encodings, one block of
-    # scores and the two k x l tensors
-    assert peak < 0.4 * n * m * 8, (peak, n * m * 8)
+    # holds the encodings, one block of scores and the two k x l tensors
+    assert peak < 0.2 * n * m * 8, (peak, n * m * 8)
