@@ -87,9 +87,10 @@ def doc_operations(
     Alignable sentences absent from the alignment count as singleton
     components (deletions on the source side, insertions on the target
     side).  A pair may join a sentence outside the alignable set to its
-    component.
+    component.  Every sentence the alignment pairs must exist in src or
+    tgt: the caller validates it first (SentenceAlignment.validate_against,
+    which `stats` runs as it reads each alignment file).
     """
-    alignment.validate_against(src, tgt)
     components = link_components(alignment.positive_pairs())
     paired_src = {sid for lefts, _ in components for sid in lefts}
     paired_tgt = {sid for _, rights in components for sid in rights}

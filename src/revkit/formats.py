@@ -284,13 +284,6 @@ def _edit(obj) -> Edit:
     return Edit(_span(obj.get("src")), _span(obj.get("tgt")), kind, intention)
 
 
-def edit_from_json(obj, loc: str = "edit") -> Edit:
-    try:
-        return _edit(obj)
-    except ValueError as exc:
-        raise FormatError(f"{loc}: {exc}") from None
-
-
 def _sorted_edits(raw_edits: list, loc: str, field: str) -> tuple[Edit, ...]:
     """The edits of `raw_edits` in canonical order; an error names the
     failing edit as `{loc}{field}[n]`."""

@@ -1,26 +1,27 @@
 """Paragraph alignment between two document versions, and the scoring
 of the sentence pairs inside aligned paragraph pairs.
 
-A bidirectional similarity tensor is built from sentence-level Jaccard
-scores, then two threshold-gated argmax passes pick paragraph pairs.
-The two passes deliberately cross directions: each argmaxes one of the
-two similarity matrices but applies its thresholds to the other.  That
-asymmetry is part of the published behaviour of this procedure and must
-not be "fixed".
+Two paragraph similarity matrices, one per direction, are built from
+sentence-level Jaccard scores, then two threshold-gated argmax passes
+pick paragraph pairs.  The two passes deliberately cross directions:
+each argmaxes one of the two similarity matrices but applies its
+thresholds to the other.  That asymmetry is part of the published
+behaviour of this procedure and must not be "fixed".
 
 Each version of a group is encoded once (GroupEncoder), into its
 sentences' lowercase token ids over one vocabulary that the group's
 version pairs share, and laid out once (kernels.Rows), as the target of
 one pair and the source of the next.  The sentence x sentence Jaccard
 scores are computed a block of whole source paragraphs at a time,
-against a target side indexed once per version pair (kernels.Target),
-and each block is reduced and dropped before the next.  Segment
-reductions turn each block into its paragraphs' part of the tensor:
-``np.maximum.reduceat`` over paragraph boundaries gives each sentence's
-best match per paragraph, and each paragraph pair's mean is one 1-D
-reduction over a C-contiguous segment, so it rounds exactly as a
-per-block ``np.mean`` would.  Nothing of size n x m outlives a block:
-what stays is the tensor and the two encodings.
+against a target side indexed once per version pair (kernels.Target).
+Segment reductions turn each block into its paragraphs' rows of both
+matrices: ``np.maximum.reduceat`` over paragraph boundaries gives each
+sentence's best match per paragraph, and each paragraph pair's mean is
+one 1-D reduction over a C-contiguous segment, so it rounds exactly as a
+per-block ``np.mean`` would.  The passes read each block's rows as they
+come and keep only each target's best source so far, so neither the
+n x m scores nor the k x l matrices ever exist whole: what stays is one
+block, arrays over the target paragraphs, and the two encodings.
 
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
@@ -88,33 +89,6 @@ class EncodedVersion(NamedTuple):
             for s in p.sentences
             if p.skipped or s.skipped
         ]
-
-
-@dataclass(frozen=True)
-class ParaSimTensor:
-    """Paragraph similarity in both directions over the non-skipped
-    paragraphs of two versions.
-
-    sim1[i][j] averages, over the sentences of source paragraph i, the
-    best Jaccard score against any sentence of target paragraph j; sim2
-    swaps the roles (average over target paragraph j's sentences, max
-    over source paragraph i's).  src and tgt are the two versions'
-    encodings the scores came from; rows/columns follow the original
-    paragraph indices of their bounds.
-    """
-
-    sim1: np.ndarray
-    sim2: np.ndarray
-    src: EncodedVersion
-    tgt: EncodedVersion
-
-    @property
-    def k(self) -> int:
-        return len(self.src.bounds)
-
-    @property
-    def l(self) -> int:
-        return len(self.tgt.bounds)
 
 
 @dataclass(frozen=True)
@@ -296,49 +270,44 @@ class GroupEncoder:
         return tuple(map(self.surface.__getitem__, tokens))
 
 
-def compute_sim_tensor(
-    src: DocVersion, tgt: DocVersion, encoder: GroupEncoder | None = None
-) -> ParaSimTensor:
-    """Build both similarity matrices over the non-skipped paragraphs.
+def sim_rows(a: EncodedVersion, b: EncodedVersion) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Both paragraph similarity matrices of two encoded versions, a block
+    of source paragraphs at a time.
 
-    Skipped sentences take part in neither the average nor the max; a
-    paragraph whose sentences are all skipped yields a zero row/column,
-    and an empty version yields zero-size matrices.  `encoder` carries
-    the group's vocabulary and its previous pair's target; without one
-    the pair is encoded alone.
+    sim1[i, j] averages, over the sentences of source paragraph i, the
+    best Jaccard score against any sentence of target paragraph j; sim2
+    swaps the roles (average over target paragraph j's sentences, max
+    over source paragraph i's).  Rows and columns are positions in the
+    versions' bounds.  Each block yields its paragraphs' positions, in
+    ascending order, and their full rows of sim1 and of sim2.  Skipped
+    sentences take part in neither the average nor the max, so a
+    paragraph whose sentences are all skipped scores zero: its column is
+    zero, and as a source it is in no block.
 
-    The Jaccard scores are computed a block of whole source paragraphs at
-    a time, and each block is reduced and dropped before the next; only
-    the tensor and the two encodings are kept.
+    The block's Jaccard scores are reduced and dropped before it is
+    yielded.
     """
-    if encoder is None:
-        encoder = GroupEncoder()
-    a, b = encoder.encode_pair(src, tgt)
     src_bounds, tgt_bounds = list(a.bounds.values()), list(b.bounds.values())
-    k, l = len(src_bounds), len(tgt_bounds)
-    n, m = len(a.rows), len(b.rows)
-    sim1, sim2 = np.zeros((k, l)), np.zeros((k, l))
+    m, l = len(b.rows), len(tgt_bounds)
     target = Target(b.rows)
-    if n:
-        # reduceat mishandles empty segments, so reduce over non-empty
-        # paragraphs only; all-skipped paragraphs keep their zero row/column
-        si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]
-        tj = [j for j, (c0, c1) in enumerate(tgt_bounds) if c0 < c1]
-        tgt_starts = [tgt_bounds[j][0] for j in tj]
-        tgt_means = _SegmentMeans([tgt_bounds[j] for j in tj])
-        for block in _paragraph_blocks(si, src_bounds, max(1, _BLOCK_CELLS // max(m, 1))):
-            r0, r1 = src_bounds[block[0]][0], src_bounds[block[-1]][1]
-            scores = jaccard_matrix(a.rows[r0:r1], target)
-            para_rows = [(src_bounds[i][0] - r0, src_bounds[i][1] - r0) for i in block]
-            # rowmax[j', r]: best score of block row r in target paragraph tj[j']
-            rowmax = np.maximum.reduceat(scores, tgt_starts, axis=1).T
-            # colmax[i', c]: best score of target sentence c in source paragraph block[i']
-            colmax = np.maximum.reduceat(scores, [r for r, _ in para_rows], axis=0)
-            del scores
-            rows = np.array(block)[:, None]
-            sim1[rows, tj] = _SegmentMeans(para_rows).of(rowmax).T
-            sim2[rows, tj] = tgt_means.of(colmax)
-    return ParaSimTensor(sim1, sim2, a, b)
+    # reduceat mishandles empty segments, so reduce over non-empty paragraphs only
+    si = [i for i, (r0, r1) in enumerate(src_bounds) if r0 < r1]
+    tj = [j for j, (c0, c1) in enumerate(tgt_bounds) if c0 < c1]
+    tgt_starts = [tgt_bounds[j][0] for j in tj]
+    tgt_means = _SegmentMeans([tgt_bounds[j] for j in tj])
+    for block in _paragraph_blocks(si, src_bounds, max(1, _BLOCK_CELLS // max(m, 1))):
+        r0, r1 = src_bounds[block[0]][0], src_bounds[block[-1]][1]
+        scores = jaccard_matrix(a.rows[r0:r1], target)
+        para_rows = [(src_bounds[i][0] - r0, src_bounds[i][1] - r0) for i in block]
+        # rowmax[j', r]: best score of block row r in target paragraph tj[j']
+        rowmax = np.maximum.reduceat(scores, tgt_starts, axis=1).T
+        # colmax[i', c]: best score of target sentence c in source paragraph block[i']
+        colmax = np.maximum.reduceat(scores, [r for r, _ in para_rows], axis=0)
+        del scores
+        sim1, sim2 = np.zeros((2, len(block), l))
+        sim1[:, tj] = _SegmentMeans(para_rows).of(rowmax).T
+        sim2[:, tj] = tgt_means.of(colmax)
+        yield np.array(block), sim1, sim2
 
 
 def _paragraph_blocks(
@@ -382,10 +351,13 @@ class _SegmentMeans:
         return means
 
 
-def _rel_dist(i: int, k: int, j: int, l: int) -> float:
-    # relative-position distance over 0-based positions in the
-    # non-skipped paragraph lists
-    return abs(i / k - j / l)
+def _gated(
+    score: np.ndarray, i: np.ndarray, k: int, j: np.ndarray, l: int, near: float, t: Thresholds
+) -> np.ndarray:
+    """Which pairs (i, j) of 0-based positions in the alignable paragraph
+    lists pass a pass's gates: a score above tau1 with relative positions
+    closer than `near`, or a score above tau3."""
+    return ((score > t.tau1) & (np.abs(i / k - j / l) < near)) | (score > t.tau3)
 
 
 def align_paragraphs(
@@ -404,24 +376,34 @@ def align_paragraphs(
     break to the lowest index.  Returned pairs use original paragraph
     indices; skipped paragraphs never appear.  The result carries the
     pair's sentence encodings, which sentence alignment scores from.
-    `encoder` is as for compute_sim_tensor.
+    `encoder` carries the group's vocabulary and its previous pair's
+    target; without one the pair is encoded alone.
+
+    Both passes read sim_rows' blocks as they come, so the state is one
+    block and three arrays over the targets: each column's best sim2 so
+    far, its source, and sim1 there.  A paragraph whose sentences are all
+    skipped scores zero, which passes no gate, so the passes may leave
+    it out.
     """
-    t = compute_sim_tensor(src, tgt, encoder)
-    k, l = t.k, t.l
+    a, b = (GroupEncoder() if encoder is None else encoder).encode_pair(src, tgt)
+    k, l = len(a.bounds), len(b.bounds)
     if k == 0 or l == 0:
-        return ParaAlignment(encodings=(t.src, t.tgt))
+        return ParaAlignment(encodings=(a, b))
+    cols = np.arange(l)
+    best, best_at, best_sim1 = np.zeros(l), np.zeros(l, dtype=np.int64), np.zeros(l)
     chosen: set[tuple[int, int]] = set()
-    for j in range(l):
-        i_max = int(np.argmax(t.sim2[:, j]))
-        if t.sim1[i_max, j] > thresholds.tau1 and _rel_dist(i_max, k, j, l) < thresholds.tau2:
-            chosen.add((i_max, j))
-        elif t.sim1[i_max, j] > thresholds.tau3:
-            chosen.add((i_max, j))
-    for i in range(k):
-        j_max = int(np.argmax(t.sim1[i, :]))
-        if t.sim2[i, j_max] > thresholds.tau1 and _rel_dist(i, k, j_max, l) < thresholds.tau4:
-            chosen.add((i, j_max))
-        elif t.sim2[i, j_max] > thresholds.tau3:
-            chosen.add((i, j_max))
-    src_paragraphs, tgt_paragraphs = tuple(t.src.bounds), tuple(t.tgt.bounds)
-    return ParaAlignment(frozenset((src_paragraphs[i], tgt_paragraphs[j]) for i, j in chosen), (t.src, t.tgt))
+    for rows, sim1, sim2 in sim_rows(a, b):
+        # pass two, whole within the block: each source's argmax of sim1, gated on sim2
+        j = sim1.argmax(axis=1)
+        passed = _gated(sim2[np.arange(len(rows)), j], rows, k, j, l, thresholds.tau4, thresholds)
+        chosen.update(zip(rows[passed].tolist(), j[passed].tolist()))
+        # pass one's running argmax of sim2 per target: an earlier, lower
+        # source keeps a tie, as np.argmax would
+        top = sim2.argmax(axis=0)
+        better = np.flatnonzero(sim2[top, cols] > best)
+        top = top[better]
+        best[better], best_at[better], best_sim1[better] = sim2[top, better], rows[top], sim1[top, better]
+    passed = _gated(best_sim1, best_at, k, cols, l, thresholds.tau2, thresholds)
+    chosen.update(zip(best_at[passed].tolist(), cols[passed].tolist()))
+    src_paragraphs, tgt_paragraphs = tuple(a.bounds), tuple(b.bounds)
+    return ParaAlignment(frozenset((src_paragraphs[i], tgt_paragraphs[j]) for i, j in chosen), (a, b))

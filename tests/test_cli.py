@@ -1070,6 +1070,10 @@ STATS = ["stats", "--corpus", "{corpus}", "--out", "{out}", "--alignments"]
 INTENTION = ["eval", "--task", "intention", "--pred", "{bad}", "--gold", "{gold}"]
 # the corpus group has versions 1-3
 NO_SUCH_VERSIONS = b'{"src_version": 7, "tgt_version": 8, "pairs": []}'
+# each of their two paragraphs has two sentences
+NO_SUCH_SENTENCE = (
+    b'{"src_version": 1, "tgt_version": 2, "pairs": [{"src": [0, 5], "tgt": [0, 0], "label": "aligned"}]}'
+)
 DEEP = b"[" * 100_000
 LONG_INT = b"9" * 5000
 DEEP_TREE = b"(X " * 2000 + b"a" + b")" * 2000
@@ -1099,6 +1103,7 @@ DEEP_TREE = b"(X " * 2000 + b"a" + b")" * 2000
         pytest.param(NO_SUCH_VERSIONS, [*EXTRACT, "{bad}", "--method", "diff"],
                      id="alignment missing versions"),
         pytest.param(NO_SUCH_VERSIONS, [*STATS, "{bad}"], id="stats missing versions"),
+        pytest.param(NO_SUCH_SENTENCE, [*STATS, "{bad}"], id="stats missing sentence"),
         pytest.param(NO_SUCH_VERSIONS, EVAL_ALIGNMENT, id="eval pred missing versions"),
         pytest.param(NO_SUCH_VERSIONS, EVAL_GOLD, id="eval gold missing versions"),
         pytest.param(NO_SUCH_VERSIONS, EVAL_BOTH, id="eval pred and gold missing versions"),

@@ -16,8 +16,8 @@ from revkit.formats import (
     dump_alignment_json,
     dump_edit_json,
     dump_json,
-    edit_from_json,
     edit_to_json,
+    entry_from_json,
     format_csv,
     parse_pharaoh_line,
     read_alignment,
@@ -306,6 +306,12 @@ def test_readers_reject_invalid_utf8(tmp_path, reader, error):
 # ---------------------------------------------------------------------------
 # edit JSON
 
+def read_one_edit(obj):
+    """The edit `obj` spells, read as the only edit of an edit-file entry."""
+    (edit,) = entry_from_json({"revision_id": "r", "src": None, "tgt": None, "edits": [obj]}, "entry").edits
+    return edit
+
+
 def test_edit_json_round_trip():
     edits = [
         sub(0, 2, 1, 3),
@@ -315,14 +321,14 @@ def test_edit_json_round_trip():
         Edit((1, 2), None, EditKind.DELETE, CoarseIntention.IMPROVE_LANGUAGE),
     ]
     for e in edits:
-        assert edit_from_json(edit_to_json(e)) == e
+        assert read_one_edit(edit_to_json(e)) == e
 
 
 def test_edit_json_shared_label_strings_read_as_fine():
     # three label strings exist at both granularities; the reader
     # resolves them to the fine enum
     e = Edit((1, 2), None, EditKind.DELETE, CoarseIntention.UPDATE_CONTENT)
-    back = edit_from_json(edit_to_json(e))
+    back = read_one_edit(edit_to_json(e))
     assert back.intention is IntentionLabel.UPDATE_CONTENT
 
 
@@ -340,8 +346,8 @@ def test_edit_json_shared_label_strings_read_as_fine():
     ],
 )
 def test_edit_json_errors(obj, message):
-    with pytest.raises(FormatError, match=message):
-        edit_from_json(obj)
+    with pytest.raises(FormatError, match=rf"^entry\.edits\[0\]: .*{message}"):
+        read_one_edit(obj)
 
 
 def two_revisions():

@@ -65,7 +65,8 @@ def test_benchmark_kernel_hook_counts_every_cell_once(monkeypatch):
     """The tracer wraps revkit.para_align.jaccard_matrix and adds each
     result's shape[0] * shape[1] to kernels.cells, so a version pair
     scored in several blocks must still return 2-D arrays whose cells add
-    up to n x m."""
+    up to n x m.  It also wraps revkit.cli.align_paragraphs and adds k x l
+    to para_align.blocks from the call's first two arguments."""
     tracer = _perfbench_tracer()
     spans = tracer.Tracer()
     results = []
@@ -76,6 +77,8 @@ def test_benchmark_kernel_hook_counts_every_cell_once(monkeypatch):
 
     wrapped = spans.wrap(para_align.jaccard_matrix, "kernels.jaccard_matrix", post=post)
     monkeypatch.setattr(para_align, "jaccard_matrix", wrapped)
+    paragraphs = spans.wrap(cli.align_paragraphs, "para_align.align_paragraphs", post=tracer._post_blocks)
+    monkeypatch.setattr(cli, "align_paragraphs", paragraphs)
     rng = random.Random(5)
     src, tgt = (
         doc([[random_sentence_raw(rng, 6, 12, VOCAB) for _ in range(6)] for _ in range(50)], v)
@@ -87,6 +90,8 @@ def test_benchmark_kernel_hook_counts_every_cell_once(monkeypatch):
     assert all(isinstance(r, np.ndarray) and r.ndim == 2 and r.shape[1] == m for r in results)
     _, counts, _ = tracer.summarize(spans.dump())
     assert counts["kernels.cells"] == n * m
+    k, l = len(src.alignable_paragraphs()), len(tgt.alignable_paragraphs())
+    assert counts["para_align.blocks"] == k * l == 50 * 50
 
 
 @pytest.mark.parametrize("metric", ["jaccard", "tfidf"])

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from revkit.para_align import (
     ParaAlignment,
     Thresholds,
     align_paragraphs,
-    compute_sim_tensor,
+    sim_rows,
 )
 
 from helpers import doc
@@ -36,6 +37,24 @@ P_DOG = "a dog ran over the hill quite fast this morning"
 P_DOG2 = "a dog walked over the hill quite fast this morning"
 # ten tokens and no letters: an alignable-length sentence that is skipped
 DIGITS = "11 22 33 44 55 66 77 88 99 00"
+# ten-token sentences sharing no token with each other or with P_CAT
+JUNK = (
+    "aa bb cc dd ee ff gg hh ii jj",
+    "kk ll mm nn oo pp qq rr ss tt",
+    "uu vv ww xx yy zz ab cd ef gh",
+    "ij kl mn op qr st uv wx yz za",
+)
+
+
+def assembled_tensor(a, b, encoder=None):
+    """sim1 and sim2 of a version pair assembled whole from sim_rows'
+    blocks, with the two encodings they came from as src and tgt."""
+    src, tgt = (GroupEncoder() if encoder is None else encoder).encode_pair(a, b)
+    k, l = len(src.bounds), len(tgt.bounds)
+    sim1, sim2 = np.zeros((k, l)), np.zeros((k, l))
+    for rows, block1, block2 in sim_rows(src, tgt):
+        sim1[rows], sim2[rows] = block1, block2
+    return SimpleNamespace(sim1=sim1, sim2=sim2, src=src, tgt=tgt, k=k, l=l)
 
 
 def test_identical_docs_align_diagonally():
@@ -54,7 +73,7 @@ def test_disjoint_docs_align_nothing():
 def test_sim_tensor_hand_values():
     a = doc([[P_CAT], [P_DOG]], 1)
     b = doc([[P_CAT], [P_DOG2]], 2)
-    t = compute_sim_tensor(a, b)
+    t = assembled_tensor(a, b)
     assert t.k == 2 and t.l == 2
     # single-sentence paragraphs: both directions collapse to plain jaccard
     assert t.sim1[0, 0] == pytest.approx(1.0)
@@ -75,7 +94,7 @@ def test_sim_tensor_multi_sentence_direction_asymmetry():
         ]],
         2,
     )
-    t = compute_sim_tensor(a, b)
+    t = assembled_tensor(a, b)
     # sim1 averages over the single source sentence: its best match
     best = t.sim1[0, 0]
     # sim2 averages over both target sentences, one of which matches poorly
@@ -94,7 +113,7 @@ def test_all_sentences_skipped_paragraph_never_aligns():
     b = doc([[P_DOG]], 2)
     assert not a.paragraphs[0].skipped          # ten tokens, no markers
     assert a.paragraphs[0].sentences[0].skipped  # no letters
-    t = compute_sim_tensor(a, b)
+    t = assembled_tensor(a, b)
     assert t.sim1[0, 0] == 0.0 and t.sim2[0, 0] == 0.0
     assert align_paragraphs(a, b).pairs == {(1, 0)}
 
@@ -108,13 +127,21 @@ def test_tie_breaks_to_lowest_and_tau3_rescues_far_pairs():
     assert align_paragraphs(a, b).pairs == {(0, 0), (1, 0)}
 
 
+@pytest.mark.parametrize("budget", [1, para_align._BLOCK_CELLS], ids=["a block per paragraph", "one block"])
+def test_pass_one_tie_keeps_the_lowest_source_across_blocks(budget):
+    # sources 0 and 3 both hold target 3's only sentence, so they tie on its
+    # sim2; pass one must pick the far source 0, which fails the gates,
+    # and not the near source 3, which would pass the position gate
+    x, y, f1, f2 = JUNK
+    a = doc([[P_CAT, x], [f1], [f2], [P_CAT, y]], 1)
+    b = doc([[f1], [f2], [y, P_CAT], [P_CAT]], 2)
+    with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
+        got = align_paragraphs(a, b).pairs
+    assert got == oracle_align_paragraphs(a, b, Thresholds()) == {(1, 0), (2, 1), (3, 2)}
+
+
 def test_tau3_branch_ignores_position():
-    junk = [
-        ["aa bb cc dd ee ff gg hh ii jj"],
-        ["kk ll mm nn oo pp qq rr ss tt"],
-        ["uu vv ww xx yy zz ab cd ef gh"],
-        ["ij kl mn op qr st uv wx yz za"],
-    ]
+    junk = [[s] for s in JUNK]
     a = doc([[P_CAT], *junk], 1)
     b = doc([*junk[::-1], [P_CAT]], 2)
     # the matching pair sits at relative distance 0.8, far beyond tau2
@@ -125,7 +152,7 @@ def test_tau3_branch_ignores_position():
 def test_empty_version_aligns_nothing():
     empty, full = doc([], 1), doc([[P_CAT], [P_DOG]], 2)
     for a, b in ((empty, full), (full, empty), (empty, empty)):
-        t = compute_sim_tensor(a, b)
+        t = assembled_tensor(a, b)
         assert t.sim1.shape == t.sim2.shape == (t.k, t.l)
         assert t.src.rows.sizes.shape == (t.k,) and t.tgt.rows.sizes.shape == (t.l,)
         paras = align_paragraphs(a, b)
@@ -167,7 +194,7 @@ def test_matches_oracle_on_random_docs():
 
 
 def assert_tensor_matches_oracle(a, b):
-    t = compute_sim_tensor(a, b)
+    t = assembled_tensor(a, b)
     sim1, sim2 = oracle_sim_tensor(a, b)
     assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
     assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
@@ -207,7 +234,7 @@ def test_shared_encoder_matches_oracle_over_a_group():
         sim1, sim2 = oracle_sim_tensor(a, b)
         assert np.array_equal(t.sim1, np.array(sim1, dtype=np.float64).reshape(t.k, t.l))
         assert np.array_equal(t.sim2, np.array(sim2, dtype=np.float64).reshape(t.k, t.l))
-        alone = compute_sim_tensor(a, b)
+        alone = assembled_tensor(a, b)
         for side in ("src", "tgt"):
             assert np.array_equal(getattr(t, side).rows.sizes, getattr(alone, side).rows.sizes)
         # every cell's score, from the shared encoder's ids and from the pair's own
@@ -225,7 +252,7 @@ def test_shared_encoder_matches_oracle_over_a_group():
         encoder = GroupEncoder(len(versions) - 1)
         previous = None
         for a, b in zip(versions, versions[1:]):
-            t = compute_sim_tensor(a, b, encoder)
+            t = assembled_tensor(a, b, encoder)
             assert_matches_oracle(t, a, b)
             # each version is encoded and laid out once: the previous target is this source
             assert previous is None or t.src is previous
@@ -235,9 +262,9 @@ def test_shared_encoder_matches_oracle_over_a_group():
         # a source that is not the previous pair's target is encoded afresh
         first, second, last = versions[0], versions[1], versions[-1]
         encoder = GroupEncoder(3)
-        kept = compute_sim_tensor(first, second, encoder).tgt
+        kept = assembled_tensor(first, second, encoder).tgt
         for a, b in ((first, last), (doc([[s.raw for s in p.sentences] for p in first.paragraphs], 1), second)):
-            t = compute_sim_tensor(a, b, encoder)
+            t = assembled_tensor(a, b, encoder)
             assert t.src is not kept and t.src.doc is a
             assert_matches_oracle(t, a, b)
             kept = t.tgt
@@ -285,7 +312,7 @@ def test_sim_tensor_keeps_block_mean_summation_order():
 
     for _ in range(10):
         a, b = doc(paras(), 1), doc(paras(), 2)
-        t = compute_sim_tensor(a, b)
+        t = assembled_tensor(a, b)
         rows = [_para_sent_sets(p) for p in a.alignable_paragraphs()]
         cols = [_para_sent_sets(p) for p in b.alignable_paragraphs()]
         for i, r in enumerate(rows):
@@ -363,7 +390,7 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
 
         with mock.patch.object(para_align, "_BLOCK_CELLS", budget), \
                 mock.patch.object(para_align, "jaccard_matrix", counted):
-            t = compute_sim_tensor(a, b)
+            t = assembled_tensor(a, b)
         assert np.array_equal(t.sim1, sim1) and np.array_equal(t.sim2, sim2)
         if small:
             want1, want2 = oracle_sim_tensor(a, b)
@@ -373,6 +400,10 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
         assert sum(r for r, _ in calls) == n and all(c == m for _, c in calls)
         if budget == 1:
             assert len(calls) == sum(r0 < r1 for r0, r1 in ea.bounds.values())
+        if small:
+            # the passes carry each column's argmax, ties to the lowest source, across blocks
+            with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
+                assert align_paragraphs(a, b).pairs == oracle_align_paragraphs(a, b, Thresholds())
         # every cell's jaccard score, from the looked-up shared ids, is the
         # matrix's and the brute-force count's, bit for bit
         every = product([p.index for p in a.alignable_paragraphs()], [p.index for p in b.alignable_paragraphs()])
@@ -399,10 +430,31 @@ def test_sim_tensor_peak_memory_is_a_fraction_of_the_float_matrix():
     assert min(n, m) > 1400
     tracemalloc.start()
     try:
-        t = compute_sim_tensor(a, b)
+        ea, eb = GroupEncoder().encode_pair(a, b)
+        for _ in sim_rows(ea, eb):
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the float64 n x m matrix alone would be n * m * 8 bytes; the peak
-    # holds the encodings, one block of scores and the two k x l tensors
+    # holds the encodings, one block of scores and one block of rows
     assert peak < 0.2 * n * m * 8, (peak, n * m * 8)
+
+
+def test_align_paragraphs_peak_memory_is_a_fraction_of_one_paragraph_matrix():
+    # 2,000 one-sentence paragraphs a side: one k x l float64 array is 32 MB
+    rng = random.Random(47)
+    vocab = VOCAB + [a + b for a in VOCAB for b in VOCAB[:20]]
+    paragraphs = [[random_sentence_raw(rng, 10, 16, vocab)] for _ in range(2000)]
+    a, b = doc(paragraphs, 1), doc(paragraphs, 2)
+    k, l = len(a.alignable_paragraphs()), len(b.alignable_paragraphs())
+    assert k == l == 2000
+    tracemalloc.start()
+    try:
+        paras = align_paragraphs(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert paras.pairs == {(i, i) for i in range(k)}
+    # the passes keep one block of rows and arrays over the targets
+    assert peak < 0.5 * k * l * 8, (peak, k * l * 8)
