@@ -89,7 +89,11 @@ def doc_operations(
     side).  A pair may join a sentence outside the alignable set to its
     component.  Every sentence the alignment pairs must exist in src or
     tgt: the caller validates it first (SentenceAlignment.validate_against,
-    which `stats` runs as it reads each alignment file).
+    which `stats` runs as it reads each alignment file).  A one-to-one
+    pair is a copy when its two raw texts, read straight by their ids,
+    are equal or split into the same whitespace-separated words, which is
+    equality of their normalized_raw() texts; otherwise it is a
+    rephrasing.
     """
     components = link_components(alignment.positive_pairs())
     paired_src = {sid for lefts, _ in components for sid in lefts}
@@ -115,10 +119,11 @@ def _classify(
     if m == 0 and n == 1:
         return DocOpKind.INSERTION
     if m == 1 and n == 1:
-        same = (
-            src.sentence(src_ids[0]).normalized_raw()
-            == tgt.sentence(tgt_ids[0]).normalized_raw()
-        )
+        # the ids are validated, so index straight in; equal whitespace
+        # splits are equal normalized_raw() texts, and so are equal raws
+        (_, sp, ss), (_, tp, ts) = src_ids[0], tgt_ids[0]
+        a, b = src.paragraphs[sp].sentences[ss].raw, tgt.paragraphs[tp].sentences[ts].raw
+        same = a == b or a.split() == b.split()
         return DocOpKind.COPYING if same else DocOpKind.REPHRASING
     if m == 1:
         return DocOpKind.SPLITTING

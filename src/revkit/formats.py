@@ -97,15 +97,10 @@ _LABEL_ALIASES = {
 def alignment_to_json(alignment: SentenceAlignment, arxiv_id: str | None = None) -> dict:
     """Canonical JSON form.  not-aligned pairs are an annotation-side
     concept and are not written."""
-    pairs = []
-    for s, t, label in alignment.sorted_positive():
-        pairs.append(
-            {
-                "src": [s.paragraph, s.sentence],
-                "tgt": [t.paragraph, t.sentence],
-                "label": label.value,
-            }
-        )
+    pairs = [
+        {"src": [s.paragraph, s.sentence], "tgt": [t.paragraph, t.sentence], "label": label.value}
+        for s, t, label in alignment.sorted_positive()
+    ]
     obj = {
         "src_version": alignment.src_version,
         "tgt_version": alignment.tgt_version,
@@ -117,13 +112,15 @@ def alignment_to_json(alignment: SentenceAlignment, arxiv_id: str | None = None)
 
 
 def dump_alignment_json(obj: dict) -> str:
-    """`dump_json(obj)` for an object shaped as `alignment_to_json` builds it."""
+    """`dump_json(obj)` for an object shaped as `alignment_to_json` builds it:
+    each pair's src and tgt are two ints, written inline."""
     head = f'{{\n  "arxiv_id": {_quote(obj["arxiv_id"])},\n' if "arxiv_id" in obj else "{\n"
     pairs = ",\n".join([
         f'    {{\n      "label": {_quote(p["label"])},\n'
-        f'      "src": {_ints8(p["src"])},\n'
-        f'      "tgt": {_ints8(p["tgt"])}\n    }}'
+        f'      "src": [\n        {s0},\n        {s1}\n      ],\n'
+        f'      "tgt": [\n        {t0},\n        {t1}\n      ]\n    }}'
         for p in obj["pairs"]
+        for (s0, s1), (t0, t1) in [(p["src"], p["tgt"])]
     ])
     listed = f"[\n{pairs}\n  ]" if pairs else "[]"
     return (

@@ -29,10 +29,12 @@ and the postings add up to the same integer either way.  Every cell is
 then one IEEE division of the same two integers, as when it was computed
 in int64, and every matrix is bit-identical whatever the split, and
 whatever blocks of source rows it is computed in.  A candidate cell's
-score (jaccard_cells) is that division again: its intersection count is
-found by the lookup of each source id among the target's (row, id) keys
-that the tf-idf kernel runs too (_shared_ids), so no count outlives the
-matrix.
+score (jaccard_cells) is that division again, so no count outlives the
+matrix.  Its intersection count comes from the lookup that the tf-idf
+kernel runs too (_shared_ids).  Candidate cells come sorted by source
+row, so a window of consecutive source rows is laid once into a dense
+table, (row in the window, id) -> entry, of about 2**17 slots.  Each id
+of each cell's target row is then one gather from that table.
 
 Memory stays near the result: the product is written into it, and the
 postings and the union are worked through in sub-blocks of source rows
@@ -40,8 +42,9 @@ that cover at most 2**15 cells and 1/8 of the result, or 2**14 cells
 where that is more.  Paragraph alignment calls the kernel on blocks of
 about 2**16 cells against one Target, so a version pair costs one
 fixed-size block of scores, never an n x m array.  The cell lookups work
-through blocks of 2**14 token entries, so their temporaries stay that
-size whatever the number of cells.
+through blocks of 2**14 target token entries, beside one table of a
+window of source rows, so their temporaries stay that size whatever the
+number of cells.
 """
 from __future__ import annotations
 
@@ -56,8 +59,10 @@ import numpy as np
 _DENSE_SHARE = 8
 # cells per block of source rows in the postings and division loop
 _BLOCK_CELLS = 1 << 15
-# token entries per block of cells in the tf-idf dot products
+# target token entries per block of candidate cells in the shared-id lookup
 _BLOCK_ENTRIES = 1 << 14
+# slots of the shared-id lookup's table of a window of source rows
+_TABLE_ENTRIES = 1 << 17
 
 
 class Rows:
@@ -300,26 +305,44 @@ def _shared_ids(
     first: np.ndarray, second: np.ndarray, a: Rows, b: Rows
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """The ids shared by each cell k's rows, a's first[k] and b's
-    second[k], found by looking each id of the first up among b's sorted
-    (row, id) keys.  Cells are taken in blocks k0:k1 whose two rows hold
-    about _BLOCK_ENTRIES entries in all, so temporaries stay that small.
-    Yields each block's k0, k1 and, for every shared id by cell, then id:
-    its cell less k0, its entry in a.ids and its entry in b.ids."""
-    size = 1 + int(max(a.ids.max(initial=-1), b.ids.max(initial=-1)))
-    # b's keys, then one above every needle, so no position runs past the end
-    keys_b = np.append(b.row * size + b.ids, len(b) * size)
-    size_a = a.sizes[first]
-    ends = np.cumsum(size_a + b.sizes[second])
+    second[k].  The cells must come sorted by source row (first), as
+    CandidateCells lists them; ValueError otherwise.
+
+    A window of source rows, from the first row of a cell not yet done up
+    to _TABLE_ENTRIES // size rows on (at least one row), is laid into a
+    dense table: row less the window's first, times size, plus id, maps to
+    the id's entry in a.ids, and every other slot holds -1.  Each id of
+    each cell's target row is then one gather from the table.  The
+    window's slots go back to -1 before the next one is laid.  Within a
+    window, cells are taken in blocks k0:k1 whose target rows hold about
+    _BLOCK_ENTRIES entries in all, so temporaries stay that small.  Yields
+    each block's k0, k1 and, for every shared id by cell, then id: its
+    cell less k0, its entry in a.ids and its entry in b.ids."""
+    if np.any(first[1:] < first[:-1]):
+        raise ValueError("candidate cells must come sorted by source row")
+    size = 1 + int(max(a.ids.max(initial=0), b.ids.max(initial=0)))
+    span = max(1, min(_TABLE_ENTRIES // size, len(a)))  # source rows in one window
+    table = np.full(span * size, -1, dtype=np.int32)
+    size_b = b.sizes[second]
+    ends = np.cumsum(size_b)
     n, k0 = len(first), 0
     while k0 < n:
-        base = ends[k0 - 1] if k0 else 0
-        k1 = max(k0 + 1, int(np.searchsorted(ends, base + _BLOCK_ENTRIES, side="right")))
-        ca = size_a[k0:k1]
-        cell = np.repeat(np.arange(k1 - k0, dtype=np.int64), ca)
-        # every entry of each cell's row of a; ids ascend within a cell
-        at = np.arange(len(cell), dtype=np.int64) + np.repeat(a.starts[first[k0:k1]] - (np.cumsum(ca) - ca), ca)
-        key = np.repeat(second[k0:k1] * size, ca) + a.ids[at]
-        pos = np.searchsorted(keys_b, key)
-        hit = np.flatnonzero(keys_b[pos] == key)
-        yield k0, k1, cell[hit], at[hit], pos[hit]
-        k0 = k1
+        r0 = int(first[k0])
+        w1 = int(np.searchsorted(first, r0 + span))  # the window's cells end here
+        r1 = int(first[w1 - 1]) + 1  # and lie in rows r0:r1
+        e0, e1 = a.starts[r0], a.starts[r1]
+        slots = np.repeat(np.arange(r1 - r0) * size, np.diff(a.starts[r0:r1 + 1])) + a.ids[e0:e1]
+        table[slots] = np.arange(e0, e1, dtype=np.int32)
+        while k0 < w1:
+            base = ends[k0 - 1] if k0 else 0
+            k1 = min(w1, max(k0 + 1, int(np.searchsorted(ends, base + _BLOCK_ENTRIES, side="right"))))
+            cb = size_b[k0:k1]
+            cell = np.repeat(np.arange(k1 - k0, dtype=np.int64), cb)
+            # every entry of each cell's row of b; ids ascend within a cell
+            pos = np.repeat(b.starts[second[k0:k1]] - (np.cumsum(cb) - cb), cb)
+            pos += np.arange(len(pos))
+            at = table[np.repeat((first[k0:k1] - r0) * size, cb) + b.ids[pos]]
+            hit = np.flatnonzero(at >= 0)
+            yield k0, k1, cell[hit], at[hit], pos[hit]
+            k0 = k1
+        table[slots] = -1

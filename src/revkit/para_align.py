@@ -109,6 +109,8 @@ class CandidateCells:
     each scored once for both directions.
 
     A cell pairs source row r with target row c of the pair's encodings.
+    The cells are listed by source row, then target row (rows, cols);
+    the kernels' shared-id lookup relies on that source-row order.
     `metric` is "jaccard" or "tfidf", scored in bulk, or a symmetric
     function of two sentences, called once per cell for both directions.
     The cells are scored on first use.
@@ -186,18 +188,28 @@ def _cells(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Source and target row of every cell inside the paragraph pairs, by
     source row, then target row.  A paragraph that is not alignable has
-    no rows."""
-    partners: dict[int, list[int]] = {}
-    for i, j in sorted(pairs):
-        partners.setdefault(i, []).append(j)
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, js in partners.items():
-        targets = [c for j in js for c in range(*tgt_bounds.get(j, (0, 0)))]
-        for r in range(*src_bounds.get(i, (0, 0))):
-            rows += [r] * len(targets)
-            cols += targets
-    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    no rows.
+
+    Each source paragraph's pairs are a run of the sorted pairs, and each
+    of its rows takes one run of target rows per pair.  The runs are laid
+    out row by row, and then the runs' cells, by np.repeat and cumsum,
+    with no Python loop over rows."""
+    ordered = sorted(pairs)
+    bounds = np.array(
+        [src_bounds.get(i, (0, 0)) + tgt_bounds.get(j, (0, 0)) for i, j in ordered], dtype=np.int64
+    ).reshape(-1, 4)
+    first = np.flatnonzero(np.diff([i for i, _ in ordered], prepend=-1))  # each source paragraph's first pair
+    width = np.diff(first, append=len(ordered))  # its number of pairs
+    s0 = bounds[first, 0]
+    runs = (bounds[first, 1] - s0) * width
+    # run q of a paragraph's runs is row s0 + q // width against its pair q % width
+    q = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    row, pair = np.divmod(q, np.repeat(width, runs))
+    row += np.repeat(s0, runs)
+    pair += np.repeat(first, runs)
+    t0, length = bounds[pair, 2], bounds[pair, 3] - bounds[pair, 2]
+    cols = np.arange(length.sum()) + np.repeat(t0 - (np.cumsum(length) - length), length)
+    return np.repeat(row, length), cols
 
 
 class _Vocabulary(dict):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .corpus import DocVersion, SentenceId
@@ -51,8 +52,7 @@ class SentenceAlignment:
 
     def sorted_positive(self) -> list[tuple[SentenceId, SentenceId, SentAlignLabel]]:
         return sorted(
-            (p for p in self.pairs if p[2] is not SentAlignLabel.NOT_ALIGNED),
-            key=lambda p: (p[0], p[1]),
+            (p for p in self.pairs if p[2] is not SentAlignLabel.NOT_ALIGNED), key=itemgetter(0, 1)
         )
 
     def validate_against(self, src: DocVersion, tgt: DocVersion) -> None:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revkit.corpus import SentenceId
 from revkit.doc_ops import (
@@ -128,6 +130,55 @@ def test_pair_joins_skipped_source_sentence_to_its_component():
     assert DocOpKind.INSERTION not in count_operations(ops)
     assert DocOpKind.DELETION not in count_operations(ops)
     assert len(ops) == 3
+
+
+# whitespace that str.split() takes, and normalized_raw() with it
+_SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\n", "\u00a0", "\u2003"])
+_WORDS = st.lists(st.sampled_from(["alpha", "Alpha", "beta", "gam", "ma", "gamma", "de,"]), min_size=1, max_size=6)
+
+
+@st.composite
+def _spaced(draw, words):
+    """The words with runs of whitespace between them, and some before
+    and after."""
+    edges = st.one_of(st.just(""), _SPACES)
+    return draw(edges) + "".join(w + draw(_SPACES) for w in words[:-1]) + words[-1] + draw(edges)
+
+
+@st.composite
+def _whitespace_pairs(draw):
+    """Pairs of raw texts: the same words spaced apart differently, or
+    words that differ by case, by a joined or split word, or altogether."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        words = draw(_WORDS)
+        other = draw(st.sampled_from(["same", "same", "case", "join", "other"]))
+        if other == "case":
+            words2 = [words[0].swapcase()] + words[1:]
+        elif other == "join" and len(words) > 1:
+            words2 = [words[0] + words[1]] + words[2:]
+        elif other == "other":
+            words2 = draw(_WORDS)
+        else:
+            words2 = words
+        pairs.append((draw(_spaced(words)), draw(_spaced(words2))))
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_whitespace_pairs())
+def test_copy_test_matches_normalized_raw(pairs):
+    """A one-to-one pair is a copy exactly when both raw texts have the
+    same normalized_raw(), whatever whitespace they differ by."""
+    src = doc([[a for a, _ in pairs]], 1)
+    tgt = doc([[b for _, b in pairs]], 2)
+    al = alignment(1, 2, [((0, n), (0, n), None) for n in range(len(pairs))])
+    got = {op.src_ids: op.kind for op in doc_operations(src, tgt, al)}
+    for n in range(len(pairs)):
+        s, t = src.sentence(sid(1, 0, n)), tgt.sentence(sid(2, 0, n))
+        assert (s.raw, t.raw) == pairs[n]
+        same = s.normalized_raw() == t.normalized_raw()
+        assert got[(s.id,)] is (DocOpKind.COPYING if same else DocOpKind.REPHRASING)
 
 
 def test_components_match_reference_search():

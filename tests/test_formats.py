@@ -181,13 +181,15 @@ _STRINGS = st.text(
 )
 _INTS = st.one_of(st.integers(), st.integers(min_value=2**63, max_value=2**80))
 _INT_LISTS = st.lists(_INTS, max_size=3)
+# a sentence id as alignment_to_json writes it: paragraph and sentence
+_INT_PAIRS = st.lists(_INTS, min_size=2, max_size=2)
 
 _ALIGNMENT_OBJECTS = st.fixed_dictionaries(
     {
         "src_version": _INTS,
         "tgt_version": _INTS,
         "pairs": st.lists(
-            st.fixed_dictionaries({"src": _INT_LISTS, "tgt": _INT_LISTS, "label": _STRINGS}),
+            st.fixed_dictionaries({"src": _INT_PAIRS, "tgt": _INT_PAIRS, "label": _STRINGS}),
             max_size=4,
         ),
     },
@@ -200,9 +202,18 @@ _ALIGNMENT_OBJECTS = st.fixed_dictionaries(
 @example({"src_version": 1, "tgt_version": 2, "pairs": []})
 @example({"src_version": 1, "tgt_version": 2, "pairs": [], "arxiv_id": "caf\u00e9/\"1\"\\\n"})
 @example({"src_version": 2**64, "tgt_version": -1,
-          "pairs": [{"src": [2**63, 0], "tgt": [], "label": "aligned"}]})
+          "pairs": [{"src": [2**63, 0], "tgt": [-1, 2**80], "label": "aligned"}]})
 def test_alignment_writer_matches_dump_json(obj):
     assert dump_alignment_json(obj) == dump_json(obj)
+
+
+@pytest.mark.parametrize("ids", [[], [1], [1, 2, 3]])
+def test_alignment_writer_rejects_ids_of_another_length(ids):
+    """The writer spells each id as the two ints alignment_to_json gives
+    it, so any other shape fails rather than writing other text."""
+    obj = {"src_version": 1, "tgt_version": 2, "pairs": [{"src": [0, 1], "tgt": ids, "label": "aligned"}]}
+    with pytest.raises(ValueError):
+        dump_alignment_json(obj)
 
 
 _POSITIVE_LABELS = st.sampled_from([SentAlignLabel.ALIGNED, SentAlignLabel.PARTIAL])

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import revkit
-from revkit import cli, para_align
+from revkit import cli, para_align, sent_align
 from revkit.config import RunConfig
 from revkit.corpus import build_group, serialize_corpus
+from revkit.para_align import CandidateCells
 
 from helpers import doc
-from oracles import VOCAB, random_sentence_raw
+from oracles import VOCAB, random_doc_pair, random_sentence_raw
 
 SRC = Path(revkit.__file__).resolve().parent.parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -92,6 +93,32 @@ def test_benchmark_kernel_hook_counts_every_cell_once(monkeypatch):
     assert counts["kernels.cells"] == n * m
     k, l = len(src.alignable_paragraphs()), len(tgt.alignable_paragraphs())
     assert counts["para_align.blocks"] == k * l == 50 * 50
+
+
+def test_benchmark_sentence_hooks_count_every_pair_once(monkeypatch):
+    """The tracer wraps revkit.cli.align_sentences_directional and
+    revkit.cli.merge_bidirectional, and its merge hook adds the forward
+    alignment's pairs to sent_align.forward and the merged ones to
+    sent_align.pairs.  So _align_pair must make both directional calls and
+    the merge through those names: a change that goes round them reads
+    zero here, not only under `perfbench/run.py --trace 1`."""
+    tracer = _perfbench_tracer()
+    spans = tracer.Tracer()
+    hooks = {(module, attr): (name, post) for module, attr, name, post in tracer.TARGETS}
+    for attr in ("align_sentences_directional", "merge_bidirectional"):
+        name, post = hooks["revkit.cli", attr]
+        monkeypatch.setattr(cli, attr, spans.wrap(getattr(cli, attr), name, post=post))
+    src, tgt = random_doc_pair(random.Random(9))
+    cfg = RunConfig()
+    merged = cli._align_pair(src, tgt, cfg)
+    # the forward alignment again, through no traced name
+    cells = CandidateCells(para_align.align_paragraphs(src, tgt), "jaccard")
+    forward = sent_align.align_sentences_directional(cells, src, tgt, cfg.effective_sentence_threshold())
+    names = [name for name, *_ in spans.dump()]
+    assert names.count("sent_align.directional") == 2 and names.count("sent_align.merge") == 1
+    _, counts, _ = tracer.summarize(spans.dump())
+    assert counts["sent_align.forward"] == len(forward.pairs) > 0
+    assert counts["sent_align.pairs"] == len(merged.pairs) > 0
 
 
 @pytest.mark.parametrize("metric", ["jaccard", "tfidf"])

@@ -3,11 +3,15 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revkit import kernels
 from revkit.kernels import _DENSE_SHARE, Rows, jaccard_cells, jaccard_matrix, tfidf_cosines
+
+from helpers import candidates, cell_scores, doc
+from oracles import VOCAB, random_sentence_raw
 
 
 def random_sets(rng, count, vocab_size=20, max_len=8):
@@ -251,14 +255,20 @@ def test_tfidf_cosines_block_size_changes_no_bit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the shared ids of candidate cells, found by key lookup in blocks
+# the shared ids of candidate cells, found through a table of a window of
+# source rows, in blocks
 
 @st.composite
 def cell_lookups(draw):
     """Two sides of texts over ids 0-11, where ids 0-3 occur only in a and
-    8-11 only in b at times, with empty texts and repeated ids; cells in any
-    order, repeats allowed; and an entry budget of 1 (one cell a block),
-    a few entries, or the default."""
+    8-11 only in b at times, with empty texts and repeated ids; cells sorted
+    by source row, in any target order within a row, repeats allowed; an
+    entry budget of 1 (one cell a block), a few entries, or the default;
+    and a table budget of one slot (one source row a window), one to a few
+    rows' worth, or the default.
+
+    The cells come sorted by source row because the lookup requires it:
+    each window of source rows is laid into the table once."""
     only = draw(st.booleans())
     ids_a, ids_b = (range(0, 8), range(4, 12)) if only else (range(12), range(12))
 
@@ -268,28 +278,37 @@ def cell_lookups(draw):
     a, b = texts(ids_a), texts(ids_b)
     cells = draw(st.lists(st.tuples(st.integers(0, len(a) - 1), st.integers(0, len(b) - 1)), max_size=30)) \
         if a and b else []
-    return a, b, cells, draw(st.sampled_from([1, 2, 7, kernels._BLOCK_ENTRIES]))
+    cells.sort(key=lambda cell: cell[0])
+    entries = draw(st.sampled_from([1, 2, 7, kernels._BLOCK_ENTRIES]))
+    return a, b, cells, entries, draw(st.sampled_from([1, 12, 30, 50, kernels._TABLE_ENTRIES]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(cell_lookups())
 def test_shared_ids_match_brute_force(case):
-    texts_a, texts_b, cells, budget = case
+    texts_a, texts_b, cells, budget, table = case
     a, b = Rows(texts_a), Rows(texts_b)
     rows = np.array([r for r, _ in cells], dtype=np.int64)
     cols = np.array([c for _, c in cells], dtype=np.int64)
     want = [sorted(set(texts_a[r]) & set(texts_b[c])) for r, c in cells]
-    with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget), mock.patch.object(kernels, "_TABLE_ENTRIES", table):
         blocks = list(kernels._shared_ids(rows, cols, a, b))
         scores = jaccard_cells(a, b, rows, cols)
-    entries = np.concatenate([[0], np.cumsum(a.sizes[rows] + b.sizes[cols])])
+    # a window holds table // size source rows, at least one
+    size = 1 + max((i for t in texts_a + texts_b for i in t), default=0)
+    span = max(1, min(table // size, len(texts_a)))
+    entries = np.concatenate([[0], np.cumsum(b.sizes[cols])])
     got = [[] for _ in cells]
-    k = 0
+    k, r0 = 0, None
     for k0, k1, cell, at, pos in blocks:
         assert k0 == k < k1 <= len(cells)  # blocks are consecutive and never empty
-        # a block is one cell, or as many as the budget holds
+        if r0 is None or rows[k0] >= r0 + span:
+            r0 = rows[k0]  # a window starts at the first cell past the last one
+        assert rows[k1 - 1] < r0 + span  # a block lies in one window
+        # a block is one cell, or as many as the budget holds, and ends at
+        # the budget, at the window's end or at the last cell
         assert k1 == k0 + 1 or entries[k1] - entries[k0] <= budget
-        assert k1 == len(cells) or entries[k1 + 1] - entries[k0] > budget
+        assert k1 == len(cells) or rows[k1] >= r0 + span or entries[k1 + 1] - entries[k0] > budget
         k = k1
         assert np.all(np.diff(cell) >= 0) and np.all((0 <= cell) & (cell < k1 - k0))
         for j, i, p in zip((cell + k0).tolist(), at.tolist(), pos.tolist()):
@@ -302,3 +321,29 @@ def test_shared_ids_match_brute_force(case):
     for (r, c), shared, score in zip(cells, want, scores.tolist()):
         x, y = set(texts_a[r]), set(texts_b[c])
         assert score == (len(shared) / len(x | y) if x or y else 1.0)
+
+
+def test_shared_ids_reject_cells_out_of_source_order():
+    a, b = Rows([[0, 1], [1, 2]]), Rows([[1], [2]])
+    rows, cols = np.array([1, 0]), np.array([0, 0])
+    with pytest.raises(ValueError, match="sorted by source row"):
+        list(kernels._shared_ids(rows, cols, a, b))
+    with pytest.raises(ValueError, match="sorted by source row"):
+        jaccard_cells(a, b, rows, cols)
+
+
+@pytest.mark.parametrize("metric", ["jaccard", "tfidf"])
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_candidate_scores_do_not_depend_on_the_lookup_windows(monkeypatch, metric, window):
+    """Windows of one, two or three source rows split the six-sentence
+    paragraphs of every paragraph pair, and change no bit of any score."""
+    rng = random.Random(31)
+    src, tgt = (
+        doc([[random_sentence_raw(rng, 4, 10, VOCAB) for _ in range(6)] for _ in range(4)], v)
+        for v in (1, 2)
+    )
+    want = cell_scores(metric, src, tgt)
+    cells = candidates(src, tgt, "jaccard", "all")
+    size = 1 + int(max(cells.src.rows.ids.max(), cells.tgt.rows.ids.max()))
+    monkeypatch.setattr(kernels, "_TABLE_ENTRIES", window * size)
+    assert cell_scores(metric, src, tgt) == want

@@ -270,6 +270,42 @@ def test_shared_encoder_matches_oracle_over_a_group():
             kept = t.tgt
 
 
+@st.composite
+def paragraph_pairs(draw):
+    """Both sides' bounds, each paragraph's rows or none (a skipped one),
+    with empty paragraphs, and any set of paragraph pairs between them."""
+
+    def bounds(k):
+        out, at = {}, 0
+        for p in range(k):
+            if draw(st.booleans()):
+                n = draw(st.integers(0, 4))
+                out[p], at = (at, at + n), at + n
+        return out
+
+    k, l = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    pairs = draw(st.frozensets(st.tuples(st.integers(0, k - 1), st.integers(0, l - 1)), max_size=12)) \
+        if k and l else frozenset()
+    return pairs, bounds(k), bounds(l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(paragraph_pairs())
+def test_cells_match_the_row_by_row_loop(case):
+    """_cells lays the cells out with np.repeat; the loop over each
+    source paragraph's rows that it replaced is the reference."""
+    pairs, src_bounds, tgt_bounds = case
+    rows, cols = [], []
+    for i in sorted({i for i, _ in pairs}):
+        targets = [c for j in sorted(j for p, j in pairs if p == i) for c in range(*tgt_bounds.get(j, (0, 0)))]
+        for r in range(*src_bounds.get(i, (0, 0))):
+            rows += [r] * len(targets)
+            cols += targets
+    got_rows, got_cols = para_align._cells(pairs, src_bounds, tgt_bounds)
+    assert got_rows.dtype == got_cols.dtype == np.int64
+    assert got_rows.tolist() == rows and got_cols.tolist() == cols
+
+
 def test_encoder_numbers_new_tokens_in_order_of_first_occurrence():
     encoder = GroupEncoder()
     words = ("Zeta", "alpha", "mu", "beta", "omega", "gamma", "delta", "kappa", "zeta", "ALPHA", "lambda")
