@@ -204,11 +204,6 @@ def cmd_align(args: argparse.Namespace) -> int:
     # validate the whole file here; each group is built where it is aligned
     groups = read_corpus(args.corpus, compat=args.compat)
     _check_pair_filenames(groups, args.corpus)
-    # largest first, by sentence count, so no large group starts last on
-    # a worker; each pair writes its own file, so the order changes no byte
-    groups = sorted(
-        groups, key=lambda g: sum(len(p) for _, _, paragraphs in g.versions for p in paragraphs), reverse=True
-    )
     results = _map_jobs(_align_group, [(g, cfg) for g in groups], cfg.jobs)
     _write_outputs(args.out, [f for files in results for f in files])
     return 0

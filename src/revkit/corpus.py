@@ -135,6 +135,11 @@ class Sentence:
         # whitespace-normalized, case preserved
         return " ".join(self.raw.split())
 
+    def same_text(self, other: "Sentence") -> bool:
+        """Whether both have the same normalized_raw() text; equal raws
+        do without normalizing."""
+        return self.raw == other.raw or self.normalized_raw() == other.normalized_raw()
+
     @cached_property
     def special_count(self) -> int:
         """Number of marker tokens; both skip filters read it."""

@@ -90,9 +90,8 @@ def doc_operations(
     component.  Every sentence the alignment pairs must exist in src or
     tgt: the caller validates it first (SentenceAlignment.validate_against,
     which `stats` runs as it reads each alignment file).  A one-to-one
-    pair is a copy when its two raw texts, read straight by their ids,
-    are equal or split into the same whitespace-separated words, which is
-    equality of their normalized_raw() texts; otherwise it is a
+    pair is a copy when its two sentences have the same text
+    (Sentence.same_text, equal normalized_raw()); otherwise it is a
     rephrasing.
     """
     components = link_components(alignment.positive_pairs())
@@ -119,11 +118,7 @@ def _classify(
     if m == 0 and n == 1:
         return DocOpKind.INSERTION
     if m == 1 and n == 1:
-        # the ids are validated, so index straight in; equal whitespace
-        # splits are equal normalized_raw() texts, and so are equal raws
-        (_, sp, ss), (_, tp, ts) = src_ids[0], tgt_ids[0]
-        a, b = src.paragraphs[sp].sentences[ss].raw, tgt.paragraphs[tp].sentences[ts].raw
-        same = a == b or a.split() == b.split()
+        same = src.sentence(src_ids[0]).same_text(tgt.sentence(tgt_ids[0]))
         return DocOpKind.COPYING if same else DocOpKind.REPHRASING
     if m == 1:
         return DocOpKind.SPLITTING

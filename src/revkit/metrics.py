@@ -46,7 +46,7 @@ def eval_alignment(
         return {
             (s, t)
             for s, t in pairs
-            if src.sentence(s).normalized_raw() != tgt.sentence(t).normalized_raw()
+            if not src.sentence(s).same_text(tgt.sentence(t))
         }
 
     p = interesting(pred.positive_pairs())
