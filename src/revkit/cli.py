@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import multiprocessing
 import os
 import sys
 import traceback
@@ -57,7 +56,7 @@ from .formats import (
 )
 from .intention import ingest_predictions, parse_label
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
-from .para_align import CandidateCells, GroupEncoder, Thresholds, align_paragraphs
+from .para_align import CandidateCells, GroupEncoder, align_paragraphs
 from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
 from .similarity import CELL_METRICS, METRIC_NAMES, make_metric
 
@@ -82,6 +81,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import multiprocessing  # only a pass that forks pays for the import
     with multiprocessing.Pool(min(jobs, len(items))) as pool:
         return pool.map(fn, items)
 
@@ -149,12 +149,11 @@ def _write_outputs(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
 def _align_pair(
     src: DocVersion, tgt: DocVersion, cfg: RunConfig, encoder: GroupEncoder | None = None
 ):
-    thresholds = Thresholds(cfg.tau1, cfg.tau2, cfg.tau3, cfg.tau4)
     name = cfg.sentence_metric
     # jaccard and tfidf are scored in bulk from the pair's encodings; the
     # paragraph alignment goes once the cells are found
     cells = CandidateCells(
-        align_paragraphs(src, tgt, thresholds, encoder),
+        align_paragraphs(src, tgt, cfg, encoder),
         make_metric(name) if name in CELL_METRICS else name,
     )
     thr = cfg.effective_sentence_threshold()

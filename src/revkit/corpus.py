@@ -9,9 +9,11 @@ Skip filters mark sentences and paragraphs that are too short, too
 technical or truncated, and everything downstream (alignment, operation
 statistics) ignores skipped material.
 
-All model objects are immutable.  A sentence built from its raw text
-gets its tokens, marker count and skip decision in one pass; a Sentence
-made directly counts its markers on first read and keeps the count.
+All model objects are immutable.  DocVersion.build is the one loop that
+builds a version: it analyses each distinct sentence text once (tokens,
+marker count, skip decision), and every occurrence of that text, in any
+version of the group, shares the analysis.  A Sentence counts its
+markers on first read and keeps the count.
 """
 from __future__ import annotations
 
@@ -113,20 +115,9 @@ class Sentence:
 
     @classmethod
     def build(cls, raw: str, sid: SentenceId) -> "Sentence":
-        """Tokenize, count markers and apply the skip filter in one pass."""
-        tokens = tokenize(raw)
-        # a marker token holds "[", so a text without one has none
-        special = sum(map(SPECIAL_MARKERS.__contains__, tokens)) if "[" in raw else 0
-        s = cls(sid, raw, tokens, sentence_skip_filter(raw, tokens, special))
-        s.__dict__["special_count"] = special  # where cached_property keeps it
-        return s
-
-    def _with_id(self, sid: SentenceId) -> "Sentence":
-        """The same text under another id, sharing this sentence's tokens
-        tuple, skip decision and special count."""
-        s = Sentence(sid, self.raw, self.tokens, self.skipped)
-        s.__dict__["special_count"] = self.special_count
-        return s
+        """Tokenize and apply the skip filter in one pass."""
+        tokens, _, skipped = _analyse(raw)
+        return cls(sid, raw, tokens, skipped)
 
     def lower_tokens(self) -> tuple[str, ...]:
         return tuple(t.lower() for t in self.tokens)
@@ -142,7 +133,7 @@ class Sentence:
 
     @cached_property
     def special_count(self) -> int:
-        """Number of marker tokens; both skip filters read it."""
+        """Number of marker tokens, counted on first read."""
         return sum(map(SPECIAL_MARKERS.__contains__, self.tokens))
 
 
@@ -171,34 +162,19 @@ def sentence_skip_filter(raw: str, tokens: Sequence[str], special: int) -> bool:
     return raw.rstrip().endswith((",", ":"))
 
 
+def _analyse(raw: str) -> tuple[tuple[str, ...], int, bool]:
+    """A sentence text's tokens, marker count and skip decision."""
+    tokens = tokenize(raw)
+    # a marker token holds "[", so a text without one has none
+    special = sum(map(SPECIAL_MARKERS.__contains__, tokens)) if "[" in raw else 0
+    return tokens, special, sentence_skip_filter(raw, tokens, special)
+
+
 @dataclass(frozen=True)
 class Paragraph:
     index: int
     sentences: tuple[Sentence, ...]
     skipped: bool = False
-
-    @classmethod
-    def build(
-        cls, raws: Iterable[str], version: int, index: int, seen: dict[str, Sentence] | None = None
-    ) -> "Paragraph":
-        """Build the sentences and apply the paragraph skip filter in one
-        pass.  `seen` maps each text already built to its first sentence;
-        a repeated text reuses that analysis instead of redoing it."""
-        if seen is None:
-            seen = {}
-        sents = []
-        tokens = special = 0
-        for n, raw in enumerate(raws):
-            sid = SentenceId(version, index, n)
-            first = seen.get(raw)
-            if first is None:
-                seen[raw] = s = Sentence.build(raw, sid)
-            else:
-                s = first._with_id(sid)
-            sents.append(s)
-            tokens += len(s.tokens)
-            special += s.special_count
-        return cls(index, tuple(sents), paragraph_skip_filter(tokens, special))
 
 
 def paragraph_skip_filter(tokens: int, special: int) -> bool:
@@ -221,17 +197,29 @@ class DocVersion:
         version_index: int,
         timestamp: int,
         paragraphs: Iterable[Iterable[str]],
-        seen: dict[str, Sentence] | None = None,
+        seen: dict[str, tuple] | None = None,
     ) -> "DocVersion":
-        """`seen` is as for Paragraph.build, shared by every paragraph."""
+        """Build every sentence and apply both skip filters in one loop.
+        `seen` maps each text already analysed (_analyse) to its analysis,
+        which a repeat, here or in any version sharing the memo, reuses."""
         if version_index < 1:
             raise ValueError("version_index must be positive")
         if seen is None:
             seen = {}
-        paras = tuple(
-            Paragraph.build(raws, version_index, n, seen) for n, raws in enumerate(paragraphs)
-        )
-        return cls(version_index=version_index, timestamp=timestamp, paragraphs=paras)
+        paras = []
+        for p, raws in enumerate(paragraphs):
+            sents = []
+            n_tokens = n_special = 0
+            for n, raw in enumerate(raws):
+                analysis = seen.get(raw)
+                if analysis is None:
+                    seen[raw] = analysis = _analyse(raw)
+                tokens, special, skipped = analysis
+                sents.append(Sentence(SentenceId(version_index, p, n), raw, tokens, skipped))
+                n_tokens += len(tokens)
+                n_special += special
+            paras.append(Paragraph(p, tuple(sents), paragraph_skip_filter(n_tokens, n_special)))
+        return cls(version_index, timestamp, tuple(paras))
 
     def sentences(self) -> Iterator[Sentence]:
         for p in self.paragraphs:
@@ -355,7 +343,7 @@ class RawGroup(NamedTuple):
         """Tokenize, filter and assemble the group.  Each distinct sentence
         text is analysed once; its repeats, in any version, share the
         result.  The memo of texts lives only as long as this call."""
-        seen: dict[str, Sentence] = {}
+        seen: dict[str, tuple] = {}
         return build_group(
             self.arxiv_id, self.subject, (DocVersion.build(*v, seen) for v in self.versions)
         )

@@ -37,10 +37,11 @@ def eval_alignment(
 
     Pairs whose two sentences have identical normalized text are dropped
     from both sides first: they are trivially retrievable and would
-    inflate every system equally.
+    inflate every system equally.  Both alignments must be for src and
+    tgt, and every sentence they pair must exist there: the caller
+    validates them first (SentenceAlignment.validate_against, which
+    `eval --task alignment` runs as it reads each alignment file).
     """
-    pred.validate_against(src, tgt)
-    gold.validate_against(src, tgt)
 
     def interesting(pairs: Iterable) -> set:
         return {

@@ -38,31 +38,12 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import DocVersion, Sentence
 from .kernels import Rows, Target, jaccard_cells, jaccard_matrix, tfidf_cosines
 
 # cells per block of source paragraphs whose Jaccard scores exist at once
 _BLOCK_CELLS = 1 << 16
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Gates for the two alignment passes.
-
-    tau1/tau3 bound the similarity tests, tau2/tau4 bound the relative
-    position distance in the first and second pass respectively.
-    """
-
-    tau1: float = 0.28
-    tau2: float = 0.15
-    tau3: float = 0.85
-    tau4: float = 0.2
-
-    def __post_init__(self) -> None:
-        for name in ("tau1", "tau2", "tau3", "tau4"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
 class EncodedVersion(NamedTuple):
@@ -364,18 +345,18 @@ class _SegmentMeans:
 
 
 def _gated(
-    score: np.ndarray, i: np.ndarray, k: int, j: np.ndarray, l: int, near: float, t: Thresholds
+    score: np.ndarray, i: np.ndarray, k: int, j: np.ndarray, l: int, near: float, cfg: RunConfig
 ) -> np.ndarray:
     """Which pairs (i, j) of 0-based positions in the alignable paragraph
     lists pass a pass's gates: a score above tau1 with relative positions
     closer than `near`, or a score above tau3."""
-    return ((score > t.tau1) & (np.abs(i / k - j / l) < near)) | (score > t.tau3)
+    return ((score > cfg.tau1) & (np.abs(i / k - j / l) < near)) | (score > cfg.tau3)
 
 
 def align_paragraphs(
     src: DocVersion,
     tgt: DocVersion,
-    thresholds: Thresholds = Thresholds(),
+    cfg: RunConfig = RunConfig(),
     encoder: GroupEncoder | None = None,
 ) -> ParaAlignment:
     """Two-pass thresholded-argmax paragraph alignment.
@@ -384,7 +365,8 @@ def align_paragraphs(
     gates on sim1; pass two walks sources, argmaxes sim1 over targets and
     gates on sim2.  A pair is added when the gated score exceeds tau1 and
     the relative positions differ by less than tau2 (pass one) or tau4
-    (pass two), or unconditionally when it exceeds tau3.  Argmax ties
+    (pass two), or unconditionally when it exceeds tau3; the four come
+    from `cfg`, which checks that they lie in [0, 1].  Argmax ties
     break to the lowest index.  Returned pairs use original paragraph
     indices; skipped paragraphs never appear.  The result carries the
     pair's sentence encodings, which sentence alignment scores from.
@@ -407,7 +389,7 @@ def align_paragraphs(
     for rows, sim1, sim2 in sim_rows(a, b):
         # pass two, whole within the block: each source's argmax of sim1, gated on sim2
         j = sim1.argmax(axis=1)
-        passed = _gated(sim2[np.arange(len(rows)), j], rows, k, j, l, thresholds.tau4, thresholds)
+        passed = _gated(sim2[np.arange(len(rows)), j], rows, k, j, l, cfg.tau4, cfg)
         chosen.update(zip(rows[passed].tolist(), j[passed].tolist()))
         # pass one's running argmax of sim2 per target: an earlier, lower
         # source keeps a tie, as np.argmax would
@@ -415,7 +397,7 @@ def align_paragraphs(
         better = np.flatnonzero(sim2[top, cols] > best)
         top = top[better]
         best[better], best_at[better], best_sim1[better] = sim2[top, better], rows[top], sim1[top, better]
-    passed = _gated(best_sim1, best_at, k, cols, l, thresholds.tau2, thresholds)
+    passed = _gated(best_sim1, best_at, k, cols, l, cfg.tau2, cfg)
     chosen.update(zip(best_at[passed].tolist(), cols[passed].tolist()))
     src_paragraphs, tgt_paragraphs = tuple(a.bounds), tuple(b.bounds)
     return ParaAlignment(frozenset((src_paragraphs[i], tgt_paragraphs[j]) for i, j in chosen), (a, b))

@@ -123,7 +123,7 @@ SentenceMetric = Callable[[Sentence, Sentence], float]
 
 def _per_text(features: Callable[[Sentence], object], score: Callable) -> SentenceMetric:
     """score(features(a), features(b)), with the features of each distinct
-    raw text built once.  Sentence.build derives the tokens from the raw
+    raw text built once.  A built sentence's tokens derive from its raw
     text alone, so sentences with equal text have equal features, and
     equal texts score exactly 1.0 without building any."""
     cache: dict[str, object] = {}

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from revkit.config import RunConfig
 from revkit.corpus import load_corpus
 from revkit.doc_ops import DocOpKind, count_operations, doc_operations, update_ratio
 from revkit.edits import (
@@ -37,7 +38,7 @@ from revkit.metrics import (
     eval_edits_corpus,
 )
 from revkit.myers import myers_diff
-from revkit.para_align import CandidateCells, Thresholds, align_paragraphs
+from revkit.para_align import CandidateCells, align_paragraphs
 from revkit.sent_align import align_sentences_directional, merge_bidirectional
 from revkit.trees import parse_tree_read
 
@@ -75,7 +76,7 @@ def test_diff_cost_equals_lcs_bound():
 
 def test_paragraph_alignment_matches_reference():
     rng = random.Random(2202)
-    t = Thresholds()
+    t = RunConfig()
     for _ in range(1_000):
         src, tgt = random_doc_pair(rng)
         assert align_paragraphs(src, tgt, t).pairs == oracle_align_paragraphs(src, tgt, t)

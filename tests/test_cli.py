@@ -21,7 +21,6 @@ from revkit.corpus import DocVersion, RawGroup, build_group, load_corpus, serial
 from revkit.errors import CorpusFormatError
 from revkit.formats import dump_json, read_alignment, read_edit_file
 from revkit.intention import COARSE_LABELS, FINE_LABELS
-from revkit.para_align import Thresholds
 from revkit.sent_align import SentAlignLabel
 
 from helpers import filler_sentence
@@ -615,7 +614,7 @@ def _oracle_align_files(corpus, name):
     files = {}
     for group in load_corpus(str(corpus)):
         for src, tgt in group.adjacent_pairs():
-            pairs = oracle_align_pair(src, tgt, name, Thresholds(), threshold)
+            pairs = oracle_align_pair(src, tgt, name, RunConfig(), threshold)
             obj = {
                 "arxiv_id": group.arxiv_id,
                 "src_version": src.version_index,

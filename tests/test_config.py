@@ -35,6 +35,7 @@ def test_effective_threshold_tracks_metric():
         ({"kept_definition": "all"}, "kept_definition"),
         ({"bins": 0}, "bins"),
         ({"jobs": 0}, "jobs"),
+        ({"tau4": -0.1}, "tau4"),
     ],
 )
 def test_validation(kwargs, message):

@@ -9,7 +9,6 @@ from revkit.corpus import (
     SPECIAL_MARKERS,
     ArticleGroup,
     DocVersion,
-    Paragraph,
     RawGroup,
     Sentence,
     SentenceId,
@@ -193,7 +192,7 @@ def test_sentence_skip_filter_matches_oracle(text):
 @example(["[REF] [CIT] [MATH] [EQN] five", "six seven eight nine ten"])
 @given(st.lists(_texts, max_size=4))
 def test_paragraph_skip_filter_matches_oracle(raws):
-    p = Paragraph.build(raws, 1, 0)
+    (p,) = DocVersion.build(1, 0, [raws]).paragraphs
     expected = oracle_paragraph_skip([_oracle_sentence(r, n) for n, r in enumerate(raws)])
     tokens = sum(len(s.tokens) for s in p.sentences)
     assert paragraph_skip_filter(tokens, sum(s.special_count for s in p.sentences)) is expected

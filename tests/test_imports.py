@@ -36,6 +36,13 @@ def test_modules_that_build_no_matrix_leave_numpy_unimported(module):
     assert res.returncode == 0, f"importing revkit.{module} imports numpy"
 
 
+def test_cli_leaves_multiprocessing_unimported():
+    """Only a pass that forks (--jobs 2 and up) imports multiprocessing."""
+    code = "import sys, revkit.cli; sys.exit('multiprocessing' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert res.returncode == 0, "importing revkit.cli imports multiprocessing"
+
+
 def _perfbench_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revkit import para_align
+from revkit.config import RunConfig
 from revkit.kernels import jaccard_matrix
 from revkit.para_align import (
     CandidateCells,
     GroupEncoder,
     ParaAlignment,
-    Thresholds,
     align_paragraphs,
     sim_rows,
 )
@@ -137,7 +137,7 @@ def test_pass_one_tie_keeps_the_lowest_source_across_blocks(budget):
     b = doc([[f1], [f2], [y, P_CAT], [P_CAT]], 2)
     with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
         got = align_paragraphs(a, b).pairs
-    assert got == oracle_align_paragraphs(a, b, Thresholds()) == {(1, 0), (2, 1), (3, 2)}
+    assert got == oracle_align_paragraphs(a, b, RunConfig()) == {(1, 0), (2, 1), (3, 2)}
 
 
 def test_tau3_branch_ignores_position():
@@ -168,13 +168,6 @@ def test_only_skipped_paragraphs_align_nothing():
     assert align_paragraphs(a, b).pairs == frozenset()
 
 
-def test_thresholds_validated():
-    with pytest.raises(ValueError):
-        Thresholds(tau1=1.5)
-    with pytest.raises(ValueError):
-        Thresholds(tau4=-0.1)
-
-
 def test_deterministic():
     rng = random.Random(3)
     a, b = random_doc_pair(rng)
@@ -186,7 +179,7 @@ def test_matches_oracle_on_random_docs():
     for _ in range(40):
         a, b = random_doc_pair(rng)
         got = align_paragraphs(a, b).pairs
-        want = oracle_align_paragraphs(a, b, Thresholds())
+        want = oracle_align_paragraphs(a, b, RunConfig())
         assert got == want
         k = len(a.alignable_paragraphs())
         l = len(b.alignable_paragraphs())
@@ -439,7 +432,7 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
         if small:
             # the passes carry each column's argmax, ties to the lowest source, across blocks
             with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
-                assert align_paragraphs(a, b).pairs == oracle_align_paragraphs(a, b, Thresholds())
+                assert align_paragraphs(a, b).pairs == oracle_align_paragraphs(a, b, RunConfig())
         # every cell's jaccard score, from the looked-up shared ids, is the
         # matrix's and the brute-force count's, bit for bit
         every = product([p.index for p in a.alignable_paragraphs()], [p.index for p in b.alignable_paragraphs()])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from revkit.cli import _align_pair
 from revkit.config import RunConfig
 from revkit.corpus import SentenceId
-from revkit.para_align import CandidateCells, Thresholds, align_paragraphs
+from revkit.para_align import CandidateCells, align_paragraphs
 from revkit.sent_align import (
     SentAlignLabel,
     SentenceAlignment,
@@ -309,7 +309,7 @@ def test_align_pair_matches_the_oracle_pipeline(versions, name, threshold):
     src, tgt = versions
     cfg = RunConfig(sentence_metric=name, sentence_threshold=threshold)
     got = _align_pair(src, tgt, cfg)
-    assert _labels(got) == oracle_align_pair(src, tgt, name, Thresholds(), threshold)
+    assert _labels(got) == oracle_align_pair(src, tgt, name, RunConfig(), threshold)
 
 
 def test_cells_read_from_an_unknown_version_are_refused():
