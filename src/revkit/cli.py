@@ -43,9 +43,9 @@ from .edits import (
 )
 from .errors import AlignmentFormatError, CorpusFormatError, FormatError, RevkitError, open_text
 from .formats import (
+    EditFileEntry,
     alignment_to_json,
     atomic_write_text,
-    dump_alignment_json,
     dump_json,
     format_csv,
     read_alignment,
@@ -174,14 +174,14 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
             )
     out = []
     # one encoding of each distinct text for all of the group's pairs
-    encoder = GroupEncoder(len(group.versions) - 1)
+    encoder = GroupEncoder()
     for src, tgt in group.adjacent_pairs():
         try:
             merged = _align_pair(src, tgt, cfg, encoder)
         except ValueError as exc:
             raise RevkitError(f"group {group.arxiv_id}: {exc}") from exc
         name = _pair_filename(group.arxiv_id, src.version_index, tgt.version_index)
-        out.append((name, dump_alignment_json(alignment_to_json(merged, group.arxiv_id))))
+        out.append((name, alignment_to_json(merged, group.arxiv_id)))
     return out
 
 
@@ -238,7 +238,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
             if len(trees) != len(pairs):
                 raise FormatError(f"{path}: {len(trees)} lines for {len(pairs)} aligned pairs")
 
-    revisions: list[SentenceRevision] = []
+    entries: list[EditFileEntry] = []
     for n, (s_id, t_id, _) in enumerate(pairs):
         s = src.sentence(s_id)
         t = tgt.sentence(t_id)
@@ -259,9 +259,10 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
                 edits |= derive_reorder(edits, was[n], s, t)
         except ValueError as exc:
             raise FormatError(f"pair {n + 1} ({s_id} -> {t_id}): {exc}") from exc
-        revisions.append(SentenceRevision(s, t, tuple(edits)))
-    write_edit_file(args.out, revisions)
-    log.info("wrote %s (%d revisions)", args.out, len(revisions))
+        rev = SentenceRevision(s, t, tuple(edits))  # validates and sorts the edits
+        entries.append(EditFileEntry(rev.revision_id, s_id, t_id, rev.edits))
+    write_edit_file(args.out, entries)
+    log.info("wrote %s (%d revisions)", args.out, len(entries))
     return 0
 
 

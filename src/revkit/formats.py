@@ -6,9 +6,10 @@ reruns produce byte-identical files.  Readers for third-party data are
 tolerant about key spellings; our own writers stick to one canonical
 shape.
 
-The two bulk shapes have writers of their own: `dump_alignment_json`
-for sentence-alignment files and `dump_edit_json` for edit files.  Each
-spells out its shape's indented text with the C string escaper, where
+The two bulk files are spelled straight from the program's objects:
+`alignment_to_json` returns a sentence-alignment file's text, and
+`write_edit_file` writes an edit file from the entries that
+`read_edit_file` reads back.  Both use the C string escaper, where
 `json.dumps(..., indent=2)` would fall back to its pure-Python encoder.
 `dump_json` writes the small reports and is the oracle both writers
 must match byte for byte.
@@ -25,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence
 
 from .corpus import SentenceId
-from .edits import Edit, EditKind, SentenceRevision, WordAlignment, edit_sort_key
+from .edits import Edit, EditKind, WordAlignment, edit_sort_key
 from .errors import AlignmentFormatError, FormatError, decode_json, open_text
 from .intention import parse_label
 from .sent_align import SentAlignLabel, SentenceAlignment
@@ -36,28 +37,13 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _quote_or_null(value: str | None) -> str:
-    return "null" if value is None else _quote(value)
-
-
-def _int_lister(indent: int):
-    """How `dump_json` writes an int list, or None, whose items sit
-    `indent` spaces deep."""
+def _ints(values: tuple[int, ...] | None, indent: int) -> str:
+    """How `dump_json` writes a non-empty int tuple, or None, whose items
+    sit `indent` spaces deep."""
+    if values is None:
+        return "null"
     pad = " " * indent
-    sep, close = ",\n" + pad, "\n" + pad[2:] + "]"
-
-    def ints(values) -> str:
-        if values is None:
-            return "null"
-        if not values:
-            return "[]"
-        return f"[\n{pad}{sep.join(map(str, values))}{close}"
-
-    return ints
-
-
-_ints8 = _int_lister(8)
-_ints12 = _int_lister(12)
+    return f"[\n{pad}" + f",\n{pad}".join(map(str, values)) + f"\n{pad[2:]}]"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -94,39 +80,22 @@ _LABEL_ALIASES = {
 }
 
 
-def alignment_to_json(alignment: SentenceAlignment, arxiv_id: str | None = None) -> dict:
-    """Canonical JSON form.  not-aligned pairs are an annotation-side
-    concept and are not written."""
-    pairs = [
-        {"src": [s.paragraph, s.sentence], "tgt": [t.paragraph, t.sentence], "label": label.value}
-        for s, t, label in alignment.sorted_positive()
-    ]
-    obj = {
-        "src_version": alignment.src_version,
-        "tgt_version": alignment.tgt_version,
-        "pairs": pairs,
-    }
-    if arxiv_id is not None:
-        obj["arxiv_id"] = arxiv_id
-    return obj
-
-
-def dump_alignment_json(obj: dict) -> str:
-    """`dump_json(obj)` for an object shaped as `alignment_to_json` builds it:
-    each pair's src and tgt are two ints, written inline."""
-    head = f'{{\n  "arxiv_id": {_quote(obj["arxiv_id"])},\n' if "arxiv_id" in obj else "{\n"
+def alignment_to_json(alignment: SentenceAlignment, arxiv_id: str | None = None) -> str:
+    """The alignment file's text, as `dump_json` writes its canonical
+    object: each pair's src and tgt are its paragraph and sentence.
+    not-aligned pairs are an annotation-side concept and are not written."""
+    head = "{\n" if arxiv_id is None else f'{{\n  "arxiv_id": {_quote(arxiv_id)},\n'
     pairs = ",\n".join([
-        f'    {{\n      "label": {_quote(p["label"])},\n'
-        f'      "src": [\n        {s0},\n        {s1}\n      ],\n'
-        f'      "tgt": [\n        {t0},\n        {t1}\n      ]\n    }}'
-        for p in obj["pairs"]
-        for (s0, s1), (t0, t1) in [(p["src"], p["tgt"])]
+        f'    {{\n      "label": {_quote(label.value)},\n'
+        f'      "src": [\n        {s.paragraph},\n        {s.sentence}\n      ],\n'
+        f'      "tgt": [\n        {t.paragraph},\n        {t.sentence}\n      ]\n    }}'
+        for s, t, label in alignment.sorted_positive()
     ])
     listed = f"[\n{pairs}\n  ]" if pairs else "[]"
     return (
         f'{head}  "pairs": {listed},\n'
-        f'  "src_version": {obj["src_version"]},\n'
-        f'  "tgt_version": {obj["tgt_version"]}\n}}\n'
+        f'  "src_version": {alignment.src_version},\n'
+        f'  "tgt_version": {alignment.tgt_version}\n}}\n'
     )
 
 
@@ -246,15 +215,6 @@ def read_tree_file(path: str) -> list[Tree | None]:
 _KIND_BY_VALUE = {k.value: k for k in EditKind}
 
 
-def edit_to_json(e: Edit) -> dict:
-    return {
-        "src": list(e.src_span) if e.src_span else None,
-        "tgt": list(e.tgt_span) if e.tgt_span else None,
-        "kind": e.kind.value,
-        "intention": e.intention.value if e.intention else None,
-    }
-
-
 def _span(value) -> tuple[int, int] | None:
     if value is None:
         return None
@@ -311,37 +271,6 @@ class EditFileEntry:
         return (self.edits,)
 
 
-def revision_to_json(rev: SentenceRevision) -> dict:
-    return {
-        "revision_id": rev.revision_id,
-        "src": list(rev.src.id),
-        "tgt": list(rev.tgt.id),
-        "edits": [edit_to_json(e) for e in rev.edits],
-    }
-
-
-def dump_edit_json(obj: dict) -> str:
-    """`dump_json(obj)` for an object shaped as `write_edit_file` builds it."""
-    revisions = []
-    for rev in obj["revisions"]:
-        edits = ",\n".join([
-            f'        {{\n          "intention": {_quote_or_null(e["intention"])},\n'
-            f'          "kind": {_quote(e["kind"])},\n'
-            f'          "src": {_ints12(e["src"])},\n'
-            f'          "tgt": {_ints12(e["tgt"])}\n        }}'
-            for e in rev["edits"]
-        ])
-        listed = f"[\n{edits}\n      ]" if edits else "[]"
-        revisions.append(
-            f'    {{\n      "edits": {listed},\n'
-            f'      "revision_id": {_quote(rev["revision_id"])},\n'
-            f'      "src": {_ints8(rev["src"])},\n'
-            f'      "tgt": {_ints8(rev["tgt"])}\n    }}'
-        )
-    listed = "[\n" + ",\n".join(revisions) + "\n  ]" if revisions else "[]"
-    return f'{{\n  "revisions": {listed}\n}}\n'
-
-
 def _id_from_json(value, loc: str) -> SentenceId | None:
     if value is None:
         return None
@@ -376,9 +305,29 @@ def entry_from_json(obj, loc: str) -> EditFileEntry:
     return EditFileEntry(rid, src_id, tgt_id, _sorted_edits(raw_edits, loc, ".edits"), None)
 
 
-def write_edit_file(path: str, revisions: Sequence[SentenceRevision]) -> None:
-    obj = {"revisions": [revision_to_json(r) for r in revisions]}
-    atomic_write_text(path, dump_edit_json(obj))
+def write_edit_file(path: str, entries: Sequence[EditFileEntry]) -> None:
+    """Write `entries` as `dump_json` writes their canonical object.  Each
+    entry's edits are written in their given order and its alternatives
+    not at all, so `read_edit_file` returns the entries unchanged when
+    their edits are in canonical order and none has alternatives."""
+    revisions = []
+    for entry in entries:
+        edits = ",\n".join([
+            f'        {{\n          "intention": {_quote(e.intention.value) if e.intention else "null"},\n'
+            f'          "kind": {_quote(e.kind.value)},\n'
+            f'          "src": {_ints(e.src_span, 12)},\n'
+            f'          "tgt": {_ints(e.tgt_span, 12)}\n        }}'
+            for e in entry.edits
+        ])
+        listed = f"[\n{edits}\n      ]" if edits else "[]"
+        revisions.append(
+            f'    {{\n      "edits": {listed},\n'
+            f'      "revision_id": {_quote(entry.revision_id)},\n'
+            f'      "src": {_ints(entry.src_id, 8)},\n'
+            f'      "tgt": {_ints(entry.tgt_id, 8)}\n    }}'
+        )
+    listed = "[\n" + ",\n".join(revisions) + "\n  ]" if revisions else "[]"
+    atomic_write_text(path, f'{{\n  "revisions": {listed}\n}}\n')
 
 
 def read_edit_file(path: str) -> list[EditFileEntry]:

@@ -2,6 +2,7 @@
 against multi-reference gold, and label classification."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -135,15 +136,11 @@ def eval_classification(preds: Sequence[str], golds: Sequence[str]) -> Classific
         raise ValueError(f"length mismatch: {len(preds)} predictions, {len(golds)} golds")
     if not golds:
         raise ValueError("nothing to evaluate")
-    classes = sorted(set(preds) | set(golds))
-    per_class: dict[str, PRF] = {}
-    support: dict[str, int] = {}
-    for c in classes:
-        tp = sum(1 for p, g in zip(preds, golds) if p == c and g == c)
-        fp = sum(1 for p, g in zip(preds, golds) if p == c and g != c)
-        fn = sum(1 for p, g in zip(preds, golds) if p != c and g == c)
-        per_class[c] = PRF.from_counts(tp, fp, fn)
-        support[c] = sum(1 for g in golds if g == c)
-    accuracy = sum(1 for p, g in zip(preds, golds) if p == g) / len(golds)
+    hits = Counter(p for p, g in zip(preds, golds) if p == g)
+    predicted, gold = Counter(preds), Counter(golds)
+    classes = sorted(predicted.keys() | gold.keys())
+    per_class = {c: PRF.from_counts(hits[c], predicted[c] - hits[c], gold[c] - hits[c]) for c in classes}
+    support = {c: gold[c] for c in classes}
+    accuracy = sum(hits.values()) / len(golds)
     weighted = sum(support[c] * per_class[c].f1 for c in classes) / len(golds)
     return ClassificationReport(per_class, support, accuracy, weighted)

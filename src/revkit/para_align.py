@@ -213,34 +213,30 @@ class GroupEncoder:
 
     A group's pairs run (v1, v2), (v2, v3), ..., so the encoder keeps each
     pair's target and hands it back as the next pair's source when that
-    is the same DocVersion; any other source is encoded afresh.  After the
-    last of `pairs` pairs it keeps nothing, not even the vocabulary (the
-    pair's EncodedVersions still hold theirs).  Equal raw texts have equal
-    tokens, so the target reuses the source's encodings of its texts.
+    is the same DocVersion; any other source is encoded afresh.  `texts`
+    maps each raw text encoded so far to its encoding.  Equal raw texts
+    have equal tokens, and a text seen before holds only surfaces already
+    in the vocabulary, so looking it up gives the ids encoding it again
+    would.
     """
 
-    def __init__(self, pairs: int = 1) -> None:
-        self.pairs = pairs
+    def __init__(self) -> None:
         self.surface = _Vocabulary()
+        self.texts: dict[str, tuple[int, ...]] = {}
         self.last: EncodedVersion | None = None  # the previous pair's target
 
     def encode_pair(self, src: DocVersion, tgt: DocVersion) -> tuple[EncodedVersion, EncodedVersion]:
-        """The source's and the target's encodings; then keep the target's,
-        or nothing after the last pair."""
+        """The source's and the target's encodings; the target's is kept
+        for the next pair."""
         a = self.last
         if a is None or a.doc is not src:
-            a = self._encode_version(src, {})
-        b = self._encode_version(tgt, dict(zip([s.raw for s in a.sentences], a.rows.texts)))
-        self.pairs -= 1
-        if self.pairs > 0:
-            self.last = b
-        else:
-            self.surface, self.last = _Vocabulary(), None
+            a = self._encode_version(src)
+        self.last = b = self._encode_version(tgt)
         return a, b
 
-    def _encode_version(self, doc: DocVersion, known: dict[str, tuple[int, ...]]) -> EncodedVersion:
-        """Encode the alignable sentences and lay them out; `known` maps raw
-        texts to their encodings, and gains the ones encoded here."""
+    def _encode_version(self, doc: DocVersion) -> EncodedVersion:
+        """Encode the alignable sentences and lay them out."""
+        known = self.texts
         sentences: list[Sentence] = []
         texts: list[tuple[int, ...]] = []
         bounds: dict[int, tuple[int, int]] = {}

@@ -20,6 +20,7 @@ from typing import Iterator
 from revkit import corpus
 from revkit.corpus import DocVersion, Sentence, SentenceId
 from revkit.errors import TreeParseError
+from revkit.metrics import PRF, ClassificationReport
 from revkit.trees import MAX_DEPTH
 
 Span = tuple[int, int]
@@ -735,6 +736,29 @@ def oracle_paragraph_skip(sentences) -> bool:
     if toks and special / len(toks) > corpus.SKIP_PARAGRAPH_SPECIAL_FRACTION:
         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# classification scoring, as first written: four passes over the pairs per
+# class (the PRF arithmetic and the report type are the package's own)
+
+def oracle_classification(preds, golds) -> ClassificationReport:
+    if len(preds) != len(golds):
+        raise ValueError(f"length mismatch: {len(preds)} predictions, {len(golds)} golds")
+    if not golds:
+        raise ValueError("nothing to evaluate")
+    classes = sorted(set(preds) | set(golds))
+    per_class = {}
+    support = {}
+    for c in classes:
+        tp = sum(1 for p, g in zip(preds, golds) if p == c and g == c)
+        fp = sum(1 for p, g in zip(preds, golds) if p == c and g != c)
+        fn = sum(1 for p, g in zip(preds, golds) if p != c and g == c)
+        per_class[c] = PRF.from_counts(tp, fp, fn)
+        support[c] = sum(1 for g in golds if g == c)
+    accuracy = sum(1 for p, g in zip(preds, golds) if p == g) / len(golds)
+    weighted = sum(support[c] * per_class[c].f1 for c in classes) / len(golds)
+    return ClassificationReport(per_class, support, accuracy, weighted)
 
 
 # ---------------------------------------------------------------------------

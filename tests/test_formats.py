@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +14,7 @@ from revkit.formats import (
     alignment_from_json,
     alignment_to_json,
     atomic_write_text,
-    dump_alignment_json,
-    dump_edit_json,
     dump_json,
-    edit_to_json,
     entry_from_json,
     format_csv,
     parse_pharaoh_line,
@@ -24,7 +22,6 @@ from revkit.formats import (
     read_edit_file,
     read_pharaoh_file,
     read_tree_file,
-    revision_to_json,
     write_edit_file,
 )
 from revkit.intention import CoarseIntention, IntentionLabel
@@ -69,7 +66,7 @@ def sample_alignment():
 
 def test_alignment_round_trip(tmp_path):
     path = str(tmp_path / "a.json")
-    text = dump_json(alignment_to_json(sample_alignment(), arxiv_id="1234.5678"))
+    text = alignment_to_json(sample_alignment(), arxiv_id="1234.5678")
     atomic_write_text(path, text)
     got_id, got = read_alignment(path)
     assert got_id == "1234.5678"
@@ -78,7 +75,7 @@ def test_alignment_round_trip(tmp_path):
     assert got.sorted_positive() == sample_alignment().sorted_positive()
     assert all(label is not SentAlignLabel.NOT_ALIGNED for _, _, label in got.pairs)
     # what was read writes back byte for byte
-    assert dump_json(alignment_to_json(got, got_id)) == text
+    assert alignment_to_json(got, got_id) == text
 
 
 def test_alignment_reader_accepts_aliases():
@@ -180,43 +177,23 @@ _STRINGS = st.text(
     max_size=12,
 )
 _INTS = st.one_of(st.integers(), st.integers(min_value=2**63, max_value=2**80))
-_INT_LISTS = st.lists(_INTS, max_size=3)
-# a sentence id as alignment_to_json writes it: paragraph and sentence
-_INT_PAIRS = st.lists(_INTS, min_size=2, max_size=2)
-
-_ALIGNMENT_OBJECTS = st.fixed_dictionaries(
-    {
-        "src_version": _INTS,
-        "tgt_version": _INTS,
-        "pairs": st.lists(
-            st.fixed_dictionaries({"src": _INT_PAIRS, "tgt": _INT_PAIRS, "label": _STRINGS}),
-            max_size=4,
-        ),
-    },
-    optional={"arxiv_id": _STRINGS},
-)
 
 
-@settings(max_examples=200)
-@given(_ALIGNMENT_OBJECTS)
-@example({"src_version": 1, "tgt_version": 2, "pairs": []})
-@example({"src_version": 1, "tgt_version": 2, "pairs": [], "arxiv_id": "caf\u00e9/\"1\"\\\n"})
-@example({"src_version": 2**64, "tgt_version": -1,
-          "pairs": [{"src": [2**63, 0], "tgt": [-1, 2**80], "label": "aligned"}]})
-def test_alignment_writer_matches_dump_json(obj):
-    assert dump_alignment_json(obj) == dump_json(obj)
-
-
-@pytest.mark.parametrize("ids", [[], [1], [1, 2, 3]])
-def test_alignment_writer_rejects_ids_of_another_length(ids):
-    """The writer spells each id as the two ints alignment_to_json gives
-    it, so any other shape fails rather than writing other text."""
-    obj = {"src_version": 1, "tgt_version": 2, "pairs": [{"src": [0, 1], "tgt": ids, "label": "aligned"}]}
-    with pytest.raises(ValueError):
-        dump_alignment_json(obj)
-
-
-_POSITIVE_LABELS = st.sampled_from([SentAlignLabel.ALIGNED, SentAlignLabel.PARTIAL])
+def alignment_object(alignment: SentenceAlignment, arxiv_id: str | None = None) -> dict:
+    """The object an alignment file holds: `dump_json` of it is the
+    writer's reference text."""
+    positive = [p for p in alignment.pairs if p[2] is not SentAlignLabel.NOT_ALIGNED]
+    obj = {
+        "src_version": alignment.src_version,
+        "tgt_version": alignment.tgt_version,
+        "pairs": [
+            {"src": [s.paragraph, s.sentence], "tgt": [t.paragraph, t.sentence], "label": label.value}
+            for s, t, label in sorted(positive, key=lambda p: (p[0], p[1]))
+        ],
+    }
+    if arxiv_id is not None:
+        obj["arxiv_id"] = arxiv_id
+    return obj
 
 
 @st.composite
@@ -227,7 +204,7 @@ def _alignments(draw):
             st.tuples(
                 st.builds(SentenceId, st.just(src_v), _INTS, _INTS),
                 st.builds(SentenceId, st.just(tgt_v), _INTS, _INTS),
-                _POSITIVE_LABELS,
+                st.sampled_from(SentAlignLabel),
             ),
             max_size=5,
         )
@@ -235,11 +212,28 @@ def _alignments(draw):
     return SentenceAlignment(src_v, tgt_v, pairs)
 
 
+@settings(max_examples=200)
+@given(_alignments(), st.one_of(st.none(), _STRINGS))
+@example(SentenceAlignment(1, 2, frozenset()), None)
+@example(SentenceAlignment(1, 2, frozenset()), "caf\u00e9/\"1\"\\\n")
+@example(
+    SentenceAlignment(2**64, -1, frozenset({
+        (SentenceId(2**64, 2**63, 0), SentenceId(-1, -1, 2**80), SentAlignLabel.ALIGNED),
+        (SentenceId(2**64, 0, 0), SentenceId(-1, 0, 0), SentAlignLabel.NOT_ALIGNED),
+    })),
+    None,
+)
+def test_alignment_writer_matches_dump_json(alignment, arxiv_id):
+    assert alignment_to_json(alignment, arxiv_id) == dump_json(alignment_object(alignment, arxiv_id))
+
+
 @given(_alignments(), st.one_of(st.none(), _STRINGS.filter(bool)))
 def test_written_alignment_reads_back_equal(tmp_path_factory, alignment, arxiv_id):
     path = str(tmp_path_factory.mktemp("align") / "a.json")
-    atomic_write_text(path, dump_alignment_json(alignment_to_json(alignment, arxiv_id)))
-    assert read_alignment(path) == (arxiv_id, alignment)
+    atomic_write_text(path, alignment_to_json(alignment, arxiv_id))
+    # the file holds the positive pairs only
+    positive = frozenset(p for p in alignment.pairs if p[2] is not SentAlignLabel.NOT_ALIGNED)
+    assert read_alignment(path) == (arxiv_id, replace(alignment, pairs=positive))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +311,32 @@ def test_readers_reject_invalid_utf8(tmp_path, reader, error):
 # ---------------------------------------------------------------------------
 # edit JSON
 
+def edit_object(e: Edit) -> dict:
+    """The object an edit file holds for `e`."""
+    return {
+        "src": list(e.src_span) if e.src_span else None,
+        "tgt": list(e.tgt_span) if e.tgt_span else None,
+        "kind": e.kind.value,
+        "intention": e.intention.value if e.intention else None,
+    }
+
+
+def edit_file_object(entries) -> dict:
+    """The object an edit file of `entries` holds: `dump_json` of it is
+    the writer's reference text."""
+    return {
+        "revisions": [
+            {
+                "revision_id": e.revision_id,
+                "src": None if e.src_id is None else list(e.src_id),
+                "tgt": None if e.tgt_id is None else list(e.tgt_id),
+                "edits": [edit_object(x) for x in e.edits],
+            }
+            for e in entries
+        ]
+    }
+
+
 def read_one_edit(obj):
     """The edit `obj` spells, read as the only edit of an edit-file entry."""
     (edit,) = entry_from_json({"revision_id": "r", "src": None, "tgt": None, "edits": [obj]}, "entry").edits
@@ -332,14 +352,14 @@ def test_edit_json_round_trip():
         Edit((1, 2), None, EditKind.DELETE, CoarseIntention.IMPROVE_LANGUAGE),
     ]
     for e in edits:
-        assert read_one_edit(edit_to_json(e)) == e
+        assert read_one_edit(edit_object(e)) == e
 
 
 def test_edit_json_shared_label_strings_read_as_fine():
     # three label strings exist at both granularities; the reader
     # resolves them to the fine enum
     e = Edit((1, 2), None, EditKind.DELETE, CoarseIntention.UPDATE_CONTENT)
-    back = read_one_edit(edit_to_json(e))
+    back = read_one_edit(edit_object(e))
     assert back.intention is IntentionLabel.UPDATE_CONTENT
 
 
@@ -361,7 +381,8 @@ def test_edit_json_errors(obj, message):
         read_one_edit(obj)
 
 
-def two_revisions():
+def two_entries():
+    """Two entries as extract-edits makes them, from validated revisions."""
     a = SentenceRevision(
         make_sentence("aa bb cc", version=1),
         make_sentence("aa dd cc", version=2),
@@ -372,23 +393,24 @@ def two_revisions():
         make_sentence("ee ff gg", version=2, para=1),
         (ins(2, 3),),
     )
-    return [a, b]
+    return [EditFileEntry(r.revision_id, r.src.id, r.tgt.id, r.edits) for r in (a, b)]
 
 
 def test_edit_file_round_trip(tmp_path):
     path = str(tmp_path / "edits.json")
-    revisions = two_revisions()
-    write_edit_file(path, revisions)
+    written = two_entries()
+    write_edit_file(path, written)
     entries = read_edit_file(path)
-    assert [e.revision_id for e in entries] == [r.revision_id for r in revisions]
+    assert [e.revision_id for e in entries] == ["v1p0s0-v2p0s0", "v1p1s0-v2p1s0"]
     assert entries[0].src_id == SentenceId(1, 0, 0)
-    assert entries[0].edits == revisions[0].edits
+    assert entries[0].edits == (sub(1, 2, 1, 2),)
     assert entries[0].alternatives is None
-    assert entries[0].gold_alternatives() == (revisions[0].edits,)
+    assert entries[0].gold_alternatives() == ((sub(1, 2, 1, 2),),)
+    assert entries == written
 
     with open(path) as fh:
         first = fh.read()
-    write_edit_file(path, revisions)
+    write_edit_file(path, written)
     with open(path) as fh:
         assert fh.read() == first
 
@@ -449,42 +471,6 @@ def test_edit_file_structure_errors(tmp_path, obj, message):
         read_edit_file(str(path))
 
 
-_EDIT_OBJECTS = st.fixed_dictionaries(
-    {
-        "src": st.one_of(st.none(), _INT_LISTS),
-        "tgt": st.one_of(st.none(), _INT_LISTS),
-        "kind": st.one_of(st.sampled_from([k.value for k in EditKind]), _STRINGS),
-        "intention": st.one_of(st.none(), st.sampled_from([l.value for l in IntentionLabel]), _STRINGS),
-    }
-)
-_REVISION_OBJECTS = st.fixed_dictionaries(
-    {
-        "revision_id": _STRINGS,
-        "src": st.one_of(st.none(), _INT_LISTS),
-        "tgt": st.one_of(st.none(), _INT_LISTS),
-        "edits": st.lists(_EDIT_OBJECTS, max_size=3),
-    }
-)
-
-
-@settings(max_examples=200)
-@given(st.fixed_dictionaries({"revisions": st.lists(_REVISION_OBJECTS, max_size=3)}))
-@example({"revisions": []})
-@example({"revisions": [{"revision_id": "r\u00e9\"\\\t", "src": [1, 2**64, 0], "tgt": [2, 0, 0],
-                         "edits": []}]})
-@example({"revisions": [{"revision_id": "r", "src": [1, 0, 0], "tgt": [2, 0, 0], "edits": [
-    {"src": None, "tgt": [0, 2**63], "kind": "insert", "intention": None}]}]})
-def test_edit_writer_matches_dump_json(obj):
-    assert dump_edit_json(obj) == dump_json(obj)
-
-
-def test_write_edit_file_matches_dump_json(tmp_path):
-    path = tmp_path / "edits.json"
-    revisions = two_revisions()
-    write_edit_file(str(path), revisions)
-    assert path.read_text() == dump_json({"revisions": [revision_to_json(r) for r in revisions]})
-
-
 _SPANS = st.tuples(st.integers(0, 2**70), st.integers(1, 2**70)).map(lambda ab: (ab[0], ab[0] + ab[1]))
 
 
@@ -496,12 +482,13 @@ def _edits(draw):
     return Edit(src, tgt, kind, draw(st.one_of(st.none(), st.sampled_from(IntentionLabel))))
 
 
+_IDS = st.one_of(st.none(), st.builds(SentenceId, _INTS, _INTS, _INTS))
 _ENTRIES = st.lists(
     st.builds(
         EditFileEntry,
         _STRINGS.filter(bool),
-        st.builds(SentenceId, _INTS, _INTS, _INTS),
-        st.builds(SentenceId, _INTS, _INTS, _INTS),
+        _IDS,
+        _IDS,
         st.lists(_edits(), max_size=4).map(lambda es: tuple(sorted(es, key=edit_sort_key))),
     ),
     max_size=4,
@@ -509,21 +496,28 @@ _ENTRIES = st.lists(
 )
 
 
+@settings(max_examples=200)
+@given(_ENTRIES)
+@example([])
+@example([EditFileEntry("r\u00e9\"\\\t", SentenceId(1, 2**64, 0), SentenceId(2, 0, 0), ())])
+@example([EditFileEntry("r", SentenceId(1, 0, 0), SentenceId(2, 0, 0), (ins(0, 2**63),))])
+def test_edit_writer_matches_dump_json(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("edits") / "e.json"
+    write_edit_file(str(path), entries)
+    assert path.read_text() == dump_json(edit_file_object(entries))
+
+
+def test_write_edit_file_matches_dump_json(tmp_path):
+    path = tmp_path / "edits.json"
+    entries = two_entries()
+    write_edit_file(str(path), entries)
+    assert path.read_text() == dump_json(edit_file_object(entries))
+
+
 @given(_ENTRIES)
 def test_written_edit_file_reads_back_equal(tmp_path_factory, entries):
-    obj = {
-        "revisions": [
-            {
-                "revision_id": e.revision_id,
-                "src": list(e.src_id),
-                "tgt": list(e.tgt_id),
-                "edits": [edit_to_json(x) for x in e.edits],
-            }
-            for e in entries
-        ]
-    }
     path = str(tmp_path_factory.mktemp("edits") / "e.json")
-    atomic_write_text(path, dump_edit_json(obj))
+    write_edit_file(path, entries)
     assert read_edit_file(path) == entries
 
 

@@ -144,3 +144,30 @@ def test_align_leaves_numpy_ma_unimported(tmp_path, metric):
     assert res.returncode == 0, "align failed" if res.returncode != 3 else "align imported numpy.ma"
     (written,) = out.iterdir()
     assert json.loads(written.read_text())["pairs"]
+
+
+def test_align_writes_the_texts_its_traced_writer_returns(tmp_path, monkeypatch):
+    """The tracer wraps revkit.cli.alignment_to_json as
+    formats.write.alignment_to_json, so that span covers the encoding of
+    the alignment files only if the call returns a file's text: each file
+    `align` writes must be one text the call returned."""
+    write = cli.alignment_to_json
+    returned = []
+
+    def recorder(*args, **kwargs):
+        returned.append(write(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "alignment_to_json", recorder)
+    rng = random.Random(13)
+    paragraphs = [[random_sentence_raw(rng, 6, 12, VOCAB) for _ in range(4)] for _ in range(6)]
+    groups = [
+        build_group(arxiv_id, "cs.CL", [doc(paragraphs[: 2 + v], v) for v in range(1, size + 1)])
+        for arxiv_id, size in (("2001.0001", 3), ("2001.0002", 2))
+    ]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(serialize_corpus(groups))
+    out = tmp_path / "out"
+    assert cli.main(["align", "--corpus", str(corpus), "--out", str(out), "--jobs", "1"]) == 0
+    written = sorted(path.read_text() for path in out.iterdir())
+    assert len(written) == 3 and written == sorted(returned)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revkit.edits import Edit, EditKind
 from revkit.intention import IntentionLabel
@@ -11,6 +13,7 @@ from revkit.metrics import (
 )
 
 from helpers import alignment, dele, doc, filler_sentence, ins, sub
+from oracles import oracle_classification
 
 
 def test_prf_from_counts():
@@ -167,6 +170,21 @@ def test_eval_classification_weighted_f1():
     assert got.accuracy == pytest.approx(0.7)
     # 2/10 * 1.0 + 3/10 * 0.5 + 5/10 * 0.8
     assert got.weighted_f1 == pytest.approx(0.75)
+
+
+_LABEL_LISTS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(*(st.lists(st.sampled_from("ABCDE"), min_size=n, max_size=n),) * 2)
+)
+
+
+@settings(max_examples=300)
+@given(_LABEL_LISTS)
+def test_eval_classification_matches_oracle(labels):
+    preds, golds = labels
+    got, want = eval_classification(preds, golds), oracle_classification(preds, golds)
+    # every field exactly, the classes in the same (sorted) order
+    assert got == want
+    assert list(got.per_class) == list(want.per_class) and list(got.support) == list(want.support)
 
 
 def test_eval_classification_input_errors():

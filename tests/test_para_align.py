@@ -242,7 +242,7 @@ def test_shared_encoder_matches_oracle_over_a_group():
             doc([[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(0, 4))], v)
             for v in range(1, rng.randint(3, 5))
         ]
-        encoder = GroupEncoder(len(versions) - 1)
+        encoder = GroupEncoder()
         previous = None
         for a, b in zip(versions, versions[1:]):
             t = assembled_tensor(a, b, encoder)
@@ -250,11 +250,11 @@ def test_shared_encoder_matches_oracle_over_a_group():
             # each version is encoded and laid out once: the previous target is this source
             assert previous is None or t.src is previous
             previous = t.tgt
-        # after the last pair the encoder holds nothing
-        assert (encoder.surface, encoder.surface.lower, encoder.last) == ({}, {}, None)
+        # one encoding for each distinct text of the group that takes part in alignment
+        assert set(encoder.texts) == {s.raw for v in versions for s in v.alignable_sentences()}
         # a source that is not the previous pair's target is encoded afresh
         first, second, last = versions[0], versions[1], versions[-1]
-        encoder = GroupEncoder(3)
+        encoder = GroupEncoder()
         kept = assembled_tensor(first, second, encoder).tgt
         for a, b in ((first, last), (doc([[s.raw for s in p.sentences] for p in first.paragraphs], 1), second)):
             t = assembled_tensor(a, b, encoder)

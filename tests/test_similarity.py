@@ -329,7 +329,7 @@ def test_make_metric_tfidf_cache_tells_same_id_apart():
         "another dog walked over the hill slowly",
     ]
     versions = [doc([[texts[v % 3], texts[(v + 1) % 3]]], v + 1) for v in range(3)]
-    encoder = GroupEncoder(2)
+    encoder = GroupEncoder()
     for a, b in zip(versions, versions[1:]):
         paras = replace(align_paragraphs(a, b, encoder=encoder), pairs=frozenset({(0, 0)}))
         oracle = oracle_metric("tfidf", a, b)
