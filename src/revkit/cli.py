@@ -56,7 +56,7 @@ from .formats import (
 )
 from .intention import ingest_predictions, parse_label
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
-from .para_align import CandidateCells, GroupEncoder, align_paragraphs
+from .para_align import CandidateCells, EncodedVersion, align_paragraphs, encode_versions
 from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
 from .similarity import CELL_METRICS, METRIC_NAMES, make_metric
 
@@ -147,13 +147,13 @@ def _write_outputs(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
 # align
 
 def _align_pair(
-    src: DocVersion, tgt: DocVersion, cfg: RunConfig, encoder: GroupEncoder | None = None
+    src: DocVersion, tgt: DocVersion, cfg: RunConfig, encodings: tuple[EncodedVersion, EncodedVersion]
 ):
     name = cfg.sentence_metric
-    # jaccard and tfidf are scored in bulk from the pair's encodings; the
-    # paragraph alignment goes once the cells are found
+    # jaccard and tfidf are scored in bulk from the pair's encodings
     cells = CandidateCells(
-        align_paragraphs(src, tgt, cfg, encoder),
+        align_paragraphs(src, tgt, cfg, encodings),
+        encodings,
         make_metric(name) if name in CELL_METRICS else name,
     )
     thr = cfg.effective_sentence_threshold()
@@ -173,11 +173,12 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
                 group.arxiv_id, v.version_index, total,
             )
     out = []
-    # one encoding of each distinct text for all of the group's pairs
-    encoder = GroupEncoder()
-    for src, tgt in group.adjacent_pairs():
+    # one encoding of each distinct text, and one layout of each version, for all the group's pairs
+    encoded = encode_versions(group.versions)
+    for a, b in zip(encoded, encoded[1:]):
+        src, tgt = a.doc, b.doc
         try:
-            merged = _align_pair(src, tgt, cfg, encoder)
+            merged = _align_pair(src, tgt, cfg, (a, b))
         except ValueError as exc:
             raise RevkitError(f"group {group.arxiv_id}: {exc}") from exc
         name = _pair_filename(group.arxiv_id, src.version_index, tgt.version_index)
@@ -186,11 +187,14 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
 
 
 def _check_pair_filenames(groups: Sequence[RawGroup], where: str) -> None:
-    """Ids differing only in '/' against '_' must not write one file."""
+    """Ids differing only in '/' against '_' must not write one file, and
+    no file name may hold a null character."""
     owner: dict[str, str] = {}
     for g in groups:
         for (a, _, _), (b, _, _) in zip(g.versions, g.versions[1:]):
             name = _pair_filename(g.arxiv_id, a, b)
+            if "\x00" in name:
+                raise CorpusFormatError(f"{where}: group {g.arxiv_id!r}: a file name cannot hold '\\x00'")
             other = owner.setdefault(name, g.arxiv_id)
             if other != g.arxiv_id:
                 raise CorpusFormatError(
@@ -602,3 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("revkit: internal error", file=sys.stderr)
         traceback.print_exc()
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,10 +8,12 @@ each argmaxes one of the two similarity matrices but applies its
 thresholds to the other.  That asymmetry is part of the published
 behaviour of this procedure and must not be "fixed".
 
-Each version of a group is encoded once (GroupEncoder), into its
-sentences' lowercase token ids over one vocabulary that the group's
-version pairs share, and laid out once (kernels.Rows), as the target of
-one pair and the source of the next.  The sentence x sentence Jaccard
+Every version of a group is encoded once, up front (encode_versions),
+into its sentences' lowercase token ids over one vocabulary that the
+group's version pairs share, and laid out once (kernels.Rows); each
+layout serves as the target of one pair and the source of the next.
+The caller hands a pair's two encodings to align_paragraphs and
+CandidateCells alike.  The sentence x sentence Jaccard
 scores are computed a block of whole source paragraphs at a time,
 against a target side indexed once per version pair (kernels.Target).
 Segment reductions turn each block into its paragraphs' rows of both
@@ -21,7 +23,7 @@ one 1-D reduction over a C-contiguous segment, so it rounds exactly as a
 per-block ``np.mean`` would.  The passes read each block's rows as they
 come and keep only each target's best source so far, so neither the
 n x m scores nor the k x l matrices ever exist whole: what stays is one
-block, arrays over the target paragraphs, and the two encodings.
+block, arrays over the target paragraphs, and the encodings.
 
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
@@ -32,9 +34,8 @@ per-row argmax picks each sentence's best candidate, in either direction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,24 +73,12 @@ class EncodedVersion(NamedTuple):
         ]
 
 
-@dataclass(frozen=True)
-class ParaAlignment:
-    """Aligned paragraph pairs, in original paragraph indices.
-
-    encodings, when set, holds the source's and the target's sentence
-    encodings (EncodedVersion), which sentence alignment scores the
-    candidate cells from; it takes no part in equality.
-    """
-
-    pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    encodings: tuple[EncodedVersion, EncodedVersion] | None = field(default=None, compare=False, repr=False)
-
-
 class CandidateCells:
-    """The sentence pairs inside the aligned paragraph pairs of `paras`,
-    each scored once for both directions.
+    """The sentence pairs inside the aligned paragraph pairs `pairs`, each
+    scored once for both directions.
 
-    A cell pairs source row r with target row c of the pair's encodings.
+    A cell pairs source row r with target row c of `encodings`, the
+    source's and the target's EncodedVersion, as encode_versions gives.
     The cells are listed by source row, then target row (rows, cols);
     the kernels' shared-id lookup relies on that source-row order.
     `metric` is "jaccard" or "tfidf", scored in bulk, or a symmetric
@@ -97,13 +86,16 @@ class CandidateCells:
     The cells are scored on first use.
     """
 
-    def __init__(self, paras: ParaAlignment, metric: str | Callable[[Sentence, Sentence], float]) -> None:
-        if paras.encodings is None:
-            raise ValueError("these paragraph pairs carry no sentence encodings")
+    def __init__(
+        self,
+        pairs: frozenset[tuple[int, int]],
+        encodings: tuple[EncodedVersion, EncodedVersion],
+        metric: str | Callable[[Sentence, Sentence], float],
+    ) -> None:
         if not callable(metric) and metric not in ("jaccard", "tfidf"):
             raise ValueError(f"metric {metric!r} is not scored in bulk; pass its function")
-        (self.src, self.tgt), self.metric = paras.encodings, metric
-        self.rows, self.cols = _cells(paras.pairs, self.src.bounds, self.tgt.bounds)
+        (self.src, self.tgt), self.metric = encodings, metric
+        self.rows, self.cols = _cells(pairs, self.src.bounds, self.tgt.bounds)
 
     @cached_property
     def _scored(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,37 +198,20 @@ class _Vocabulary(dict):
         return found
 
 
-class GroupEncoder:
-    """Encodings of sentence texts over one vocabulary that every version
-    pair of a group shares: each text's tokens as their lowercase ids, in
-    order, and each version's laid out once as kernels.Rows.
+def encode_versions(versions: Sequence[DocVersion]) -> list[EncodedVersion]:
+    """Every version's alignable sentences encoded and laid out once, in
+    version order, over one vocabulary: each text's tokens as their
+    lowercase ids, which follow first occurrence.
 
-    A group's pairs run (v1, v2), (v2, v3), ..., so the encoder keeps each
-    pair's target and hands it back as the next pair's source when that
-    is the same DocVersion; any other source is encoded afresh.  `texts`
-    maps each raw text encoded so far to its encoding.  Equal raw texts
-    have equal tokens, and a text seen before holds only surfaces already
-    in the vocabulary, so looking it up gives the ids encoding it again
-    would.
+    Equal raw texts have equal tokens, so each distinct text is encoded
+    once and its versions share one encoding.  The surface map and the
+    text memo are dropped on return; the encodings keep only the
+    lowercase vocabulary.
     """
-
-    def __init__(self) -> None:
-        self.surface = _Vocabulary()
-        self.texts: dict[str, tuple[int, ...]] = {}
-        self.last: EncodedVersion | None = None  # the previous pair's target
-
-    def encode_pair(self, src: DocVersion, tgt: DocVersion) -> tuple[EncodedVersion, EncodedVersion]:
-        """The source's and the target's encodings; the target's is kept
-        for the next pair."""
-        a = self.last
-        if a is None or a.doc is not src:
-            a = self._encode_version(src)
-        self.last = b = self._encode_version(tgt)
-        return a, b
-
-    def _encode_version(self, doc: DocVersion) -> EncodedVersion:
-        """Encode the alignable sentences and lay them out."""
-        known = self.texts
+    surface = _Vocabulary()
+    known: dict[str, tuple[int, ...]] = {}
+    out = []
+    for doc in versions:
         sentences: list[Sentence] = []
         texts: list[tuple[int, ...]] = []
         bounds: dict[int, tuple[int, int]] = {}
@@ -248,15 +223,12 @@ class GroupEncoder:
                 if not s.skipped:
                     text = known.get(s.raw)
                     if text is None:
-                        text = known[s.raw] = self.encode(s.tokens)
+                        text = known[s.raw] = tuple(map(surface.__getitem__, s.tokens))
                     sentences.append(s)
                     texts.append(text)
             bounds[p.index] = (start, len(texts))
-        return EncodedVersion(doc, sentences, Rows(texts), bounds, self.surface.lower)
-
-    def encode(self, tokens: tuple[str, ...]) -> tuple[int, ...]:
-        """The tokens' lowercase ids; new tokens join the vocabulary."""
-        return tuple(map(self.surface.__getitem__, tokens))
+        out.append(EncodedVersion(doc, sentences, Rows(texts), bounds, surface.lower))
+    return out
 
 
 def sim_rows(a: EncodedVersion, b: EncodedVersion) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -353,9 +325,10 @@ def align_paragraphs(
     src: DocVersion,
     tgt: DocVersion,
     cfg: RunConfig = RunConfig(),
-    encoder: GroupEncoder | None = None,
-) -> ParaAlignment:
-    """Two-pass thresholded-argmax paragraph alignment.
+    encodings: tuple[EncodedVersion, EncodedVersion] | None = None,
+) -> frozenset[tuple[int, int]]:
+    """Two-pass thresholded-argmax paragraph alignment: the aligned
+    paragraph pairs, in original paragraph indices.
 
     Pass one walks target paragraphs and argmaxes sim2 over sources but
     gates on sim1; pass two walks sources, argmaxes sim1 over targets and
@@ -363,11 +336,9 @@ def align_paragraphs(
     the relative positions differ by less than tau2 (pass one) or tau4
     (pass two), or unconditionally when it exceeds tau3; the four come
     from `cfg`, which checks that they lie in [0, 1].  Argmax ties
-    break to the lowest index.  Returned pairs use original paragraph
-    indices; skipped paragraphs never appear.  The result carries the
-    pair's sentence encodings, which sentence alignment scores from.
-    `encoder` carries the group's vocabulary and its previous pair's
-    target; without one the pair is encoded alone.
+    break to the lowest index.  Skipped paragraphs never appear.
+    `encodings` are src's and tgt's, from the group's encode_versions;
+    without them the pair is encoded alone.
 
     Both passes read sim_rows' blocks as they come, so the state is one
     block and three arrays over the targets: each column's best sim2 so
@@ -375,10 +346,10 @@ def align_paragraphs(
     skipped scores zero, which passes no gate, so the passes may leave
     it out.
     """
-    a, b = (GroupEncoder() if encoder is None else encoder).encode_pair(src, tgt)
+    a, b = encodings or encode_versions((src, tgt))
     k, l = len(a.bounds), len(b.bounds)
     if k == 0 or l == 0:
-        return ParaAlignment(encodings=(a, b))
+        return frozenset()
     cols = np.arange(l)
     best, best_at, best_sim1 = np.zeros(l), np.zeros(l, dtype=np.int64), np.zeros(l)
     chosen: set[tuple[int, int]] = set()
@@ -396,4 +367,4 @@ def align_paragraphs(
     passed = _gated(best_sim1, best_at, k, cols, l, cfg.tau2, cfg)
     chosen.update(zip(best_at[passed].tolist(), cols[passed].tolist()))
     src_paragraphs, tgt_paragraphs = tuple(a.bounds), tuple(b.bounds)
-    return ParaAlignment(frozenset((src_paragraphs[i], tgt_paragraphs[j]) for i, j in chosen), (a, b))
+    return frozenset((src_paragraphs[i], tgt_paragraphs[j]) for i, j in chosen)

@@ -7,7 +7,6 @@ for skipped material on purpose.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from revkit.corpus import DocVersion, Sentence, SentenceId
 from revkit.edits import Edit, EditKind, WordAlignment
 from revkit.kernels import Rows, jaccard_matrix, tfidf_cosines
-from revkit.para_align import CandidateCells, GroupEncoder, align_paragraphs
+from revkit.para_align import CandidateCells, align_paragraphs, encode_versions
 from revkit.sent_align import SentAlignLabel, SentenceAlignment
 from revkit.similarity import CELL_METRICS, make_metric
 
@@ -66,14 +65,13 @@ def candidates(src: DocVersion, tgt: DocVersion, metric, pairs=None) -> Candidat
     """The candidate cells of align_paragraphs(src, tgt), or of the given
     paragraph pairs, or of every pair of alignable paragraphs when pairs
     is "all"; metric is a name or a function, as metric_for gives."""
-    paras = align_paragraphs(src, tgt)
+    encodings = encode_versions((src, tgt))
     if pairs == "all":
         pairs = product(
             [p.index for p in src.alignable_paragraphs()], [p.index for p in tgt.alignable_paragraphs()]
         )
-    if pairs is not None:
-        paras = replace(paras, pairs=frozenset(pairs))
-    return CandidateCells(paras, metric_for(metric) if isinstance(metric, str) else metric)
+    pairs = align_paragraphs(src, tgt, encodings=encodings) if pairs is None else frozenset(pairs)
+    return CandidateCells(pairs, encodings, metric_for(metric) if isinstance(metric, str) else metric)
 
 
 def cell_scores(name: str, src: DocVersion, tgt: DocVersion, pairs="all") -> dict:
@@ -86,14 +84,20 @@ def cell_scores(name: str, src: DocVersion, tgt: DocVersion, pairs="all") -> dic
     return out
 
 
+def encode_tokens(tokens, vocab: dict[str, int]) -> tuple[int, ...]:
+    """The tokens' lowercase ids in vocab; a new lowercase form joins it
+    with the next id, so ids follow first occurrence."""
+    return tuple(vocab.setdefault(t.lower(), len(vocab)) for t in tokens)
+
+
 def pair_score(name: str, x: Sentence, y: Sentence) -> float:
     """The aligner's score of x against y, for any two sentences, skipped
     or not: jaccard and tfidf through the kernels on their encodings, tfidf
     with idf fitted on x and y alone, and the others by make_metric."""
     if name in CELL_METRICS:
         return make_metric(name)(x, y)
-    encoder = GroupEncoder()
-    a, b = encoder.encode(x.tokens), encoder.encode(y.tokens)
+    vocab: dict[str, int] = {}
+    a, b = encode_tokens(x.tokens, vocab), encode_tokens(y.tokens, vocab)
     if name == "tfidf":
         cell = np.zeros(1, dtype=np.int64)
         return tfidf_cosines(Rows([a]), Rows([b]), cell, cell, Rows([]))[0].item()

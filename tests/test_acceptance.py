@@ -38,11 +38,11 @@ from revkit.metrics import (
     eval_edits_corpus,
 )
 from revkit.myers import myers_diff
-from revkit.para_align import CandidateCells, align_paragraphs
+from revkit.para_align import align_paragraphs
 from revkit.sent_align import align_sentences_directional, merge_bidirectional
 from revkit.trees import parse_tree_read
 
-from helpers import alignment, dele, diff_cost, doc, filler_sentence, ins, keys, sub
+from helpers import alignment, candidates, dele, diff_cost, doc, filler_sentence, ins, keys, sub
 from oracles import (
     format_tree,
     generate_gold_revision,
@@ -79,7 +79,7 @@ def test_paragraph_alignment_matches_reference():
     t = RunConfig()
     for _ in range(1_000):
         src, tgt = random_doc_pair(rng)
-        assert align_paragraphs(src, tgt, t).pairs == oracle_align_paragraphs(src, tgt, t)
+        assert align_paragraphs(src, tgt, t) == oracle_align_paragraphs(src, tgt, t)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def _contexts(ns, split_name: str):
         src = group.version(al.src_version)
         tgt = group.version(al.tgt_version)
         # the cells are scored once, for every threshold tried
-        out.append((src, tgt, CandidateCells(align_paragraphs(src, tgt), "jaccard"), al))
+        out.append((src, tgt, candidates(src, tgt, "jaccard"), al))
     assert out, f"no gold alignments for the {split_name} split"
     return out
 

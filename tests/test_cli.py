@@ -152,6 +152,16 @@ def test_align_ids_sharing_a_file_name_exit_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_align_id_with_a_null_character_exits_2_before_writing(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, ids=("2001.0001", "math\x000101001"))
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: group 'math\\x000101001': a file name cannot hold '\\x00'" in err
+    assert not out.exists()
+
+
 def test_align_threshold_config_and_flag(ws, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sentence_threshold = 0.99\n")
@@ -458,6 +468,28 @@ def test_extract_edits_unknown_group_exits_2(ws, tmp_path, capsys):
     )
     assert rc == 2
     assert "'9999.9999' not in the corpus" in capsys.readouterr().err
+
+
+def test_extract_edits_pair_under_two_labels_exits_2_before_writing(ws, tmp_path, capsys):
+    """One sentence pair listed as aligned and as partially-aligned would
+    give two revisions with one revision_id."""
+    obj = json.loads(Path(ws.v12).read_text(encoding="utf-8"))
+    first = obj["pairs"][0]
+    other = "partially-aligned" if first["label"] == "aligned" else "aligned"
+    obj["pairs"].append(dict(first, label=other))
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(obj))
+    out = tmp_path / "e.json"
+    rc = main(
+        [
+            "extract-edits", "--corpus", ws.corpus, "--alignment", str(twice),
+            "--out", str(out), "--method", "diff",
+        ]
+    )
+    assert rc == 2
+    n = len(obj["pairs"]) - 1
+    assert f"{twice}.pairs[{n}]: pair already listed as {first['label']!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1354,6 +1386,22 @@ def test_console_script_logging(ws, tmp_path):
         )
         assert res.returncode == 0
         assert f"ignoring invalid REVKIT_LOG value '{value}'" in res.stderr
+
+
+@pytest.mark.parametrize("module", ["revkit", "revkit.cli"])
+def test_module_entry_points_run_main(module, tmp_path):
+    """`python -m revkit` and `python -m revkit.cli` both run main: a
+    missing corpus exits 2 with revkit's error line and writes nothing."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revkit.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    res = subprocess.run(
+        [sys.executable, "-m", module, "align", "--corpus", str(tmp_path / "none.json"), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("revkit: error: ")
+    assert not out.exists()
 
 
 def test_usage_error_exits_nonzero(capsys):

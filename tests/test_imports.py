@@ -14,7 +14,7 @@ import revkit
 from revkit import cli, para_align, sent_align
 from revkit.config import RunConfig
 from revkit.corpus import build_group, serialize_corpus
-from revkit.para_align import CandidateCells
+from revkit.para_align import CandidateCells, encode_versions
 
 from helpers import doc
 from oracles import VOCAB, random_doc_pair, random_sentence_raw
@@ -92,7 +92,7 @@ def test_benchmark_kernel_hook_counts_every_cell_once(monkeypatch):
         doc([[random_sentence_raw(rng, 6, 12, VOCAB) for _ in range(6)] for _ in range(50)], v)
         for v in (1, 2)
     )
-    cli._align_pair(src, tgt, RunConfig())
+    cli._align_pair(src, tgt, RunConfig(), encode_versions((src, tgt)))
     n, m = len(src.alignable_sentences()), len(tgt.alignable_sentences())
     assert len(results) > 1
     assert all(isinstance(r, np.ndarray) and r.ndim == 2 and r.shape[1] == m for r in results)
@@ -117,9 +117,10 @@ def test_benchmark_sentence_hooks_count_every_pair_once(monkeypatch):
         monkeypatch.setattr(cli, attr, spans.wrap(getattr(cli, attr), name, post=post))
     src, tgt = random_doc_pair(random.Random(9))
     cfg = RunConfig()
-    merged = cli._align_pair(src, tgt, cfg)
+    encodings = encode_versions((src, tgt))
+    merged = cli._align_pair(src, tgt, cfg, encodings)
     # the forward alignment again, through no traced name
-    cells = CandidateCells(para_align.align_paragraphs(src, tgt), "jaccard")
+    cells = CandidateCells(para_align.align_paragraphs(src, tgt, cfg, encodings), encodings, "jaccard")
     forward = sent_align.align_sentences_directional(cells, src, tgt, cfg.effective_sentence_threshold())
     names = [name for name, *_ in spans.dump()]
     assert names.count("sent_align.directional") == 2 and names.count("sent_align.merge") == 1

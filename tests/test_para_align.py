@@ -14,9 +14,8 @@ from revkit.config import RunConfig
 from revkit.kernels import jaccard_matrix
 from revkit.para_align import (
     CandidateCells,
-    GroupEncoder,
-    ParaAlignment,
     align_paragraphs,
+    encode_versions,
     sim_rows,
 )
 
@@ -46,10 +45,10 @@ JUNK = (
 )
 
 
-def assembled_tensor(a, b, encoder=None):
+def assembled_tensor(a, b, encodings=None):
     """sim1 and sim2 of a version pair assembled whole from sim_rows'
     blocks, with the two encodings they came from as src and tgt."""
-    src, tgt = (GroupEncoder() if encoder is None else encoder).encode_pair(a, b)
+    src, tgt = encodings or encode_versions((a, b))
     k, l = len(src.bounds), len(tgt.bounds)
     sim1, sim2 = np.zeros((k, l)), np.zeros((k, l))
     for rows, block1, block2 in sim_rows(src, tgt):
@@ -61,13 +60,13 @@ def test_identical_docs_align_diagonally():
     paras = [[P_CAT], [P_DOG], ["every good boy deserves fudge and then some more treats"]]
     a = doc(paras, 1)
     b = doc(paras, 2)
-    assert align_paragraphs(a, b).pairs == {(0, 0), (1, 1), (2, 2)}
+    assert align_paragraphs(a, b) == {(0, 0), (1, 1), (2, 2)}
 
 
 def test_disjoint_docs_align_nothing():
     a = doc([["alpha bravo charlie delta echo foxtrot golf hotel india juliet"]], 1)
     b = doc([["zulu yankee xray whiskey victor uniform tango sierra romeo quebec"]], 2)
-    assert align_paragraphs(a, b).pairs == frozenset()
+    assert align_paragraphs(a, b) == frozenset()
 
 
 def test_sim_tensor_hand_values():
@@ -105,7 +104,7 @@ def test_skipped_paragraph_keeps_original_indices():
     a = doc([[P_CAT], ["tiny one"], [P_DOG]], 1)
     b = doc([[P_CAT], [P_DOG]], 2)
     assert a.paragraphs[1].skipped
-    assert align_paragraphs(a, b).pairs == {(0, 0), (2, 1)}
+    assert align_paragraphs(a, b) == {(0, 0), (2, 1)}
 
 
 def test_all_sentences_skipped_paragraph_never_aligns():
@@ -115,7 +114,7 @@ def test_all_sentences_skipped_paragraph_never_aligns():
     assert a.paragraphs[0].sentences[0].skipped  # no letters
     t = assembled_tensor(a, b)
     assert t.sim1[0, 0] == 0.0 and t.sim2[0, 0] == 0.0
-    assert align_paragraphs(a, b).pairs == {(1, 0)}
+    assert align_paragraphs(a, b) == {(1, 0)}
 
 
 def test_tie_breaks_to_lowest_and_tau3_rescues_far_pairs():
@@ -124,7 +123,7 @@ def test_tie_breaks_to_lowest_and_tau3_rescues_far_pairs():
     # the high-similarity branch
     a = doc([[P_CAT], [P_CAT]], 1)
     b = doc([[P_CAT]], 2)
-    assert align_paragraphs(a, b).pairs == {(0, 0), (1, 0)}
+    assert align_paragraphs(a, b) == {(0, 0), (1, 0)}
 
 
 @pytest.mark.parametrize("budget", [1, para_align._BLOCK_CELLS], ids=["a block per paragraph", "one block"])
@@ -136,7 +135,7 @@ def test_pass_one_tie_keeps_the_lowest_source_across_blocks(budget):
     a = doc([[P_CAT, x], [f1], [f2], [P_CAT, y]], 1)
     b = doc([[f1], [f2], [y, P_CAT], [P_CAT]], 2)
     with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
-        got = align_paragraphs(a, b).pairs
+        got = align_paragraphs(a, b)
     assert got == oracle_align_paragraphs(a, b, RunConfig()) == {(1, 0), (2, 1), (3, 2)}
 
 
@@ -145,7 +144,7 @@ def test_tau3_branch_ignores_position():
     a = doc([[P_CAT], *junk], 1)
     b = doc([*junk[::-1], [P_CAT]], 2)
     # the matching pair sits at relative distance 0.8, far beyond tau2
-    got = align_paragraphs(a, b).pairs
+    got = align_paragraphs(a, b)
     assert (0, 4) in got
 
 
@@ -156,29 +155,29 @@ def test_empty_version_aligns_nothing():
         assert t.sim1.shape == t.sim2.shape == (t.k, t.l)
         assert t.src.rows.sizes.shape == (t.k,) and t.tgt.rows.sizes.shape == (t.l,)
         paras = align_paragraphs(a, b)
-        assert paras.pairs == frozenset()
+        assert paras == frozenset()
         for metric in ("jaccard", "tfidf"):
-            cells = CandidateCells(paras, metric)
+            cells = CandidateCells(paras, encode_versions((a, b)), metric)
             assert list(cells) == [] and cells.best(a.version_index) == cells.best(b.version_index) == []
 
 
 def test_only_skipped_paragraphs_align_nothing():
     a = doc([["tiny one"]], 1)
     b = doc([[P_CAT]], 2)
-    assert align_paragraphs(a, b).pairs == frozenset()
+    assert align_paragraphs(a, b) == frozenset()
 
 
 def test_deterministic():
     rng = random.Random(3)
     a, b = random_doc_pair(rng)
-    assert align_paragraphs(a, b).pairs == align_paragraphs(a, b).pairs
+    assert align_paragraphs(a, b) == align_paragraphs(a, b)
 
 
 def test_matches_oracle_on_random_docs():
     rng = random.Random(41)
     for _ in range(40):
         a, b = random_doc_pair(rng)
-        got = align_paragraphs(a, b).pairs
+        got = align_paragraphs(a, b)
         want = oracle_align_paragraphs(a, b, RunConfig())
         assert got == want
         k = len(a.alignable_paragraphs())
@@ -218,10 +217,12 @@ def test_sim_tensor_matches_oracle_with_repeated_texts():
 
 
 def test_shared_encoder_matches_oracle_over_a_group():
-    # one encoder for a group's successive pairs: texts repeat across
-    # versions, in case variants too, and come back after a version without them
+    # a group's versions encoded together, for all its successive pairs:
+    # texts repeat across versions, in case variants too, and come back
+    # after a version without them
     rng = random.Random(37)
     vocab = VOCAB[:20]
+    repeats = 0  # texts met again in a later version
 
     def assert_matches_oracle(t, a, b):
         sim1, sim2 = oracle_sim_tensor(a, b)
@@ -232,7 +233,7 @@ def test_shared_encoder_matches_oracle_over_a_group():
             assert np.array_equal(getattr(t, side).rows.sizes, getattr(alone, side).rows.sizes)
         # every cell's score, from the shared encoder's ids and from the pair's own
         every = frozenset(product(t.src.bounds, t.tgt.bounds))
-        shared, own = (list(CandidateCells(ParaAlignment(every, (u.src, u.tgt)), "jaccard")) for u in (t, alone))
+        shared, own = (list(CandidateCells(every, (u.src, u.tgt), "jaccard")) for u in (t, alone))
         assert shared == own
 
     for _ in range(40):
@@ -242,25 +243,21 @@ def test_shared_encoder_matches_oracle_over_a_group():
             doc([[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(0, 4))], v)
             for v in range(1, rng.randint(3, 5))
         ]
-        encoder = GroupEncoder()
-        previous = None
-        for a, b in zip(versions, versions[1:]):
-            t = assembled_tensor(a, b, encoder)
-            assert_matches_oracle(t, a, b)
-            # each version is encoded and laid out once: the previous target is this source
-            assert previous is None or t.src is previous
-            previous = t.tgt
-        # one encoding for each distinct text of the group that takes part in alignment
-        assert set(encoder.texts) == {s.raw for v in versions for s in v.alignable_sentences()}
-        # a source that is not the previous pair's target is encoded afresh
-        first, second, last = versions[0], versions[1], versions[-1]
-        encoder = GroupEncoder()
-        kept = assembled_tensor(first, second, encoder).tgt
-        for a, b in ((first, last), (doc([[s.raw for s in p.sentences] for p in first.paragraphs], 1), second)):
-            t = assembled_tensor(a, b, encoder)
-            assert t.src is not kept and t.src.doc is a
-            assert_matches_oracle(t, a, b)
-            kept = t.tgt
+        encoded = encode_versions(versions)
+        assert [e.doc for e in encoded] == versions
+        # every adjacent pair, and the first version against the last
+        for ea, eb in [*zip(encoded, encoded[1:]), (encoded[0], encoded[-1])]:
+            assert_matches_oracle(assembled_tensor(ea.doc, eb.doc, (ea, eb)), ea.doc, eb.doc)
+        # one vocabulary for the group, and an equal raw text in two
+        # versions maps to one shared encoding
+        assert all(e.vocab is encoded[0].vocab for e in encoded)
+        first: dict[str, tuple[int, tuple[int, ...]]] = {}
+        for e in encoded:
+            for s, text in zip(e.sentences, e.rows.texts):
+                v, seen = first.setdefault(s.raw, (e.doc.version_index, text))
+                assert seen is text
+                repeats += v != e.doc.version_index
+    assert repeats > 0
 
 
 @st.composite
@@ -300,12 +297,15 @@ def test_cells_match_the_row_by_row_loop(case):
 
 
 def test_encoder_numbers_new_tokens_in_order_of_first_occurrence():
-    encoder = GroupEncoder()
     words = ("Zeta", "alpha", "mu", "beta", "omega", "gamma", "delta", "kappa", "zeta", "ALPHA", "lambda")
-    assert encoder.encode(words) == (0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 8)
-    assert encoder.encode(("nu", "mu", "Nu", "beta")) == (9, 2, 9, 3)
-    assert list(encoder.surface.lower) == [w.lower() for w in words[:8]] + ["lambda", "nu"]
-    assert list(encoder.surface.lower.values()) == list(range(10))
+    first = doc([[" ".join(words)]], 1)
+    second = doc([["nu mu Nu beta", " ".join(words[:6])]], 2)
+    a, b = encode_versions((first, second))
+    assert a.rows.texts == [(0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 8)]
+    assert b.rows.texts == [(9, 2, 9, 3), (0, 1, 2, 3, 4, 5)]
+    assert a.vocab is b.vocab
+    assert list(b.vocab) == [w.lower() for w in words[:8]] + ["lambda", "nu"]
+    assert list(b.vocab.values()) == list(range(10))
 
 
 @pytest.mark.parametrize(
@@ -358,7 +358,7 @@ def whole_matrix_route(a, b):
     """sim1, sim2, the Jaccard matrix and the encodings of a version pair,
     from the whole matrix at once: one reduceat per axis, then each
     paragraph pair's mean over a slice of the row or column maxima."""
-    ea, eb = GroupEncoder().encode_pair(a, b)
+    ea, eb = encode_versions((a, b))
     matrix = jaccard_matrix(ea.rows, eb.rows)
     src_bounds, tgt_bounds = list(ea.bounds.values()), list(eb.bounds.values())
     sim1 = np.zeros((len(src_bounds), len(tgt_bounds)))
@@ -432,11 +432,11 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
         if small:
             # the passes carry each column's argmax, ties to the lowest source, across blocks
             with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
-                assert align_paragraphs(a, b).pairs == oracle_align_paragraphs(a, b, RunConfig())
+                assert align_paragraphs(a, b) == oracle_align_paragraphs(a, b, RunConfig())
         # every cell's jaccard score, from the looked-up shared ids, is the
         # matrix's and the brute-force count's, bit for bit
         every = product([p.index for p in a.alignable_paragraphs()], [p.index for p in b.alignable_paragraphs()])
-        cells = CandidateCells(ParaAlignment(frozenset(every), (t.src, t.tgt)), "jaccard")
+        cells = CandidateCells(frozenset(every), (t.src, t.tgt), "jaccard")
         forward, backward = cells._scored
         assert np.array_equal(forward, matrix[cells.rows, cells.cols]) and np.array_equal(backward, forward)
         for (s, u, score, _), r, c in zip(cells, cells.rows.tolist(), cells.cols.tolist()):
@@ -459,7 +459,7 @@ def test_sim_tensor_peak_memory_is_a_fraction_of_the_float_matrix():
     assert min(n, m) > 1400
     tracemalloc.start()
     try:
-        ea, eb = GroupEncoder().encode_pair(a, b)
+        ea, eb = encode_versions((a, b))
         for _ in sim_rows(ea, eb):
             pass
         _, peak = tracemalloc.get_traced_memory()
@@ -484,6 +484,6 @@ def test_align_paragraphs_peak_memory_is_a_fraction_of_one_paragraph_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert paras.pairs == {(i, i) for i in range(k)}
+    assert paras == {(i, i) for i in range(k)}
     # the passes keep one block of rows and arrays over the targets
     assert peak < 0.5 * k * l * 8, (peak, k * l * 8)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from revkit.cli import _align_pair
 from revkit.config import RunConfig
 from revkit.corpus import SentenceId
-from revkit.para_align import CandidateCells, align_paragraphs
+from revkit.para_align import align_paragraphs, encode_versions
 from revkit.sent_align import (
     SentAlignLabel,
     SentenceAlignment,
@@ -187,7 +187,7 @@ def test_threshold_monotone_on_random_docs():
     rng = random.Random(19)
     for _ in range(10):
         a, b = random_doc_pair(rng)
-        cells = CandidateCells(align_paragraphs(a, b), "jaccard")
+        cells = candidates(a, b, "jaccard")
         loose = align_sentences_directional(cells, a, b, 0.2)
         tight = align_sentences_directional(cells, a, b, 0.6)
         assert {(s, t) for s, t, _ in tight.pairs} <= {(s, t) for s, t, _ in loose.pairs}
@@ -197,14 +197,13 @@ def test_threshold_monotone_on_random_docs():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
 def test_matrix_scores_match_scalar_jaccard(seed, threshold):
     src, tgt = random_doc_pair(random.Random(seed))
-    paras = align_paragraphs(src, tgt)
-    cells = CandidateCells(paras, "jaccard")
+    cells = candidates(src, tgt, "jaccard")
     for s, t, forward, backward in cells:
         assert forward == backward == oracle_jaccard(s, t) == oracle_jaccard(t, s)
     fwd = align_sentences_directional(cells, src, tgt, threshold)
     bwd = align_sentences_directional(cells, tgt, src, threshold)
     cfg = RunConfig(sentence_metric="jaccard", sentence_threshold=threshold)
-    assert _align_pair(src, tgt, cfg) == merge_bidirectional(fwd, bwd)
+    assert _align_pair(src, tgt, cfg, encode_versions((src, tgt))) == merge_bidirectional(fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +279,7 @@ def _labels(alignment):
 def test_bulk_aligner_matches_the_per_cell_oracle(versions, name, which, data):
     src, tgt = versions
     if which == "aligned":
-        pairs = align_paragraphs(src, tgt).pairs
+        pairs = align_paragraphs(src, tgt)
     else:
         every = [
             (p.index, q.index) for p in src.alignable_paragraphs() for q in tgt.alignable_paragraphs()
@@ -308,7 +307,7 @@ def test_bulk_aligner_matches_the_per_cell_oracle(versions, name, which, data):
 def test_align_pair_matches_the_oracle_pipeline(versions, name, threshold):
     src, tgt = versions
     cfg = RunConfig(sentence_metric=name, sentence_threshold=threshold)
-    got = _align_pair(src, tgt, cfg)
+    got = _align_pair(src, tgt, cfg, encode_versions((src, tgt)))
     assert _labels(got) == oracle_align_pair(src, tgt, name, RunConfig(), threshold)
 
 

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revkit.kernels import Rows, build_idf, tfidf_cosines
-from revkit.para_align import CandidateCells, GroupEncoder, align_paragraphs
+from revkit.para_align import CandidateCells, encode_versions
 from revkit.similarity import (
     CELL_METRICS,
     METRIC_NAMES,
@@ -18,7 +17,7 @@ from revkit.similarity import (
     make_metric,
 )
 
-from helpers import cell_scores, doc, jaccard, pair_score, sent
+from helpers import cell_scores, doc, encode_tokens, jaccard, pair_score, sent
 from oracles import oracle_build_idf, oracle_metric, random_doc_pair
 
 WORDS = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red"]
@@ -120,8 +119,8 @@ def two_docs():
 
 def _encoded(*docs):
     """Every sentence's encoding over one vocabulary, and that vocabulary."""
-    encoder = GroupEncoder()
-    return [encoder.encode(s.tokens) for d in docs for s in d.sentences()], encoder.surface.lower
+    vocab: dict[str, int] = {}
+    return [encode_tokens(s.tokens, vocab) for d in docs for s in d.sentences()], vocab
 
 
 def test_build_idf_values():
@@ -321,20 +320,20 @@ def test_every_metric_is_exactly_one_on_identical_inputs(name, raw):
 
 def test_make_metric_tfidf_cache_tells_same_id_apart():
     """tfidf's encodings are kept by text, not by place: a group's versions
-    hold different texts at the same places, and with one encoder for
-    the group every pair scores as the oracle does."""
+    hold different texts at the same places, and with the group's
+    versions encoded together every pair scores as the oracle does."""
     texts = [
         "the cat sat on the mat right here",
         "a dog ran over the hill quite fast",
         "another dog walked over the hill slowly",
     ]
     versions = [doc([[texts[v % 3], texts[(v + 1) % 3]]], v + 1) for v in range(3)]
-    encoder = GroupEncoder()
-    for a, b in zip(versions, versions[1:]):
-        paras = replace(align_paragraphs(a, b, encoder=encoder), pairs=frozenset({(0, 0)}))
+    encoded = encode_versions(versions)
+    for ea, eb in zip(encoded, encoded[1:]):
+        a, b = ea.doc, eb.doc
         oracle = oracle_metric("tfidf", a, b)
         seen = set()
-        for s, t, forward, backward in CandidateCells(paras, "tfidf"):
+        for s, t, forward, backward in CandidateCells(frozenset({(0, 0)}), (ea, eb), "tfidf"):
             assert forward == oracle(s, t)
             assert backward == oracle(t, s)
             seen.add(forward)
