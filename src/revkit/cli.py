@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .config import EDIT_METHODS, RunConfig, load_config
@@ -173,9 +173,11 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
                 group.arxiv_id, v.version_index, total,
             )
     out = []
-    # one encoding of each distinct text, and one layout of each version, for all the group's pairs
-    encoded = encode_versions(group.versions)
-    for a, b in zip(encoded, encoded[1:]):
+    # one encoding of each distinct text, and one layout of each version, for all the group's pairs;
+    # a layout, with the tf-idf tally its pairs cache on it, goes once its second pair is done
+    encoded = deque(encode_versions(group.versions))
+    while len(encoded) > 1:
+        a, b = encoded.popleft(), encoded[0]
         src, tgt = a.doc, b.doc
         try:
             merged = _align_pair(src, tgt, cfg, (a, b))
@@ -222,6 +224,10 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
     group = _find_group(groups, arxiv_id, args.alignment).build()
     src, tgt = _pair_documents(group, alignment, args.alignment)
     pairs = alignment.sorted_positive()
+    for (s, t, a), (s2, t2, b) in zip(pairs, pairs[1:]):
+        if (s, t) == (s2, t2):  # two revisions would share one revision_id
+            labels = " and ".join(sorted((a.value, b.value)))
+            raise AlignmentFormatError(f"{args.alignment}: pair {s} -> {t} listed as {labels}")
 
     was: list[WordAlignment] | None = None
     trees_src = trees_tgt = None

@@ -146,19 +146,16 @@ def alignment_from_json(obj, where: str = "alignment") -> tuple[str | None, Sent
             raise ValueError("pairs must be a list")
     except ValueError as exc:
         raise AlignmentFormatError(f"{where}: {exc}") from None
-    # each sentence pair's label; a pair may repeat, but only with its label
-    labels: dict[tuple[SentenceId, SentenceId], SentAlignLabel] = {}
-    for n, rec in enumerate(raw_pairs):
-        try:
-            s, t, label = _aligned_pair(rec, src_v, tgt_v)
-            if labels.setdefault((s, t), label) is not label:
-                raise ValueError(f"pair already listed as {labels[s, t].value!r}, here as {label.value!r}")
-        except ValueError as exc:
-            raise AlignmentFormatError(f"{where}.pairs[{n}]: {exc}") from None
+    pairs = []
+    try:
+        for rec in raw_pairs:
+            pairs.append(_aligned_pair(rec, src_v, tgt_v))
+    except ValueError as exc:
+        raise AlignmentFormatError(f"{where}.pairs[{len(pairs)}]: {exc}") from None
     arxiv_id = obj.get("arxiv_id") or obj.get("paper_id")
     if arxiv_id is not None and not isinstance(arxiv_id, str):
         raise AlignmentFormatError(f"{where}: arxiv_id must be a string")
-    return arxiv_id, SentenceAlignment(src_v, tgt_v, frozenset((s, t, l) for (s, t), l in labels.items()))
+    return arxiv_id, SentenceAlignment(src_v, tgt_v, frozenset(pairs))
 
 
 def read_alignment(path: str) -> tuple[str | None, SentenceAlignment]:

@@ -324,8 +324,8 @@ def _gated(
 def align_paragraphs(
     src: DocVersion,
     tgt: DocVersion,
-    cfg: RunConfig = RunConfig(),
-    encodings: tuple[EncodedVersion, EncodedVersion] | None = None,
+    cfg: RunConfig,
+    encodings: tuple[EncodedVersion, EncodedVersion],
 ) -> frozenset[tuple[int, int]]:
     """Two-pass thresholded-argmax paragraph alignment: the aligned
     paragraph pairs, in original paragraph indices.
@@ -337,8 +337,7 @@ def align_paragraphs(
     (pass two), or unconditionally when it exceeds tau3; the four come
     from `cfg`, which checks that they lie in [0, 1].  Argmax ties
     break to the lowest index.  Skipped paragraphs never appear.
-    `encodings` are src's and tgt's, from the group's encode_versions;
-    without them the pair is encoded alone.
+    `encodings` are src's and tgt's, from the group's encode_versions.
 
     Both passes read sim_rows' blocks as they come, so the state is one
     block and three arrays over the targets: each column's best sim2 so
@@ -346,7 +345,8 @@ def align_paragraphs(
     skipped scores zero, which passes no gate, so the passes may leave
     it out.
     """
-    a, b = encodings or encode_versions((src, tgt))
+    a, b = encodings
+    assert a.doc is src and b.doc is tgt
     k, l = len(a.bounds), len(b.bounds)
     if k == 0 or l == 0:
         return frozenset()

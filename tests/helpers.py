@@ -11,6 +11,7 @@ from itertools import product
 
 import numpy as np
 
+from revkit.config import RunConfig
 from revkit.corpus import DocVersion, Sentence, SentenceId
 from revkit.edits import Edit, EditKind, WordAlignment
 from revkit.kernels import Rows, jaccard_matrix, tfidf_cosines
@@ -61,6 +62,11 @@ def metric_for(name: str):
     return make_metric(name) if name in CELL_METRICS else name
 
 
+def aligned_paragraphs(src: DocVersion, tgt: DocVersion, cfg: RunConfig = RunConfig()) -> frozenset[tuple[int, int]]:
+    """align_paragraphs of src and tgt, the pair encoded alone."""
+    return align_paragraphs(src, tgt, cfg, encode_versions((src, tgt)))
+
+
 def candidates(src: DocVersion, tgt: DocVersion, metric, pairs=None) -> CandidateCells:
     """The candidate cells of align_paragraphs(src, tgt), or of the given
     paragraph pairs, or of every pair of alignable paragraphs when pairs
@@ -70,7 +76,7 @@ def candidates(src: DocVersion, tgt: DocVersion, metric, pairs=None) -> Candidat
         pairs = product(
             [p.index for p in src.alignable_paragraphs()], [p.index for p in tgt.alignable_paragraphs()]
         )
-    pairs = align_paragraphs(src, tgt, encodings=encodings) if pairs is None else frozenset(pairs)
+    pairs = align_paragraphs(src, tgt, RunConfig(), encodings) if pairs is None else frozenset(pairs)
     return CandidateCells(pairs, encodings, metric_for(metric) if isinstance(metric, str) else metric)
 
 

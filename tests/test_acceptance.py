@@ -38,11 +38,10 @@ from revkit.metrics import (
     eval_edits_corpus,
 )
 from revkit.myers import myers_diff
-from revkit.para_align import align_paragraphs
 from revkit.sent_align import align_sentences_directional, merge_bidirectional
 from revkit.trees import parse_tree_read
 
-from helpers import alignment, candidates, dele, diff_cost, doc, filler_sentence, ins, keys, sub
+from helpers import aligned_paragraphs, alignment, candidates, dele, diff_cost, doc, filler_sentence, ins, keys, sub
 from oracles import (
     format_tree,
     generate_gold_revision,
@@ -79,7 +78,7 @@ def test_paragraph_alignment_matches_reference():
     t = RunConfig()
     for _ in range(1_000):
         src, tgt = random_doc_pair(rng)
-        assert align_paragraphs(src, tgt, t) == oracle_align_paragraphs(src, tgt, t)
+        assert aligned_paragraphs(src, tgt, t) == oracle_align_paragraphs(src, tgt, t)
 
 
 # ---------------------------------------------------------------------------

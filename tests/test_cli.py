@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import revkit
 from revkit.cli import main
 from revkit.config import RunConfig
-from revkit.corpus import DocVersion, RawGroup, build_group, load_corpus, serialize_corpus
+from revkit.corpus import DocVersion, RawGroup, SentenceId, build_group, load_corpus, serialize_corpus
 from revkit.errors import CorpusFormatError
 from revkit.formats import dump_json, read_alignment, read_edit_file
 from revkit.intention import COARSE_LABELS, FINE_LABELS
@@ -487,8 +487,8 @@ def test_extract_edits_pair_under_two_labels_exits_2_before_writing(ws, tmp_path
         ]
     )
     assert rc == 2
-    n = len(obj["pairs"]) - 1
-    assert f"{twice}.pairs[{n}]: pair already listed as {first['label']!r}" in capsys.readouterr().err
+    s, t = SentenceId(1, *first["src"]), SentenceId(2, *first["tgt"])
+    assert f"{twice}: pair {s} -> {t} listed as aligned and partially-aligned" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -866,6 +866,24 @@ def test_eval_alignment_empty_prediction(ws, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["recall"] == 0.0
     assert report["fn"] == 1
+
+
+def test_eval_alignment_counts_a_pair_under_two_labels_once(ws, tmp_path, capsys):
+    """A prediction may list one sentence pair under two labels; eval
+    scores the pair once."""
+    obj = json.loads(Path(ws.v12).read_text(encoding="utf-8"))
+    obj["pairs"] += [dict(p, label=label) for p in obj["pairs"] for label in ("aligned", "partially-aligned")]
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(obj))
+    rc = main(
+        [
+            "eval", "--task", "alignment",
+            "--pred", str(twice), "--gold", ws.v12, "--corpus", ws.corpus,
+        ]
+    )
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["tp"], report["fp"], report["fn"]) == (1, 0, 0)
 
 
 def test_eval_alignment_version_mismatch(ws, capsys):

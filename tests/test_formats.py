@@ -122,12 +122,6 @@ def test_alignment_reader_accepts_aliases():
             "disagrees with file header",
         ),
         (lambda o: o.update(arxiv_id=7), "arxiv_id must be a string"),
-        (
-            lambda o: o["pairs"].extend(
-                {"src": [0, 0], "tgt": [0, 0], "label": label} for label in ("aligned", "partially-aligned")
-            ),
-            r"pairs\[1\]: pair already listed as 'aligned', here as 'partially-aligned'",
-        ),
     ],
 )
 def test_alignment_reader_errors(mutate, message):

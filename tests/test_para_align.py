@@ -14,12 +14,11 @@ from revkit.config import RunConfig
 from revkit.kernels import jaccard_matrix
 from revkit.para_align import (
     CandidateCells,
-    align_paragraphs,
     encode_versions,
     sim_rows,
 )
 
-from helpers import doc
+from helpers import aligned_paragraphs, doc
 from oracles import (
     VOCAB,
     _jac,
@@ -60,13 +59,13 @@ def test_identical_docs_align_diagonally():
     paras = [[P_CAT], [P_DOG], ["every good boy deserves fudge and then some more treats"]]
     a = doc(paras, 1)
     b = doc(paras, 2)
-    assert align_paragraphs(a, b) == {(0, 0), (1, 1), (2, 2)}
+    assert aligned_paragraphs(a, b) == {(0, 0), (1, 1), (2, 2)}
 
 
 def test_disjoint_docs_align_nothing():
     a = doc([["alpha bravo charlie delta echo foxtrot golf hotel india juliet"]], 1)
     b = doc([["zulu yankee xray whiskey victor uniform tango sierra romeo quebec"]], 2)
-    assert align_paragraphs(a, b) == frozenset()
+    assert aligned_paragraphs(a, b) == frozenset()
 
 
 def test_sim_tensor_hand_values():
@@ -104,7 +103,7 @@ def test_skipped_paragraph_keeps_original_indices():
     a = doc([[P_CAT], ["tiny one"], [P_DOG]], 1)
     b = doc([[P_CAT], [P_DOG]], 2)
     assert a.paragraphs[1].skipped
-    assert align_paragraphs(a, b) == {(0, 0), (2, 1)}
+    assert aligned_paragraphs(a, b) == {(0, 0), (2, 1)}
 
 
 def test_all_sentences_skipped_paragraph_never_aligns():
@@ -114,7 +113,7 @@ def test_all_sentences_skipped_paragraph_never_aligns():
     assert a.paragraphs[0].sentences[0].skipped  # no letters
     t = assembled_tensor(a, b)
     assert t.sim1[0, 0] == 0.0 and t.sim2[0, 0] == 0.0
-    assert align_paragraphs(a, b) == {(1, 0)}
+    assert aligned_paragraphs(a, b) == {(1, 0)}
 
 
 def test_tie_breaks_to_lowest_and_tau3_rescues_far_pairs():
@@ -123,7 +122,7 @@ def test_tie_breaks_to_lowest_and_tau3_rescues_far_pairs():
     # the high-similarity branch
     a = doc([[P_CAT], [P_CAT]], 1)
     b = doc([[P_CAT]], 2)
-    assert align_paragraphs(a, b) == {(0, 0), (1, 0)}
+    assert aligned_paragraphs(a, b) == {(0, 0), (1, 0)}
 
 
 @pytest.mark.parametrize("budget", [1, para_align._BLOCK_CELLS], ids=["a block per paragraph", "one block"])
@@ -135,7 +134,7 @@ def test_pass_one_tie_keeps_the_lowest_source_across_blocks(budget):
     a = doc([[P_CAT, x], [f1], [f2], [P_CAT, y]], 1)
     b = doc([[f1], [f2], [y, P_CAT], [P_CAT]], 2)
     with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
-        got = align_paragraphs(a, b)
+        got = aligned_paragraphs(a, b)
     assert got == oracle_align_paragraphs(a, b, RunConfig()) == {(1, 0), (2, 1), (3, 2)}
 
 
@@ -144,7 +143,7 @@ def test_tau3_branch_ignores_position():
     a = doc([[P_CAT], *junk], 1)
     b = doc([*junk[::-1], [P_CAT]], 2)
     # the matching pair sits at relative distance 0.8, far beyond tau2
-    got = align_paragraphs(a, b)
+    got = aligned_paragraphs(a, b)
     assert (0, 4) in got
 
 
@@ -154,7 +153,7 @@ def test_empty_version_aligns_nothing():
         t = assembled_tensor(a, b)
         assert t.sim1.shape == t.sim2.shape == (t.k, t.l)
         assert t.src.rows.sizes.shape == (t.k,) and t.tgt.rows.sizes.shape == (t.l,)
-        paras = align_paragraphs(a, b)
+        paras = aligned_paragraphs(a, b)
         assert paras == frozenset()
         for metric in ("jaccard", "tfidf"):
             cells = CandidateCells(paras, encode_versions((a, b)), metric)
@@ -164,20 +163,20 @@ def test_empty_version_aligns_nothing():
 def test_only_skipped_paragraphs_align_nothing():
     a = doc([["tiny one"]], 1)
     b = doc([[P_CAT]], 2)
-    assert align_paragraphs(a, b) == frozenset()
+    assert aligned_paragraphs(a, b) == frozenset()
 
 
 def test_deterministic():
     rng = random.Random(3)
     a, b = random_doc_pair(rng)
-    assert align_paragraphs(a, b) == align_paragraphs(a, b)
+    assert aligned_paragraphs(a, b) == aligned_paragraphs(a, b)
 
 
 def test_matches_oracle_on_random_docs():
     rng = random.Random(41)
     for _ in range(40):
         a, b = random_doc_pair(rng)
-        got = align_paragraphs(a, b)
+        got = aligned_paragraphs(a, b)
         want = oracle_align_paragraphs(a, b, RunConfig())
         assert got == want
         k = len(a.alignable_paragraphs())
@@ -432,7 +431,7 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
         if small:
             # the passes carry each column's argmax, ties to the lowest source, across blocks
             with mock.patch.object(para_align, "_BLOCK_CELLS", budget):
-                assert align_paragraphs(a, b) == oracle_align_paragraphs(a, b, RunConfig())
+                assert aligned_paragraphs(a, b) == oracle_align_paragraphs(a, b, RunConfig())
         # every cell's jaccard score, from the looked-up shared ids, is the
         # matrix's and the brute-force count's, bit for bit
         every = product([p.index for p in a.alignable_paragraphs()], [p.index for p in b.alignable_paragraphs()])
@@ -480,7 +479,7 @@ def test_align_paragraphs_peak_memory_is_a_fraction_of_one_paragraph_matrix():
     assert k == l == 2000
     tracemalloc.start()
     try:
-        paras = align_paragraphs(a, b)
+        paras = aligned_paragraphs(a, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from revkit.cli import _align_pair
 from revkit.config import RunConfig
 from revkit.corpus import SentenceId
-from revkit.para_align import align_paragraphs, encode_versions
+from revkit.para_align import encode_versions
 from revkit.sent_align import (
     SentAlignLabel,
     SentenceAlignment,
@@ -16,7 +16,7 @@ from revkit.sent_align import (
 )
 from revkit.similarity import METRIC_NAMES, char_ngram_sim
 
-from helpers import alignment, candidates, doc
+from helpers import aligned_paragraphs, alignment, candidates, doc
 from oracles import (
     oracle_align_directional,
     oracle_align_pair,
@@ -279,7 +279,7 @@ def _labels(alignment):
 def test_bulk_aligner_matches_the_per_cell_oracle(versions, name, which, data):
     src, tgt = versions
     if which == "aligned":
-        pairs = align_paragraphs(src, tgt)
+        pairs = aligned_paragraphs(src, tgt)
     else:
         every = [
             (p.index, q.index) for p in src.alignable_paragraphs() for q in tgt.alignable_paragraphs()
