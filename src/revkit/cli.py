@@ -190,13 +190,18 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
 
 def _check_pair_filenames(groups: Sequence[RawGroup], where: str) -> None:
     """Ids differing only in '/' against '_' must not write one file, and
-    no file name may hold a null character."""
+    every file name must be one the file system encoding can hold,
+    without a null character."""
     owner: dict[str, str] = {}
     for g in groups:
         for (a, _, _), (b, _, _) in zip(g.versions, g.versions[1:]):
             name = _pair_filename(g.arxiv_id, a, b)
             if "\x00" in name:
                 raise CorpusFormatError(f"{where}: group {g.arxiv_id!r}: a file name cannot hold '\\x00'")
+            try:
+                os.fsencode(name)
+            except UnicodeEncodeError as exc:
+                raise CorpusFormatError(f"{where}: group {g.arxiv_id!r}: cannot name a file: {exc}") from None
             other = owner.setdefault(name, g.arxiv_id)
             if other != g.arxiv_id:
                 raise CorpusFormatError(

@@ -12,17 +12,14 @@ statistics) ignores skipped material.
 All model objects are immutable.  DocVersion.build is the one loop that
 builds a version: it analyses each distinct sentence text once (tokens,
 marker count, skip decision), and every occurrence of that text, in any
-version of the group, shares the analysis.  A Sentence counts its
-markers on first read and keeps the count.
+version of the group, shares the analysis.
 """
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from sys import intern as _intern
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,6 +30,7 @@ from .errors import CorpusFormatError, decode_json
 SPECIAL_MARKERS = frozenset({"[REF]", "[CIT]", "[MATH]", "[EQN]"})
 
 _MARKER_RE = re.compile(r"(\[REF\]|\[CIT\]|\[MATH\]|\[EQN\])")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # a lone surrogate, which a JSON \u escape can hold
 _PUNCT = frozenset(string.punctuation)
 _ASCII_LETTERS = str.maketrans("", "", string.ascii_letters)  # str.translate deletes them
 
@@ -131,11 +129,6 @@ class Sentence:
         do without normalizing."""
         return self.raw == other.raw or self.normalized_raw() == other.normalized_raw()
 
-    @cached_property
-    def special_count(self) -> int:
-        """Number of marker tokens, counted on first read."""
-        return sum(map(SPECIAL_MARKERS.__contains__, self.tokens))
-
 
 def _english_fraction(raw: str, visible: int) -> float:
     """Share of ASCII letters among the `visible` non-whitespace
@@ -221,10 +214,6 @@ class DocVersion:
             paras.append(Paragraph(p, tuple(sents), paragraph_skip_filter(n_tokens, n_special)))
         return cls(version_index, timestamp, tuple(paras))
 
-    def sentences(self) -> Iterator[Sentence]:
-        for p in self.paragraphs:
-            yield from p.sentences
-
     def alignable_paragraphs(self) -> tuple[Paragraph, ...]:
         return tuple(p for p in self.paragraphs if not p.skipped)
 
@@ -249,40 +238,10 @@ class DocVersion:
         return para.sentences[sid.sentence]
 
 
-class Subject(Enum):
-    PHYSICS = "physics"
-    MATH = "math"
-    CS = "cs"
-    Q_BIO = "q-bio"
-    Q_FIN = "q-fin"
-    STAT = "stat"
-    OTHER = "other"
-
-
-_PHYSICS_ARCHIVES = {
-    "astro-ph", "cond-mat", "gr-qc", "hep-ex", "hep-lat", "hep-ph", "hep-th",
-    "math-ph", "nlin", "nucl-ex", "nucl-th", "physics", "quant-ph",
-}
-
-
-def normalize_subject(raw: str) -> Subject:
-    """Map a subject string (canonical name or an archive-style category
-    like "cs.CL") onto the coarse subject enum; unknown strings fall back
-    to OTHER."""
-    base = raw.strip().lower().split(".")[0]
-    try:
-        return Subject(base)
-    except ValueError:
-        pass
-    if base in _PHYSICS_ARCHIVES:
-        return Subject.PHYSICS
-    return Subject.OTHER
-
-
 @dataclass(frozen=True)
 class ArticleGroup:
     arxiv_id: str
-    subject: Subject
+    subject: str
     versions: tuple[DocVersion, ...]
 
     def __post_init__(self) -> None:
@@ -297,23 +256,13 @@ class ArticleGroup:
                 return v
         raise ValueError(f"group {self.arxiv_id} has no version {version_index}")
 
-    def adjacent_pairs(self) -> Iterator[tuple[DocVersion, DocVersion]]:
-        for a, b in zip(self.versions, self.versions[1:]):
-            yield a, b
 
-
-def build_group(
-    arxiv_id: str,
-    subject: Subject | str,
-    versions: Iterable[DocVersion],
-    where: str = "group",
-) -> ArticleGroup:
-    """Assemble a group, sorting versions and enforcing the ordering
-    invariants (unique version indices, strictly increasing timestamps)."""
-    if isinstance(subject, str):
-        subject = normalize_subject(subject)
+def build_group(arxiv_id: str, subject: str, versions: Iterable[DocVersion]) -> ArticleGroup:
+    """Assemble a group from versions built by hand, sorting them and
+    enforcing the ordering invariants (unique version indices, strictly
+    increasing timestamps)."""
     ordered = sorted(versions, key=lambda v: v.version_index)
-    _check_version_order([(v.version_index, v.timestamp) for v in ordered], where)
+    _check_version_order([(v.version_index, v.timestamp) for v in ordered], "group")
     return ArticleGroup(arxiv_id=arxiv_id, subject=subject, versions=tuple(ordered))
 
 
@@ -342,10 +291,11 @@ class RawGroup(NamedTuple):
     def build(self) -> ArticleGroup:
         """Tokenize, filter and assemble the group.  Each distinct sentence
         text is analysed once; its repeats, in any version, share the
-        result.  The memo of texts lives only as long as this call."""
+        result.  The memo of texts lives only as long as this call.
+        _check_group has already sorted and checked the versions."""
         seen: dict[str, tuple] = {}
-        return build_group(
-            self.arxiv_id, self.subject, (DocVersion.build(*v, seen) for v in self.versions)
+        return ArticleGroup(
+            self.arxiv_id, self.subject, tuple(DocVersion.build(*v, seen) for v in self.versions)
         )
 
 
@@ -390,6 +340,7 @@ def _check_group(obj: Any, path: str) -> RawGroup:
     _expect(isinstance(obj, dict), path, "expected an object")
     _expect(isinstance(obj.get("arxiv_id"), str) and obj["arxiv_id"], f"{path}.arxiv_id",
             "expected a non-empty string")
+    _expect(not _SURROGATE_RE.search(obj["arxiv_id"]), f"{path}.arxiv_id", "cannot hold a lone surrogate")
     _expect(isinstance(obj.get("subject"), str), f"{path}.subject", "expected a string")
     versions = obj.get("versions")
     _expect(isinstance(versions, list) and versions, f"{path}.versions",
@@ -422,27 +373,6 @@ def _check_version(obj: Any, path: str) -> tuple[int, int, list[list[str]]]:
             _expect(isinstance(s, str), f"{ppath}.sentences[{m}]", "expected a string")
         raws.append(list(sentences))
     return version, timestamp, raws
-
-
-def serialize_corpus(groups: Iterable[ArticleGroup]) -> str:
-    """Serialize groups back to corpus JSON; parse_corpus round-trips it."""
-    out = []
-    for g in groups:
-        out.append({
-            "arxiv_id": g.arxiv_id,
-            "subject": g.subject.value,
-            "versions": [
-                {
-                    "version": v.version_index,
-                    "timestamp": v.timestamp,
-                    "paragraphs": [
-                        {"sentences": [s.raw for s in p.sentences]} for p in v.paragraphs
-                    ],
-                }
-                for v in g.versions
-            ],
-        })
-    return json.dumps(out, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +433,7 @@ def _normalize_group(obj: Any, path: str) -> Any:
         versions = _normalize_versions(versions, f"{path}.versions")
     return {
         "arxiv_id": _first_key(obj, ("arxiv_id", "paper_id", "doc_id", "id")),
-        # str() of a non-string JSON value never names a known subject
+        # a missing or non-string subject reads as "other"
         "subject": subject if isinstance(subject, str) else "other",
         "versions": versions,
     }

@@ -14,13 +14,11 @@ char3gram and bleu are scored here, one sentence pair at a time, and
 are symmetric bit for bit (char3gram sums integers, exact in float64 in
 any order; bleu averages its two directions, and IEEE addition
 commutes), so one call serves both directions.  Each splits into a
-per-sentence feature function and a score over two feature values; the
-scalar functions here call both.  A metric from make_metric keeps one
-cache of features keyed by the raw sentence text, so each distinct text
-is featurised once for as long as that metric lives (the caller holds it
-for one version pair), and a text scored against itself is 1.0 without
-features.  The scores are the same expressions on the same features
-either way, bit for bit.
+per-sentence feature function and a score over two feature values.  A
+metric from make_metric keeps one cache of features keyed by the raw
+sentence text, so each distinct text is featurised once for as long as
+that metric lives (the caller holds it for one version pair), and a text
+scored against itself is 1.0 without features.
 """
 from __future__ import annotations
 
@@ -50,10 +48,11 @@ def _cosine(va: Mapping[str, float], vb: Mapping[str, float], na: float, nb: flo
     return dot / (na * nb)
 
 
-def _char_features(s: Sentence, n: int = 3):
-    """Lowercased raw string, its character n-gram counts, their norm."""
+def _char_features(s: Sentence):
+    """Lowercased raw string (spaces included), its character trigram
+    counts, their norm."""
     r = s.raw.lower()
-    counts = Counter(r[i:i + n] for i in range(len(r) - n + 1))
+    counts = Counter(r[i:i + 3] for i in range(len(r) - 2))
     return r, counts, _norm(counts)
 
 
@@ -61,17 +60,9 @@ def _char_cosine(fa, fb) -> float:
     ra, ca, na = fa
     rb, cb, nb = fb
     if not ca and not cb:
-        # both strings shorter than n: fall back to string identity
+        # both strings shorter than a trigram: fall back to string identity
         return 1.0 if ra == rb else 0.0
     return _cosine(ca, cb, na, nb)
-
-
-def char_ngram_sim(a: Sentence, b: Sentence, n: int = 3) -> float:
-    """Cosine similarity of character n-gram counts over the lowercased
-    raw strings (spaces included)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _char_cosine(_char_features(a, n), _char_features(b, n))
 
 
 def _bleu_features(s: Sentence):
@@ -108,14 +99,10 @@ def _bleu_directional(hyp, ref) -> float:
 
 
 def _bleu_mean(fa, fb) -> float:
-    return 0.5 * (_bleu_directional(fa, fb) + _bleu_directional(fb, fa))
-
-
-def bleu_sim(a: Sentence, b: Sentence) -> float:
     """Sentence-level BLEU (n <= 4, brevity penalty, add-one smoothing for
     n >= 2), symmetrised by averaging both directions.  Two empty
     sentences are identical and score 1.0; one empty side scores 0.0."""
-    return _bleu_mean(_bleu_features(a), _bleu_features(b))
+    return 0.5 * (_bleu_directional(fa, fb) + _bleu_directional(fb, fa))
 
 
 SentenceMetric = Callable[[Sentence, Sentence], float]

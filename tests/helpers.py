@@ -7,12 +7,13 @@ for skipped material on purpose.
 """
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import numpy as np
 
 from revkit.config import RunConfig
-from revkit.corpus import DocVersion, Sentence, SentenceId
+from revkit.corpus import ArticleGroup, DocVersion, Sentence, SentenceId
 from revkit.edits import Edit, EditKind, WordAlignment
 from revkit.kernels import Rows, jaccard_matrix, tfidf_cosines
 from revkit.para_align import CandidateCells, align_paragraphs, encode_versions
@@ -41,6 +42,25 @@ def doc(paragraphs: list[list[str]], version_index: int = 1, timestamp: int | No
     if timestamp is None:
         timestamp = 1000 * version_index
     return DocVersion.build(version_index, timestamp, paragraphs)
+
+
+def serialize_corpus(groups: list[ArticleGroup]) -> str:
+    """Corpus JSON of built groups; parse_corpus reads it back equal."""
+    return json.dumps([
+        {
+            "arxiv_id": g.arxiv_id,
+            "subject": g.subject,
+            "versions": [
+                {
+                    "version": v.version_index,
+                    "timestamp": v.timestamp,
+                    "paragraphs": [{"sentences": [s.raw for s in p.sentences]} for p in v.paragraphs],
+                }
+                for v in g.versions
+            ],
+        }
+        for g in groups
+    ], indent=2)
 
 
 def _letters(n: int) -> str:

@@ -149,9 +149,10 @@ def oracle_build_idf(docs) -> OracleIdf:
     df: Counter = Counter()
     n = 0
     for doc in docs:
-        for s in doc.sentences():
-            n += 1
-            df.update(_lower_set(s))
+        for p in doc.paragraphs:
+            for s in p.sentences:
+                n += 1
+                df.update(_lower_set(s))
     if n == 0:
         raise ValueError("cannot fit idf on zero sentences")
     return OracleIdf({tok: math.log(n / c) for tok, c in df.items()}, n)

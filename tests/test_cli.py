@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 import revkit
 from revkit.cli import main
 from revkit.config import RunConfig
-from revkit.corpus import DocVersion, RawGroup, SentenceId, build_group, load_corpus, serialize_corpus
+from revkit.corpus import DocVersion, RawGroup, SentenceId, build_group, load_corpus
 from revkit.errors import CorpusFormatError
 from revkit.formats import dump_json, read_alignment, read_edit_file
 from revkit.intention import COARSE_LABELS, FINE_LABELS
 from revkit.sent_align import SentAlignLabel
 
-from helpers import filler_sentence
+from helpers import filler_sentence, serialize_corpus
 from oracles import VOCAB, oracle_align_pair, random_doc_pair, random_sentence_raw
 
 
@@ -159,6 +159,42 @@ def test_align_id_with_a_null_character_exits_2_before_writing(tmp_path, capsys)
     assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{corpus}: group 'math\\x000101001': a file name cannot hold '\\x00'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arxiv_id", ["a\ud800b", "a\udc80b"])
+def test_align_id_with_a_lone_surrogate_exits_2_before_writing(tmp_path, capsys, arxiv_id):
+    # os.fsencode cannot encode a high surrogate, and would write a low one
+    # as a byte that is not UTF-8; stats would fail to write it in a CSV
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, ids=("2001.0001", arxiv_id))
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert f"{corpus}: $[1].arxiv_id: cannot hold a lone surrogate" in capsys.readouterr().err
+    assert not out.exists()
+    alignment = tmp_path / "alignment.json"
+    alignment.write_text(json.dumps({"arxiv_id": arxiv_id, "src_version": 1, "tgt_version": 2, "pairs": []}))
+    assert main(["stats", "--corpus", str(corpus), "--alignments", str(alignment), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_align_id_the_file_system_cannot_encode_exits_2_before_writing(tmp_path):
+    """Under an ASCII file system encoding, an id with a non-ASCII letter
+    names no file."""
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, ids=("2001.0001", "caf\xe9"))
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revkit.__file__)))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    code = "import sys; print(sys.getfilesystemencoding())"
+    if subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env).stdout != "ascii\n":
+        pytest.skip("this platform does not give Python an ASCII file system encoding")
+    res = subprocess.run(
+        [sys.executable, "-m", "revkit", "align", "--corpus", str(corpus), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "group 'caf\\xe9': cannot name a file: 'ascii' codec can't encode" in res.stderr
     assert not out.exists()
 
 
@@ -645,7 +681,7 @@ def _oracle_align_files(corpus, name):
     threshold = RunConfig(sentence_metric=name).effective_sentence_threshold()
     files = {}
     for group in load_corpus(str(corpus)):
-        for src, tgt in group.adjacent_pairs():
+        for src, tgt in zip(group.versions, group.versions[1:]):
             pairs = oracle_align_pair(src, tgt, name, RunConfig(), threshold)
             obj = {
                 "arxiv_id": group.arxiv_id,
@@ -1291,14 +1327,19 @@ def fuzz(ws):
     }
 
 
+def _run(argv):
+    """main's exit status and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
 def _exits_0_or_2(names, content, *argvs):
     with open(names["bad"], "wb") as fh:
         fh.write(content)
     for argv in argvs:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main([arg.format(**names) for arg in argv])
-        assert rc in (0, 2), err.getvalue()
+        rc, err = _run([arg.format(**names) for arg in argv])
+        assert rc in (0, 2), err
 
 
 _FUZZ = settings(max_examples=150, deadline=None)
@@ -1357,6 +1398,61 @@ def test_fuzz_tree_reader(fuzz, content):
 @given(st.binary(max_size=64) | _lines(_predictions.map(json.dumps)))
 def test_fuzz_prediction_reader(fuzz, content):
     _exits_0_or_2(fuzz, content, INTENTION, [*INTENTION, "--classes", "coarse"])
+
+
+def _corpus_texts(**kwargs):
+    return st.text(**kwargs) | st.sampled_from(["", ".", "..", "/", "a/b", "\x00", "\ud800", "\udc80"])
+
+
+# a corpus with an empty id is not valid
+_corpus_ids = (_corpus_texts(max_size=8) | _corpus_texts(max_size=3).map(lambda t: (t * 300)[:300])).filter(bool)
+_corpus_sentences = _corpus_texts(max_size=30) | st.sampled_from([filler_sentence(k) for k in range(4)])
+_corpus_versions = st.lists(
+    st.lists(st.lists(_corpus_sentences, max_size=4).map(lambda s: {"sentences": s}), max_size=3),
+    min_size=1, max_size=3,
+).map(lambda vs: [{"version": n, "timestamp": 10 * n, "paragraphs": p} for n, p in enumerate(vs, 1)])
+_corpora = st.lists(
+    st.fixed_dictionaries({"arxiv_id": _corpus_ids, "subject": _corpus_texts(), "versions": _corpus_versions}),
+    min_size=1, max_size=3, unique_by=lambda g: g["arxiv_id"],
+)
+
+
+def _surrogate_corpus(arxiv_id):
+    f = filler_sentence
+    paras = [{"sentences": [f(0), f(1)]}, {"sentences": [f(2)]}]
+    versions = [{"version": n, "timestamp": n, "paragraphs": paras} for n in (1, 2)]
+    return [{"arxiv_id": arxiv_id, "subject": "\ud800", "versions": versions}]
+
+
+@settings(max_examples=40, deadline=None)
+@example(_surrogate_corpus("a\ud800b"))
+@example(_surrogate_corpus("a\udc80b"))
+@given(_corpora)
+def test_fuzz_corpus_through_every_command(tmp_path_factory, groups):
+    """A valid corpus of any ids, subjects and sentences exits 0 or 2
+    through align under every metric, then stats and extract-edits on
+    what align wrote, and a command that exits 2 leaves no file."""
+    root = tmp_path_factory.mktemp("corpus_fuzz")
+    corpus = root / "corpus.json"
+    corpus.write_text(json.dumps(groups))
+    for metric in ("jaccard", "tfidf", "char3gram", "bleu"):
+        align = root / metric
+        rc, err = _run(["align", "--corpus", str(corpus), "--out", str(align), "--metric", metric, "--jobs", "1"])
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert not align.exists() or not any(align.iterdir()), err
+            continue
+        stats = root / f"{metric}_stats"
+        rc, err = _run(["stats", "--corpus", str(corpus), "--alignments", str(align), "--out", str(stats)])
+        assert rc in (0, 2), err
+        assert rc == 0 or not stats.exists() or not any(stats.iterdir()), err
+        for n, path in enumerate(sorted(align.iterdir())):
+            edits = root / f"{metric}_edits_{n}.json"
+            rc, err = _run(["extract-edits", "--corpus", str(corpus), "--alignment", str(path),
+                            "--method", "diff", "--out", str(edits)])
+            assert rc in (0, 2), err
+            assert rc == 0 or not edits.exists(), err
+    shutil.rmtree(root)
 
 
 @pytest.mark.parametrize(

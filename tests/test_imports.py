@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -13,14 +14,52 @@ import pytest
 import revkit
 from revkit import cli, para_align, sent_align
 from revkit.config import RunConfig
-from revkit.corpus import build_group, serialize_corpus
+from revkit.corpus import build_group
 from revkit.para_align import CandidateCells, encode_versions
 
-from helpers import doc
+from helpers import doc, serialize_corpus
 from oracles import VOCAB, random_doc_pair, random_sentence_raw
 
 SRC = Path(revkit.__file__).resolve().parent.parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module's import statements bind and its code never
+    reads, in import order.  A name read only inside a quoted annotation
+    counts as read."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = _names(tree)
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    read |= _names(ast.parse(part.value, mode="eval"))
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_finder_sees_an_unused_name():
+    source = (
+        "import os, sys, os.path as p\nfrom typing import Any, List as L, Set\n"
+        "def f(x: 'Any | None') -> dict['Set', int]: return sys.argv\n"
+        "'Set, L, os'\n"
+    )
+    assert _unused_imports(source) == ["os", "p", "L"]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "revkit").glob("*.py")), ids=lambda p: p.name)
+def test_every_module_reads_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize(

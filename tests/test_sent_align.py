@@ -14,7 +14,7 @@ from revkit.sent_align import (
     align_sentences_directional,
     merge_bidirectional,
 )
-from revkit.similarity import METRIC_NAMES, char_ngram_sim
+from revkit.similarity import METRIC_NAMES
 
 from helpers import aligned_paragraphs, alignment, candidates, doc
 from oracles import (
@@ -92,7 +92,7 @@ def test_directional_lowercase_surface_match_counts_as_aligned():
         a_paras=["The  Red Cat Sat Here", "mm nn bb vv cc xx"],
         b_paras=["the red cat sat here", "mm nn bb vv cc xx"],
     )
-    got = align_sentences_directional(diag(a, b, char_ngram_sim), a, b, 0.5)
+    got = align_sentences_directional(diag(a, b, "char3gram"), a, b, 0.5)
     labels = {s.sentence: label for s, _, label in got.pairs}
     assert labels[0] is SentAlignLabel.ALIGNED
 

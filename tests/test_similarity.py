@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,13 +13,18 @@ from revkit.para_align import CandidateCells, encode_versions
 from revkit.similarity import (
     CELL_METRICS,
     METRIC_NAMES,
-    bleu_sim,
-    char_ngram_sim,
+    _bleu_features,
+    _bleu_mean,
+    _char_cosine,
+    _char_features,
     make_metric,
 )
 
 from helpers import cell_scores, doc, encode_tokens, jaccard, pair_score, sent
 from oracles import oracle_build_idf, oracle_metric, random_doc_pair
+
+# one sentence pair scored by a fresh make_metric function
+char3gram, bleu = partial(pair_score, "char3gram"), partial(pair_score, "bleu")
 
 WORDS = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red"]
 sentences = st.lists(st.sampled_from(WORDS), min_size=0, max_size=8).map(
@@ -65,34 +71,29 @@ def test_jaccard_identical_is_one(a):
 def test_char3gram_half():
     # trigram sets {abc, bcd} and {bcd, cde}: cosine of (1,1) vs (1,1)
     # sharing one axis
-    assert char_ngram_sim(sent("abcd"), sent("bcde")) == pytest.approx(0.5)
+    assert char3gram(sent("abcd"), sent("bcde")) == pytest.approx(0.5)
 
 
 def test_char3gram_identical_exact_one():
-    s = sent("the cat sat on the mat")
-    assert char_ngram_sim(s, sent("the cat sat on the mat")) == 1.0
+    # texts that differ only in case have equal features
+    assert char3gram(sent("The cat sat on the mat"), sent("the cat sat on the mat")) == 1.0
 
 
 def test_char3gram_short_strings_fall_back_to_identity():
-    assert char_ngram_sim(sent("ab"), sent("ab")) == 1.0
-    assert char_ngram_sim(sent("ab"), sent("cd")) == 0.0
-
-
-def test_char3gram_rejects_bad_n():
-    with pytest.raises(ValueError):
-        char_ngram_sim(sent("abc"), sent("abc"), n=0)
+    assert char3gram(sent("AB"), sent("ab")) == 1.0
+    assert char3gram(sent("ab"), sent("cd")) == 0.0
 
 
 def test_char3gram_counts_multiplicity():
     # "aaaa" has grams {aaa: 2}, "aaa" has {aaa: 1}: cosine is 1.0 since
     # the vectors are parallel
-    assert char_ngram_sim(sent("aaaa"), sent("aaa")) == pytest.approx(1.0)
+    assert char3gram(sent("aaaa"), sent("aaa")) == pytest.approx(1.0)
 
 
 @given(sentences, sentences)
 def test_char3gram_symmetric_bounded(a, b):
-    v = char_ngram_sim(a, b)
-    assert v == char_ngram_sim(b, a)
+    v = char3gram(a, b)
+    assert v == char3gram(b, a)
     assert 0.0 <= v <= 1.0 + 1e-12
 
 
@@ -120,7 +121,7 @@ def two_docs():
 def _encoded(*docs):
     """Every sentence's encoding over one vocabulary, and that vocabulary."""
     vocab: dict[str, int] = {}
-    return [encode_tokens(s.tokens, vocab) for d in docs for s in d.sentences()], vocab
+    return [encode_tokens(s.tokens, vocab) for d in docs for p in d.paragraphs for s in p.sentences], vocab
 
 
 def test_build_idf_values():
@@ -187,39 +188,40 @@ def test_tfidf_all_zero_vectors_compare_counts():
 # bleu
 
 def test_bleu_identical_is_one():
-    s = sent("the cat sat on the mat")
-    assert bleu_sim(s, sent("the cat sat on the mat")) == 1.0
+    # texts that differ only in case have equal features
+    assert bleu(sent("The cat sat on the mat"), sent("the cat sat on the mat")) == 1.0
 
 
 def test_bleu_disjoint_is_zero():
-    assert bleu_sim(sent("the cat sat again"), sent("dogs run very fast")) == 0.0
+    assert bleu(sent("the cat sat again"), sent("dogs run very fast")) == 0.0
 
 
 def test_bleu_hand_value():
     # one differing token out of five, same length both ways:
     # precisions 4/5, 4/5 smoothed, 3/4 smoothed, 2/3 smoothed; bp = 1
-    got = bleu_sim(sent("the cat sat on mat"), sent("the cat sat on rug"))
+    got = bleu(sent("the cat sat on mat"), sent("the cat sat on rug"))
     assert got == pytest.approx((0.8 * 0.8 * 0.75 * (2 / 3)) ** 0.25)
 
 
 def test_bleu_empty_is_zero():
     # one empty side; two empty sentences are identical and score 1.0
-    assert bleu_sim(sent("the cat sat here"), sent("")) == 0.0
-    assert bleu_sim(sent(""), sent("the cat sat here")) == 0.0
+    assert bleu(sent("the cat sat here"), sent("")) == 0.0
+    assert bleu(sent(""), sent("the cat sat here")) == 0.0
 
 
 @given(sentences, sentences)
 def test_bleu_symmetric_bounded(a, b):
-    v = bleu_sim(a, b)
-    assert v == bleu_sim(b, a)
+    v = bleu(a, b)
+    assert v == bleu(b, a)
     assert 0.0 <= v <= 1.0 + 1e-12
 
 
 @given(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8))
 def test_bleu_identical_nonempty_is_one(ws):
+    # the spacing differs, so the score is read from the features
     a = sent(" ".join(ws))
-    b = sent(" ".join(ws))
-    assert bleu_sim(a, b) == 1.0
+    b = sent("  ".join(ws))
+    assert bleu(a, b) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +241,19 @@ def test_make_metric_names():
                 make_metric(name)
 
 
-_SCALAR = {"char3gram": char_ngram_sim, "bleu": bleu_sim}
-
-
 @pytest.mark.parametrize("name", METRIC_NAMES)
 def test_make_metric_caches_bit_identically(name):
     """The aligner's score of every sentence pair, in both directions,
-    equals the oracle's and the scalar function's bit for bit."""
+    equals the oracle's bit for bit."""
     rng = random.Random(17)
     for _ in range(15):
         a, b = random_doc_pair(rng)
         scores = cell_scores(name, a, b)
         oracle = oracle_metric(name, a, b)
-        scalar = _SCALAR.get(name, oracle)
         for s in a.alignable_sentences():
             for t in b.alignable_sentences():
-                assert scores[s.id, t.id] == scalar(s, t) == oracle(s, t)
-                assert scores[t.id, s.id] == scalar(t, s) == oracle(t, s)
+                assert scores[s.id, t.id] == oracle(s, t)
+                assert scores[t.id, s.id] == oracle(t, s)
 
 
 @pytest.mark.parametrize("name", METRIC_NAMES)
@@ -273,13 +271,13 @@ def test_make_metric_cache_keys_on_text(name):
         assert scores[t.id, x.id] == scores[t.id, y.id] == oracle(t, x)
     assert scores[d1.id, t.id] != scores[c1.id, t.id]
     if name in CELL_METRICS:
-        metric, scalar = make_metric(name), _SCALAR[name]
+        metric = make_metric(name)
         # two texts under one id, each scored again after the other
         s1, s2 = sent("the cat sat on the mat"), sent("another dog walked over the hill")
         assert s1.id == s2.id
         for s in (s1, s2, s1, t, s2):
-            assert metric(s, t) == scalar(s, t)
-            assert metric(t, s) == scalar(t, s)
+            assert metric(s, t) == oracle(s, t)
+            assert metric(t, s) == oracle(t, s)
         assert metric(s1, t) != metric(s2, t)
 
 
@@ -297,8 +295,8 @@ def test_feature_metrics_score_every_text_against_itself_at_one(raw, others, emp
     self-score is exactly 1.0 whatever the text, and for tfidf whatever
     the other documents, which set the idf."""
     s = sent(raw)
-    assert char_ngram_sim(s, s) == 1.0
-    assert bleu_sim(s, s) == 1.0
+    assert _char_cosine(_char_features(s), _char_features(s)) == 1.0
+    assert _bleu_mean(_bleu_features(s), _bleu_features(s)) == 1.0
     sentences, _ = _encoded(doc([[raw, *others]]))
     text = sentences[0]
     cell = np.zeros(1, dtype=np.int64)
@@ -357,5 +355,3 @@ def test_char3gram_and_bleu_are_bit_identical_with_arguments_swapped(x, y):
     a, b = sent(x), sent(y, 2)
     for name in CELL_METRICS:
         assert make_metric(name)(a, b) == make_metric(name)(b, a)
-    assert char_ngram_sim(a, b) == char_ngram_sim(b, a)
-    assert bleu_sim(a, b) == bleu_sim(b, a)
