@@ -165,17 +165,16 @@ def _align_pair(
 def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
     raw, cfg = payload
     group = raw.build()
-    for v in group.versions:
-        total = sum(len(p.sentences) for p in v.paragraphs)
-        if total and not v.alignable_sentences():
-            log.warning(
-                "group %s version %d: the skip filters dropped all %d sentences",
-                group.arxiv_id, v.version_index, total,
-            )
-    out = []
     # one encoding of each distinct text, and one layout of each version, for all the group's pairs;
     # a layout, with the tf-idf tally its pairs cache on it, goes once its second pair is done
     encoded = deque(encode_versions(group.versions))
+    for e in encoded:
+        if e.others and not e.sentences:
+            log.warning(
+                "group %s version %d: the skip filters dropped all %d sentences",
+                group.arxiv_id, e.doc.version_index, len(e.others),
+            )
+    out = []
     while len(encoded) > 1:
         a, b = encoded.popleft(), encoded[0]
         src, tgt = a.doc, b.doc
@@ -348,9 +347,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
     groups = _groups_by_id(load_corpus(args.corpus, compat=args.compat))
     paths = _alignment_paths(args.alignments)
     payloads = []
+    # each version pair counts once, whatever files or spellings name it
+    named: dict[tuple[str, int, int], str] = {}
     for path in paths:
         arxiv_id, alignment = read_alignment(path)
-        payloads.append((path, _find_group(groups, arxiv_id, path), alignment, cfg))
+        group = _find_group(groups, arxiv_id, path)
+        pair = (group.arxiv_id, alignment.src_version, alignment.tgt_version)
+        if pair in named:
+            raise AlignmentFormatError(
+                f"{path}: group {pair[0]!r} pair v{pair[1]}-v{pair[2]} is also in {named[pair]}"
+            )
+        named[pair] = path
+        payloads.append((path, group, alignment, cfg))
     rows = _map_jobs(_stats_for_file, payloads, cfg.jobs)
     rows.sort(key=lambda r: (r["arxiv_id"], r["src_version"], r["tgt_version"]))
 

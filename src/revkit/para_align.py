@@ -8,10 +8,11 @@ each argmaxes one of the two similarity matrices but applies its
 thresholds to the other.  That asymmetry is part of the published
 behaviour of this procedure and must not be "fixed".
 
-Every version of a group is encoded once, up front (encode_versions),
-into its sentences' lowercase token ids over one vocabulary that the
-group's version pairs share, and laid out once (kernels.Rows); each
-layout serves as the target of one pair and the source of the next.
+Every sentence of a group's versions, skipped ones included, is encoded
+once, up front (encode_versions), into its lowercase token ids over one
+vocabulary that the group's version pairs share.  Each version's
+alignable sentences are laid out once (kernels.Rows); each layout
+serves as the target of one pair and the source of the next.
 The caller hands a pair's two encodings to align_paragraphs and
 CandidateCells alike.  The sentence x sentence Jaccard
 scores are computed a block of whole source paragraphs at a time,
@@ -57,20 +58,8 @@ class EncodedVersion(NamedTuple):
     rows: Rows
     # each alignable paragraph's [start, end) rows, by paragraph index
     bounds: dict[int, tuple[int, int]]
-    # the vocabulary the ids index: lowercase token -> id
-    vocab: dict[str, int]
-
-    def unencoded_ids(self) -> list[list[int]]:
-        """The distinct ids of every sentence of the version that is not
-        alignable.  Their tokens outside the vocabulary occur in no
-        encoded text, so no score reads them."""
-        vocab = self.vocab
-        return [
-            [vocab[w] for w in {t.lower() for t in s.tokens} if w in vocab]
-            for p in self.doc.paragraphs
-            for s in p.sentences
-            if p.skipped or s.skipped
-        ]
+    # every other sentence of the version, encoded as the rows are
+    others: list[tuple[int, ...]]
 
 
 class CandidateCells:
@@ -109,7 +98,7 @@ class CandidateCells:
             return scores, scores
         if self.metric == "tfidf":
             # one document per sentence of both versions, skipped ones included
-            others = Rows(src.unencoded_ids() + tgt.unencoded_ids())
+            others = Rows(src.others + tgt.others)
             return tfidf_cosines(src.rows, tgt.rows, rows, cols, others)
         s, t = src.sentences, tgt.sentences
         scores = np.array(
@@ -199,14 +188,14 @@ class _Vocabulary(dict):
 
 
 def encode_versions(versions: Sequence[DocVersion]) -> list[EncodedVersion]:
-    """Every version's alignable sentences encoded and laid out once, in
-    version order, over one vocabulary: each text's tokens as their
-    lowercase ids, which follow first occurrence.
+    """Every version's sentences encoded once, in version order, over one
+    vocabulary: each text's tokens as their lowercase ids, which follow
+    first occurrence, skipped sentences included.  The alignable
+    sentences are laid out once; the others are kept as id tuples.
 
     Equal raw texts have equal tokens, so each distinct text is encoded
-    once and its versions share one encoding.  The surface map and the
-    text memo are dropped on return; the encodings keep only the
-    lowercase vocabulary.
+    once and its versions share one encoding.  The vocabulary and the
+    text memo are dropped on return.
     """
     surface = _Vocabulary()
     known: dict[str, tuple[int, ...]] = {}
@@ -214,20 +203,22 @@ def encode_versions(versions: Sequence[DocVersion]) -> list[EncodedVersion]:
     for doc in versions:
         sentences: list[Sentence] = []
         texts: list[tuple[int, ...]] = []
+        others: list[tuple[int, ...]] = []
         bounds: dict[int, tuple[int, int]] = {}
         for p in doc.paragraphs:
-            if p.skipped:
-                continue
             start = len(texts)
             for s in p.sentences:
-                if not s.skipped:
-                    text = known.get(s.raw)
-                    if text is None:
-                        text = known[s.raw] = tuple(map(surface.__getitem__, s.tokens))
+                text = known.get(s.raw)
+                if text is None:
+                    text = known[s.raw] = tuple(map(surface.__getitem__, s.tokens))
+                if p.skipped or s.skipped:
+                    others.append(text)
+                else:
                     sentences.append(s)
                     texts.append(text)
-            bounds[p.index] = (start, len(texts))
-        out.append(EncodedVersion(doc, sentences, Rows(texts), bounds, surface.lower))
+            if not p.skipped:
+                bounds[p.index] = (start, len(texts))
+        out.append(EncodedVersion(doc, sentences, Rows(texts), bounds, others))
     return out
 
 

@@ -865,6 +865,23 @@ def test_stats_no_alignments_exit_2(ws, tmp_path, capsys):
     assert "no alignment files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", ["same file", "renamed copy"])
+def test_stats_exits_2_on_a_version_pair_named_twice(ws, tmp_path, capsys, spelling):
+    # the directory and one of its files, or a copy of that file under another name
+    if spelling == "same file":
+        second = ws.v12
+    else:
+        other = tmp_path / "other"
+        other.mkdir()
+        second = str(other / "renamed.json")
+        shutil.copyfile(ws.v12, second)
+    out = tmp_path / "o"
+    rc = main(["stats", "--corpus", ws.corpus, "--alignments", str(ws.align_dir), second, "--out", str(out)])
+    assert rc == 2
+    assert f"{second}: group '2001.0001' pair v1-v2 is also in {ws.v12}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -347,3 +347,36 @@ def test_candidate_scores_do_not_depend_on_the_lookup_windows(monkeypatch, metri
     size = 1 + int(max(cells.src.rows.ids.max(), cells.tgt.rows.ids.max()))
     monkeypatch.setattr(kernels, "_TABLE_ENTRIES", window * size)
     assert cell_scores(metric, src, tgt) == want
+
+
+# ---------------------------------------------------------------------------
+# id values reach no score, so numbering more tokens of a group, or in
+# another order, changes no bit
+
+@pytest.mark.parametrize("seed", range(10))
+def test_scores_do_not_depend_on_id_values(seed):
+    """Every id relabelled through a random injective map into [0, 4V),
+    V being the number of ids, gives every kernel's output bit for bit:
+    the Jaccard matrix, the cells' Jaccard scores and both directions of
+    their tf-idf cosines, with other documents in the idf."""
+    rng = random.Random(seed)
+    v = rng.randint(4, 40)
+
+    def texts(count):
+        # a small vocabulary puts some ids past the frequent share; repeats weigh ids unequally
+        return [rng.choices(range(v), k=rng.randint(0, 14)) for _ in range(count)]
+
+    sides = texts(rng.randint(1, 25)), texts(rng.randint(1, 25)), texts(rng.randint(0, 8))
+    cells = [(r, c) for r in range(len(sides[0])) for c in range(len(sides[1])) if rng.random() < 0.4]
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    cols = np.array([c for _, c in cells], dtype=np.int64)
+
+    def scores(label):
+        a, b, others = (Rows([[label[i] for i in t] for t in side]) for side in sides)
+        return (jaccard_matrix(a, b), jaccard_cells(a, b, rows, cols), *tfidf_cosines(a, b, rows, cols, others))
+
+    want = scores(range(v))
+    relabel = rng.sample(range(4 * v), v)
+    assert relabel != list(range(v))
+    got = scores(relabel)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

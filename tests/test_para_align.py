@@ -247,9 +247,18 @@ def test_shared_encoder_matches_oracle_over_a_group():
         # every adjacent pair, and the first version against the last
         for ea, eb in [*zip(encoded, encoded[1:]), (encoded[0], encoded[-1])]:
             assert_matches_oracle(assembled_tensor(ea.doc, eb.doc, (ea, eb)), ea.doc, eb.doc)
-        # one vocabulary for the group, and an equal raw text in two
-        # versions maps to one shared encoding
-        assert all(e.vocab is encoded[0].vocab for e in encoded)
+        # one vocabulary for the group, skipped sentences included: a
+        # lowercase token has one id in every version
+        ids: dict[str, int] = {}
+        for e in encoded:
+            skipped = [s for p in e.doc.paragraphs for s in p.sentences if p.skipped or s.skipped]
+            assert len(skipped) == len(e.others)
+            for s, text in [*zip(e.sentences, e.rows.texts), *zip(skipped, e.others)]:
+                assert len(text) == len(s.tokens)
+                for token, i in zip(s.lower_tokens(), text):
+                    assert ids.setdefault(token, i) == i
+        assert sorted(ids.values()) == list(range(len(ids)))
+        # an equal raw text in two versions maps to one shared encoding
         first: dict[str, tuple[int, tuple[int, ...]]] = {}
         for e in encoded:
             for s, text in zip(e.sentences, e.rows.texts):
@@ -296,15 +305,20 @@ def test_cells_match_the_row_by_row_loop(case):
 
 
 def test_encoder_numbers_new_tokens_in_order_of_first_occurrence():
+    # skipped sentences are numbered too, in place: one of three tokens,
+    # and the sentences of paragraphs below ten tokens
     words = ("Zeta", "alpha", "mu", "beta", "omega", "gamma", "delta", "kappa", "zeta", "ALPHA", "lambda")
-    first = doc([[" ".join(words)]], 1)
-    second = doc([["nu mu Nu beta", " ".join(words[:6])]], 2)
+    first = doc([[" ".join(words), "Rho mu SIGMA"], ["tau rho phi chi"]], 1)
+    second = doc([["Upsilon tau"], ["nu mu Nu beta", " ".join(words[:6])]], 2)
+    assert [[s.skipped for s in p.sentences] for p in first.paragraphs] == [[False, True], [False]]
+    assert [p.skipped for p in first.paragraphs + second.paragraphs] == [False, True, True, False]
     a, b = encode_versions((first, second))
     assert a.rows.texts == [(0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 8)]
-    assert b.rows.texts == [(9, 2, 9, 3), (0, 1, 2, 3, 4, 5)]
-    assert a.vocab is b.vocab
-    assert list(b.vocab) == [w.lower() for w in words[:8]] + ["lambda", "nu"]
-    assert list(b.vocab.values()) == list(range(10))
+    assert a.others == [(9, 2, 10), (11, 9, 12, 13)]
+    assert a.bounds == {0: (0, 1)}
+    assert b.others == [(14, 11)]
+    assert b.rows.texts == [(15, 2, 15, 3), (0, 1, 2, 3, 4, 5)]
+    assert b.bounds == {1: (0, 2)}
 
 
 @pytest.mark.parametrize(
