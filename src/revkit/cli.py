@@ -15,10 +15,12 @@ import argparse
 import dataclasses
 import logging
 import os
+import pickle
+import signal
 import sys
 import traceback
 from collections import Counter, deque
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, NoReturn, Sequence, TypeVar
 
 from .config import EDIT_METHODS, RunConfig, load_config
 from .corpus import ArticleGroup, DocVersion, RawGroup, load_corpus, read_corpus
@@ -79,11 +81,75 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    """[fn(item) for item in items] over `jobs` processes.  Share k is
+    items[k::jobs]: the parent maps share 0 itself and forks one child
+    for each other share, which inherits the items and pickles back
+    only its results.  A child's exception is re-raised here with its
+    type and message; a child that dies without its results raises
+    RevkitError.  No child outlives the call."""
+    jobs = min(jobs, len(items))
+    if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    import multiprocessing  # only a pass that forks pays for the import
-    with multiprocessing.Pool(min(jobs, len(items))) as pool:
-        return pool.map(fn, items)
+    sys.stdout.flush()  # a child must not inherit unwritten output
+    sys.stderr.flush()
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
+    try:
+        for k in range(1, jobs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(fn, items[k::jobs], w)
+            os.close(w)
+            children[pid] = os.fdopen(r, "rb")
+        shares = [[fn(item) for item in items[0::jobs]]]
+        for pid, fh in list(children.items()):
+            with fh:
+                message = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            shares.append(_share_result(pid, status, message))
+    finally:
+        for pid, fh in children.items():  # only on an error: stop and reap the rest
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out: list = [None] * len(items)
+    for k, share in enumerate(shares):
+        out[k::jobs] = share
+    return out
+
+
+def _run_share(fn: Callable, share: Sequence, w: int) -> NoReturn:
+    """A forked child's whole life: map its share, pickle ("ok", results)
+    or ("err", exception, traceback text) to the pipe `w`, and exit."""
+    status = 1
+    try:
+        try:
+            message = ("ok", [fn(item) for item in share])
+        except BaseException as exc:
+            message = ("err", exc, traceback.format_exc())
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump(message, fh)
+        status = 0
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(status)
+
+
+def _share_result(pid: int, status: int, message: bytes) -> list:
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise RevkitError(f"worker process {pid} was killed by {signal.Signals(-code).name}")
+    if code != 0:  # it exits 0 only once its whole message is written
+        raise RevkitError(f"worker process {pid} exited with status {code} without its results")
+    kind, *body = pickle.loads(message)
+    if kind == "ok":
+        return body[0]
+    exc, tb = body
+    if isinstance(exc, (RevkitError, OSError)):
+        raise exc
+    raise exc from RuntimeError(f"in worker process {pid}:\n{tb}")
 
 
 G = TypeVar("G", ArticleGroup, RawGroup)

@@ -5,8 +5,10 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revkit
+from revkit import cli
 from revkit.cli import main
 from revkit.config import RunConfig
 from revkit.corpus import DocVersion, RawGroup, SentenceId, build_group, load_corpus
@@ -115,6 +118,128 @@ def test_align_parallel_jobs_match_serial(ws, tmp_path):
     assert rc == 0
     for name in os.listdir(ws.align_dir):
         assert (out / name).read_bytes() == (ws.align_dir / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# --jobs: share 0 in the parent, one forked child per other share
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _returns_within(seconds):
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")  # not an Exception: main cannot swallow it
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _patch_align_group(monkeypatch, in_parent, in_child):
+    """Make cli._align_group run `in_parent` in this process and
+    `in_child` in a forked worker."""
+    parent = os.getpid()
+    monkeypatch.setattr(
+        cli, "_align_group", lambda payload: (in_parent if os.getpid() == parent else in_child)(payload)
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_map_jobs_returns_results_in_item_order(jobs):
+    for n in range(8):
+        items = [f"item{i}" for i in range(n)]
+        assert cli._map_jobs(str.upper, items, jobs) == [x.upper() for x in items]
+    _no_child_left()
+
+
+def test_map_jobs_maps_share_zero_in_the_parent():
+    pids = cli._map_jobs(lambda _: os.getpid(), range(5), 2)
+    assert pids[0::2] == [os.getpid()] * 3
+    assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
+    _no_child_left()
+
+
+def test_map_jobs_maps_serially_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert cli._map_jobs(lambda _: os.getpid(), range(3), 2) == [os.getpid()] * 3
+
+
+def test_align_worker_killed_by_a_signal_exits_2(two_groups, tmp_path, monkeypatch, capsys):
+    _patch_align_group(monkeypatch, cli._align_group, lambda payload: os.kill(os.getpid(), signal.SIGKILL))
+    out = tmp_path / "out"
+    with _returns_within(10):
+        assert main(["align", "--corpus", two_groups.corpus, "--out", str(out), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("revkit: error: worker process ") and err.endswith(" was killed by SIGKILL\n")
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_align_error_in_the_parent_share_stops_the_children(two_groups, tmp_path, monkeypatch, capsys):
+    def fail(payload):
+        raise CorpusFormatError("the parent's share failed")
+
+    _patch_align_group(monkeypatch, fail, lambda payload: time.sleep(60))
+    out = tmp_path / "out"
+    with _returns_within(10):
+        assert main(["align", "--corpus", two_groups.corpus, "--out", str(out), "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == "revkit: error: the parent's share failed\n"
+    assert not out.exists()
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [CorpusFormatError("group 2001.0002: bad"), FileNotFoundError(2, "No such file or directory", "gone.json")],
+    ids=["RevkitError", "OSError"],
+)
+def test_child_error_reaches_main_as_it_was_raised(two_groups, tmp_path, monkeypatch, capsys, error):
+    def fail(item):
+        if item:
+            raise error
+        return item
+
+    with pytest.raises(type(error)) as got:
+        cli._map_jobs(fail, [0, 1], 2)
+    assert type(got.value) is type(error) and str(got.value) == str(error)
+    _no_child_left()
+
+    _patch_align_group(monkeypatch, cli._align_group, fail)
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", two_groups.corpus, "--out", str(out), "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == f"revkit: error: {error}\n"
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_internal_error_in_a_child_exits_1_with_its_traceback(two_groups, tmp_path, monkeypatch, capsys):
+    def broken_in_child(payload):
+        raise KeyError("lost")
+
+    _patch_align_group(monkeypatch, cli._align_group, broken_in_child)
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", two_groups.corpus, "--out", str(out), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("revkit: internal error\n")
+    assert "in worker process" in err and "in broken_in_child" in err and err.endswith("KeyError: 'lost'\n")
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_stats_parallel_jobs_match_serial(ws, stats_dir, tmp_path):
+    out = tmp_path / "stats2"
+    assert main(["stats", "--corpus", ws.corpus, "--alignments", ws.v23, ws.v12, "--out", str(out), "--jobs", "2"]) == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(stats_dir))
+    for name in os.listdir(stats_dir):
+        assert (out / name).read_bytes() == (stats_dir / name).read_bytes()
+    _no_child_left()
 
 
 def test_align_slash_in_id_becomes_underscore(tmp_path):

@@ -75,11 +75,29 @@ def test_modules_that_build_no_matrix_leave_numpy_unimported(module):
     assert res.returncode == 0, f"importing revkit.{module} imports numpy"
 
 
-def test_cli_leaves_multiprocessing_unimported():
-    """Only a pass that forks (--jobs 2 and up) imports multiprocessing."""
-    code = "import sys, revkit.cli; sys.exit('multiprocessing' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert res.returncode == 0, "importing revkit.cli imports multiprocessing"
+def test_cli_leaves_multiprocessing_unimported(tmp_path):
+    """Neither importing revkit.cli nor an `align --jobs 2` pass, which
+    forks its workers with os.fork, imports multiprocessing."""
+    rng = random.Random(5)
+    paragraphs = [[random_sentence_raw(rng, 6, 12, VOCAB) for _ in range(3)] for _ in range(3)]
+    groups = [
+        build_group(arxiv_id, "cs.CL", [doc(paragraphs[: 1 + v], v) for v in (1, 2)])
+        for arxiv_id in ("2001.0001", "2001.0002")
+    ]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(serialize_corpus(groups))
+    out = tmp_path / "out"
+    code = (
+        "import sys, revkit.cli\n"
+        "imported = 'multiprocessing' in sys.modules\n"
+        f"rc = revkit.cli.main(['align', '--corpus', {str(corpus)!r}, '--out', {str(out)!r}, '--jobs', '2'])\n"
+        "print(imported, rc, 'multiprocessing' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True
+    )
+    assert res.stdout == "False 0 False\n", res.stderr
+    assert len(os.listdir(out)) == 2
 
 
 def _perfbench_tracer():
