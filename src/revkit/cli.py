@@ -60,7 +60,7 @@ from .intention import ingest_predictions, parse_label
 from .metrics import eval_alignment, eval_classification, eval_edits_corpus
 from .para_align import CandidateCells, EncodedVersion, align_paragraphs, encode_versions
 from .sent_align import SentenceAlignment, align_sentences_directional, merge_bidirectional
-from .similarity import CELL_METRICS, METRIC_NAMES, make_metric
+from .similarity import METRIC_NAMES, make_metric
 
 log = logging.getLogger("revkit")
 
@@ -215,13 +215,7 @@ def _write_outputs(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
 def _align_pair(
     src: DocVersion, tgt: DocVersion, cfg: RunConfig, encodings: tuple[EncodedVersion, EncodedVersion]
 ):
-    name = cfg.sentence_metric
-    # jaccard and tfidf are scored in bulk from the pair's encodings
-    cells = CandidateCells(
-        align_paragraphs(src, tgt, cfg, encodings),
-        encodings,
-        make_metric(name) if name in CELL_METRICS else name,
-    )
+    cells = CandidateCells(align_paragraphs(src, tgt, cfg, encodings), encodings, make_metric(cfg.sentence_metric))
     thr = cfg.effective_sentence_threshold()
     fwd = align_sentences_directional(cells, src, tgt, thr)
     bwd = align_sentences_directional(cells, tgt, src, thr)
@@ -244,10 +238,7 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
     while len(encoded) > 1:
         a, b = encoded.popleft(), encoded[0]
         src, tgt = a.doc, b.doc
-        try:
-            merged = _align_pair(src, tgt, cfg, (a, b))
-        except ValueError as exc:
-            raise RevkitError(f"group {group.arxiv_id}: {exc}") from exc
+        merged = _align_pair(src, tgt, cfg, (a, b))
         name = _pair_filename(group.arxiv_id, src.version_index, tgt.version_index)
         out.append((name, alignment_to_json(merged, group.arxiv_id)))
     return out
@@ -373,8 +364,7 @@ def _alignment_paths(raw: Sequence[str]) -> list[str]:
 
 
 def _stats_for_file(payload) -> dict:
-    path, group, alignment, cfg = payload
-    src, tgt = _pair_documents(group, alignment, path)
+    path, group, alignment, src, tgt, cfg = payload
     try:
         ops = doc_operations(src, tgt, alignment)
         ratio = update_ratio(ops, src, cfg.kept_definition)
@@ -424,7 +414,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"{path}: group {pair[0]!r} pair v{pair[1]}-v{pair[2]} is also in {named[pair]}"
             )
         named[pair] = path
-        payloads.append((path, group, alignment, cfg))
+        # checked in file order, before any worker starts, so every --jobs names the same bad file
+        src, tgt = _pair_documents(group, alignment, path)
+        payloads.append((path, group, alignment, src, tgt, cfg))
     rows = _map_jobs(_stats_for_file, payloads, cfg.jobs)
     rows.sort(key=lambda r: (r["arxiv_id"], r["src_version"], r["tgt_version"]))
 

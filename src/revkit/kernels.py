@@ -1,12 +1,17 @@
 """Bulk kernels for the alignment hot path: the Jaccard scores of a
-version pair's sentences, and the Jaccard scores and tf-idf cosines of
-its candidate cells.
+version pair's sentences, and the scores of its candidate cells under
+every metric: Jaccard, tf-idf cosine, character-trigram cosine and BLEU.
 
-Both read one token layout of each side's sentences, Rows: flat arrays
-of each sentence's distinct token ids over one vocabulary.  Jaccard
-counts each id of a row once.  The target side can be indexed once
-(Target) and any number of blocks of source rows (rows[r0:r1]) scored
-against it.  A cell's intersection count is split by token:
+All read layouts of each side's texts, Rows: flat arrays of each text's
+distinct ids over one vocabulary.  Jaccard and tf-idf read the token
+layouts of the version pair's sentences; the trigram cosine lays out
+character trigrams, and BLEU the 1- to 4-grams of the tokens, for the
+call.
+
+The Jaccard matrix counts each id of a row once.  The target side can
+be indexed once (Target) and any number of blocks of source rows
+(rows[r0:r1]) scored against it.  A cell's intersection count is split
+by token:
 
 - A token held by at least 1/8 of the target rows is *frequent*.  The
   counts of all frequent tokens come from one float64 matrix product of
@@ -30,8 +35,8 @@ then one IEEE division of the same two integers, as when it was computed
 in int64, and every matrix is bit-identical whatever the split, and
 whatever blocks of source rows it is computed in.  A candidate cell's
 score (jaccard_cells) is that division again, so no count outlives the
-matrix.  Its intersection count comes from the lookup that the tf-idf
-kernel runs too (_shared_ids).  Candidate cells come sorted by source
+matrix.  Its intersection count comes from the lookup that every cell
+kernel runs (_shared_ids).  Candidate cells come sorted by source
 row, so a window of consecutive source rows is laid once into a dense
 table, (row in the window, id) -> entry, of about 2**17 slots.  Each id
 of each cell's target row is then one gather from that table.
@@ -49,8 +54,8 @@ number of cells.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import chain
+from functools import cache, cached_property
+from itertools import chain, starmap
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -104,14 +109,15 @@ class Rows:
     @cached_property
     def tally(self) -> tuple[np.ndarray, np.ndarray]:
         """Each entry's count in its row, and its rank: its place among its
-        row's ids in order of first occurrence.  Only tf-idf reads them."""
+        row's ids in order of first occurrence, four bytes each.  Every cell
+        kernel but Jaccard's reads them."""
         keys, _ = _keys(self.texts)
         order = np.argsort(keys, kind="stable")
         starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
         # the entries in first-occurrence order keep each row's block
-        rank = np.empty(len(starts), dtype=np.int64)
+        rank = np.empty(len(starts), dtype=np.int32)
         rank[np.argsort(order[starts], kind="stable")] = np.arange(len(starts)) - self.starts[self.row]
-        return np.diff(starts, append=len(keys)), rank
+        return np.diff(starts, append=len(keys)).astype(np.int32), rank
 
 
 class Target:
@@ -215,12 +221,22 @@ def tfidf_cosines(
     a: Rows, b: Rows, rows: np.ndarray, cols: np.ndarray, others: Rows
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tf-idf cosine of each cell k, between the texts a.texts[rows[k]]
-    and b.texts[cols[k]], from a to b and from b to a.
+    and b.texts[cols[k]], from a to b and from b to a (cosines).
 
     A text is its tokens' lowercase ids.  Each text of both sides is one
     document of build_idf, and so is each row of `others` (the
-    sentences no cell holds).  Every value is the scalar cosine's, bit
-    for bit:
+    sentences no cell holds)."""
+    size = 1 + int(max(a.ids.max(initial=-1), b.ids.max(initial=-1), others.ids.max(initial=-1)))
+    idf = build_idf(len(a) + len(b) + len(others), np.concatenate([a.ids, b.ids, others.ids]), size)
+    return cosines(a, b, rows, cols, idf)
+
+
+def cosines(
+    a: Rows, b: Rows, rows: np.ndarray, cols: np.ndarray, idf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine of each cell k's weight vectors, a's row rows[k] and b's
+    row cols[k], from a to b and from b to a.  Every value is the scalar
+    cosine's, bit for bit:
 
     - A weight is count x idf.  A norm is the root of the left-to-right
       sum of w*w over the text's distinct ids in first-occurrence order.
@@ -237,8 +253,6 @@ def tfidf_cosines(
 
     Temporaries are sized by the cells' ids and worked through in blocks.
     """
-    size = 1 + int(max(a.ids.max(initial=-1), b.ids.max(initial=-1), others.ids.max(initial=-1)))
-    idf = build_idf(len(a) + len(b) + len(others), np.concatenate([a.ids, b.ids, others.ids]), size)
     (w_a, norm_a), (w_b, norm_b) = _weigh(a, idf), _weigh(b, idf)
     den = norm_a[rows] * norm_b[cols]
     ab, ba, shared, unequal_counts, unequal_weights = _dots(rows, cols, a, b, w_a, w_b)
@@ -250,6 +264,110 @@ def tfidf_cosines(
     one = same_ids & ((unequal_counts == 0) | (~zero & (unequal_weights == 0)))
     ab[one] = ba[one] = 1.0
     return ab, ba
+
+
+def char3gram_cells(
+    a: Sequence[str], b: Sequence[str], rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine of the character-trigram counts of each cell k's
+    strings, a[rows[k]] and b[cols[k]], lowercased, spaces included, from
+    a to b and from b to a.
+
+    It is cosines with every idf 1.0 over trigram ids.  Counts, their
+    products and their squares are integers, exact in float64 in any
+    order, so both directions are one value, the scalar cosine's bit for
+    bit.  A string of fewer than three characters has no trigram and
+    stands as its own one gram, which no trigram equals: two such strings
+    score 1.0 when they are equal and 0.0 otherwise, and 0.0 against any
+    longer string.  Each distinct string is split once per call."""
+    grams = _Ids()
+
+    @cache
+    def trigrams(raw: str) -> tuple[int, ...]:
+        r = raw.lower()
+        # a trigram is keyed by its three characters, a shorter string by itself
+        return tuple(map(grams.__getitem__, zip(r, r[1:], r[2:]))) if len(r) > 2 else (grams[r],)
+
+    a_rows, b_rows = Rows(list(map(trigrams, a))), Rows(list(map(trigrams, b)))
+    idf = np.ones(len(grams))
+    grams.clear()  # the ids are laid out; the trigrams are no longer needed
+    return cosines(a_rows, b_rows, rows, cols, idf)
+
+
+def bleu_cells(a: Rows, b: Rows, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The sentence-level BLEU of each cell k, between the texts
+    a.texts[rows[k]] and b.texts[cols[k]] (n <= 4, brevity penalty,
+    add-one smoothing for n >= 2), averaged over both directions, so one
+    array serves both: IEEE addition commutes.
+
+    Each order n's clipped matches, the sum over the n-grams the two texts
+    share of the lesser count, are integers, counted from layouts of
+    n-gram ids by the shared-id lookup, and the same either way round.
+    The float part is scalar Python (_bleu), once per distinct tuple of
+    the two lengths and the four match counts."""
+    lengths = [np.fromiter(map(len, side.texts), dtype=np.int64, count=len(side)) for side in (a, b)]
+    matched = [_clipped(*_ngram_rows(a, b, n), rows, cols).tolist() for n in range(1, 5)]
+    score = cache(_bleu)
+    return np.fromiter(
+        starmap(score, zip(lengths[0][rows].tolist(), lengths[1][cols].tolist(), *matched)),
+        dtype=np.float64,
+        count=len(rows),
+    )
+
+
+class _Ids(dict):
+    """Key -> id, numbered in order of first lookup."""
+
+    def __missing__(self, key) -> int:
+        found = self[key] = len(self)
+        return found
+
+
+def _ngram_rows(a: Rows, b: Rows, n: int) -> tuple[Rows, Rows]:
+    """Both sides' texts as the ids of their n-grams, numbered over both."""
+    if n == 1:
+        return a, b
+    grams = _Ids()
+
+    @cache
+    def ngrams(text: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(grams.__getitem__, [text[i:i + n] for i in range(len(text) - n + 1)]))
+
+    return Rows([ngrams(tuple(t)) for t in a.texts]), Rows([ngrams(tuple(t)) for t in b.texts])
+
+
+def _clipped(a: Rows, b: Rows, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each cell's sum, over the ids its two rows share, of the lesser count."""
+    (counts_a, _), (counts_b, _) = a.tally, b.tally
+    matched = np.zeros(len(rows), dtype=np.int64)
+    for k0, k1, cell, at, pos in _shared_ids(rows, cols, a, b):
+        matched[k0:k1] = np.bincount(cell, weights=np.minimum(counts_a[at], counts_b[pos]), minlength=k1 - k0)
+    return matched
+
+
+def _bleu(len_a: int, len_b: int, *matched: int) -> float:
+    return 0.5 * (_bleu_directional(len_a, len_b, matched) + _bleu_directional(len_b, len_a, matched))
+
+
+def _bleu_directional(hyp_len: int, ref_len: int, matched: tuple[int, ...]) -> float:
+    """BLEU of a hypothesis against a reference from their lengths and
+    the clipped matches of each order.  Two empty texts score 1.0; one
+    empty side scores 0.0."""
+    if not hyp_len or not ref_len:
+        return 1.0 if hyp_len == ref_len else 0.0
+    log_sum = 0.0
+    for n, m in enumerate(matched, 1):
+        total = max(hyp_len - n + 1, 0)
+        if n == 1:
+            if m == 0:
+                return 0.0
+            p = m / total
+        else:
+            # add-one smoothing for the higher orders
+            p = (m + 1) / (total + 1)
+        log_sum += math.log(p)
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_sum / 4.0)
 
 
 def build_idf(n: int, ids: np.ndarray, size: int) -> np.ndarray:

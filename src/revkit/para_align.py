@@ -28,10 +28,9 @@ block, arrays over the target paragraphs, and the encodings.
 
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
-(CandidateCells): jaccard and tfidf come in bulk from the same
-layouts (kernels.jaccard_cells, kernels.tfidf_cosines), and
-char3gram and bleu call their scalar function once per cell.  One
-per-row argmax picks each sentence's best candidate, in either direction.
+(CandidateCells), all in one call of the metric's bulk scorer
+(similarity.make_metric), which reads the same encodings.  One per-row
+argmax picks each sentence's best candidate, in either direction.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import DocVersion, Sentence
-from .kernels import Rows, Target, jaccard_cells, jaccard_matrix, tfidf_cosines
+from .kernels import Rows, Target, jaccard_matrix
 
 # cells per block of source paragraphs whose Jaccard scores exist at once
 _BLOCK_CELLS = 1 << 16
@@ -70,56 +69,30 @@ class CandidateCells:
     source's and the target's EncodedVersion, as encode_versions gives.
     The cells are listed by source row, then target row (rows, cols);
     the kernels' shared-id lookup relies on that source-row order.
-    `metric` is "jaccard" or "tfidf", scored in bulk, or a symmetric
-    function of two sentences, called once per cell for both directions.
-    The cells are scored on first use.
+    `metric` is a bulk scorer from similarity.make_metric, called once,
+    when the scores are first read.
     """
 
     def __init__(
         self,
         pairs: frozenset[tuple[int, int]],
         encodings: tuple[EncodedVersion, EncodedVersion],
-        metric: str | Callable[[Sentence, Sentence], float],
+        metric: Callable,
     ) -> None:
-        if not callable(metric) and metric not in ("jaccard", "tfidf"):
-            raise ValueError(f"metric {metric!r} is not scored in bulk; pass its function")
         (self.src, self.tgt), self.metric = encodings, metric
         self.rows, self.cols = _cells(pairs, self.src.bounds, self.tgt.bounds)
 
     @cached_property
-    def _scored(self) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's score from the source side and from the target side."""
-        src, tgt, rows, cols = self.src, self.tgt, self.rows, self.cols
-        if not len(rows):
-            # no cell; tfidf could not even fit idf on versions without sentences
-            return np.zeros(0), np.zeros(0)
-        if self.metric == "jaccard":
-            scores = jaccard_cells(src.rows, tgt.rows, rows, cols)
-            return scores, scores
-        if self.metric == "tfidf":
-            # one document per sentence of both versions, skipped ones included
-            others = Rows(src.others + tgt.others)
-            return tfidf_cosines(src.rows, tgt.rows, rows, cols, others)
-        s, t = src.sentences, tgt.sentences
-        scores = np.array(
-            [self.metric(s[r], t[c]) for r, c in zip(rows.tolist(), cols.tolist())], dtype=np.float64
-        )
-        return scores, scores
-
-    def __iter__(self) -> Iterator[tuple[Sentence, Sentence, float, float]]:
-        """Every cell: its source and target sentence, and its score from
-        each side."""
-        fwd, bwd = self._scored
-        s, t = self.src.sentences, self.tgt.sentences
-        for r, c, f, b in zip(self.rows.tolist(), self.cols.tolist(), fwd.tolist(), bwd.tolist()):
-            yield s[r], t[c], f, b
+        return self.metric((self.src, self.tgt), (self.rows, self.cols))
 
     def best(self, src_version: int) -> list[tuple[Sentence, Sentence, float, bool]]:
         """Each sentence of version src_version that has candidates, its
         first candidate in ascending id order with the highest score, that
         score, and whether the two hold the same lowercase tokens."""
         src, tgt = self.src, self.tgt
-        fwd, bwd = self._scored
+        fwd, bwd = self.scores
         if src_version == src.doc.version_index:
             rows, cols, scores = self.rows, self.cols, fwd
         elif src_version == tgt.doc.version_index:

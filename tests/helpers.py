@@ -15,10 +15,10 @@ import numpy as np
 from revkit.config import RunConfig
 from revkit.corpus import ArticleGroup, DocVersion, Sentence, SentenceId
 from revkit.edits import Edit, EditKind, WordAlignment
-from revkit.kernels import Rows, jaccard_matrix, tfidf_cosines
-from revkit.para_align import CandidateCells, align_paragraphs, encode_versions
+from revkit.kernels import Rows
+from revkit.para_align import CandidateCells, EncodedVersion, align_paragraphs, encode_versions
 from revkit.sent_align import SentAlignLabel, SentenceAlignment
-from revkit.similarity import CELL_METRICS, make_metric
+from revkit.similarity import make_metric
 
 # 12 distinct filler words, all alphabetic
 FILLER = (
@@ -76,12 +76,6 @@ def filler_sentence(seed: int, n: int = 6) -> str:
     )
 
 
-def metric_for(name: str):
-    """What CandidateCells takes for the named metric: the name of a metric
-    scored in bulk, or make_metric's function."""
-    return make_metric(name) if name in CELL_METRICS else name
-
-
 def aligned_paragraphs(src: DocVersion, tgt: DocVersion, cfg: RunConfig = RunConfig()) -> frozenset[tuple[int, int]]:
     """align_paragraphs of src and tgt, the pair encoded alone."""
     return align_paragraphs(src, tgt, cfg, encode_versions((src, tgt)))
@@ -90,21 +84,31 @@ def aligned_paragraphs(src: DocVersion, tgt: DocVersion, cfg: RunConfig = RunCon
 def candidates(src: DocVersion, tgt: DocVersion, metric, pairs=None) -> CandidateCells:
     """The candidate cells of align_paragraphs(src, tgt), or of the given
     paragraph pairs, or of every pair of alignable paragraphs when pairs
-    is "all"; metric is a name or a function, as metric_for gives."""
+    is "all"; metric is a name or a bulk scorer, as make_metric gives."""
     encodings = encode_versions((src, tgt))
     if pairs == "all":
         pairs = product(
             [p.index for p in src.alignable_paragraphs()], [p.index for p in tgt.alignable_paragraphs()]
         )
     pairs = align_paragraphs(src, tgt, RunConfig(), encodings) if pairs is None else frozenset(pairs)
-    return CandidateCells(pairs, encodings, metric_for(metric) if isinstance(metric, str) else metric)
+    return CandidateCells(pairs, encodings, make_metric(metric) if isinstance(metric, str) else metric)
+
+
+def cell_list(cells: CandidateCells) -> list[tuple[Sentence, Sentence, float, float]]:
+    """Every cell: its source and target sentence, and its score from
+    each side."""
+    (forward, backward), s, t = cells.scores, cells.src.sentences, cells.tgt.sentences
+    return [
+        (s[r], t[c], f, b)
+        for r, c, f, b in zip(cells.rows.tolist(), cells.cols.tolist(), forward.tolist(), backward.tolist())
+    ]
 
 
 def cell_scores(name: str, src: DocVersion, tgt: DocVersion, pairs="all") -> dict:
     """(a.id, b.id) -> the aligner's score of a against b, for every
     candidate cell in both directions."""
     out = {}
-    for s, t, forward, backward in candidates(src, tgt, name, pairs):
+    for s, t, forward, backward in cell_list(candidates(src, tgt, name, pairs)):
         out[s.id, t.id] = forward
         out[t.id, s.id] = backward
     return out
@@ -116,18 +120,21 @@ def encode_tokens(tokens, vocab: dict[str, int]) -> tuple[int, ...]:
     return tuple(vocab.setdefault(t.lower(), len(vocab)) for t in tokens)
 
 
+def encoded_pair(xs: list[Sentence], ys: list[Sentence]) -> tuple[EncodedVersion, EncodedVersion]:
+    """Two sides whose rows are the sentences xs and ys, skipped or not,
+    encoded over one vocabulary, as a metric's bulk scorer reads them."""
+    vocab: dict[str, int] = {}
+    return tuple(
+        EncodedVersion(None, side, Rows([encode_tokens(s.tokens, vocab) for s in side]), {}, []) for side in (xs, ys)
+    )
+
+
 def pair_score(name: str, x: Sentence, y: Sentence) -> float:
     """The aligner's score of x against y, for any two sentences, skipped
-    or not: jaccard and tfidf through the kernels on their encodings, tfidf
-    with idf fitted on x and y alone, and the others by make_metric."""
-    if name in CELL_METRICS:
-        return make_metric(name)(x, y)
-    vocab: dict[str, int] = {}
-    a, b = encode_tokens(x.tokens, vocab), encode_tokens(y.tokens, vocab)
-    if name == "tfidf":
-        cell = np.zeros(1, dtype=np.int64)
-        return tfidf_cosines(Rows([a]), Rows([b]), cell, cell, Rows([]))[0].item()
-    return jaccard_matrix(Rows([a]), Rows([b])).item(0, 0)
+    or not: make_metric's scorer on the one cell of their encodings, tfidf
+    with idf fitted on x and y alone."""
+    cell = np.zeros(1, dtype=np.int64)
+    return make_metric(name)(encoded_pair([x], [y]), (cell, cell))[0].item()
 
 
 def jaccard(a: Sentence, b: Sentence) -> float:

@@ -982,6 +982,29 @@ def test_stats_mean_ratio_is_null_when_no_pair_has_one(ws, tmp_path, caplog):
     assert (out / "composition.csv").read_text().splitlines()[1:] == []
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stats_names_the_first_bad_file_under_any_jobs(tmp_path, capsys, jobs):
+    # the second and third of five files pair a sentence their versions
+    # lack; under --jobs 2 the second falls to the child's share and the
+    # third to the parent's, and the error names the second either way
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(_several_groups(0)))
+    align_dir, out = tmp_path / "align", tmp_path / "stats"
+    assert main(["align", "--corpus", str(corpus), "--out", str(align_dir)]) == 0
+    names = sorted(os.listdir(align_dir))
+    assert len(names) == 5
+    for name in names[1:3]:
+        obj = json.loads((align_dir / name).read_text())
+        obj["pairs"].append({"src": [999, 0], "tgt": [0, 0], "label": "aligned"})
+        (align_dir / name).write_text(json.dumps(obj))
+    argv = ["stats", "--corpus", str(corpus), "--alignments", str(align_dir), "--out", str(out), "--jobs", jobs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"revkit: error: {align_dir / names[1]}: ") and names[2] not in err
+    assert not out.exists()
+    _no_child_left()
+
+
 def test_stats_no_alignments_exit_2(ws, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

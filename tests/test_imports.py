@@ -16,6 +16,7 @@ from revkit import cli, para_align, sent_align
 from revkit.config import RunConfig
 from revkit.corpus import build_group
 from revkit.para_align import CandidateCells, encode_versions
+from revkit.similarity import METRIC_NAMES
 
 from helpers import doc, serialize_corpus
 from oracles import VOCAB, random_doc_pair, random_sentence_raw
@@ -177,7 +178,7 @@ def test_benchmark_sentence_hooks_count_every_pair_once(monkeypatch):
     encodings = encode_versions((src, tgt))
     merged = cli._align_pair(src, tgt, cfg, encodings)
     # the forward alignment again, through no traced name
-    cells = CandidateCells(para_align.align_paragraphs(src, tgt, cfg, encodings), encodings, "jaccard")
+    cells = CandidateCells(para_align.align_paragraphs(src, tgt, cfg, encodings), encodings, cli.make_metric("jaccard"))
     forward = sent_align.align_sentences_directional(cells, src, tgt, cfg.effective_sentence_threshold())
     names = [name for name, *_ in spans.dump()]
     assert names.count("sent_align.directional") == 2 and names.count("sent_align.merge") == 1
@@ -186,7 +187,35 @@ def test_benchmark_sentence_hooks_count_every_pair_once(monkeypatch):
     assert counts["sent_align.pairs"] == len(merged.pairs) > 0
 
 
-@pytest.mark.parametrize("metric", ["jaccard", "tfidf"])
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+def test_benchmark_metric_hook_counts_one_scorer_call_per_pair(monkeypatch, metric):
+    """The tracer's install wraps revkit.cli.make_metric and the scorer it
+    returns, which it calls as call(a, b) and counts in similarity.calls.
+    So _align_pair must make its metric through that name and score all
+    of a version pair's cells in one call of two positional arguments,
+    and the traced run must give what the untraced one does."""
+    tracer = _perfbench_tracer()
+    spans = tracer.Tracer()
+    src, tgt = random_doc_pair(random.Random(9))
+    third = doc([[s.raw for s in p.sentences] for p in tgt.paragraphs[::-1]], 3)
+    cfg = RunConfig(sentence_metric=metric)
+    encoded = encode_versions((src, tgt, third))
+    pairs = list(zip(encoded, encoded[1:]))
+    plain = [cli._align_pair(a.doc, b.doc, cfg, (a, b)) for a, b in pairs]
+    for module, attr, *_ in tracer.TARGETS + tracer.PAIR_TARGETS + (("revkit.cli", "make_metric"),):
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # put back after the test
+    tracer.install(spans)
+    assert [cli._align_pair(a.doc, b.doc, cfg, (a, b)) for a, b in pairs] == plain
+    assert all(merged.pairs for merged in plain)
+    names = [name for name, *_ in spans.dump()]
+    assert names.count("align.pair") == names.count("similarity.make_metric") == len(pairs) == 2
+    _, counts, _ = tracer.summarize(spans.dump())
+    assert counts["similarity.calls"] == len(pairs)
+    assert counts["similarity.score_s"] > 0
+
+
+@pytest.mark.parametrize("metric", METRIC_NAMES)
 def test_align_leaves_numpy_ma_unimported(tmp_path, metric):
     """np.unique's first call imports numpy.ma, which adds resident memory
     to the command, so the kernels lay out their rows by a stable sort."""

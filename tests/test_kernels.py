@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revkit import kernels
-from revkit.kernels import _DENSE_SHARE, Rows, jaccard_cells, jaccard_matrix, tfidf_cosines
+from revkit.kernels import _DENSE_SHARE, Rows, bleu_cells, char3gram_cells, jaccard_cells, jaccard_matrix, tfidf_cosines
+from revkit.similarity import METRIC_NAMES
 
-from helpers import candidates, cell_scores, doc
-from oracles import VOCAB, random_sentence_raw
+from helpers import candidates, cell_scores, doc, encoded_pair, sent
+from oracles import VOCAB, oracle_bleu, oracle_char_trigram, random_sentence_raw
 
 
 def random_sets(rng, count, vocab_size=20, max_len=8):
@@ -332,7 +333,7 @@ def test_shared_ids_reject_cells_out_of_source_order():
         jaccard_cells(a, b, rows, cols)
 
 
-@pytest.mark.parametrize("metric", ["jaccard", "tfidf"])
+@pytest.mark.parametrize("metric", METRIC_NAMES)
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_candidate_scores_do_not_depend_on_the_lookup_windows(monkeypatch, metric, window):
     """Windows of one, two or three source rows split the six-sentence
@@ -345,6 +346,9 @@ def test_candidate_scores_do_not_depend_on_the_lookup_windows(monkeypatch, metri
     want = cell_scores(metric, src, tgt)
     cells = candidates(src, tgt, "jaccard", "all")
     size = 1 + int(max(cells.src.rows.ids.max(), cells.tgt.rows.ids.max()))
+    if metric == "char3gram":  # its ids number the distinct trigrams
+        lowered = [s.raw.lower() for s in cells.src.sentences + cells.tgt.sentences]
+        size = len({t[i:i + 3] for t in lowered for i in range(len(t) - 2)})
     monkeypatch.setattr(kernels, "_TABLE_ENTRIES", window * size)
     assert cell_scores(metric, src, tgt) == want
 
@@ -380,3 +384,44 @@ def test_scores_do_not_depend_on_id_values(seed):
     assert relabel != list(range(v))
     got = scores(relabel)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# char3gram and bleu of candidate cells, against the scalar oracles
+
+# texts with repeated n-grams, case variants, texts under three characters,
+# texts whose lowercase form is longer (U+0130) or that fold otherwise
+# (sharp s), and any characters
+_words = st.sampled_from(["the", "cat", "sat", "The", "CAT", "a", "ab", "\u0130", "\xdf", "SS", "ss", ","])
+_cell_texts = st.lists(_words, max_size=9).map(" ".join) | st.text(max_size=6)
+
+
+@st.composite
+def cell_metric_cases(draw):
+    """Two sides of texts, cells sorted by source row with repeats allowed,
+    and lookup budgets from one entry a block and one row a window up."""
+    a, b = (draw(st.lists(_cell_texts, min_size=1, max_size=6)) for _ in range(2))
+    cells = draw(st.lists(st.tuples(st.integers(0, len(a) - 1), st.integers(0, len(b) - 1)), max_size=20))
+    cells.sort(key=lambda cell: cell[0])
+    return a, b, cells, draw(st.sampled_from([1, 5, kernels._BLOCK_ENTRIES])), draw(st.sampled_from([1, 40, kernels._TABLE_ENTRIES]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(cell_metric_cases())
+def test_char3gram_and_bleu_cells_match_the_oracles(case):
+    """Every cell's char3gram and bleu score, both directions, is the
+    scalar oracle's bit for bit, whatever the blocks and windows of the
+    shared-id lookup."""
+    texts_a, texts_b, cells, entries, table = case
+    xs = [sent(raw, 1, 0, i) for i, raw in enumerate(texts_a)]
+    ys = [sent(raw, 2, 0, i) for i, raw in enumerate(texts_b)]
+    a, b = encoded_pair(xs, ys)
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    cols = np.array([c for _, c in cells], dtype=np.int64)
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", entries), mock.patch.object(kernels, "_TABLE_ENTRIES", table):
+        char_ab, char_ba = char3gram_cells(texts_a, texts_b, rows, cols)
+        bleu = bleu_cells(a.rows, b.rows, rows, cols)
+    for k, (r, c) in enumerate(cells):
+        x, y = xs[r], ys[c]
+        assert char_ab[k] == oracle_char_trigram(x, y) and char_ba[k] == oracle_char_trigram(y, x)
+        assert bleu[k] == oracle_bleu(x, y) == oracle_bleu(y, x)

@@ -17,8 +17,9 @@ from revkit.para_align import (
     encode_versions,
     sim_rows,
 )
+from revkit.similarity import METRIC_NAMES, make_metric
 
-from helpers import aligned_paragraphs, doc
+from helpers import aligned_paragraphs, cell_list, doc
 from oracles import (
     VOCAB,
     _jac,
@@ -155,9 +156,9 @@ def test_empty_version_aligns_nothing():
         assert t.src.rows.sizes.shape == (t.k,) and t.tgt.rows.sizes.shape == (t.l,)
         paras = aligned_paragraphs(a, b)
         assert paras == frozenset()
-        for metric in ("jaccard", "tfidf"):
-            cells = CandidateCells(paras, encode_versions((a, b)), metric)
-            assert list(cells) == [] and cells.best(a.version_index) == cells.best(b.version_index) == []
+        for metric in METRIC_NAMES:
+            cells = CandidateCells(paras, encode_versions((a, b)), make_metric(metric))
+            assert cell_list(cells) == [] and cells.best(a.version_index) == cells.best(b.version_index) == []
 
 
 def test_only_skipped_paragraphs_align_nothing():
@@ -232,7 +233,7 @@ def test_shared_encoder_matches_oracle_over_a_group():
             assert np.array_equal(getattr(t, side).rows.sizes, getattr(alone, side).rows.sizes)
         # every cell's score, from the shared encoder's ids and from the pair's own
         every = frozenset(product(t.src.bounds, t.tgt.bounds))
-        shared, own = (list(CandidateCells(every, (u.src, u.tgt), "jaccard")) for u in (t, alone))
+        shared, own = (cell_list(CandidateCells(every, (u.src, u.tgt), make_metric("jaccard"))) for u in (t, alone))
         assert shared == own
 
     for _ in range(40):
@@ -449,10 +450,10 @@ def test_streamed_tensor_matches_the_whole_matrix(versions, data):
         # every cell's jaccard score, from the looked-up shared ids, is the
         # matrix's and the brute-force count's, bit for bit
         every = product([p.index for p in a.alignable_paragraphs()], [p.index for p in b.alignable_paragraphs()])
-        cells = CandidateCells(frozenset(every), (t.src, t.tgt), "jaccard")
-        forward, backward = cells._scored
+        cells = CandidateCells(frozenset(every), (t.src, t.tgt), make_metric("jaccard"))
+        forward, backward = cells.scores
         assert np.array_equal(forward, matrix[cells.rows, cells.cols]) and np.array_equal(backward, forward)
-        for (s, u, score, _), r, c in zip(cells, cells.rows.tolist(), cells.cols.tolist()):
+        for (s, u, score, _), r, c in zip(cell_list(cells), cells.rows.tolist(), cells.cols.tolist()):
             shared = counts[r][c]
             assert score == (shared / max(sizes_a[r] + sizes_b[c] - shared, 1) if sizes_a[r] or sizes_b[c] else 1.0)
             assert score == oracle_jaccard(s, u)

@@ -16,7 +16,7 @@ from revkit.sent_align import (
 )
 from revkit.similarity import METRIC_NAMES
 
-from helpers import aligned_paragraphs, alignment, candidates, doc
+from helpers import aligned_paragraphs, alignment, candidates, cell_list, doc
 from oracles import (
     oracle_align_directional,
     oracle_align_pair,
@@ -198,7 +198,7 @@ def test_threshold_monotone_on_random_docs():
 def test_matrix_scores_match_scalar_jaccard(seed, threshold):
     src, tgt = random_doc_pair(random.Random(seed))
     cells = candidates(src, tgt, "jaccard")
-    for s, t, forward, backward in cells:
+    for s, t, forward, backward in cell_list(cells):
         assert forward == backward == oracle_jaccard(s, t) == oracle_jaccard(t, s)
     fwd = align_sentences_directional(cells, src, tgt, threshold)
     bwd = align_sentences_directional(cells, tgt, src, threshold)
@@ -288,7 +288,7 @@ def test_bulk_aligner_matches_the_per_cell_oracle(versions, name, which, data):
     cells = candidates(src, tgt, name, pairs)
     oracle = oracle_metric(name, src, tgt)
     scores = []
-    for s, t, forward, backward in cells:
+    for s, t, forward, backward in cell_list(cells):
         assert forward == oracle(s, t)
         assert backward == oracle(t, s)
         scores += [forward, backward]

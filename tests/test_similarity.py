@@ -10,20 +10,12 @@ from hypothesis import strategies as st
 
 from revkit.kernels import Rows, build_idf, tfidf_cosines
 from revkit.para_align import CandidateCells, encode_versions
-from revkit.similarity import (
-    CELL_METRICS,
-    METRIC_NAMES,
-    _bleu_features,
-    _bleu_mean,
-    _char_cosine,
-    _char_features,
-    make_metric,
-)
+from revkit.similarity import METRIC_NAMES, make_metric
 
-from helpers import cell_scores, doc, encode_tokens, jaccard, pair_score, sent
+from helpers import cell_list, cell_scores, doc, encode_tokens, encoded_pair, jaccard, pair_score, sent
 from oracles import oracle_build_idf, oracle_metric, random_doc_pair
 
-# one sentence pair scored by a fresh make_metric function
+# one sentence pair scored by a fresh make_metric scorer
 char3gram, bleu = partial(pair_score, "char3gram"), partial(pair_score, "bleu")
 
 WORDS = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red"]
@@ -234,11 +226,7 @@ def test_make_metric_names():
     t = b.paragraphs[0].sentences[0]
     for name in METRIC_NAMES:
         assert cell_scores(name, a, b)[s.id, t.id] == 1.0  # identical sentence both sides
-        if name in CELL_METRICS:
-            assert make_metric(name)(s, t) == 1.0
-        else:
-            with pytest.raises(ValueError, match="scored in bulk"):
-                make_metric(name)
+        assert pair_score(name, s, t) == 1.0
 
 
 @pytest.mark.parametrize("name", METRIC_NAMES)
@@ -270,33 +258,30 @@ def test_make_metric_cache_keys_on_text(name):
         assert scores[x.id, t.id] == scores[y.id, t.id] == oracle(x, t)
         assert scores[t.id, x.id] == scores[t.id, y.id] == oracle(t, x)
     assert scores[d1.id, t.id] != scores[c1.id, t.id]
-    if name in CELL_METRICS:
-        metric = make_metric(name)
-        # two texts under one id, each scored again after the other
-        s1, s2 = sent("the cat sat on the mat"), sent("another dog walked over the hill")
-        assert s1.id == s2.id
-        for s in (s1, s2, s1, t, s2):
-            assert metric(s, t) == oracle(s, t)
-            assert metric(t, s) == oracle(t, s)
-        assert metric(s1, t) != metric(s2, t)
 
 
 _any_texts = st.lists(
     st.sampled_from(WORDS + ["The", "CAT", ",", ".", ":", "[REF]", "[MATH]", "3.5", "(e.g.,"])
-    | st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\x1c", "\u3000"])
+    | st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\x1c", "\u3000", "\u0130", "\xdf", "SS"])
     | st.characters(),
     max_size=30,
 ).map("".join)
+# empty texts, texts under three characters, texts whose lowercase form
+# is longer (U+0130) or that fold otherwise (sharp s), and equal texts
+_edge_texts = st.sampled_from(["", "a", "A", "ab", "aB", "abc", "\u0130", "\u0130\u0130", "\xdf", "ss", "SS"])
 
 
-@given(_any_texts, st.lists(_any_texts, max_size=4), st.integers(0, 40))
+@given(_any_texts | _edge_texts, st.lists(_any_texts, max_size=4), st.integers(0, 40))
 def test_feature_metrics_score_every_text_against_itself_at_one(raw, others, empty):
-    """The feature path itself, which the aligner skips for equal texts: a
-    self-score is exactly 1.0 whatever the text, and for tfidf whatever
-    the other documents, which set the idf."""
-    s = sent(raw)
-    assert _char_cosine(_char_features(s), _char_features(s)) == 1.0
-    assert _bleu_mean(_bleu_features(s), _bleu_features(s)) == 1.0
+    """Every metric's bulk scorer gives a text against itself, or against
+    an equal text, exactly 1.0 in both directions, without a shortcut for
+    equal texts, whatever the text, and for tfidf whatever the other
+    documents, which set the idf."""
+    s, twin = sent(raw), sent(raw, 2)
+    cells = np.zeros(2, dtype=np.int64), np.array([0, 1])
+    for name in ("jaccard", "char3gram", "bleu"):
+        forward, backward = make_metric(name)(encoded_pair([s], [s, twin]), cells)
+        assert forward.tolist() == backward.tolist() == [1.0, 1.0]
     sentences, _ = _encoded(doc([[raw, *others]]))
     text = sentences[0]
     cell = np.zeros(1, dtype=np.int64)
@@ -331,7 +316,7 @@ def test_make_metric_tfidf_cache_tells_same_id_apart():
         a, b = ea.doc, eb.doc
         oracle = oracle_metric("tfidf", a, b)
         seen = set()
-        for s, t, forward, backward in CandidateCells(frozenset({(0, 0)}), (ea, eb), "tfidf"):
+        for s, t, forward, backward in cell_list(CandidateCells(frozenset({(0, 0)}), (ea, eb), make_metric("tfidf"))):
             assert forward == oracle(s, t)
             assert backward == oracle(t, s)
             seen.add(forward)
@@ -339,8 +324,14 @@ def test_make_metric_tfidf_cache_tells_same_id_apart():
 
 
 def test_make_metric_tfidf_requires_docs():
-    with pytest.raises(ValueError):
-        make_metric("tfidf")
+    """tf-idf fits its idf on the pair's sentences, so the kernel refuses
+    zero documents; the scorer fits nothing when there is no cell."""
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="zero sentences"):
+        tfidf_cosines(Rows([]), Rows([]), empty, empty, Rows([]))
+    for name in METRIC_NAMES:
+        forward, backward = make_metric(name)(encoded_pair([], []), (empty, empty))
+        assert forward.shape == backward.shape == (0,)
 
 
 def test_make_metric_unknown_name():
@@ -349,9 +340,17 @@ def test_make_metric_unknown_name():
 
 
 @settings(max_examples=300)
-@given(_any_texts, _any_texts)
+@given(_any_texts | _edge_texts, _any_texts | _edge_texts)
 def test_char3gram_and_bleu_are_bit_identical_with_arguments_swapped(x, y):
-    """Both directions of a cell read one char3gram or bleu score."""
-    a, b = sent(x), sent(y, 2)
-    for name in CELL_METRICS:
-        assert make_metric(name)(a, b) == make_metric(name)(b, a)
+    """Both directions of a cell read one char3gram or bleu score, the
+    same as the cell with its sentences swapped and as the oracle's, bit
+    for bit, in one call of the bulk scorer over every cell of x and y
+    against x and y."""
+    a, b = sent(x), sent(y, 1, 0, 1)
+    cells = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    for name in ("char3gram", "bleu"):
+        oracle = oracle_metric(name, None, None)
+        forward, backward = make_metric(name)(encoded_pair([a, b], [a, b]), cells)
+        assert forward.tolist() == backward.tolist()
+        assert forward.tolist() == [oracle(a, a), oracle(a, b), oracle(b, a), oracle(b, b)]
+        assert forward[1] == forward[2] and forward[0] == forward[3] == 1.0
