@@ -365,11 +365,8 @@ def _alignment_paths(raw: Sequence[str]) -> list[str]:
 
 def _stats_for_file(payload) -> dict:
     path, group, alignment, src, tgt, cfg = payload
-    try:
-        ops = doc_operations(src, tgt, alignment)
-        ratio = update_ratio(ops, src, cfg.kept_definition)
-    except ValueError as exc:
-        raise RevkitError(f"{path}: {exc}") from exc
+    ops = doc_operations(src, tgt, alignment)
+    ratio = update_ratio(ops, src, cfg.kept_definition)
     if ratio is None:
         log.warning(
             "%s: version %d has no alignable sentences; the pair has no update ratio",
@@ -383,9 +380,7 @@ def _stats_for_file(payload) -> dict:
         "time_delta": tgt.timestamp - src.timestamp,
         "ratio": ratio,
         "counts": count_operations(ops),
-        "positions": {
-            kind: relative_positions(ops, src, tgt, kind) for kind in _POSITION_FILES
-        },
+        "positions": relative_positions(ops, src, tgt),
     }
 
 
@@ -456,22 +451,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         positions = (p for r in rows for p in r["positions"][kind])
         hist = position_histogram(positions, cfg.bins)
         files.append((name, format_csv(("bin_start", "bin_end", "count"), hist)))
-    comp = action_composition_by_ratio([(r["ratio"], r["counts"]) for r in rated], cfg.bins)
     files.append((
         "composition.csv",
         format_csv(
             ("ratio_bin_start", "ratio_bin_end", "insertion", "deletion", "rephrasing", "total_changes"),
-            [
-                (
-                    b.ratio_start,
-                    b.ratio_end,
-                    b.fractions[DocOpKind.INSERTION],
-                    b.fractions[DocOpKind.DELETION],
-                    b.fractions[DocOpKind.REPHRASING],
-                    b.total_changes,
-                )
-                for b in comp
-            ],
+            action_composition_by_ratio([(r["ratio"], r["counts"]) for r in rated], cfg.bins),
         ),
     ))
     _write_outputs(args.out, files)

@@ -162,37 +162,27 @@ def update_ratio(
     return 1.0 - len(kept) / len(alignable)
 
 
-# operations whose positions are reported, and on which document side
-_POSITION_SIDE = {
-    DocOpKind.DELETION: "src",
-    DocOpKind.INSERTION: "tgt",
-    DocOpKind.REPHRASING: "src",
-}
-
-
 def relative_positions(
-    ops: Sequence[DocOperation], src: DocVersion, tgt: DocVersion, kind: DocOpKind
-) -> list[float]:
-    """Where in the document a given operation happens: ordinal over
-    total alignable sentences, 0.0 for the first sentence.  Deletions
-    and rephrasings are located in the source, insertions in the target.
+    ops: Sequence[DocOperation], src: DocVersion, tgt: DocVersion
+) -> dict[DocOpKind, list[float]]:
+    """Where in the document each deletion, insertion and rephrasing
+    happens: per kind, the sorted ordinals of its sentences over the
+    side's alignable sentences, 0.0 for the first.  Deletions and
+    rephrasings are located in the source, insertions in the target; a
+    sentence outside the alignable set has no position.
     """
-    side = _POSITION_SIDE.get(kind)
-    if side is None:
-        raise ValueError(f"no position side defined for {kind.value}")
-    doc = src if side == "src" else tgt
-    ordinal = {s.id: n for n, s in enumerate(doc.alignable_sentences())}
-    total = len(ordinal)
-    if total == 0:
-        return []
-    out = []
+    src_at = {s.id: n for n, s in enumerate(src.alignable_sentences())}
+    tgt_at = {t.id: n for n, t in enumerate(tgt.alignable_sentences())}
+    out = {DocOpKind.DELETION: [], DocOpKind.INSERTION: [], DocOpKind.REPHRASING: []}
     for op in ops:
-        if op.kind is not kind:
+        found = out.get(op.kind)
+        if found is None:
             continue
-        for sid in op.src_ids if side == "src" else op.tgt_ids:
-            if sid in ordinal:
-                out.append(ordinal[sid] / total)
-    return sorted(out)
+        at, ids = (tgt_at, op.tgt_ids) if op.kind is DocOpKind.INSERTION else (src_at, op.src_ids)
+        found.extend(at[sid] / len(at) for sid in ids if sid in at)
+    for found in out.values():
+        found.sort()
+    return out
 
 
 def position_histogram(positions: Iterable[float], bins: int) -> list[tuple[float, float, int]]:
@@ -207,21 +197,16 @@ def position_histogram(positions: Iterable[float], bins: int) -> list[tuple[floa
     return [(i / bins, (i + 1) / bins, counts[i]) for i in range(bins)]
 
 
-@dataclass(frozen=True)
-class CompositionBin:
-    ratio_start: float
-    ratio_end: float
-    fractions: dict[DocOpKind, float]
-    total_changes: int
-
-
 def action_composition_by_ratio(
     entries: Sequence[tuple[float, Mapping[DocOpKind, int]]], bins: int = 10
-) -> list[CompositionBin]:
+) -> list[tuple[float, float, float, float, float, int]]:
     """Pool operation counts of document pairs into update-ratio bins and
     report what share of the non-copy operations each change type takes.
 
-    Bins without any non-copy operation are left out.
+    One row per bin, as composition.csv lists it: (ratio_bin_start,
+    ratio_bin_end, insertion, deletion, rephrasing, total_changes), the
+    three shares over total_changes.  Bins without any non-copy
+    operation are left out.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
@@ -235,11 +220,8 @@ def action_composition_by_ratio(
         changes = sum(n for kind, n in counts.items() if kind is not DocOpKind.COPYING)
         if changes == 0:
             continue
-        fractions = {
-            kind: counts.get(kind, 0) / changes
-            for kind in (DocOpKind.INSERTION, DocOpKind.DELETION, DocOpKind.REPHRASING)
-        }
-        out.append(CompositionBin(i / bins, (i + 1) / bins, fractions, changes))
+        shares = [counts[k] / changes for k in (DocOpKind.INSERTION, DocOpKind.DELETION, DocOpKind.REPHRASING)]
+        out.append((i / bins, (i + 1) / bins, *shares, changes))
     return out
 
 

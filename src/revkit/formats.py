@@ -48,17 +48,21 @@ def _ints(values: tuple[int, ...] | None, indent: int) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written file and failures leave the old content in place."""
+    half-written file and failures leave the old content in place.  The
+    temp name is short and no `.json` name, for `stats` to skip if a
+    killed run leaves it; errors name path, never the temp."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     except OSError as exc:
-        # name the requested file, not the temp file that could not be made
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         try:
             os.unlink(tmp)

@@ -740,6 +740,69 @@ def oracle_paragraph_skip(sentences) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# stats of version pairs: where changes sit, and the mix of actions per
+# update-ratio bin
+
+def _oracle_alignable_ids(doc: DocVersion) -> list[SentenceId]:
+    out = []
+    for para in doc.paragraphs:
+        if oracle_paragraph_skip(para.sentences):
+            continue
+        for s in para.sentences:
+            if not oracle_sentence_skip(s):
+                out.append(s.id)
+    return out
+
+
+def oracle_relative_positions(ops, src: DocVersion, tgt: DocVersion) -> dict[str, list[float]]:
+    """Per reported kind, each of its sentences' ordinal among the side's
+    alignable sentences over their count, sorted.  Deletions and
+    rephrasings are located in the source, insertions in the target."""
+    src_ids = _oracle_alignable_ids(src)
+    tgt_ids = _oracle_alignable_ids(tgt)
+    out: dict[str, list[float]] = {"deletion": [], "insertion": [], "rephrasing": []}
+    for op in ops:
+        kind = op.kind.value
+        if kind == "insertion":
+            side, ids = tgt_ids, op.tgt_ids
+        elif kind in ("deletion", "rephrasing"):
+            side, ids = src_ids, op.src_ids
+        else:
+            continue
+        for sid in ids:
+            if sid in side:
+                out[kind].append(side.index(sid) / len(side))
+    for kind in out:
+        out[kind].sort()
+    return out
+
+
+def oracle_composition(entries, bins: int) -> list[tuple]:
+    """composition.csv's rows.  Bin i holds the pairs whose update ratio
+    times bins rounds down to i; the last bin also holds ratio 1.0.  A
+    bin with any non-copy operation gives (start, end, insertion share,
+    deletion share, rephrasing share, non-copy count), each share over
+    the non-copy count."""
+    rows = []
+    for i in range(bins):
+        totals: dict[str, int] = {}
+        for ratio, counts in entries:
+            if min(int(ratio * bins), bins - 1) != i:
+                continue
+            for kind, n in counts.items():
+                totals[kind.value] = totals.get(kind.value, 0) + n
+        changes = 0
+        for kind, n in totals.items():
+            if kind != "copying":
+                changes += n
+        if changes == 0:
+            continue
+        shares = [totals.get(kind, 0) / changes for kind in ("insertion", "deletion", "rephrasing")]
+        rows.append((i / bins, (i + 1) / bins, *shares, changes))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # classification scoring, as first written: four passes over the pairs per
 # class (the PRF arithmetic and the report type are the package's own)
 

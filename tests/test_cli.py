@@ -323,6 +323,39 @@ def test_align_id_the_file_system_cannot_encode_exits_2_before_writing(tmp_path)
     assert not out.exists()
 
 
+def _skip_unless_name_max_is_255(path):
+    if os.pathconf(path, "PC_NAME_MAX") != 255:
+        pytest.skip("this file system does not take names of up to 255 bytes")
+
+
+def test_align_id_naming_a_255_byte_file_writes_it(tmp_path):
+    """The temp file written beside each output has a short name of its
+    own, so an output name of the longest length the file system takes
+    is written."""
+    _skip_unless_name_max_is_255(tmp_path)
+    arxiv_id = "a" * 244
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, ids=(arxiv_id,))
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 0
+    names = sorted(os.listdir(out))
+    assert names == [f"{arxiv_id}.v1-v2.json", f"{arxiv_id}.v2-v3.json"]
+    assert [len(os.fsencode(name)) for name in names] == [255, 255]
+
+
+def test_align_id_naming_a_256_byte_file_exits_2_naming_it(tmp_path, capsys):
+    _skip_unless_name_max_is_255(tmp_path)
+    arxiv_id = "a" * 245
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, ids=(arxiv_id,))
+    out = tmp_path / "out"
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(str(out / f"{arxiv_id}.v1-v2.json")) in err
+    assert ".tmp-" not in err
+    assert os.listdir(out) == []
+
+
 def test_align_threshold_config_and_flag(ws, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sentence_threshold = 0.99\n")

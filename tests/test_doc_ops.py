@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revkit.corpus import SentenceId
 from revkit.doc_ops import (
-    CompositionBin,
+    KEPT_DEFINITIONS,
     DocOperation,
     DocOpKind,
     action_composition_by_ratio,
@@ -20,6 +20,7 @@ from revkit.doc_ops import (
 from revkit.sent_align import SentAlignLabel
 
 from helpers import alignment, doc, filler_sentence
+from oracles import oracle_composition, oracle_relative_positions
 
 
 def sid(version, para, idx):
@@ -304,7 +305,9 @@ def ten_sentence_docs():
 def test_positions_first_sentence_is_zero():
     src, tgt = ten_sentence_docs()
     ops = [DocOperation(DocOpKind.DELETION, (sid(1, 0, 0),), ())]
-    assert relative_positions(ops, src, tgt, DocOpKind.DELETION) == [0.0]
+    assert relative_positions(ops, src, tgt) == {
+        DocOpKind.DELETION: [0.0], DocOpKind.INSERTION: [], DocOpKind.REPHRASING: []
+    }
 
 
 def test_positions_side_per_kind_and_sorting():
@@ -315,16 +318,72 @@ def test_positions_side_per_kind_and_sorting():
         DocOperation(DocOpKind.INSERTION, (), (sid(2, 0, 9),)),
         DocOperation(DocOpKind.REPHRASING, (sid(1, 0, 3),), (sid(2, 0, 7),)),
     ]
-    assert relative_positions(ops, src, tgt, DocOpKind.DELETION) == [0.2, 0.5]
-    assert relative_positions(ops, src, tgt, DocOpKind.INSERTION) == [0.9]
     # rephrasings are located in the source, so index 3 not 7
-    assert relative_positions(ops, src, tgt, DocOpKind.REPHRASING) == [0.3]
+    assert relative_positions(ops, src, tgt) == {
+        DocOpKind.DELETION: [0.2, 0.5], DocOpKind.INSERTION: [0.9], DocOpKind.REPHRASING: [0.3]
+    }
 
 
-def test_positions_reject_sideless_kind():
-    src, tgt = ten_sentence_docs()
-    with pytest.raises(ValueError, match="copying"):
-        relative_positions([], src, tgt, DocOpKind.COPYING)
+# texts of either side: fillers (two fill an alignable paragraph) and
+# sentences the skip filters drop
+_TEXTS = [filler_sentence(n) for n in range(6)] + ["Too short.", "x 1"]
+_PARAGRAPHS = st.lists(st.lists(st.sampled_from(_TEXTS), min_size=1, max_size=4), max_size=3)
+
+
+@st.composite
+def _aligned_pair(draw):
+    """A version pair and random links between any two of its sentences,
+    skipped ones included; a side may have no alignable sentence."""
+    src_paras, tgt_paras = draw(_PARAGRAPHS), draw(_PARAGRAPHS)
+    src_at = [(p, n) for p, para in enumerate(src_paras) for n in range(len(para))]
+    tgt_at = [(p, n) for p, para in enumerate(tgt_paras) for n in range(len(para))]
+    labels = {}
+    if src_at and tgt_at:
+        links = st.tuples(st.sampled_from(src_at), st.sampled_from(tgt_at))
+        labels = draw(st.dictionaries(
+            links, st.sampled_from([None, SentAlignLabel.PARTIAL, SentAlignLabel.NOT_ALIGNED]), max_size=8
+        ))
+    triples = [(s, t, label) for (s, t), label in labels.items()]
+    return doc(src_paras, 1), doc(tgt_paras, 2), alignment(1, 2, triples)
+
+
+_NO_ALIGNABLE_SOURCE = (
+    doc([["x 1"], [filler_sentence(0)]], 1),
+    doc([[filler_sentence(0), filler_sentence(1)]], 2),
+    alignment(1, 2, [((1, 0), (0, 0), None), ((0, 0), (0, 1), None)]),
+)
+
+
+# (update ratio, operation counts) entries beside those of drawn pairs, so
+# that the pooled ratios spread over many bins
+_ENTRIES = st.lists(st.tuples(
+    st.floats(0.0, 1.0),
+    st.dictionaries(st.sampled_from(list(DocOpKind)), st.integers(0, 5)),
+), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@example([_NO_ALIGNABLE_SOURCE], [], "copy_only", 10, random.Random(0))
+@given(
+    st.lists(_aligned_pair(), min_size=1, max_size=4),
+    _ENTRIES,
+    st.sampled_from(KEPT_DEFINITIONS),
+    st.integers(1, 12),
+    st.randoms(use_true_random=False),
+)
+def test_positions_and_composition_match_the_oracles(pairs, drawn, kept_definition, bins, rng):
+    entries = list(drawn)
+    for src, tgt, al in pairs:
+        ops = list(doc_operations(src, tgt, al))
+        # positions come out sorted whatever order the operations are in
+        rng.shuffle(ops)
+        got = relative_positions(ops, src, tgt)
+        assert list(got) == [DocOpKind.DELETION, DocOpKind.INSERTION, DocOpKind.REPHRASING]
+        assert {kind.value: ps for kind, ps in got.items()} == oracle_relative_positions(ops, src, tgt)
+        ratio = update_ratio(ops, src, kept_definition)
+        if ratio is not None:
+            entries.append((ratio, count_operations(ops)))
+    assert action_composition_by_ratio(entries, bins) == oracle_composition(entries, bins)
 
 
 def test_histogram_binning():
@@ -347,27 +406,15 @@ def test_histogram_errors():
 
 def test_composition_single_entry():
     got = action_composition_by_ratio([(0.0, {DocOpKind.REPHRASING: 3})])
-    assert got == [
-        CompositionBin(
-            0.0, 0.1,
-            {
-                DocOpKind.INSERTION: 0.0,
-                DocOpKind.DELETION: 0.0,
-                DocOpKind.REPHRASING: 1.0,
-            },
-            3,
-        )
-    ]
+    # (ratio_bin_start, ratio_bin_end, insertion, deletion, rephrasing, total_changes)
+    assert got == [(0.0, 0.1, 0.0, 0.0, 1.0, 3)]
 
 
 def test_composition_ignores_copies():
     got = action_composition_by_ratio(
         [(0.25, {DocOpKind.COPYING: 5, DocOpKind.DELETION: 1})]
     )
-    (b,) = got
-    assert (b.ratio_start, b.ratio_end) == (0.2, 0.3)
-    assert b.total_changes == 1
-    assert b.fractions[DocOpKind.DELETION] == 1.0
+    assert got == [(0.2, 0.3, 0.0, 1.0, 0.0, 1)]
 
 
 def test_composition_all_copy_bin_omitted():
@@ -383,22 +430,15 @@ def test_composition_pools_entries_in_same_bin():
             (1.0, {DocOpKind.REPHRASING: 2}),
         ]
     )
-    assert len(got) == 2
-    first, last = got
-    assert first.total_changes == 4
-    assert first.fractions[DocOpKind.INSERTION] == 0.25
-    assert first.fractions[DocOpKind.DELETION] == 0.75
-    assert (last.ratio_start, last.ratio_end) == (0.9, 1.0)
+    assert got == [(0.0, 0.1, 0.25, 0.75, 0.0, 4), (0.9, 1.0, 0.0, 0.0, 1.0, 2)]
 
 
 def test_composition_structural_kinds_dilute_fractions():
     got = action_composition_by_ratio(
         [(0.0, {DocOpKind.SPLITTING: 1, DocOpKind.DELETION: 1})]
     )
-    (b,) = got
-    assert b.total_changes == 2
-    assert b.fractions[DocOpKind.DELETION] == 0.5
-    assert DocOpKind.SPLITTING not in b.fractions
+    # a splitting counts among the changes but has no share of its own
+    assert got == [(0.0, 0.1, 0.0, 0.5, 0.0, 2)]
 
 
 def test_composition_errors():

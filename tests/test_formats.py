@@ -48,6 +48,26 @@ def test_atomic_write_text(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]  # no temp litter
 
 
+def test_atomic_write_text_renames_from_a_name_that_is_no_json_file(tmp_path, monkeypatch):
+    """`stats --alignments DIR` reads every *.json name in DIR, so a temp
+    that a killed run left there must not be one."""
+    renamed = []
+    replace = os.replace
+
+    def spy(src, dst):
+        renamed.append((src, dst))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    path = str(tmp_path / "2001.0001.v1-v2.json")
+    atomic_write_text(path, "{}\n")
+    ((tmp, dst),) = renamed
+    assert dst == path
+    assert os.path.dirname(tmp) == str(tmp_path)
+    assert not tmp.endswith(".json")
+    assert os.listdir(tmp_path) == ["2001.0001.v1-v2.json"]
+
+
 # ---------------------------------------------------------------------------
 # alignment JSON
 
