@@ -84,12 +84,14 @@ def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
     """[fn(item) for item in items] over `jobs` processes.  Share k is
     items[k::jobs]: the parent maps share 0 itself and forks one child
     for each other share, which inherits the items and pickles back
-    only its results.  A child's exception is re-raised here with its
+    only its results.  Share k starts on the k-th allowed CPU (see
+    _start_on_cpu).  A child's exception is re-raised here with its
     type and message; a child that dies without its results raises
     RevkitError.  No child outlives the call."""
     jobs = min(jobs, len(items))
     if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
     sys.stdout.flush()  # a child must not inherit unwritten output
     sys.stderr.flush()
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
@@ -98,9 +100,10 @@ def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_share(fn, items[k::jobs], w)
+                _run_share(fn, items[k::jobs], w, k, cpus)
             os.close(w)
             children[pid] = os.fdopen(r, "rb")
+        _start_on_cpu(0, cpus)
         shares = [[fn(item) for item in items[0::jobs]]]
         for pid, fh in list(children.items()):
             with fh:
@@ -119,12 +122,29 @@ def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
     return out
 
 
-def _run_share(fn: Callable, share: Sequence, w: int) -> NoReturn:
-    """A forked child's whole life: map its share, pickle ("ok", results)
-    or ("err", exception, traceback text) to the pipe `w`, and exit."""
+def _start_on_cpu(k: int, cpus: set[int]) -> None:
+    """Move this process onto the k-th of `cpus` (round-robin), then allow
+    it all of `cpus` again.  A forked child would otherwise stay on its
+    parent's CPU for the whole of a short run; after this one move, the
+    scheduler may still move it.  Nothing moves with fewer than two
+    CPUs, and a refused move is ignored."""
+    if len(cpus) < 2:
+        return
+    try:
+        os.sched_setaffinity(0, {sorted(cpus)[k % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _run_share(fn: Callable, share: Sequence, w: int, k: int, cpus: set[int]) -> NoReturn:
+    """A forked child's whole life: start on its CPU, map its share,
+    pickle ("ok", results) or ("err", exception, traceback text) to the
+    pipe `w`, and exit."""
     status = 1
     try:
         try:
+            _start_on_cpu(k, cpus)
             message = ("ok", [fn(item) for item in share])
         except BaseException as exc:
             message = ("err", exc, traceback.format_exc())
@@ -244,10 +264,21 @@ def _align_group(payload: tuple[RawGroup, RunConfig]) -> list[tuple[str, str]]:
     return out
 
 
-def _check_pair_filenames(groups: Sequence[RawGroup], where: str) -> None:
+def _name_max(out: str) -> int:
+    """The longest file name, in bytes, that the directory `out` takes:
+    255, the limit common to Linux file systems, until it exists."""
+    try:
+        limit = os.pathconf(out, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, no `out`, or no such name here
+        return 255
+    return limit if limit > 0 else sys.maxsize  # -1: no limit
+
+
+def _check_pair_filenames(groups: Sequence[RawGroup], where: str, out: str) -> None:
     """Ids differing only in '/' against '_' must not write one file, and
     every file name must be one the file system encoding can hold,
-    without a null character."""
+    without a null character, and no longer than `out` takes."""
+    name_max = _name_max(out)
     owner: dict[str, str] = {}
     for g in groups:
         for (a, _, _), (b, _, _) in zip(g.versions, g.versions[1:]):
@@ -255,9 +286,13 @@ def _check_pair_filenames(groups: Sequence[RawGroup], where: str) -> None:
             if "\x00" in name:
                 raise CorpusFormatError(f"{where}: group {g.arxiv_id!r}: a file name cannot hold '\\x00'")
             try:
-                os.fsencode(name)
+                size = len(os.fsencode(name))
             except UnicodeEncodeError as exc:
                 raise CorpusFormatError(f"{where}: group {g.arxiv_id!r}: cannot name a file: {exc}") from None
+            if size > name_max:
+                raise CorpusFormatError(
+                    f"{where}: group {g.arxiv_id!r}: a file name of {size} bytes is over the limit of {name_max}"
+                )
             other = owner.setdefault(name, g.arxiv_id)
             if other != g.arxiv_id:
                 raise CorpusFormatError(
@@ -269,7 +304,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     # validate the whole file here; each group is built where it is aligned
     groups = read_corpus(args.corpus, compat=args.compat)
-    _check_pair_filenames(groups, args.corpus)
+    _check_pair_filenames(groups, args.corpus, args.out)
     results = _map_jobs(_align_group, [(g, cfg) for g in groups], cfg.jobs)
     _write_outputs(args.out, [f for files in results for f in files])
     return 0

@@ -17,6 +17,7 @@ must match byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -46,11 +47,21 @@ def _ints(values: tuple[int, ...] | None, indent: int) -> str:
     return f"[\n{pad}" + f",\n{pad}".join(map(str, values)) + f"\n{pad[2:]}]"
 
 
+@functools.cache
+def _new_file_mode() -> int:
+    """The mode `open(path, "w")` would give a new file: 0o666 less the
+    umask, read once per process (reading it means setting it)."""
+    umask = os.umask(0o077)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     half-written file and failures leave the old content in place.  The
     temp name is short and no `.json` name, for `stats` to skip if a
-    killed run leaves it; errors name path, never the temp."""
+    killed run leaves it; errors name path, never the temp.  The file
+    gets the umask's mode, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -58,6 +69,7 @@ def atomic_write_text(path: str, text: str) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, _new_file_mode())
             fh.write(text)
         try:
             os.replace(tmp, path)

@@ -171,6 +171,52 @@ def test_map_jobs_maps_serially_without_fork(monkeypatch):
     assert cli._map_jobs(lambda _: os.getpid(), range(3), 2) == [os.getpid()] * 3
 
 
+def _record_placement(monkeypatch, cpus):
+    """Make os.sched_getaffinity give `cpus` and os.sched_setaffinity
+    record its calls, in each process's own copy of the list."""
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append((pid, set(mask))), raising=False)
+    return calls
+
+
+def test_map_jobs_starts_each_share_on_its_own_cpu(monkeypatch):
+    calls = _record_placement(monkeypatch, {0, 1})
+    got = cli._map_jobs(lambda _: list(calls), [0, 1], 2)
+    assert got == [[(0, {0}), (0, {0, 1})], [(0, {1}), (0, {0, 1})]]
+    _no_child_left()
+
+
+def test_map_jobs_ignores_a_refused_cpu_move(monkeypatch):
+    def refuse(pid, mask):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    items = [f"item{i}" for i in range(5)]
+    assert cli._map_jobs(str.upper, items, 2) == [x.upper() for x in items]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one cpu", "no sched_setaffinity"])
+def test_map_jobs_moves_nothing_without_a_second_cpu(monkeypatch, case):
+    calls = _record_placement(monkeypatch, {3} if case == "one cpu" else {0, 1})
+    if case == "no sched_setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    got = cli._map_jobs(lambda item: (item.upper(), list(calls)), ["a", "b", "c"], 2)
+    assert got == [("A", []), ("B", []), ("C", [])]
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_map_jobs_gives_every_share_the_whole_cpu_set_back():
+    before = os.sched_getaffinity(0)
+    got = cli._map_jobs(lambda _: os.sched_getaffinity(0), range(4), 2)
+    assert os.sched_getaffinity(0) == before
+    assert got == [before] * 4
+    _no_child_left()
+
+
 def test_align_worker_killed_by_a_signal_exits_2(two_groups, tmp_path, monkeypatch, capsys):
     _patch_align_group(monkeypatch, cli._align_group, lambda payload: os.kill(os.getpid(), signal.SIGKILL))
     out = tmp_path / "out"
@@ -343,17 +389,44 @@ def test_align_id_naming_a_255_byte_file_writes_it(tmp_path):
     assert [len(os.fsencode(name)) for name in names] == [255, 255]
 
 
-def test_align_id_naming_a_256_byte_file_exits_2_naming_it(tmp_path, capsys):
-    _skip_unless_name_max_is_255(tmp_path)
+def _count_builds(monkeypatch):
+    built = []
+    build = RawGroup.build
+    monkeypatch.setattr(RawGroup, "build", lambda self: built.append(self.arxiv_id) or build(self))
+    return built
+
+
+def test_align_id_naming_a_256_byte_file_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    """The name is refused with the other file name checks, before any
+    group is built, not once every group is aligned."""
     arxiv_id = "a" * 245
     corpus = tmp_path / "corpus.json"
-    write_corpus(corpus, ids=(arxiv_id,))
+    write_corpus(corpus, ids=("2001.0001", arxiv_id))
     out = tmp_path / "out"
+    built = _count_builds(monkeypatch)
     assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert repr(str(out / f"{arxiv_id}.v1-v2.json")) in err
-    assert ".tmp-" not in err
-    assert os.listdir(out) == []
+    assert f"{corpus}: group {arxiv_id!r}: a file name of 256 bytes is over the limit of 255" in err
+    assert built == []
+    assert not out.exists()
+
+
+def test_align_file_name_limit_is_the_output_directory_s(tmp_path, capsys, monkeypatch):
+    """Once --out exists, its own PC_NAME_MAX is the limit."""
+    corpus = tmp_path / "corpus.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    asked = []
+    monkeypatch.setattr(os, "pathconf", lambda path, name: asked.append((path, name)) or 20)
+    write_corpus(corpus, ids=("2001.0001",))  # 2001.0001.v1-v2.json: 20 bytes
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert asked == [(str(out), "PC_NAME_MAX")]
+    write_corpus(corpus, ids=("2001.0001", "2001.00012"))
+    built = _count_builds(monkeypatch)
+    assert main(["align", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert "group '2001.00012': a file name of 21 bytes is over the limit of 20" in capsys.readouterr().err
+    assert built == []
+    assert sorted(os.listdir(out)) == ["2001.0001.v1-v2.json", "2001.0001.v2-v3.json"]
 
 
 def test_align_threshold_config_and_flag(ws, tmp_path):
@@ -1249,6 +1322,38 @@ def test_eval_edits_malformed_edit_exits_2_naming_it(ws, tmp_path, capsys, field
     assert main(["eval", "--task", "edits", "--pred", str(pred), "--gold", str(gold)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"revkit: error: {pred}.revisions[1]{where}: {message}")
+
+
+_WRITE_EVERY_OUTPUT = """
+import sys
+from revkit.cli import main
+corpus, align_dir, root = sys.argv[1:]
+edits = f"{root}/edits.json"
+for argv in (
+    ["align", "--corpus", corpus, "--out", f"{root}/align"],
+    ["stats", "--corpus", corpus, "--alignments", align_dir, "--out", f"{root}/stats"],
+    ["extract-edits", "--corpus", corpus, "--alignment", f"{align_dir}/2001.0001.v1-v2.json",
+     "--method", "diff", "--out", edits],
+    ["eval", "--task", "edits", "--pred", edits, "--gold", edits, "--out", f"{root}/eval.json"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_get_the_umask_s_mode(ws, tmp_path, umask, mode):
+    """As a file opened for writing would; the umask is read once per
+    process, so each umask runs in a process of its own."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", _WRITE_EVERY_OUTPUT, ws.corpus, str(ws.align_dir), str(tmp_path)],
+        capture_output=True, text=True, env=env, umask=umask,
+    )
+    assert res.returncode == 0, res.stderr
+    outputs = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert {p.relative_to(tmp_path).parts[0] for p in outputs} == {"align", "stats", "edits.json", "eval.json"}
+    assert {oct(p.stat().st_mode & 0o777) for p in outputs} == {oct(mode)}
 
 
 @pytest.mark.parametrize("command", ["extract-edits", "eval"])
