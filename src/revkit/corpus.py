@@ -117,9 +117,6 @@ class Sentence:
         tokens, _, skipped = _analyse(raw)
         return cls(sid, raw, tokens, skipped)
 
-    def lower_tokens(self) -> tuple[str, ...]:
-        return tuple(t.lower() for t in self.tokens)
-
     def normalized_raw(self) -> str:
         # whitespace-normalized, case preserved
         return " ".join(self.raw.split())

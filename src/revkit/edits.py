@@ -10,10 +10,9 @@ unaligned runs as pure insertions/deletions.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .corpus import Sentence
@@ -473,12 +472,8 @@ def derive_reorder(
     result can be unioned with edits from either extraction route.
     Crossing means two links (i, j) and (i', j') with i < i' and j > j'.
 
-    One sweep in src-start order settles every pair of blocks.  A block
-    wholly before another on the src side crosses it exactly when its
-    last tgt index passes the other's first, so those pairs are read
-    from a suffix minimum of tgt starts and a prefix maximum of tgt ends
-    (over blocks in src-end order).  Only blocks overlapping on the src
-    side are compared, each pair once, with _blocks_cross.
+    Every two surviving blocks are tested with _blocks_cross, which is
+    exact for any two blocks: B * (B - 1) / 2 calls for B blocks.
 
     wa must fit the two sentences: both extraction routes validate it, and
     their callers pass the alignment they validated.
@@ -501,27 +496,12 @@ def derive_reorder(
         else:
             runs.append([i, i + d, 1])
         d0, i0 = d, i
-    blocks = sorted(
+    blocks = [
         (i, j, n) for i, j, n in runs if not any(edited_s[i:i + n]) and not any(edited_t[j:j + n])
-    )
-    starts = [i for i, _, _ in blocks]
-    # first_after[k]: the lowest tgt start among blocks[k:]
-    first_after = list(accumulate((j for _, j, _ in reversed(blocks)), min, initial=len(surf_t)))[::-1]
-    by_end = sorted((i + n, j + n) for i, j, n in blocks)
-    ends = [e for e, _ in by_end]
-    # last_before[k]: the highest tgt end among the k blocks ending first on the src side
-    last_before = list(accumulate((t for _, t in by_end), max, initial=0))
+    ]
     moved: set[tuple[int, int, int]] = set()
-    for k, (i, j, n) in enumerate(blocks):
-        if (
-            first_after[bisect_left(starts, i + n, k)] < j + n - 1
-            or last_before[bisect_right(ends, i)] > j + 1
-        ):
-            moved.add((i, j, n))
-        for m in range(k + 1, len(blocks)):
-            if starts[m] >= i + n:
-                break
-            if _blocks_cross((i, j, n), blocks[m]):
-                moved.add((i, j, n))
-                moved.add(blocks[m])
+    for x, y in combinations(blocks, 2):
+        if _blocks_cross(x, y):
+            moved.add(x)
+            moved.add(y)
     return {Edit((i, i + n), (j, j + n), EditKind.REORDER) for i, j, n in moved}

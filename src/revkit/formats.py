@@ -61,7 +61,8 @@ def atomic_write_text(path: str, text: str) -> None:
     half-written file and failures leave the old content in place.  The
     temp name is short and no `.json` name, for `stats` to skip if a
     killed run leaves it; errors name path, never the temp.  The file
-    gets the umask's mode, not mkstemp's 0o600."""
+    gets the mode open(path, "w") would leave, not mkstemp's 0o600: an
+    existing file's permission bits, or else the umask's mode."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -69,7 +70,11 @@ def atomic_write_text(path: str, text: str) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, _new_file_mode())
+            try:
+                mode = os.stat(path).st_mode & 0o777
+            except FileNotFoundError:
+                mode = _new_file_mode()
+            os.fchmod(fd, mode)
             fh.write(text)
         try:
             os.replace(tmp, path)

@@ -29,8 +29,9 @@ block, arrays over the target paragraphs, and the encodings.
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
 (CandidateCells), all in one call of the metric's bulk scorer
-(similarity.make_metric), which reads the same encodings.  One per-row
-argmax picks each sentence's best candidate, in either direction.
+(similarity.make_metric), which reads the same encodings.  One
+np.maximum.at and one np.minimum.at pick each sentence's best
+candidate, in either direction.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ class CandidateCells:
     A cell pairs source row r with target row c of `encodings`, the
     source's and the target's EncodedVersion, as encode_versions gives.
     The cells are listed by source row, then target row (rows, cols);
-    the kernels' shared-id lookup relies on that source-row order.
+    only the kernels' shared-id lookup (_shared_ids) relies on that order.
     `metric` is a bulk scorer from similarity.make_metric, called once,
     when the scores are first read.
     """
@@ -96,23 +97,23 @@ class CandidateCells:
         if src_version == src.doc.version_index:
             rows, cols, scores = self.rows, self.cols, fwd
         elif src_version == tgt.doc.version_index:
-            order = np.argsort(self.cols, kind="stable")
-            rows, cols, scores = self.cols[order], self.rows[order], bwd[order]
+            rows, cols, scores = self.cols, self.rows, bwd
             src, tgt = tgt, src
         else:
             raise ValueError(f"version {src_version} is neither side of these cells")
-        if not len(rows):
-            return []
-        # rows ascend, and each row's candidates follow in ascending id order
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        top = np.maximum.reduceat(scores, starts)
-        n = len(scores)
-        at = np.where(scores == np.repeat(top, np.diff(starts, append=n)), np.arange(n), n)
-        first = np.minimum.reduceat(at, starts)
+        # each sentence's top score, then the lowest other-side row among
+        # its cells that reach it; a sentence with no cells keeps m
+        m = len(tgt.sentences)
+        top = np.full(len(src.sentences), -np.inf)
+        np.maximum.at(top, rows, scores)
+        at = scores == top[rows]
+        first = np.full(len(src.sentences), m)
+        np.minimum.at(first, rows[at], cols[at])
+        found = np.flatnonzero(first < m)
         s, t, ts, tt = src.sentences, tgt.sentences, src.rows.texts, tgt.rows.texts
         return [
             (s[r], t[c], v, ts[r] == tt[c])
-            for r, c, v in zip(rows[starts].tolist(), cols[first].tolist(), top.tolist())
+            for r, c, v in zip(found.tolist(), first[found].tolist(), top[found].tolist())
         ]
 
 

@@ -165,9 +165,14 @@ def _sum_left_to_right(values) -> float:
     return acc
 
 
+def lower_tokens(s: Sentence) -> tuple[str, ...]:
+    """The sentence's tokens, lowercased."""
+    return tuple(t.lower() for t in s.tokens)
+
+
 def oracle_tfidf(a: Sentence, b: Sentence, model) -> float:
-    ta = Counter(a.lower_tokens())
-    tb = Counter(b.lower_tokens())
+    ta = Counter(lower_tokens(a))
+    tb = Counter(lower_tokens(b))
     va = {tok: cnt * model.lookup(tok) for tok, cnt in ta.items()}
     vb = {tok: cnt * model.lookup(tok) for tok, cnt in tb.items()}
     if not any(va.values()) and not any(vb.values()):
@@ -229,8 +234,8 @@ def _oracle_bleu_one_way(hyp: tuple, ref: tuple) -> float:
 
 
 def oracle_bleu(a: Sentence, b: Sentence) -> float:
-    wa = a.lower_tokens()
-    wb = b.lower_tokens()
+    wa = lower_tokens(a)
+    wb = lower_tokens(b)
     return 0.5 * (_oracle_bleu_one_way(wa, wb) + _oracle_bleu_one_way(wb, wa))
 
 
@@ -284,7 +289,7 @@ def oracle_align_directional(pairs, src: DocVersion, tgt: DocVersion, metric, th
                     best, best_score = t, score
             if best_score < threshold:
                 continue
-            aligned = best_score == 1.0 or s.lower_tokens() == best.lower_tokens()
+            aligned = best_score == 1.0 or lower_tokens(s) == lower_tokens(best)
             out.add((s.id, best.id, "aligned" if aligned else "partially-aligned"))
     return out
 

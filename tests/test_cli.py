@@ -1356,6 +1356,27 @@ def test_outputs_get_the_umask_s_mode(ws, tmp_path, umask, mode):
     assert {oct(p.stat().st_mode & 0o777) for p in outputs} == {oct(mode)}
 
 
+def test_a_replaced_output_keeps_its_mode(ws, tmp_path):
+    """As open(path, "w") leaves an existing file, whatever the umask."""
+    edits = str(tmp_path / "edits.json")
+    runs = [
+        ["align", "--corpus", ws.corpus, "--out", str(tmp_path / "align")],
+        ["stats", "--corpus", ws.corpus, "--alignments", str(ws.align_dir), "--out", str(tmp_path / "stats")],
+        ["extract-edits", "--corpus", ws.corpus, "--alignment", ws.v12, "--method", "diff", "--out", edits],
+        ["eval", "--task", "edits", "--pred", edits, "--gold", edits, "--out", str(tmp_path / "eval.json")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    outputs = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert {p.relative_to(tmp_path).parts[0] for p in outputs} == {"align", "stats", "edits.json", "eval.json"}
+    for p in outputs:
+        p.chmod(0o640)
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(outputs)
+    assert {oct(p.stat().st_mode & 0o777) for p in outputs} == {oct(0o640)}
+
+
 @pytest.mark.parametrize("command", ["extract-edits", "eval"])
 def test_write_into_missing_directory_names_the_path(ws, tmp_path, capsys, monkeypatch, command):
     gold = tmp_path / "gold.json"

@@ -280,7 +280,6 @@ def test_one_pass_build_matches_oracles(paragraphs):
 def test_sentence_surfaces_and_sets():
     s = sent("The cat saw the CAT")
     assert s.tokens == ("The", "cat", "saw", "the", "CAT")
-    assert s.lower_tokens() == ("the", "cat", "saw", "the", "cat")
 
 
 def test_normalized_raw_collapses_whitespace():

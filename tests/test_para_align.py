@@ -24,6 +24,7 @@ from oracles import (
     VOCAB,
     _jac,
     _para_sent_sets,
+    lower_tokens,
     oracle_align_paragraphs,
     oracle_jaccard,
     oracle_sim_tensor,
@@ -256,7 +257,7 @@ def test_shared_encoder_matches_oracle_over_a_group():
             assert len(skipped) == len(e.others)
             for s, text in [*zip(e.sentences, e.rows.texts), *zip(skipped, e.others)]:
                 assert len(text) == len(s.tokens)
-                for token, i in zip(s.lower_tokens(), text):
+                for token, i in zip(lower_tokens(s), text):
                     assert ids.setdefault(token, i) == i
         assert sorted(ids.values()) == list(range(len(ids)))
         # an equal raw text in two versions maps to one shared encoding
@@ -501,3 +502,25 @@ def test_align_paragraphs_peak_memory_is_a_fraction_of_one_paragraph_matrix():
     assert paras == {(i, i) for i in range(k)}
     # the passes keep one block of rows and arrays over the targets
     assert peak < 0.5 * k * l * 8, (peak, k * l * 8)
+
+
+def test_best_peak_memory_is_bounded_per_candidate_cell():
+    # one paragraph of 400 sentences a side: 160,000 candidate cells
+    rng = random.Random(53)
+    vocab = VOCAB + [a + b for a in VOCAB for b in VOCAB[:20]]
+    a, b = (doc([[random_sentence_raw(rng, 8, 20, vocab) for _ in range(400)]], v) for v in (1, 2))
+    cells = CandidateCells(frozenset({(0, 0)}), tuple(encode_versions((a, b))), make_metric("jaccard"))
+    n = len(cells.rows)
+    assert n == len(cells.src.sentences) * len(cells.tgt.sentences) > 100_000
+    cells.scores  # scored before the peak is read
+    for version, side in ((1, cells.src), (2, cells.tgt)):
+        tracemalloc.start()
+        try:
+            picked = cells.best(version)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [s for s, *_ in picked] == side.sentences
+        # three 8-byte values per cell; the rows, columns and scores
+        # themselves are not copied
+        assert peak < 24 * n, (version, peak, 24 * n)

@@ -13,7 +13,7 @@ from revkit.para_align import CandidateCells, encode_versions
 from revkit.similarity import METRIC_NAMES, make_metric
 
 from helpers import cell_list, cell_scores, doc, encode_tokens, encoded_pair, jaccard, pair_score, sent
-from oracles import oracle_build_idf, oracle_metric, random_doc_pair
+from oracles import lower_tokens, oracle_build_idf, oracle_metric, random_doc_pair
 
 # one sentence pair scored by a fresh make_metric scorer
 char3gram, bleu = partial(pair_score, "char3gram"), partial(pair_score, "bleu")
@@ -143,7 +143,7 @@ def test_tfidf_matches_brute_force():
 
     def vec(s):
         return {
-            tok: cnt * model.lookup(tok) for tok, cnt in Counter(s.lower_tokens()).items()
+            tok: cnt * model.lookup(tok) for tok, cnt in Counter(lower_tokens(s)).items()
         }
 
     va, vb = vec(s1), vec(s2)
