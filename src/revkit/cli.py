@@ -50,6 +50,7 @@ from .formats import (
     atomic_write_text,
     dump_json,
     format_csv,
+    hold_aside,
     read_alignment,
     read_edit_file,
     read_pharaoh_file,
@@ -210,23 +211,36 @@ def _pair_filename(arxiv_id: str, src_v: int, tgt_v: int) -> str:
 
 
 def _write_outputs(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
-    """Write each (name, text) atomically into out_dir; on any failure,
-    unlink every file this call wrote before re-raising."""
+    """Write each (name, text) atomically into out_dir.  On any failure,
+    put back every file this call replaced, content and mode, and unlink
+    every file it created, before re-raising."""
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
+    # each path this call writes to, and the old file there, held aside
+    written: list[tuple[str, str | None]] = []
     try:
         for name, text in files:
             path = os.path.join(out_dir, name)
+            written.append((path, hold_aside(path)))
             atomic_write_text(path, text)
-            written.append(path)
             log.info("wrote %s", path)
     except BaseException:
-        for path in written:
+        for path, aside in reversed(written):
             try:
-                os.unlink(path)
+                if aside is None:
+                    os.unlink(path)
+                else:
+                    os.replace(aside, path)
+                    # still there when path is the held file itself: rename does nothing then
+                    os.unlink(aside)
             except OSError:
                 pass
         raise
+    for _, aside in written:
+        if aside is not None:
+            try:
+                os.unlink(aside)
+            except OSError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +434,13 @@ def _stats_for_file(payload) -> dict:
 
 
 def _correlation(rows: list[dict]) -> float | None:
+    """Pearson's r of update ratio against time gap, or None where it is
+    undefined, or where the gaps are too large to correlate as floats."""
     if len(rows) < 2:
         return None
     try:
         return pearson([r["ratio"] for r in rows], [float(r["time_delta"]) for r in rows])
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
 
 

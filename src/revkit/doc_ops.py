@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .corpus import DocVersion, SentenceId
@@ -226,7 +226,8 @@ def action_composition_by_ratio(
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample correlation coefficient; undefined inputs raise."""
+    """Sample correlation coefficient; undefined inputs raise ValueError,
+    and OverflowError may come from values too large to square."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
@@ -237,6 +238,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     vx = sum((x - mx) ** 2 for x in xs)
     vy = sum((y - my) ** 2 for y in ys)
+    if not (isfinite(cov) and isfinite(vx) and isfinite(vy)):
+        raise ValueError("sums out of floating-point range")
     if vx == 0.0 or vy == 0.0:
         raise ValueError("zero variance")
     return cov / (sqrt(vx) * sqrt(vy))

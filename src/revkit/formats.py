@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -86,6 +87,23 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def hold_aside(path: str) -> str | None:
+    """Keep the file at path under a new temp name beside it, or return
+    None when no file is there.  Renaming the temp back onto path undoes
+    a later atomic_write_text, content and mode alike.  The temp is a
+    hard link, or a copy where the file system has none."""
+    aside = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(6).hex()}")
+    try:
+        os.link(path, aside)
+    except FileNotFoundError:
+        return None
+    except OSError:
+        if not os.path.isfile(path):
+            return None
+        shutil.copy2(path, aside)
+    return aside
 
 
 # ---------------------------------------------------------------------------

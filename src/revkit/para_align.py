@@ -29,9 +29,8 @@ block, arrays over the target paragraphs, and the encodings.
 Sentence alignment then scores only the candidate cells, the sentence
 pairs inside aligned paragraph pairs, each once for both directions
 (CandidateCells), all in one call of the metric's bulk scorer
-(similarity.make_metric), which reads the same encodings.  One
-np.maximum.at and one np.minimum.at pick each sentence's best
-candidate, in either direction.
+(similarity.make_metric), which reads the same encodings;
+sent_align picks each sentence's best candidate from them.
 """
 from __future__ import annotations
 
@@ -87,34 +86,6 @@ class CandidateCells:
     def scores(self) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's score from the source side and from the target side."""
         return self.metric((self.src, self.tgt), (self.rows, self.cols))
-
-    def best(self, src_version: int) -> list[tuple[Sentence, Sentence, float, bool]]:
-        """Each sentence of version src_version that has candidates, its
-        first candidate in ascending id order with the highest score, that
-        score, and whether the two hold the same lowercase tokens."""
-        src, tgt = self.src, self.tgt
-        fwd, bwd = self.scores
-        if src_version == src.doc.version_index:
-            rows, cols, scores = self.rows, self.cols, fwd
-        elif src_version == tgt.doc.version_index:
-            rows, cols, scores = self.cols, self.rows, bwd
-            src, tgt = tgt, src
-        else:
-            raise ValueError(f"version {src_version} is neither side of these cells")
-        # each sentence's top score, then the lowest other-side row among
-        # its cells that reach it; a sentence with no cells keeps m
-        m = len(tgt.sentences)
-        top = np.full(len(src.sentences), -np.inf)
-        np.maximum.at(top, rows, scores)
-        at = scores == top[rows]
-        first = np.full(len(src.sentences), m)
-        np.minimum.at(first, rows[at], cols[at])
-        found = np.flatnonzero(first < m)
-        s, t, ts, tt = src.sentences, tgt.sentences, src.rows.texts, tgt.rows.texts
-        return [
-            (s[r], t[c], v, ts[r] == tt[c])
-            for r, c, v in zip(found.tolist(), first[found].tolist(), top[found].tolist())
-        ]
 
 
 def _cells(

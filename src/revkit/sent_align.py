@@ -4,7 +4,10 @@ A directional pass aligns each source sentence to its best-scoring
 candidate on the other side; running both directions and intersecting
 gives the final symmetric alignment.  The candidates and their scores
 come from para_align.CandidateCells, which scores each candidate pair
-once for both directions.
+once for both directions.  A directional pass decides from the cells'
+arrays alone: one np.maximum.at finds each sentence's top score, one
+np.minimum.at its first candidate with that score, in ascending id
+order, and only the pairs it keeps become sentence ids.
 """
 from __future__ import annotations
 
@@ -83,16 +86,30 @@ def align_sentences_directional(
     lowercasing, partially-aligned otherwise.  Every metric goes through
     this one path, in both directions.
     """
-    pairs: set[AlignedPair] = set()
-    for s, t, score, same_lowercase in cells.best(src.version_index):
-        if score < threshold:
-            continue
-        if score == 1.0 or same_lowercase:
-            label = SentAlignLabel.ALIGNED
-        else:
-            label = SentAlignLabel.PARTIAL
-        pairs.add((s.id, t.id, label))
-    return SentenceAlignment(src.version_index, tgt.version_index, frozenset(pairs))
+    import numpy as np
+
+    forward, backward = cells.scores
+    if src.version_index == cells.src.doc.version_index:
+        mine, other, rows, cols, scores = cells.src, cells.tgt, cells.rows, cells.cols, forward
+    elif src.version_index == cells.tgt.doc.version_index:
+        mine, other, rows, cols, scores = cells.tgt, cells.src, cells.cols, cells.rows, backward
+    else:
+        raise ValueError(f"version {src.version_index} is neither side of these cells")
+    # each sentence's top score, then the lowest other-side row among its
+    # cells that reach it; a sentence with no cells keeps -inf and m
+    m = len(other.sentences)
+    top = np.full(len(mine.sentences), -np.inf)
+    np.maximum.at(top, rows, scores)
+    at = scores == top[rows]
+    first = np.full(len(mine.sentences), m)
+    np.minimum.at(first, rows[at], cols[at])
+    kept = np.flatnonzero((first < m) & (top >= threshold))
+    s, t, ts, tt = mine.sentences, other.sentences, mine.rows.texts, other.rows.texts
+    pairs = frozenset(
+        (s[r].id, t[c].id, SentAlignLabel.ALIGNED if exact or ts[r] == tt[c] else SentAlignLabel.PARTIAL)
+        for r, c, exact in zip(kept.tolist(), first[kept].tolist(), (top[kept] == 1.0).tolist())
+    )
+    return SentenceAlignment(src.version_index, tgt.version_index, pairs)
 
 
 def merge_bidirectional(fwd: SentenceAlignment, bwd: SentenceAlignment) -> SentenceAlignment:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -1088,6 +1089,35 @@ def test_stats_mean_ratio_is_null_when_no_pair_has_one(ws, tmp_path, caplog):
     assert (out / "composition.csv").read_text().splitlines()[1:] == []
 
 
+@pytest.mark.parametrize("scale", [10**300, 10**400], ids=["1e300", "1e400"])
+def test_stats_correlations_are_null_when_the_gaps_overflow_floats(ws, tmp_path, scale):
+    # three two-version groups of update ratio 0.25, 0.75 and 0.5; a gap
+    # near 10**400 is out of float range, and one near 10**300 is in it,
+    # but its squared deviation from the mean is not
+    healthy = json.loads(Path(ws.corpus).read_text())[0]
+    groups = []
+    for k, (old, new) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        group = json.loads(json.dumps(healthy))
+        group["arxiv_id"] = f"2001.000{k + 1}"
+        group["versions"] = [group["versions"][old], group["versions"][new]]
+        for index, (version, timestamp) in enumerate(zip(group["versions"], (0, (1, 3, 2)[k] * scale)), 1):
+            version.update(version=index, timestamp=timestamp)
+        groups.append(group)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(groups))
+    align_dir, out = tmp_path / "align", tmp_path / "stats"
+    assert main(["align", "--corpus", str(corpus), "--out", str(align_dir)]) == 0
+    assert main(["stats", "--corpus", str(corpus), "--alignments", str(align_dir), "--out", str(out)]) == 0
+    assert (out / "update_ratios.csv").read_text().splitlines()[1:] == [
+        f"2001.0001,1,2,{scale},0.25",
+        f"2001.0002,1,2,{3 * scale},0.75",
+        f"2001.0003,1,2,{2 * scale},0.5",
+    ]
+    text = (out / "summary.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text)["correlations"] == {"overall": None, "two_version": None, "multi_version": None}
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_stats_names_the_first_bad_file_under_any_jobs(tmp_path, capsys, jobs):
     # the second and third of five files pair a sentence their versions
@@ -1375,6 +1405,61 @@ def test_a_replaced_output_keeps_its_mode(ws, tmp_path):
         assert main(argv) == 0, argv
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(outputs)
     assert {oct(p.stat().st_mode & 0o777) for p in outputs} == {oct(0o640)}
+
+
+def _outputs(tmp_path, command):
+    """The argv of an align or stats run over two three-version groups,
+    less its --out directory."""
+    corpus, aligned = tmp_path / "corpus.json", tmp_path / "aligned"
+    write_corpus(corpus, ids=("2001.0001", "2001.0002"))
+    assert main(["align", "--corpus", str(corpus), "--out", str(aligned)]) == 0
+    if command == "align":
+        return ["align", "--corpus", str(corpus), "--out"]
+    return ["stats", "--corpus", str(corpus), "--alignments", str(aligned), "--out"]
+
+
+def _fail_the_third_write(monkeypatch):
+    write, calls = cli.atomic_write_text, []
+
+    def failing(path, text):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write(path, text)
+
+    monkeypatch.setattr(cli, "atomic_write_text", failing)
+
+
+def _files(directory):
+    return {p.name: (p.read_bytes(), p.stat().st_mode & 0o777) for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("links", [True, False], ids=["links", "no-links"])
+@pytest.mark.parametrize("command", ["align", "stats"])
+def test_a_failed_write_puts_back_every_output_it_replaced(tmp_path, monkeypatch, command, links):
+    argv, out = _outputs(tmp_path, command), tmp_path / "out"
+    assert main(argv + [str(out)]) == 0
+    for p in out.iterdir():
+        p.write_text(f"old {p.name}\n")
+        p.chmod(0o640)
+    before = _files(out)
+    assert len(before) > 3
+    if not links:
+        def no_link(src, dst):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), src)
+        monkeypatch.setattr(os, "link", no_link)
+    _fail_the_third_write(monkeypatch)
+    assert main(argv + [str(out)]) == 2
+    # the old bytes and modes, and no temp file
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("command", ["align", "stats"])
+def test_a_failed_write_into_a_new_directory_leaves_no_file(tmp_path, monkeypatch, command):
+    argv, out = _outputs(tmp_path, command), tmp_path / "out"
+    _fail_the_third_write(monkeypatch)
+    assert main(argv + [str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["extract-edits", "eval"])

@@ -464,3 +464,10 @@ def test_pearson_errors():
         pearson([1], [1])
     with pytest.raises(ValueError, match="variance"):
         pearson([1, 1, 1], [1, 2, 3])
+
+
+def test_pearson_refuses_sums_out_of_float_range():
+    # each squared deviation is about 1.7e308, finite, but their sum is
+    # not; the correlation must not come out as 0.0
+    with pytest.raises(ValueError, match="floating-point range"):
+        pearson([0.1, 0.5, 0.3, 0.2], [0.0, 2.6e154, 0.0, 2.6e154])

@@ -49,7 +49,7 @@ def test_seed_0_outputs_match_golden_digests(bench, name, tmp_path):
     assert checker.failed == 0, checker.problems
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", ["c40", "long_docs"])
 def test_char3gram_and_bleu_alignments_match_golden_digests(bench, name, seed, tmp_path):
     """`align --metric char3gram` and `--metric bleu` on the benchmark's

@@ -17,6 +17,7 @@ from revkit.para_align import (
     encode_versions,
     sim_rows,
 )
+from revkit.sent_align import align_sentences_directional
 from revkit.similarity import METRIC_NAMES, make_metric
 
 from helpers import aligned_paragraphs, cell_list, doc
@@ -159,7 +160,9 @@ def test_empty_version_aligns_nothing():
         assert paras == frozenset()
         for metric in METRIC_NAMES:
             cells = CandidateCells(paras, encode_versions((a, b)), make_metric(metric))
-            assert cell_list(cells) == [] and cells.best(a.version_index) == cells.best(b.version_index) == []
+            assert cell_list(cells) == []
+            for src, tgt in ((a, b), (b, a)):
+                assert align_sentences_directional(cells, src, tgt, 0.0).pairs == frozenset()
 
 
 def test_only_skipped_paragraphs_align_nothing():
@@ -513,14 +516,14 @@ def test_best_peak_memory_is_bounded_per_candidate_cell():
     n = len(cells.rows)
     assert n == len(cells.src.sentences) * len(cells.tgt.sentences) > 100_000
     cells.scores  # scored before the peak is read
-    for version, side in ((1, cells.src), (2, cells.tgt)):
+    for src, tgt, side in ((a, b, cells.src), (b, a, cells.tgt)):
         tracemalloc.start()
         try:
-            picked = cells.best(version)
+            got = align_sentences_directional(cells, src, tgt, 0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [s for s, *_ in picked] == side.sentences
+        assert sorted(s for s, _, _ in got.pairs) == [s.id for s in side.sentences]
         # three 8-byte values per cell; the rows, columns and scores
         # themselves are not copied
-        assert peak < 24 * n, (version, peak, 24 * n)
+        assert peak < 24 * n, (src.version_index, peak, 24 * n)

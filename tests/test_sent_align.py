@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -83,6 +84,31 @@ def test_directional_tie_breaks_to_lowest_target():
     )
     got = align_sentences_directional(diag(a, b), a, b, 0.3)
     assert got.pairs == {(ids(1, 0)[0], ids(2, 0)[0], SentAlignLabel.PARTIAL)}
+
+
+def test_backward_tie_breaks_to_lowest_target():
+    # version 2's first sentence scores 3/5 against version 1's first and
+    # third sentences alike; the cells are read from the other side
+    a, b = two_versions(
+        a_paras=["the cat sat here", "qq ww ee rr tt yy", "the cat sat tonight"],
+        b_paras=["the cat sat today", "zz yy xx ww vv uu"],
+    )
+    got = align_sentences_directional(diag(a, b), b, a, 0.3)
+    assert got.pairs == {(ids(2, 0)[0], ids(1, 0)[0], SentAlignLabel.PARTIAL)}
+
+
+def test_score_equal_to_the_threshold_is_kept_in_both_directions():
+    # Jaccard 4/8: the sentences share four of eight distinct tokens
+    a, b = two_versions(
+        a_paras=["aa bb cc dd ee ff", "pq pw pe pr pt py"],
+        b_paras=["aa bb cc dd gg hh", "zq zw ze zr zt zy"],
+    )
+    cells = diag(a, b)
+    for src, tgt in ((a, b), (b, a)):
+        got = align_sentences_directional(cells, src, tgt, 0.5)
+        pair = (ids(src.version_index, 0)[0], ids(tgt.version_index, 0)[0], SentAlignLabel.PARTIAL)
+        assert got.pairs == {pair}
+        assert align_sentences_directional(cells, src, tgt, math.nextafter(0.5, 1)).pairs == frozenset()
 
 
 def test_directional_lowercase_surface_match_counts_as_aligned():
@@ -313,5 +339,6 @@ def test_align_pair_matches_the_oracle_pipeline(versions, name, threshold):
 
 def test_cells_read_from_an_unknown_version_are_refused():
     a, b = two_versions()
-    with pytest.raises(ValueError, match="neither side"):
-        diag(a, b).best(7)
+    stranger = doc([PARA_A], 7)
+    with pytest.raises(ValueError, match="version 7 is neither side"):
+        align_sentences_directional(diag(a, b), stranger, a, 0.5)
