@@ -227,7 +227,11 @@ def action_composition_by_ratio(
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample correlation coefficient; undefined inputs raise ValueError,
-    and OverflowError may come from values too large to square."""
+    and OverflowError may come from values too large to square.
+
+    Equal values have no variance, yet their deviations from a rounded
+    mean need not be 0.0 (three 0.1s average to a float just off 0.1),
+    so equality is tested on the values themselves as well."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
@@ -240,6 +244,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     vy = sum((y - my) ** 2 for y in ys)
     if not (isfinite(cov) and isfinite(vx) and isfinite(vy)):
         raise ValueError("sums out of floating-point range")
-    if vx == 0.0 or vy == 0.0:
+    if vx == 0.0 or vy == 0.0 or min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("zero variance")
     return cov / (sqrt(vx) * sqrt(vy))

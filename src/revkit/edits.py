@@ -7,12 +7,29 @@ identical.  Extraction works either from a token diff or from a word
 alignment; the word-alignment route groups links into mutually-aligned
 span pairs (optionally widened to constituency-tree nodes) and treats
 unaligned runs as pure insertions/deletions.
+
+Per sentence pair of n source and m target tokens and L links, with no
+span pairs to merge (the common case), each route costs:
+
+* diff: Myers' O((n + m) D) for D changed tokens;
+* simple: a sort of the links and one of the span pairs' target spans,
+  and otherwise time linear in L, n and m; only links sharing a token
+  with another link go through a union-find;
+* parse: the same, plus, when some link shares a token, one pass over
+  the N nodes of both trees for the partner envelopes and O(1) per
+  climb step, at most max_level steps a side per such link.
+
+Span pairs that must or may merge add rounds of _first_eligible, each
+O(R log R) over the R pairs plus one comparison per touching pair.
 """
 from __future__ import annotations
 
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .corpus import Sentence
@@ -157,6 +174,8 @@ def strip_identical_boundaries(e: Edit, src: Sentence, tgt: Sentence) -> Edit | 
         return e
     a, b = e.src_span
     c, d = e.tgt_span
+    if src.tokens[a] != tgt.tokens[c] and src.tokens[b - 1] != tgt.tokens[d - 1]:
+        return e  # nothing to trim
     while a < b and c < d and src.tokens[a] == tgt.tokens[c]:
         a += 1
         c += 1
@@ -173,20 +192,41 @@ class _SpanPair(NamedTuple):
     tgt: Span
 
 
+def _split_one_to_one(links: list[tuple[int, int]]) -> tuple[list[_SpanPair], list[tuple[int, int]]]:
+    """Sorted links split into the span pairs of the one-to-one links,
+    whose two tokens carry no other link, and the other links; both
+    keep the links' order.  The span pairs are plain tuples, as one is
+    built per link and a _SpanPair is built by a Python call."""
+    uses_s = Counter(map(itemgetter(0), links))
+    uses_t = Counter(map(itemgetter(1), links))
+    ones: list[_SpanPair] = []
+    rest: list[tuple[int, int]] = []
+    for i, j in links:
+        if uses_s[i] == 1 and uses_t[j] == 1:
+            ones.append(((i, i + 1), (j, j + 1)))
+        else:
+            rest.append((i, j))
+    return ones, rest
+
+
 def _link_components(links: Iterable[tuple[int, int]]) -> list[_SpanPair]:
     """Connected components of links sharing a source or target token,
-    rendered as the envelope of their index ranges."""
-    return sorted(
-        _SpanPair((min(si), max(si) + 1), (min(tj), max(tj) + 1))
-        for si, tj in link_components(links)
-    )
+    rendered as the envelope of their index ranges, in sorted order.
+
+    A one-to-one link is a component of its own; only the other links go
+    through link_components' union-find.  Components hold disjoint token
+    sets, so each has its own source start, and the few shared-token
+    components are placed among the one-to-one pairs by bisection."""
+    pairs, rest = _split_one_to_one(sorted(links))
+    for si, tj in link_components(rest):
+        insort(pairs, _SpanPair((min(si), max(si) + 1), (min(tj), max(tj) + 1)))
+    return pairs
 
 
 def _merge(p: _SpanPair, q: _SpanPair) -> _SpanPair:
-    return _SpanPair(
-        (min(p.src[0], q.src[0]), max(p.src[1], q.src[1])),
-        (min(p.tgt[0], q.tgt[0]), max(p.tgt[1], q.tgt[1])),
-    )
+    (a, b), (c, d) = p
+    (a2, b2), (c2, d2) = q
+    return _SpanPair((min(a, a2), max(b, b2)), (min(c, c2), max(d, d2)))
 
 
 def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> list[_SpanPair]:
@@ -200,14 +240,20 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
 
     The leftmost eligible pair (x, y) of rows merges first, into row x;
     the order matters, since adjacency reads the surfaces of merged
-    spans.  Each round finds that pair with _first_eligible, which
-    compares only rows touching on one side, so a list that merges
-    nothing costs one pair of sorts and one comparison per touching
-    pair.  Whether a row differs from its target surface is read once
-    per row and again only after the row merges.
+    spans.  Most lists merge nothing, which _settled shows in one pass
+    over the rows in sorted order, and that order is then the result.
+    Sorting costs one pass over the simple route's lists, which come
+    sorted, and one merge of two sorted runs over the tree route's.
+    Otherwise each round finds the pair to merge with _first_eligible,
+    which compares only rows touching on one side, and whether a row
+    differs from its target surface is read once per row and again only
+    after the row merges.
     """
     surf_s = src.tokens
     surf_t = tgt.tokens
+    rows = sorted(pairs)
+    if _settled(rows, surf_s, surf_t):
+        return rows
     work = list(pairs)
     changed = [surf_s[a:b] != surf_t[c:d] for (a, b), (c, d) in work]
     while (hit := _first_eligible(work, changed)) is not None:
@@ -216,6 +262,28 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
         del changed[y]
         changed[x] = surf_s[a:b] != surf_t[c:d]
     return sorted(work)
+
+
+def _settled(rows: list[_SpanPair], surf_s, surf_t) -> bool:
+    """Whether no two of rows, sorted, must or may merge.
+
+    Sorted rows with no src overlap end no later than the next row
+    starts, and only consecutive rows can then touch on the src side,
+    so one pass over consecutive rows finds every src overlap and every
+    adjacency on both sides.  tgt overlaps show between consecutive tgt
+    spans in sorted order.  A row's surfaces are compared only when it
+    is adjacent to the next row on both sides.
+    """
+    for ((a, b), (c, d)), ((a2, b2), (c2, d2)) in zip(rows, rows[1:]):
+        if a2 < b:
+            return False
+        if a2 == b and c2 == d and surf_s[a:b] != surf_t[c:d] and surf_s[a2:b2] != surf_t[c2:d2]:
+            return False
+    spans = sorted([t for _, t in rows])
+    for (_, d), (c2, _) in zip(spans, spans[1:]):
+        if c2 < d:
+            return False
+    return True
 
 
 def _first_eligible(work: list[_SpanPair], changed: list[bool]) -> tuple[int, int] | None:
@@ -253,41 +321,35 @@ def _first_eligible(work: list[_SpanPair], changed: list[bool]) -> tuple[int, in
 
 
 def _emit_edits(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> set[Edit]:
+    """The edits of closed span pairs (_close_span_pairs' result): a
+    substitute per pair whose surfaces differ, after boundary stripping,
+    and a delete or insert per run of tokens no pair covers.
+
+    Closed pairs are disjoint on each side and sorted by src span, so
+    the uncovered runs are the gaps between consecutive spans: one pass
+    over the pairs and one over their sorted tgt spans."""
     edits: set[Edit] = set()
-    covered_src = [False] * len(src.tokens)
-    covered_tgt = [False] * len(tgt.tokens)
     surf_s = src.tokens
     surf_t = tgt.tokens
-    for p in pairs:
-        (a, b), (c, d) = p
-        covered_src[a:b] = [True] * (b - a)
-        covered_tgt[c:d] = [True] * (d - c)
-        if surf_s[a:b] == surf_t[c:d]:
-            continue  # copy, no edit
-        stripped = strip_identical_boundaries(
-            Edit(p.src, p.tgt, EditKind.SUBSTITUTE), src, tgt
-        )
-        if stripped is not None:
-            edits.add(stripped)
-    for run in _uncovered_runs(covered_src):
-        edits.add(Edit(run, None, EditKind.DELETE))
-    for run in _uncovered_runs(covered_tgt):
-        edits.add(Edit(None, run, EditKind.INSERT))
+    at = 0
+    for span_s, span_t in pairs:
+        a, b = span_s
+        if at < a:
+            edits.add(Edit((at, a), None, EditKind.DELETE))
+        at = b
+        c, d = span_t
+        if surf_s[a:b] != surf_t[c:d]:
+            edits.add(strip_identical_boundaries(Edit(span_s, span_t, EditKind.SUBSTITUTE), src, tgt))
+    if at < len(surf_s):
+        edits.add(Edit((at, len(surf_s)), None, EditKind.DELETE))
+    at = 0
+    for c, d in sorted([t for _, t in pairs]):
+        if at < c:
+            edits.add(Edit(None, (at, c), EditKind.INSERT))
+        at = d
+    if at < len(surf_t):
+        edits.add(Edit(None, (at, len(surf_t)), EditKind.INSERT))
     return edits
-
-
-def _uncovered_runs(covered: list[bool]) -> list[Span]:
-    runs: list[Span] = []
-    start: int | None = None
-    for n, flag in enumerate(covered):
-        if not flag and start is None:
-            start = n
-        elif flag and start is not None:
-            runs.append((start, n))
-            start = None
-    if start is not None:
-        runs.append((start, len(covered)))
-    return runs
 
 
 def edits_from_alignment_simple(src: Sentence, tgt: Sentence, wa: WordAlignment) -> set[Edit]:
@@ -306,18 +368,37 @@ def edits_from_alignment_simple(src: Sentence, tgt: Sentence, wa: WordAlignment)
 # ---------------------------------------------------------------------------
 # tree-guided extraction
 
-def _partner_ranges(links: Iterable[tuple[int, int]], n_src: int, n_tgt: int) -> tuple[list[int], ...]:
-    """Per source token the lowest and highest target index it links to,
-    and per target token the same over source indices.  An unlinked
-    token reads (other side's length, -1), which trips no span test."""
-    s_lo, s_hi = [n_tgt] * n_src, [-1] * n_src
-    t_lo, t_hi = [n_src] * n_tgt, [-1] * n_tgt
+def _partner_envelopes(links: list[tuple[int, int]], tree_s: Tree, tree_t: Tree) -> tuple[list[int], ...]:
+    """Per node of each tree, the lowest and highest index on the other
+    side that a link from one of its tokens reaches.  A node without
+    links reads (other side's length, -1), which trips no span test.
+
+    Each leaf takes its token's links, which come sorted, so a leaf's
+    last link is its highest; then, since nodes close after their
+    descendants, one ascending pass folds every node into its parent.
+    The root's parent index -1 is the root itself, which the fold leaves
+    as it is."""
+    n_src, n_tgt = tree_s.ends[-1], tree_t.ends[-1]
+    lo_s, hi_s = [n_tgt] * len(tree_s.labels), [-1] * len(tree_s.labels)
+    lo_t, hi_t = [n_src] * len(tree_t.labels), [-1] * len(tree_t.labels)
+    leaf_s, leaf_t = tree_s.leaf_nodes, tree_t.leaf_nodes
     for i, j in links:
-        s_lo[i] = min(s_lo[i], j)
-        s_hi[i] = max(s_hi[i], j)
-        t_lo[j] = min(t_lo[j], i)
-        t_hi[j] = max(t_hi[j], i)
-    return s_lo, s_hi, t_lo, t_hi
+        u, v = leaf_s[i], leaf_t[j]
+        if j < lo_s[u]:
+            lo_s[u] = j
+        hi_s[u] = j
+        if i < lo_t[v]:
+            lo_t[v] = i
+        hi_t[v] = i
+    for lo, hi, parents in ((lo_s, hi_s, tree_s.parents), (lo_t, hi_t, tree_t.parents)):
+        # a list iterator reads each item when it reaches it, after every
+        # child has been folded in
+        for up, a, b in zip(parents, lo, hi):
+            if a < lo[up]:
+                lo[up] = a
+            if b > hi[up]:
+                hi[up] = b
+    return lo_s, hi_s, lo_t, hi_t
 
 
 def _resolve_link(
@@ -334,18 +415,18 @@ def _resolve_link(
     root spans the whole sentence and so never needs to grow: no climb
     goes past a root.
 
-    reach holds the partner ranges of every token (_partner_ranges): a
-    span closes over its links exactly when its tokens' partner ranges
-    fall inside the other span."""
-    s_lo, s_hi, t_lo, t_hi = reach
+    reach holds the partner envelopes of every node (_partner_envelopes):
+    a span closes over its links exactly when its node's envelope falls
+    inside the other span, so each step costs O(1)."""
+    lo_s, hi_s, lo_t, hi_t = reach
     starts_s, ends_s, up_s = tree_s.starts, tree_s.ends, tree_s.parents
     starts_t, ends_t, up_t = tree_t.starts, tree_t.ends, tree_t.parents
     p = q = 0
     while True:
         a, b = starts_s[u], ends_s[u]
         c, d = starts_t[v], ends_t[v]
-        grow_t = min(s_lo[a:b]) < c or max(s_hi[a:b]) >= d
-        grow_s = min(t_lo[c:d]) < a or max(t_hi[c:d]) >= b
+        grow_t = lo_s[u] < c or hi_s[u] >= d
+        grow_s = lo_t[v] < a or hi_t[v] >= b
         if not grow_s and not grow_t:
             return _SpanPair((a, b), (c, d))
         if grow_t:
@@ -416,24 +497,36 @@ def edits_with_parse(
         raise ValueError(
             f"target tree covers {tree_tgt.leaf_count()} tokens, sentence has {len(tgt.tokens)}"
         )
+    # a one-to-one link's leaves already close over its links, so it
+    # resolves to itself; only the other links climb
     links = sorted(wa.links)
-    leaf_s = tree_src.leaf_nodes
-    leaf_t = tree_tgt.leaf_nodes
-    reach = _partner_ranges(links, len(src.tokens), len(tgt.tokens))
+    ones, shared = _split_one_to_one(links)
     resolved: list[_SpanPair] = []
     unresolved: list[tuple[int, int]] = []
-    for i, j in links:
-        got = _resolve_link(leaf_s[i], leaf_t[j], tree_src, tree_tgt, reach, max_level)
-        if got is None:
-            unresolved.append((i, j))
-        else:
-            resolved.append(got)
-    candidates = _drop_nested(resolved)
-    # a resolved pair holds every link of its source tokens, so a link lies
-    # inside a candidate exactly when its source token does
+    if shared:
+        reach = _partner_envelopes(links, tree_src, tree_tgt)
+        leaf_s = tree_src.leaf_nodes
+        leaf_t = tree_tgt.leaf_nodes
+        for i, j in shared:
+            got = _resolve_link(leaf_s[i], leaf_t[j], tree_src, tree_tgt, reach, max_level)
+            if got is None:
+                unresolved.append((i, j))
+            else:
+                resolved.append(got)
+    # A resolved pair holds every link of its tokens, so it holds a
+    # one-to-one link exactly when its src span holds the link's source
+    # token, and a link lies inside a candidate exactly when its source
+    # token does.  A pair resolved by climbing spans two tokens on some
+    # side and so is held by no one-to-one link.  The candidates are
+    # therefore the maximal climbed pairs and the one-to-one links outside
+    # them, in sorted order.
+    wide = _drop_nested(resolved)
     covered = [False] * len(src.tokens)
-    for (a, b), _ in candidates:
+    for (a, b), _ in wide:
         covered[a:b] = [True] * (b - a)
+    candidates = [p for p in ones if not covered[p[0][0]]]
+    for p in wide:
+        insort(candidates, p)
     leftover = [(i, j) for i, j in unresolved if not covered[i]]
     pairs = _close_span_pairs(candidates + _link_components(leftover), src, tgt)
     return _emit_edits(pairs, src, tgt)

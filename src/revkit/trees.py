@@ -13,6 +13,9 @@ the nodes from its first descendant up to itself.  For node k:
 the root), ``firsts[k]`` its first descendant (k itself for a leaf) and
 ``labels[k]`` its label; ``leaf_nodes[i]`` is the node of leaf i.
 ``TreeNode`` views over these lists are built only when asked for.
+
+Reading a tree costs time linear in its text: str methods split it into
+tokens and one pass over them builds the lists.
 """
 from __future__ import annotations
 
@@ -93,12 +96,20 @@ def _lex(text: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
+def _tokens(text: str) -> list[str]:
+    """_lex's tokens without their offsets, found with str methods:
+    padding each bracket with spaces and splitting on whitespace gives the
+    same list, since str.split and the \\s of _TOKEN split on the same
+    characters, those of str.isspace."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
 def parse_tree_read(text: str) -> Tree:
     """Parse one bracketed tree; raises TreeParseError with a character
     offset on unbalanced brackets, missing labels, nesting deeper than
-    MAX_DEPTH, or trailing content."""
-    toks = _TOKEN.findall(text)
-    n = len(toks)
+    MAX_DEPTH, or trailing content.  Only an error report lexes the
+    text again, with _lex, for the offset."""
+    toks = _tokens(text)
 
     def fail(message: str, at: int | None = None) -> TreeParseError:
         # at is a token index; None stands for the end of the text
@@ -114,20 +125,18 @@ def parse_tree_read(text: str) -> Tree:
     leaf_nodes: list[int] = []
     # one frame per open node: label, label token index, first leaf, first node
     stack: list[tuple[str, int, int, int]] = []
-    i = leaf = 0
-    while True:
-        if i == n:
-            raise fail("unbalanced brackets: expected ')'")
-        tok = toks[i]
+    leaf = 0
+    walk = enumerate(toks)
+    for i, tok in walk:
         if tok == "(":
             if len(stack) >= MAX_DEPTH:
                 raise fail(f"nesting deeper than {MAX_DEPTH} levels", i)
-            if i + 1 == n:
+            i, label = next(walk, (None, None))
+            if label is None:
                 raise fail("unbalanced brackets: expected a node label")
-            if toks[i + 1] in ("(", ")"):
-                raise fail("missing node label", i + 1)
-            stack.append((toks[i + 1], i + 1, leaf, len(labels)))
-            i += 2
+            if label == "(" or label == ")":
+                raise fail("missing node label", i)
+            stack.append((label, i, leaf, len(labels)))
             continue
         k = len(labels)
         if tok == ")":
@@ -151,9 +160,10 @@ def parse_tree_read(text: str) -> Tree:
         ends.append(leaf)
         parents.append(-1)
         labels.append(label)
-        i += 1
         if not stack:
             break
-    if i != n:
-        raise fail("trailing content after tree", i)
+    else:
+        raise fail("unbalanced brackets: expected ')'")
+    if i + 1 != len(toks):
+        raise fail("trailing content after tree", i + 1)
     return Tree(starts, ends, parents, firsts, labels, leaf_nodes)

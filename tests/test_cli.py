@@ -1118,6 +1118,30 @@ def test_stats_correlations_are_null_when_the_gaps_overflow_floats(ws, tmp_path,
     assert json.loads(text)["correlations"] == {"overall": None, "two_version": None, "multi_version": None}
 
 
+def test_stats_correlations_are_null_when_every_ratio_is_equal(tmp_path):
+    # three two-version groups, each rewriting seven sentences in ten,
+    # share the update ratio 0.7, whose mean over three is not 0.7; the
+    # correlation with their gaps of 1000, 2000 and 3000 is undefined, not
+    # 0.0
+    f = filler_sentence
+    v1 = [[f(k) for k in range(5)], [f(k) for k in range(5, 10)]]
+    v2 = [[changed(f(k), str(k)) for k in range(5)], [changed(f(5), "5"), changed(f(6), "6"), *v1[1][2:]]]
+    groups = [
+        build_group(f"2001.000{k}", "cs.CL", [DocVersion.build(1, 0, v1), DocVersion.build(2, 1000 * k, v2)])
+        for k in (1, 2, 3)
+    ]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(serialize_corpus(groups))
+    align_dir, out = tmp_path / "align", tmp_path / "stats"
+    assert main(["align", "--corpus", str(corpus), "--out", str(align_dir)]) == 0
+    assert main(["stats", "--corpus", str(corpus), "--alignments", str(align_dir), "--out", str(out)]) == 0
+    ratios = {row.split(",")[-1] for row in (out / "update_ratios.csv").read_text().splitlines()[1:]}
+    assert ratios == {"0.7"}
+    assert json.loads((out / "summary.json").read_text())["correlations"] == {
+        "overall": None, "two_version": None, "multi_version": None,
+    }
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_stats_names_the_first_bad_file_under_any_jobs(tmp_path, capsys, jobs):
     # the second and third of five files pair a sentence their versions

@@ -466,6 +466,18 @@ def test_pearson_errors():
         pearson([1, 1, 1], [1, 2, 3])
 
 
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7, 0.3, 2 / 3, 0.6])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_pearson_refuses_equal_values_whose_mean_is_rounded(value, n):
+    # the mean of n equal floats can differ from them in the last bit, so
+    # their squared deviations sum to a tiny positive number, not 0.0
+    spread = [1000.0 * k for k in range(1, n + 1)]
+    with pytest.raises(ValueError, match="zero variance"):
+        pearson([value] * n, spread)
+    with pytest.raises(ValueError, match="zero variance"):
+        pearson(spread, [value] * n)
+
+
 def test_pearson_refuses_sums_out_of_float_range():
     # each squared deviation is about 1.7e308, finite, but their sum is
     # not; the correlation must not come out as 0.0

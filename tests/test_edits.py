@@ -16,7 +16,14 @@ from revkit.edits import (
     edits_with_parse,
     strip_identical_boundaries,
 )
-from revkit.edits import _blocks_cross, _close_span_pairs, _drop_nested, _link_components, _SpanPair
+from revkit.edits import (
+    _blocks_cross,
+    _close_span_pairs,
+    _drop_nested,
+    _link_components,
+    _partner_envelopes,
+    _SpanPair,
+)
 from revkit.trees import parse_tree_read
 
 from helpers import dele, ins, keys, sub, wa
@@ -338,6 +345,32 @@ def test_closure_merges_leftmost_pair_first():
     assert oracle_closure(oracle_components(links), src.tokens, tgt.tokens) == got
 
 
+def _mostly_one_to_one(rng: random.Random, n: int, m: int) -> set[tuple[int, int]]:
+    """A near-monotone copy's links, plus a few tokens linked to several
+    tokens of the other side and a few small all-to-all blocks."""
+    links = {(i, min(m - 1, max(0, i + rng.randint(-1, 1)))) for i in range(n) if rng.random() < 0.8}
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(n), rng.randrange(m)
+        links |= {(i, rng.randrange(m)) for _ in range(rng.randint(2, 4))}
+        links |= {(rng.randrange(n), j) for _ in range(rng.randint(2, 4))}
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(n), rng.randrange(m)
+        links |= {(a, b) for a in range(i, min(n, i + 3)) for b in range(j, min(m, j + 3))}
+    return links
+
+
+def test_link_components_match_the_oracle_on_mostly_one_to_one_links():
+    assert _link_components([]) == oracle_components([]) == []
+    rng = random.Random(71)
+    for _ in range(500):
+        links = _mostly_one_to_one(rng, rng.randint(1, 40), rng.randint(1, 40))
+        shuffled = list(links)
+        rng.shuffle(shuffled)
+        want = oracle_components(links)
+        assert _link_components(frozenset(links)) == want
+        assert _link_components(shuffled) == want
+
+
 def _random_span(rng: random.Random, n: int) -> tuple[int, int]:
     a = rng.randrange(n)
     return (a, rng.randint(a + 1, n))
@@ -581,6 +614,51 @@ def _height(tree) -> int:
         return n
 
     return max(hops(k) for k in tree.leaf_nodes)
+
+
+def test_partner_envelopes_are_the_bounds_over_each_node_span():
+    rng = random.Random(73)
+    for _ in range(300):
+        n, m = rng.randint(1, 25), rng.randint(1, 25)
+        texts = [format_tree(random_tree(rng, ["w"] * k)) for k in (n, m)]
+        if rng.random() < 0.3:  # a unary chain over the root
+            texts = [f"(U (V {t}))" for t in texts]
+        ts, tt = map(parse_tree_read, texts)
+        links = sorted(random_links(rng, n, m))
+        lo_s, hi_s, lo_t, hi_t = _partner_envelopes(links, ts, tt)
+        for tree, lo, hi, side, other_len in ((ts, lo_s, hi_s, 0, m), (tt, lo_t, hi_t, 1, n)):
+            for k in range(len(tree.labels)):
+                partners = [link[1 - side] for link in links if tree.starts[k] <= link[side] < tree.ends[k]]
+                assert (lo[k], hi[k]) == (min(partners, default=other_len), max(partners, default=-1))
+
+
+def _right_branching(words: list[str]) -> str:
+    text = words[-1]
+    for w in reversed(words[:-1]):
+        text = f"(X {w} {text})"
+    return text
+
+
+def test_parse_climbs_a_300_token_chain_as_the_oracle_does():
+    # on right-branching chains every node spans to the end, so a link
+    # resolved by climbing absorbs the unlinked tail (251, 300) that the
+    # plain components leave as a delete and an insert; the link (250, 250)
+    # closes at the source node (10, 300), 241 levels above its leaf
+    rng = random.Random(79)
+    words_s = [rng.choice("ab") for _ in range(300)]
+    words_t = [rng.choice("ab") for _ in range(300)]
+    src = make_sentence(" ".join(words_s), version=1)
+    tgt = make_sentence(" ".join(words_t), version=2)
+    text_s, text_t = _right_branching(words_s), _right_branching(words_t)
+    ts, tt = parse_tree_read(text_s), parse_tree_read(text_t)
+    assert _height(ts) == _height(tt) == 299
+    links = {(250, 250), (250, 100), (150, 40), (10, 200), (0, 0)}
+    for level in (240, 241, 299, 300):
+        got = keys(edits_with_parse(src, tgt, WordAlignment(links), ts, tt, max_level=level))
+        assert got == oracle_parse(
+            src.tokens, tgt.tokens, links, oracle_parse_tree(text_s), oracle_parse_tree(text_t), level,
+        )
+        assert (((251, 300), None, "delete") in got) == (level < 241)
 
 
 def test_parse_levels_past_the_root_change_nothing():

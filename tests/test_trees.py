@@ -1,11 +1,13 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revkit.errors import TreeParseError
-from revkit.trees import MAX_DEPTH, TreeNode, _lex, parse_tree_read
+from revkit.trees import MAX_DEPTH, TreeNode, _lex, _tokens, parse_tree_read
 
 from oracles import OracleTree, format_tree, oracle_lex, oracle_parse_tree, random_tree
 
@@ -97,6 +99,25 @@ def test_parse_errors_carry_offsets(text, offset):
 @given(st.text(st.sampled_from("()ab \t\n\xa0\u2028\x1c\u3000")))
 def test_lexer_matches_character_loop(text):
     assert _lex(text) == oracle_lex(text)
+
+
+# every code point str.isspace() accepts: 29 on every Python since 3.10
+_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def test_isspace_and_regex_whitespace_agree_on_every_code_point():
+    # _tokens splits on str.isspace and _lex's pattern on \s; the parser
+    # relies on the two meaning the same characters
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\s", every)) == _WHITESPACE
+    assert len(_WHITESPACE) == 29
+
+
+@example("(S\x1c(NP a)\x85b\u2009)\u3000c")
+@example("".join(f"({k}" + w for k, w in enumerate(_WHITESPACE)) + ")" * len(_WHITESPACE))
+@given(st.text(st.sampled_from("()ab" + _WHITESPACE)))
+def test_tokens_are_the_lexer_tokens(text):
+    assert _tokens(text) == [t for t, _ in _lex(text)]
 
 
 _TREE_TEXT = st.text(st.sampled_from("()ab \t\n\xa0\u2028\x1c\u3000"))
