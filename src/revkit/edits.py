@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 from .corpus import Sentence
 from .doc_ops import link_components
@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .intention import CoarseIntention, IntentionLabel
 
 Span = tuple[int, int]
+SpanPair = tuple[Span, Span]  # (src span, tgt span)
 
 
 class EditKind(Enum):
@@ -187,19 +188,13 @@ def strip_identical_boundaries(e: Edit, src: Sentence, tgt: Sentence) -> Edit | 
     return _region_edit(a, b, c, d, e.intention)
 
 
-class _SpanPair(NamedTuple):
-    src: Span
-    tgt: Span
-
-
-def _split_one_to_one(links: list[tuple[int, int]]) -> tuple[list[_SpanPair], list[tuple[int, int]]]:
+def _split_one_to_one(links: list[tuple[int, int]]) -> tuple[list[SpanPair], list[tuple[int, int]]]:
     """Sorted links split into the span pairs of the one-to-one links,
     whose two tokens carry no other link, and the other links; both
-    keep the links' order.  The span pairs are plain tuples, as one is
-    built per link and a _SpanPair is built by a Python call."""
+    keep the links' order."""
     uses_s = Counter(map(itemgetter(0), links))
     uses_t = Counter(map(itemgetter(1), links))
-    ones: list[_SpanPair] = []
+    ones: list[SpanPair] = []
     rest: list[tuple[int, int]] = []
     for i, j in links:
         if uses_s[i] == 1 and uses_t[j] == 1:
@@ -209,7 +204,7 @@ def _split_one_to_one(links: list[tuple[int, int]]) -> tuple[list[_SpanPair], li
     return ones, rest
 
 
-def _link_components(links: Iterable[tuple[int, int]]) -> list[_SpanPair]:
+def _link_components(links: Iterable[tuple[int, int]]) -> list[SpanPair]:
     """Connected components of links sharing a source or target token,
     rendered as the envelope of their index ranges, in sorted order.
 
@@ -219,18 +214,18 @@ def _link_components(links: Iterable[tuple[int, int]]) -> list[_SpanPair]:
     components are placed among the one-to-one pairs by bisection."""
     pairs, rest = _split_one_to_one(sorted(links))
     for si, tj in link_components(rest):
-        insort(pairs, _SpanPair((min(si), max(si) + 1), (min(tj), max(tj) + 1)))
+        insort(pairs, ((min(si), max(si) + 1), (min(tj), max(tj) + 1)))
     return pairs
 
 
-def _merge(p: _SpanPair, q: _SpanPair) -> _SpanPair:
+def _merge(p: SpanPair, q: SpanPair) -> SpanPair:
     (a, b), (c, d) = p
     (a2, b2), (c2, d2) = q
-    return _SpanPair((min(a, a2), max(b, b2)), (min(c, c2), max(d, d2)))
+    return (min(a, a2), max(b, b2)), (min(c, c2), max(d, d2))
 
 
-def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> list[_SpanPair]:
-    """Fixpoint closure over span pairs (all spans non-empty).
+def _close_span_pairs(pairs: list[SpanPair], src: Sentence, tgt: Sentence) -> list[SpanPair]:
+    """Fixpoint closure over span pairs (all spans non-empty), sorted.
 
     Pairs overlapping on either side must merge (their edits could not
     otherwise be disjoint).  Pairs exactly adjacent on both sides, in the
@@ -240,20 +235,14 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
 
     The leftmost eligible pair (x, y) of rows merges first, into row x;
     the order matters, since adjacency reads the surfaces of merged
-    spans.  Most lists merge nothing, which _settled shows in one pass
-    over the rows in sorted order, and that order is then the result.
-    Sorting costs one pass over the simple route's lists, which come
-    sorted, and one merge of two sorted runs over the tree route's.
-    Otherwise each round finds the pair to merge with _first_eligible,
+    spans.  Each round finds the pair to merge with _first_eligible,
     which compares only rows touching on one side, and whether a row
     differs from its target surface is read once per row and again only
-    after the row merges.
+    after the row merges.  The extraction routes call this only for
+    lists that _emit_edits declines.
     """
     surf_s = src.tokens
     surf_t = tgt.tokens
-    rows = sorted(pairs)
-    if _settled(rows, surf_s, surf_t):
-        return rows
     work = list(pairs)
     changed = [surf_s[a:b] != surf_t[c:d] for (a, b), (c, d) in work]
     while (hit := _first_eligible(work, changed)) is not None:
@@ -264,29 +253,7 @@ def _close_span_pairs(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> l
     return sorted(work)
 
 
-def _settled(rows: list[_SpanPair], surf_s, surf_t) -> bool:
-    """Whether no two of rows, sorted, must or may merge.
-
-    Sorted rows with no src overlap end no later than the next row
-    starts, and only consecutive rows can then touch on the src side,
-    so one pass over consecutive rows finds every src overlap and every
-    adjacency on both sides.  tgt overlaps show between consecutive tgt
-    spans in sorted order.  A row's surfaces are compared only when it
-    is adjacent to the next row on both sides.
-    """
-    for ((a, b), (c, d)), ((a2, b2), (c2, d2)) in zip(rows, rows[1:]):
-        if a2 < b:
-            return False
-        if a2 == b and c2 == d and surf_s[a:b] != surf_t[c:d] and surf_s[a2:b2] != surf_t[c2:d2]:
-            return False
-    spans = sorted([t for _, t in rows])
-    for (_, d), (c2, _) in zip(spans, spans[1:]):
-        if c2 < d:
-            return False
-    return True
-
-
-def _first_eligible(work: list[_SpanPair], changed: list[bool]) -> tuple[int, int] | None:
+def _first_eligible(work: list[SpanPair], changed: list[bool]) -> tuple[int, int] | None:
     """The lowest row pair (x, y), x < y, that _close_span_pairs must or
     may merge, or None.
 
@@ -320,35 +287,54 @@ def _first_eligible(work: list[_SpanPair], changed: list[bool]) -> tuple[int, in
     return min(hits, default=None)
 
 
-def _emit_edits(pairs: list[_SpanPair], src: Sentence, tgt: Sentence) -> set[Edit]:
-    """The edits of closed span pairs (_close_span_pairs' result): a
-    substitute per pair whose surfaces differ, after boundary stripping,
-    and a delete or insert per run of tokens no pair covers.
+def _emit_edits(rows: list[SpanPair], src: Sentence, tgt: Sentence) -> set[Edit] | None:
+    """The edits of sorted span pairs: a substitute per pair whose
+    surfaces differ, after boundary stripping, and a delete or insert per
+    run of tokens no pair covers; None when two pairs must or may merge
+    (_close_span_pairs' rule), so a closed list is never declined.
 
-    Closed pairs are disjoint on each side and sorted by src span, so
-    the uncovered runs are the gaps between consecutive spans: one pass
-    over the pairs and one over their sorted tgt spans."""
+    Sorted rows with no src overlap end no later than the next row
+    starts, so only consecutive rows can overlap or touch on the src
+    side, and tgt overlaps show between consecutive tgt spans in sorted
+    order.  Each row's surfaces are compared once, for its substitute
+    and for adjacency with the next row."""
     edits: set[Edit] = set()
     surf_s = src.tokens
     surf_t = tgt.tokens
-    at = 0
-    for span_s, span_t in pairs:
+    at = end_t = 0
+    was_changed = False
+    for span_s, span_t in rows:
         a, b = span_s
+        c, d = span_t
+        changed = surf_s[a:b] != surf_t[c:d]
+        if a < at or (a == at and c == end_t and changed and was_changed):
+            return None  # overlap, or adjacency of two changed rows
         if at < a:
             edits.add(Edit((at, a), None, EditKind.DELETE))
-        at = b
-        c, d = span_t
-        if surf_s[a:b] != surf_t[c:d]:
+        if changed:
             edits.add(strip_identical_boundaries(Edit(span_s, span_t, EditKind.SUBSTITUTE), src, tgt))
+        at, end_t, was_changed = b, d, changed
     if at < len(surf_s):
         edits.add(Edit((at, len(surf_s)), None, EditKind.DELETE))
     at = 0
-    for c, d in sorted([t for _, t in pairs]):
+    for c, d in sorted([t for _, t in rows]):
+        if c < at:
+            return None
         if at < c:
             edits.add(Edit(None, (at, c), EditKind.INSERT))
         at = d
     if at < len(surf_t):
         edits.add(Edit(None, (at, len(surf_t)), EditKind.INSERT))
+    return edits
+
+
+def _edits_of_span_pairs(pairs: list[SpanPair], src: Sentence, tgt: Sentence) -> set[Edit]:
+    """The edits of span pairs in any order: emitted from the sorted
+    pairs when nothing merges, otherwise from their closure, which reads
+    the pairs' given order."""
+    edits = _emit_edits(sorted(pairs), src, tgt)
+    if edits is None:
+        edits = _emit_edits(_close_span_pairs(pairs, src, tgt), src, tgt)
     return edits
 
 
@@ -361,8 +347,7 @@ def edits_from_alignment_simple(src: Sentence, tgt: Sentence, wa: WordAlignment)
     are identical.
     """
     wa.validate(len(src.tokens), len(tgt.tokens))
-    pairs = _close_span_pairs(_link_components(wa.links), src, tgt)
-    return _emit_edits(pairs, src, tgt)
+    return _edits_of_span_pairs(_link_components(wa.links), src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +393,7 @@ def _resolve_link(
     tree_t: Tree,
     reach: tuple[list[int], ...],
     max_level: int,
-) -> _SpanPair | None:
+) -> SpanPair | None:
     """Ascend from the leaf nodes u and v to the lowest ancestor pair
     whose spans close over every link touching them; levels are capped
     by max_level.  Returns None when the budget runs out.  A side at its
@@ -428,7 +413,7 @@ def _resolve_link(
         grow_t = lo_s[u] < c or hi_s[u] >= d
         grow_s = lo_t[v] < a or hi_t[v] >= b
         if not grow_s and not grow_t:
-            return _SpanPair((a, b), (c, d))
+            return (a, b), (c, d)
         if grow_t:
             if q >= max_level:
                 return None
@@ -441,7 +426,7 @@ def _resolve_link(
             u = up_s[u]
 
 
-def _drop_nested(pairs: list[_SpanPair]) -> list[_SpanPair]:
+def _drop_nested(pairs: list[SpanPair]) -> list[SpanPair]:
     """Keep only maximal span pairs, in sorted order.
 
     Every pair is a pair of tree-node spans, so the spans of one side
@@ -454,7 +439,7 @@ def _drop_nested(pairs: list[_SpanPair]) -> list[_SpanPair]:
     pair is not pushed: whatever it holds, its holder holds too.
     """
     unique = sorted(set(pairs), key=lambda p: (p[0][0], -p[0][1], p[1][0], -p[1][1]))
-    kept: list[_SpanPair] = []
+    kept: list[SpanPair] = []
     stack: list[tuple[int, int, int]] = []  # (src end, tgt start, tgt end)
     for p in unique:
         (s0, s1), (t0, t1) = p
@@ -501,7 +486,7 @@ def edits_with_parse(
     # resolves to itself; only the other links climb
     links = sorted(wa.links)
     ones, shared = _split_one_to_one(links)
-    resolved: list[_SpanPair] = []
+    resolved: list[SpanPair] = []
     unresolved: list[tuple[int, int]] = []
     if shared:
         reach = _partner_envelopes(links, tree_src, tree_tgt)
@@ -528,8 +513,7 @@ def edits_with_parse(
     for p in wide:
         insort(candidates, p)
     leftover = [(i, j) for i, j in unresolved if not covered[i]]
-    pairs = _close_span_pairs(candidates + _link_components(leftover), src, tgt)
-    return _emit_edits(pairs, src, tgt)
+    return _edits_of_span_pairs(candidates + _link_components(leftover), src, tgt)
 
 
 # ---------------------------------------------------------------------------

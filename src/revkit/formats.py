@@ -191,9 +191,11 @@ def alignment_from_json(obj, where: str = "alignment") -> tuple[str | None, Sent
             pairs.append(_aligned_pair(rec, src_v, tgt_v))
     except ValueError as exc:
         raise AlignmentFormatError(f"{where}.pairs[{len(pairs)}]: {exc}") from None
-    arxiv_id = obj.get("arxiv_id") or obj.get("paper_id")
-    if arxiv_id is not None and not isinstance(arxiv_id, str):
-        raise AlignmentFormatError(f"{where}: arxiv_id must be a string")
+    # only an absent or null id means "no id"; any other falsy value is refused
+    key = "paper_id" if obj.get("arxiv_id") is None else "arxiv_id"
+    arxiv_id = obj.get(key)
+    if arxiv_id is not None and (not isinstance(arxiv_id, str) or not arxiv_id):
+        raise AlignmentFormatError(f"{where}: {key} must be a string and not empty")
     return arxiv_id, SentenceAlignment(src_v, tgt_v, frozenset(pairs))
 
 

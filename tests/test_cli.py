@@ -738,6 +738,20 @@ def test_extract_edits_unknown_group_exits_2(ws, tmp_path, capsys):
     assert "'9999.9999' not in the corpus" in capsys.readouterr().err
 
 
+def test_extract_edits_false_id_exits_2_on_a_one_group_corpus(ws, tmp_path, capsys):
+    """Only an absent or null id means "no id"; a falsy id is not read
+    as one and run against the corpus's only group."""
+    obj = json.loads(Path(ws.v12).read_text(encoding="utf-8"))
+    obj["arxiv_id"] = False
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "e.json"
+    rc = main(["extract-edits", "--corpus", ws.corpus, "--alignment", str(bad), "--out", str(out), "--method", "diff"])
+    assert rc == 2
+    assert f"{bad}: arxiv_id must be a string and not empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_edits_pair_under_two_labels_exits_2_before_writing(ws, tmp_path, capsys):
     """One sentence pair listed as aligned and as partially-aligned would
     give two revisions with one revision_id."""

@@ -20,9 +20,9 @@ from revkit.edits import (
     _blocks_cross,
     _close_span_pairs,
     _drop_nested,
+    _emit_edits,
     _link_components,
     _partner_envelopes,
-    _SpanPair,
 )
 from revkit.trees import parse_tree_read
 
@@ -389,9 +389,32 @@ def test_closure_matches_oracle_on_tiny_vocabularies(words):
             pairs = _link_components(random_links(rng, n, m))
         else:
             # any list of span pairs in any order, as the tree route builds
-            pairs = [_SpanPair(_random_span(rng, n), _random_span(rng, m)) for _ in range(rng.randint(1, 6))]
+            pairs = [(_random_span(rng, n), _random_span(rng, m)) for _ in range(rng.randint(1, 6))]
         want = oracle_closure(pairs, src.tokens, tgt.tokens)
         assert _close_span_pairs(pairs, src, tgt) == want
+
+
+def test_emission_declines_exactly_the_lists_the_closure_changes():
+    # the one pass that emits also decides that nothing merges: it must
+    # decline every list the closure changes, and only those, including
+    # lists that touch only by tgt overlap or by adjacency of two changed pairs
+    rng = random.Random(61)
+    declined = 0
+    for words in (["a"], ["a", "b"], ["a", "b", "c"]):
+        for _ in range(1000):
+            src = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 7))), version=1)
+            tgt = make_sentence(" ".join(rng.choice(words) for _ in range(rng.randint(1, 7))), version=2)
+            n, m = len(src.tokens), len(tgt.tokens)
+            if rng.random() < 0.5:
+                pairs = _link_components(random_links(rng, n, m))
+            else:
+                pairs = [(_random_span(rng, n), _random_span(rng, m)) for _ in range(rng.randint(1, 6))]
+            closed = oracle_closure(pairs, src.tokens, tgt.tokens)
+            got = _emit_edits(sorted(pairs), src, tgt)
+            assert (got is None) == (closed != sorted(pairs))
+            declined += got is None
+            assert _emit_edits(closed, src, tgt) is not None
+    assert 500 < declined < 2500
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +471,20 @@ def span_pair_lists(draw):
     def near(a: int) -> int:
         return min(m - 1, max(0, a * m // n + draw(st.integers(-4, 4))))
 
-    pairs: list[_SpanPair] = []
+    pairs: list[tuple] = []
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(("free", "tie", "abut", "tgt-touch")) if pairs else st.just("free"))
         if kind == "free":
             a = draw(st.integers(0, n - 1))
-            pairs.append(_SpanPair(span(n, a), span(m, near(a))))
+            pairs.append((span(n, a), span(m, near(a))))
             continue
         (s0, s1), (t0, t1) = draw(st.sampled_from(pairs))
         if kind == "tie":
-            pairs.append(_SpanPair(span(n, s0), span(m, near(s0))))
+            pairs.append((span(n, s0), span(m, near(s0))))
             continue
         if kind == "abut":
             if s1 < n and t1 < m:
-                pairs.append(_SpanPair(span(n, s1), span(m, t1)))
+                pairs.append((span(n, s1), span(m, t1)))
             continue
         if s0 >= 2 and (s1 + 1 >= n or draw(st.booleans())):
             b = draw(st.integers(max(1, s0 - 8), s0 - 1))
@@ -471,7 +494,7 @@ def span_pair_lists(draw):
         else:
             continue  # src spans the whole sentence
         # the tgt span overlaps or abuts the chosen pair's
-        pairs.append(_SpanPair(far, span(m, draw(st.integers(max(0, t0 - 1), min(m - 1, t1))))))
+        pairs.append((far, span(m, draw(st.integers(max(0, t0 - 1), min(m - 1, t1))))))
     return src, tgt, pairs
 
 
@@ -480,7 +503,7 @@ def span_pair_lists(draw):
 # rows 1 and 2 merge on their tgt overlap; their src envelope then
 # swallows row 0, which touched neither, and the merge cascades into it
 @example((make_sentence(" ".join(["a"] * 60), version=1), make_sentence(" ".join(["b"] * 60), version=2),
-          [_SpanPair((6, 7), (10, 11)), _SpanPair((4, 5), (0, 2)), _SpanPair((8, 9), (1, 3))]))
+          [((6, 7), (10, 11)), ((4, 5), (0, 2)), ((8, 9), (1, 3))]))
 def test_closure_matches_oracle_on_long_merge_heavy_lists(case):
     src, tgt, pairs = case
     want = oracle_closure(pairs, src.tokens, tgt.tokens)
@@ -510,8 +533,8 @@ def test_drop_nested_matches_oracle_on_long_trees(n, m, seed, count):
     rng = random.Random(seed)
     spans_s = _node_spans(random_tree(rng, ["w"] * n))
     spans_t = _node_spans(random_tree(rng, ["w"] * m))
-    pairs = [_SpanPair(rng.choice(spans_s), rng.choice(spans_t)) for _ in range(count)]
-    pairs += [_SpanPair(s, t) for s, t in zip(spans_s, spans_t)]
+    pairs = [(rng.choice(spans_s), rng.choice(spans_t)) for _ in range(count)]
+    pairs += [(s, t) for s, t in zip(spans_s, spans_t)]
     assert _drop_nested(pairs) == oracle_maximal(pairs)
 
 
@@ -698,7 +721,7 @@ def test_drop_nested_keeps_maximal_pairs_on_randoms():
         spans_s = _node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
         spans_t = _node_spans(random_tree(rng, ["w"] * rng.randint(1, 12)))
         pairs = [
-            _SpanPair(rng.choice(spans_s), rng.choice(spans_t))
+            (rng.choice(spans_s), rng.choice(spans_t))
             for _ in range(rng.randint(0, 14))
         ]
         assert _drop_nested(pairs) == oracle_maximal(pairs)

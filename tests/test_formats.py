@@ -142,6 +142,11 @@ def test_alignment_reader_accepts_aliases():
             "disagrees with file header",
         ),
         (lambda o: o.update(arxiv_id=7), "arxiv_id must be a string"),
+        # falsy values are not "no id": only absence or null is
+        *[(lambda o, v=v: o.update(arxiv_id=v), "arxiv_id must be a string and not empty")
+          for v in ([], {}, 0, False, "")],
+        (lambda o: o.update(paper_id=0), "paper_id must be a string and not empty"),
+        (lambda o: o.update(arxiv_id=None, paper_id=""), "paper_id must be a string and not empty"),
     ],
 )
 def test_alignment_reader_errors(mutate, message):

@@ -1,9 +1,9 @@
-"""Seed 0 of every benchmark workload, run in-process through the command
-line and checked against the SHA-256 digests in perfbench/golden.json, so
-that every output stays byte-identical without a benchmark sweep.  The
-benchmark aligns with jaccard and tfidf only; the char3gram and bleu
-alignments of its corpora are checked against golden_cell_metrics.json
-here."""
+"""Seed 0 of every benchmark workload, and edits seed 4, run in-process
+through the command line and checked against the SHA-256 digests in
+perfbench/golden.json, so that every output stays byte-identical without
+a benchmark sweep.  The benchmark aligns with jaccard and tfidf only; the
+char3gram and bleu alignments of its corpora are checked against
+golden_cell_metrics.json here."""
 import hashlib
 import importlib.util
 import json
@@ -35,11 +35,10 @@ def bench():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["c40", "long_docs", "edits"])
-def test_seed_0_outputs_match_golden_digests(bench, name, tmp_path):
-    golden = bench.load_golden(name, "full", 0)
+def _check_golden_digests(bench, name, seed, tmp_path):
+    golden = bench.load_golden(name, "full", seed)
     assert golden
-    w = bench.build_workload(name, bench.gen.generate(name, 0, "full", str(tmp_path / "input")),
+    w = bench.build_workload(name, bench.gen.generate(name, seed, "full", str(tmp_path / "input")),
                              str(tmp_path / "out"))
     (tmp_path / "out").mkdir()
     rcs = {cmd.key: cli.main(cmd.argv) for cmd in w.cmds}
@@ -47,6 +46,17 @@ def test_seed_0_outputs_match_golden_digests(bench, name, tmp_path):
     checker.check(str(tmp_path / "out"), rcs)
     assert checker.attempted == len(w.expected)
     assert checker.failed == 0, checker.problems
+
+
+@pytest.mark.parametrize("name", ["c40", "long_docs", "edits"])
+def test_seed_0_outputs_match_golden_digests(bench, name, tmp_path):
+    _check_golden_digests(bench, name, 0, tmp_path)
+
+
+def test_edits_seed_4_outputs_match_golden_digests(bench, tmp_path):
+    """Seed 4 is the first full-size edits input whose parse route
+    merges span pairs, so its outputs pin the closure's merge path."""
+    _check_golden_digests(bench, "edits", 4, tmp_path)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -361,8 +361,9 @@ def test_candidate_scores_do_not_depend_on_the_lookup_windows(monkeypatch, metri
 def test_scores_do_not_depend_on_id_values(seed):
     """Every id relabelled through a random injective map into [0, 4V),
     V being the number of ids, gives every kernel's output bit for bit:
-    the Jaccard matrix, the cells' Jaccard scores and both directions of
-    their tf-idf cosines, with other documents in the idf."""
+    the Jaccard matrix, the cells' Jaccard scores, both directions of
+    their tf-idf cosines, with other documents in the idf, and their
+    BLEU scores."""
     rng = random.Random(seed)
     v = rng.randint(4, 40)
 
@@ -377,7 +378,8 @@ def test_scores_do_not_depend_on_id_values(seed):
 
     def scores(label):
         a, b, others = (Rows([[label[i] for i in t] for t in side]) for side in sides)
-        return (jaccard_matrix(a, b), jaccard_cells(a, b, rows, cols), *tfidf_cosines(a, b, rows, cols, others))
+        return (jaccard_matrix(a, b), jaccard_cells(a, b, rows, cols), *tfidf_cosines(a, b, rows, cols, others),
+                bleu_cells(a, b, rows, cols))
 
     want = scores(range(v))
     relabel = rng.sample(range(4 * v), v)
